@@ -21,6 +21,8 @@ from .core import (
     OnticModel,
     SUPPORT_TOL,
     compose_preparation,
+    measure,
+    outcome_mass,
 )
 from .errors import ClassificationError, EngineDefectError, ModelError
 from .operational import (
@@ -308,9 +310,10 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
                                measurement: str, tol: float = 1e-9) -> EquilibriumResult:
     """Whether each declared eigenstate preparation is preserved by its own update.
 
-    For the eigenstate preparation of value q, the update conditioned on
-    q is applied to every supported state and the result compared with
-    the preparation itself in total variation.
+    For the eigenstate preparation of value q, the preparation is
+    conditioned on outcome q (states with xi(q|s) <= SUPPORT_TOL
+    dropped, the update for q applied, the result divided by P(q)) and
+    compared with the preparation itself in total variation.
     """
     meas = model.measurement(measurement)
     deviations = {}
@@ -318,27 +321,13 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
         _, names = operational_eigenstate_supports(model, quantity_class, q)
         for name in names:
             dist = model.preparation(name)
-            groups: dict = {}
-            for label, w in dist.weights.items():
-                if not meas.update.has_row(label, q):
-                    if meas.response.row(label)[q] <= SUPPORT_TOL:
-                        continue
-                    raise ModelError(
-                        f"update undefined for state {label!r}, outcome {q!r}"
-                    )
-                target = meas.update.row(label, q)
-                key = id(target)
-                entry = groups.get(key)
-                if entry is None:
-                    groups[key] = [target, w]
-                else:
-                    entry[1] += w
-            post: dict = {}
-            for target, mass in groups.values():
-                for label, p in target.weights.items():
-                    post[label] = post.get(label, 0.0) + mass * p
-            deviation = Distribution(model.space, post).total_variation(dist)
-            deviations[name] = deviation
+            weights = {
+                label: w for label, w in dist.weights.items()
+                if meas.response.row(label)[q] > SUPPORT_TOL
+            }
+            p_q = outcome_mass(weights, meas, q)
+            post = {label: w / p_q for label, w in measure(weights, meas, (q,)).items()}
+            deviations[name] = Distribution(model.space, post).total_variation(dist)
     worst = max(deviations.values(), default=0.0)
     return EquilibriumResult(holds=worst <= tol, worst_deviation=worst,
                              per_preparation=deviations)

@@ -8,11 +8,8 @@ property of a valid input).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import os
-import pickle
 import sys
 from datetime import datetime, timezone
 
@@ -79,28 +76,11 @@ def _zoo_params(args):
     return params
 
 
-def _build_zoo(name, params):
-    cache_dir = os.environ.get("LGLAB_ZOO_CACHE")
-    if not cache_dir:
-        return zoo.build(name, **params)
-    key = json.dumps({"name": name, "params": params, "version": __version__}, sort_keys=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{name}-{digest}.pkl")
-    if os.path.exists(path):
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
-    built = zoo.build(name, **params)
-    with open(path, "wb") as handle:
-        pickle.dump(built, handle)
-    return built
-
-
 def _resolve_arrangement(args):
     """(arrangement, inputs-echo) from either --zoo or --model/--arrangement."""
     if args.zoo:
         params = _zoo_params(args)
-        built = _build_zoo(args.zoo, params)
+        built = zoo.build(args.zoo, **params)
         if built.arrangement is None:
             raise SchemaError(f"zoo model {args.zoo!r} ships no arrangement")
         inputs = {"zoo": args.zoo, "parameters": params or "defaults"}
@@ -123,7 +103,7 @@ def _resolve_arrangement(args):
 def _resolve_model(args):
     if args.zoo:
         params = _zoo_params(args)
-        built = _build_zoo(args.zoo, params)
+        built = zoo.build(args.zoo, **params)
         return built.model, {"zoo": args.zoo, "parameters": params or "defaults"}
     if not args.model:
         raise SchemaError("either --zoo or --model is required")
@@ -183,7 +163,7 @@ def cmd_lg(args) -> int:
     report = _report_skeleton("lg", args, inputs)
     report["results"] = results
     _emit_report(args, report)
-    if abs(report_obj.decomposition_residual) > RESIDUAL_GATE:
+    if not (abs(report_obj.decomposition_residual) <= RESIDUAL_GATE):
         print(
             f"error: decomposition residual {report_obj.decomposition_residual!r} "
             f"exceeds gate {RESIDUAL_GATE}",
@@ -346,7 +326,7 @@ def cmd_zoo(args) -> int:
         _emit_report(args, report)
         return 0
     params = _zoo_params(args)
-    built = _build_zoo(args.name, params)
+    built = zoo.build(args.name, **params)
     arrangements = {}
     protocols = {}
     if built.arrangement is not None:

@@ -27,6 +27,11 @@ _RENORM_SKIP = 1e-13
 Label = Hashable
 Outcome = Hashable
 
+#: Outcome labels of a binary measurement whose values are +1 and -1.
+PLUS = "+1"
+MINUS = "-1"
+OUTCOMES = (PLUS, MINUS)
+
 
 @dataclass(frozen=True)
 class OnticStateSpace:
@@ -76,18 +81,20 @@ class Distribution:
         for label, w in weights.items():
             if label not in space:
                 raise ValidationError(f"unknown state label {label!r}")
-            if w < 0.0:
-                raise ValidationError(f"negative weight {w!r} for state {label!r}")
+            if not (w >= 0.0):
+                raise ValidationError(
+                    f"weight {w!r} for state {label!r} is not a nonnegative number"
+                )
         total = math.fsum(weights.values())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not (abs(total - 1.0) <= NORMALIZATION_TOL):
             raise ValidationError(
                 f"weights sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
             )
         self.space = space
         if abs(total - 1.0) <= _RENORM_SKIP:
-            self.weights = {k: v for k, v in weights.items() if v != 0.0}
+            self.weights = {k: float(v) for k, v in weights.items() if v != 0.0}
         else:
-            self.weights = {k: v / total for k, v in weights.items() if v != 0.0}
+            self.weights = {k: float(v / total) for k, v in weights.items() if v != 0.0}
 
     @classmethod
     def point_mass(cls, space: OnticStateSpace, label: Label) -> "Distribution":
@@ -146,17 +153,19 @@ class ResponseFunction:
             for q, p in row.items():
                 if q not in outcomes:
                     raise ValidationError(f"unknown outcome {q!r} in row for {label!r}")
-                if p < 0.0:
-                    raise ValidationError(f"negative response probability for {label!r}")
+                if not (p >= 0.0):
+                    raise ValidationError(
+                        f"response probability {p!r} for {label!r} is not a nonnegative number"
+                    )
             total = math.fsum(row.values())
-            if abs(total - 1.0) > NORMALIZATION_TOL:
+            if not (abs(total - 1.0) <= NORMALIZATION_TOL):
                 raise ValidationError(
                     f"response row for {label!r} sums to {total!r}, expected 1"
                 )
             if abs(total - 1.0) <= _RENORM_SKIP:
-                normalized[label] = {q: row.get(q, 0.0) for q in outcomes}
+                normalized[label] = {q: float(row.get(q, 0.0)) for q in outcomes}
             else:
-                normalized[label] = {q: row.get(q, 0.0) / total for q in outcomes}
+                normalized[label] = {q: float(row.get(q, 0.0) / total) for q in outcomes}
         self.space = space
         self.outcomes = outcomes
         self.table = normalized
@@ -349,6 +358,72 @@ class OnticModel:
 
 # ---------------------------------------------------------------------------
 # operations
+#
+# push, outcome_mass and measure are the only code that moves weight
+# between ontic states. They take raw {label: weight} dicts, keep the
+# total mass as given and check nothing beyond the rows they look up;
+# the Distribution-returning functions below wrap them with validation.
+
+
+def push(weights: Mapping, kernel: TransformationKernel) -> dict:
+    """Raw weights pushed through a kernel: sum_{s0} w(s0) * tau(. | s0)."""
+    out: dict = {}
+    rows = kernel.rows
+    for label, w in weights.items():
+        row = rows.get(label)
+        if row is None:
+            raise ModelError(f"kernel row undefined for state {label!r}")
+        for target, p in row.weights.items():
+            out[target] = out.get(target, 0.0) + w * p
+    return out
+
+
+def outcome_mass(weights: Mapping, measurement: Measurement, outcome: Outcome) -> float:
+    """Raw weight the measurement sends to one outcome: sum_s w(s) * xi(q | s)."""
+    table = measurement.response.table
+    total = 0.0
+    for label, w in weights.items():
+        row = table.get(label)
+        if row is None:
+            raise ModelError(f"response undefined for state {label!r}")
+        total += w * row[outcome]
+    return total
+
+
+def measure(weights: Mapping, measurement: Measurement, outcomes) -> dict:
+    """Raw weights after a measurement, summed over the given outcomes.
+
+    Returns sum_{q in outcomes} sum_s w(s) * xi(q | s) * tau(. | q, s):
+    ``(q,)`` is the selective update for outcome q (unnormalized, total
+    mass the outcome's probability) and ``measurement.outcomes`` the
+    non-selective one. Update rows are looked up only for nonzero flows,
+    and flows are grouped by the identity of their update row before
+    expansion, so updates that forget the incoming state (shared row
+    objects) cost O(support) instead of O(support^2).
+    """
+    table = measurement.response.table
+    update = measurement.update
+    groups: dict = {}
+    for label, w in weights.items():
+        row = table.get(label)
+        if row is None:
+            raise ModelError(f"response undefined for state {label!r}")
+        for q in outcomes:
+            mass = w * row[q]
+            if mass == 0.0:
+                continue
+            target = update.row(label, q)
+            key = id(target)
+            entry = groups.get(key)
+            if entry is None:
+                groups[key] = [target, mass]
+            else:
+                entry[1] += mass
+    out: dict = {}
+    for target, mass in groups.values():
+        for label, p in target.weights.items():
+            out[label] = out.get(label, 0.0) + mass * p
+    return out
 
 
 def compose_preparation(preparation: Distribution, kernel: TransformationKernel) -> Distribution:
@@ -357,11 +432,7 @@ def compose_preparation(preparation: Distribution, kernel: TransformationKernel)
     Returns the distribution with weights sum_{s0} mu(s0) * tau(s | s0).
     """
     _check_same_space(preparation.space, kernel.space, "compose_preparation")
-    out: dict = {}
-    for label, w in preparation.weights.items():
-        for target, p in kernel.row(label).weights.items():
-            out[target] = out.get(target, 0.0) + w * p
-    return Distribution(preparation.space, out)
+    return Distribution(preparation.space, push(preparation.weights, kernel))
 
 
 def compose_kernels(first: TransformationKernel, second: TransformationKernel) -> TransformationKernel:
@@ -385,10 +456,7 @@ def single_shot_probability(
         raise ModelError(f"unknown outcome {outcome!r} for measurement {measurement.label!r}")
     _check_same_space(preparation.space, measurement.space, "single_shot_probability")
     dist = preparation if kernel is None else compose_preparation(preparation, kernel)
-    total = 0.0
-    for label, w in dist.weights.items():
-        total += w * measurement.response.row(label)[outcome]
-    return total
+    return outcome_mass(dist.weights, measurement, outcome)
 
 
 def is_ontically_noninvasive(
@@ -424,13 +492,6 @@ def post_measurement_distribution(preparation: Distribution, measurement: Measur
     operational-disturbance check.
     """
     _check_same_space(preparation.space, measurement.space, "post_measurement_distribution")
-    out: dict = {}
-    for label, w in preparation.weights.items():
-        row = measurement.response.row(label)
-        for q, p in row.items():
-            mass = w * p
-            if mass == 0.0:
-                continue
-            for target, t in measurement.update.row(label, q).weights.items():
-                out[target] = out.get(target, 0.0) + mass * t
-    return Distribution(preparation.space, out)
+    return Distribution(
+        preparation.space, measure(preparation.weights, measurement, measurement.outcomes)
+    )

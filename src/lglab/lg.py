@@ -18,6 +18,8 @@ from .core import (
     Distribution,
     OnticModel,
     is_ontically_noninvasive,
+    measure,
+    push,
 )
 from .errors import EngineDefectError, ModelError, PreconditionError, ValidationError
 from .operational import (
@@ -26,8 +28,6 @@ from .operational import (
     ObservableAssignment,
     Protocol,
     ProtocolStep,
-    _measure_and_update,
-    _push_through_kernel,
     expectation,
     marginalize,
     measurements_equivalent,
@@ -100,6 +100,20 @@ def _pair_value_table(joint: JointDistribution, i: int, j: int, vi: dict, vj: di
     return out
 
 
+def _all_three_value(joint: JointDistribution, asg: ObservableAssignment) -> float:
+    """The three pair correlators of an all-performed table, summed and bound-checked."""
+    value = (
+        expectation(joint, asg, axes=[0, 1])
+        + expectation(joint, asg, axes=[0, 2])
+        + expectation(joint, asg, axes=[1, 2])
+    )
+    if not (-1.0 - BOUND_TOL <= value <= 3.0 + BOUND_TOL):
+        raise EngineDefectError(
+            f"all-performed correlation sum {value!r} escaped the [-1, 3] bound"
+        )
+    return value
+
+
 def lg_value_all_three(arrangement: LgArrangement) -> float:
     """Sum of the three pair correlators from the single all-performed run.
 
@@ -107,17 +121,7 @@ def lg_value_all_three(arrangement: LgArrangement) -> float:
     bound by more than float noise indicates a propagation defect.
     """
     joint = run_protocol(arrangement.model, arrangement.protocol((True, True, True)))
-    asg = arrangement.assignment
-    value = (
-        expectation(joint, asg, axes=[0, 1])
-        + expectation(joint, asg, axes=[0, 2])
-        + expectation(joint, asg, axes=[1, 2])
-    )
-    if value < -1.0 - BOUND_TOL or value > 3.0 + BOUND_TOL:
-        raise EngineDefectError(
-            f"all-performed correlation sum {value!r} escaped the [-1, 3] bound"
-        )
-    return value
+    return _all_three_value(joint, arrangement.assignment)
 
 
 def lg_value_pairwise(arrangement: LgArrangement) -> float:
@@ -186,15 +190,15 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
 
     for name, table in (("d1", d1), ("d2", d2)):
         balance = sum(table.values())
-        if abs(balance) > 1e-9:
+        if not (abs(balance) <= 1e-9):
             raise EngineDefectError(f"{name} entries sum to {balance!r}, expected 0")
     worst_d3 = max(abs(v) for v in d3.values())
-    if worst_d3 > RESIDUAL_TOL:
+    if not (worst_d3 <= RESIDUAL_TOL):
         raise EngineDefectError(
             f"performing the final measurement shifted earlier statistics by {worst_d3!r}"
         )
 
-    lg_all = lg_value_all_three(arrangement)
+    lg_all = _all_three_value(j_all, asg)
     lg_pair = (
         expectation(j_12, asg, axes=[0, 1])
         + expectation(j_13, asg, axes=[0, 1])
@@ -290,29 +294,6 @@ class OpndCompleteResult:
     undefined_contexts: int = 0
 
 
-def _measured_raw(weights: dict, measurement) -> dict:
-    """Non-selective post-measurement weights, mass preserved, no validation."""
-    groups: dict = {}
-    for label, w in weights.items():
-        row = measurement.response.row(label)
-        for q, p in row.items():
-            mass = w * p
-            if mass == 0.0:
-                continue
-            target = measurement.update.row(label, q)
-            key = id(target)
-            entry = groups.get(key)
-            if entry is None:
-                groups[key] = [target, mass]
-            else:
-                entry[1] += mass
-    out: dict = {}
-    for target, mass in groups.values():
-        for label, p in target.weights.items():
-            out[label] = out.get(label, 0.0) + mass * p
-    return out
-
-
 def check_opnd_complete(
     model: OnticModel,
     measurement: str,
@@ -353,13 +334,13 @@ def check_opnd_complete(
                 for t, m in prefix:
                     if t is not None:
                         kernel = model.transformation(t)
-                        branches = [_push_through_kernel(w, kernel) for w in branches]
+                        branches = [push(w, kernel) for w in branches]
                     pre_meas = model.measurement(m)
                     branches = [
                         grown
                         for w in branches
                         for q in pre_meas.outcomes
-                        if (grown := _measure_and_update(w, pre_meas, q))
+                        if (grown := measure(w, pre_meas, (q,)))
                     ]
             except ModelError:
                 undefined += len(pre_ts) * len(suffixes)
@@ -369,8 +350,8 @@ def check_opnd_complete(
                 try:
                     bound = 0.0
                     for w in branches:
-                        evolved = w if kernel is None else _push_through_kernel(w, kernel)
-                        moved = _measured_raw(evolved, meas)
+                        evolved = w if kernel is None else push(w, kernel)
+                        moved = measure(evolved, meas, meas.outcomes)
                         keys = set(evolved) | set(moved)
                         shift = sum(abs(evolved.get(k, 0.0) - moved.get(k, 0.0)) for k in keys)
                         bound = max(bound, shift)
@@ -555,16 +536,14 @@ def post_select_noninvasive(
 
     records = []
     for prep_name, dist in model.preparations.items():
-        kept: dict = {}
-        post: dict = {}
-        for label, w in dist.weights.items():
-            for meas, q in ((meas_a, q_a), (meas_b, q_b)):
-                mass = 0.5 * w * meas.response.row(label)[q]
-                if mass == 0.0:
-                    continue
-                kept[label] = kept.get(label, 0.0) + mass
-                for target, t in meas.update.row(label, q).weights.items():
-                    post[target] = post.get(target, 0.0) + mass * t
+        half = {label: 0.5 * w for label, w in dist.weights.items()}
+        kept = {
+            label: w * (meas_a.response.row(label)[q_a] + meas_b.response.row(label)[q_b])
+            for label, w in half.items()
+        }
+        post = measure(half, meas_a, (q_a,))
+        for label, w in measure(half, meas_b, (q_b,)).items():
+            post[label] = post.get(label, 0.0) + w
         keep_probability = sum(kept.values())
         if keep_probability <= 0.0:
             raise ModelError(

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
-    Distribution,
-    Measurement,
     OnticModel,
-    _check_same_space,
+    measure,
+    outcome_mass,
+    push,
     single_shot_probability,
 )
 from .errors import ModelError, ValidationError
@@ -82,10 +82,12 @@ class JointDistribution:
     def __post_init__(self):
         total = 0.0
         for combo, p in self.table.items():
-            if p < -1e-15:
-                raise ValidationError(f"negative probability {p!r} for {combo!r}")
+            if not (p >= -1e-15):
+                raise ValidationError(
+                    f"probability {p!r} for {combo!r} is not a nonnegative number"
+                )
             total += p
-        if abs(total - 1.0) > 1e-9:
+        if not (abs(total - 1.0) <= 1e-9):
             raise ValidationError(f"joint table sums to {total!r}, expected 1")
 
     def axis_index(self, which) -> int:
@@ -102,60 +104,6 @@ class JointDistribution:
 
     def probability(self, combo) -> float:
         return self.table.get(tuple(combo), 0.0)
-
-
-def _push_through_kernel(weights: dict, kernel) -> dict:
-    out: dict = {}
-    rows = kernel.rows
-    for label, w in weights.items():
-        row = rows.get(label)
-        if row is None:
-            raise ModelError(f"kernel row undefined for state {label!r}")
-        for target, p in row.weights.items():
-            out[target] = out.get(target, 0.0) + w * p
-    return out
-
-
-def _branch_mass(weights: dict, measurement: Measurement, outcome) -> float:
-    table = measurement.response.table
-    total = 0.0
-    for label, w in weights.items():
-        row = table.get(label)
-        if row is None:
-            raise ModelError(f"response undefined for state {label!r}")
-        total += w * row[outcome]
-    return total
-
-
-def _measure_and_update(weights: dict, measurement: Measurement, outcome) -> dict:
-    """Branch weights conditioned on an outcome, with the update applied.
-
-    Flows are grouped by the identity of the target update row before
-    expansion, so updates that forget the incoming state (shared row
-    objects) cost O(support) instead of O(support^2).
-    """
-    table = measurement.response.table
-    update = measurement.update
-    groups: dict = {}
-    for label, w in weights.items():
-        row = table.get(label)
-        if row is None:
-            raise ModelError(f"response undefined for state {label!r}")
-        mass = w * row[outcome]
-        if mass == 0.0:
-            continue
-        target = update.row(label, outcome)
-        key = id(target)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [target, mass]
-        else:
-            entry[1] += mass
-    out: dict = {}
-    for target, mass in groups.values():
-        for label, p in target.weights.items():
-            out[label] = out.get(label, 0.0) + mass * p
-    return out
 
 
 def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
@@ -176,7 +124,7 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     for i, step in enumerate(protocol.steps[: last + 1]):
         if step.transformation is not None:
             kernel = model.transformation(step.transformation)
-            branches = [(_push_through_kernel(w, kernel), outs) for w, outs in branches]
+            branches = [(push(w, kernel), outs) for w, outs in branches]
         if not step.perform:
             continue
         measurement = model.measurement(step.measurement)
@@ -184,12 +132,12 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
         if i == last:
             for w, outs in branches:
                 for q in measurement.outcomes:
-                    table[outs + (q,)] = _branch_mass(w, measurement, q)
+                    table[outs + (q,)] = outcome_mass(w, measurement, q)
         else:
             grown = []
             for w, outs in branches:
                 for q in measurement.outcomes:
-                    neww = _measure_and_update(w, measurement, q)
+                    neww = measure(w, measurement, (q,))
                     if neww:
                         grown.append((neww, outs + (q,)))
             branches = grown

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    MINUS,
+    OUTCOMES,
+    PLUS,
     Distribution,
     Measurement,
     MeasurementUpdate,
@@ -15,10 +18,6 @@ from .core import (
 )
 from .lg import LgArrangement
 from .operational import ObservableAssignment
-
-PLUS = "+1"
-MINUS = "-1"
-OUTCOMES = (PLUS, MINUS)
 
 
 def _random_distribution(rng, space) -> Distribution:

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    MINUS,
+    OUTCOMES,
+    PLUS,
     Distribution,
     Measurement,
     MeasurementUpdate,
@@ -26,9 +29,6 @@ from .errors import ValidationError
 from .lg import LgArrangement
 from .operational import ObservableAssignment
 
-PLUS = "+1"
-MINUS = "-1"
-OUTCOMES = (PLUS, MINUS)
 TWO_PI = 2.0 * math.pi
 
 

@@ -19,6 +19,9 @@ import numpy as np
 
 from .classify import QuantityClass, check_equilibrium_property, classify
 from .core import (
+    MINUS,
+    OUTCOMES,
+    PLUS,
     Distribution,
     Measurement,
     MeasurementUpdate,
@@ -30,10 +33,6 @@ from .core import (
 from .errors import EngineDefectError, ModelError
 from .lg import LgArrangement, disturbance_report, post_select_noninvasive
 from .operational import ObservableAssignment
-
-PLUS = "+1"
-MINUS = "-1"
-OUTCOMES = (PLUS, MINUS)
 
 
 def _pm_assignment(*measurement_names) -> ObservableAssignment:

@@ -46,6 +46,17 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             Distribution(space, {"nope": 1.0})
 
+    def test_rejects_nan_weight(self):
+        space = two_state_space()
+        with pytest.raises(ValidationError):
+            Distribution(space, {"l1": math.nan, "l2": 1.0})
+
+    @pytest.mark.parametrize("first", [0.25, 0.25 + 2e-10])
+    def test_stores_python_floats(self, first):
+        space = two_state_space()
+        d = Distribution(space, {"l1": np.float64(first), "l2": np.float64(0.75)})
+        assert [type(w) for w in d.weights.values()] == [float, float]
+
     def test_renormalizes_within_tolerance(self):
         space = two_state_space()
         d = Distribution(space, {"l1": 0.5 + 2e-10, "l2": 0.5})
@@ -284,3 +295,18 @@ def test_measurement_requires_matching_outcomes():
     update = MeasurementUpdate(space, ("u", "d"))
     with pytest.raises(ValidationError):
         Measurement("M", response, update)
+
+
+def test_response_rejects_nan_probability():
+    space = two_state_space()
+    with pytest.raises(ValidationError):
+        ResponseFunction(space, OUTCOMES, {"l1": {PLUS: math.nan, MINUS: 1.0}})
+
+
+@pytest.mark.parametrize("p", [0.25, 0.25 + 2e-10])
+def test_response_stores_python_floats(p):
+    space = two_state_space()
+    response = ResponseFunction(
+        space, OUTCOMES, {"l1": {PLUS: np.float64(p), MINUS: np.float64(0.75)}}
+    )
+    assert [type(v) for v in response.row("l1").values()] == [float, float]

@@ -125,6 +125,12 @@ class TestMarginalize:
             marginalize(joint, [])
 
 
+def test_joint_table_rejects_nan_probability():
+    axes = (("Mz", (PLUS, MINUS)),)
+    with pytest.raises(ValidationError):
+        JointDistribution(axes, {(PLUS,): math.nan, (MINUS,): 1.0})
+
+
 class TestExpectation:
     def test_constant_plus_one(self):
         joint = JointDistribution(HAND_AXES, dict(HAND_TABLE))

@@ -5,6 +5,14 @@ import pytest
 
 from lglab import SchemaError, lg_value_pairwise
 from lglab import cli, schema, zoo
+from perfbench.workloads import (
+    CLASSIFY_PINS,
+    CLASSIFY_REFUSALS,
+    CLI_GRID,
+    EXPORT_STATES,
+    LG_PINS,
+    ZOO,
+)
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -163,6 +171,16 @@ class TestCli:
         assert run_cli(["run", "--model", str(path), "--protocol", "x"]) == 2
         assert "preparations.E" in capsys.readouterr().err
 
+    def test_nan_weight_in_model_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        run_cli(["zoo", "export", "superselected", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["preparations"]["prep-up"] = {"up": math.nan, "down": 1.0}
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["lg", "--model", str(path), "--no-timestamp"]) == 2
+        assert "preparations.prep-up" in capsys.readouterr().err
+
     def test_unknown_protocol_exits_2(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
         run_cli(["zoo", "export", "superselected", "--out", str(path)])
@@ -222,10 +240,36 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert len(out["results"]["models"]) >= 6
 
-    def test_zoo_cache_roundtrip(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LGLAB_ZOO_CACHE", str(tmp_path / "cache"))
-        run_cli(["lg", "--zoo", "superselected", "--no-timestamp"])
-        first = capsys.readouterr().out
-        assert list((tmp_path / "cache").iterdir())
-        run_cli(["lg", "--zoo", "superselected", "--no-timestamp"])
-        assert capsys.readouterr().out == first
+
+@pytest.mark.parametrize("entry", ZOO)
+@pytest.mark.parametrize(
+    "command",
+    [["lg", "--zoo"], ["classify", "--zoo"], ["zoo", "export"]],
+    ids=["lg", "classify", "zoo-export"],
+)
+def test_every_zoo_entry_through_the_cli(command, entry, capsys):
+    """Exit code and pinned values of each zoo entry under each command that takes it."""
+    code = run_cli([*command, entry, *CLI_GRID.get(entry, []), "--no-timestamp"])
+    captured = capsys.readouterr()
+    if command[0] == "lg":
+        if entry not in LG_PINS:
+            assert code == 2 and "ships no arrangement" in captured.err
+            return
+        assert code == 0
+        results = json.loads(captured.out)["results"]
+        value, stages = LG_PINS[entry]
+        assert results["lg_pairwise"] == pytest.approx(value, abs=1e-9)
+        chain = results["chain"]
+        assert (chain["ontically_noninvasive"], chain["opnd_complete"],
+                chain["opnd_specific"], chain["lgi_satisfied"]) == stages
+    elif command[0] == "classify":
+        if entry in CLASSIFY_REFUSALS:
+            assert code == 2 and CLASSIFY_REFUSALS[entry] in captured.err
+            return
+        assert code == 0
+        assert json.loads(captured.out)["results"]["verdict"] == CLASSIFY_PINS[entry]
+    else:
+        assert code == 0
+        doc = json.loads(captured.out)
+        assert len(doc["ontic_states"]) == EXPORT_STATES[entry]
+        assert ("arrangements" in doc) == (entry in LG_PINS)
