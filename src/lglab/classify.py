@@ -51,12 +51,6 @@ class QuantityClass:
             raise ModelError("a quantity class needs at least one measurement")
         for name in measurements:
             model.measurement(name)
-        if probes is None:
-            probes = [
-                (e, t)
-                for e in model.preparations
-                for t in [None] + list(model.transformations)
-            ]
         for a, b in itertools.combinations(measurements, 2):
             equivalent, dev = measurements_equivalent(model, a, b, probes, tol=tol)
             if not equivalent:

@@ -57,9 +57,6 @@ class OnticStateSpace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def index(self, label) -> int:
-        return self.states.index(label)
-
 
 def _check_same_space(a: OnticStateSpace, b: OnticStateSpace, what: str):
     if a is not b and a != b:
@@ -176,14 +173,6 @@ class ResponseFunction:
         except KeyError:
             raise ModelError(f"response undefined for state {label!r}") from None
 
-    def probability(self, outcome: Outcome, label: Label) -> float:
-        if outcome not in self.outcomes:
-            raise ModelError(f"unknown outcome {outcome!r}")
-        return self.row(label)[outcome]
-
-    def deterministic(self, label: Label, tol: float = SUPPORT_TOL) -> bool:
-        return all(p <= tol or p >= 1.0 - tol for p in self.row(label).values())
-
     def determined_outcome(self, label: Label, tol: float = SUPPORT_TOL):
         """The single outcome taken with probability 1, or None if stochastic."""
         row = self.row(label)
@@ -214,11 +203,6 @@ class TransformationKernel:
     @classmethod
     def identity(cls, space: OnticStateSpace) -> "TransformationKernel":
         return cls(space, {s: Distribution.point_mass(space, s) for s in space.states})
-
-    @classmethod
-    def from_function(cls, space, labels, fn) -> "TransformationKernel":
-        """Build rows for ``labels`` from ``fn(label) -> {label: prob}``."""
-        return cls(space, {s: Distribution(space, fn(s)) for s in labels})
 
     def row(self, label: Label) -> Distribution:
         try:
@@ -277,9 +261,6 @@ class MeasurementUpdate:
                 f"measurement update undefined for state {label!r}, outcome {outcome!r}"
             )
         return dist
-
-    def has_row(self, label: Label, outcome: Outcome) -> bool:
-        return (label, outcome) in self.rows or outcome in self.outcome_rows
 
 
 @dataclass(frozen=True)

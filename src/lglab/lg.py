@@ -14,13 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (
-    Distribution,
-    OnticModel,
-    is_ontically_noninvasive,
-    measure,
-    push,
-)
+from .core import Distribution, OnticModel, is_ontically_noninvasive, measure
 from .errors import EngineDefectError, ModelError, PreconditionError, ValidationError
 from .operational import (
     EQUIVALENCE_TOL,
@@ -29,9 +23,10 @@ from .operational import (
     Protocol,
     ProtocolStep,
     expectation,
-    marginalize,
     measurements_equivalent,
+    outcome_table,
     run_protocol,
+    walk,
 )
 
 #: The exact decomposition identity must hold to this tolerance.
@@ -231,6 +226,38 @@ class OpndResult:
     context: str
 
 
+def _arms(model: OnticModel, dist: Distribution, prefix, pre_transformation, measurement):
+    """The (skipped, performed) arms of the checked measurement after a prefix.
+
+    The skipped arm walks the performed ``prefix`` pairs and then only the
+    pre-transformation; the performed arm applies the measurement's
+    non-selective update to each skipped branch, which is the measurement
+    performed with its outcome ignored.
+    """
+    steps = [ProtocolStep(t, m) for t, m in prefix]
+    steps.append(ProtocolStep(pre_transformation, measurement.label, False))
+    skipped = walk(model, [(dict(dist.weights), ())], steps)
+    performed = [(measure(w, measurement, measurement.outcomes), outs) for w, outs in skipped]
+    return skipped, performed
+
+
+def _arm_deviation(model: OnticModel, arms, suffix) -> float:
+    """Largest difference between the arms' tables of the surrounding outcomes.
+
+    The tables are keyed by the prefix outcomes plus the outcomes of the
+    performed ``suffix`` pairs; with no suffix they hold the branch masses.
+    """
+    steps = [ProtocolStep(t, m) for t, m in suffix]
+    skipped, performed = (
+        outcome_table(model, walk(model, arm, steps[:-1]), steps[-1])
+        if steps
+        else {outs: sum(w.values()) for w, outs in arm}
+        for arm in arms
+    )
+    keys = performed.keys() | skipped.keys()
+    return max(abs(performed.get(k, 0.0) - skipped.get(k, 0.0)) for k in keys)
+
+
 def check_opnd(
     model: OnticModel,
     preparation,
@@ -245,28 +272,18 @@ def check_opnd(
     The protocol is: preparation, the ``prefix`` (transformation,
     measurement) pairs all performed, then ``pre_transformation``
     followed by the checked measurement, then the ``suffix`` pairs all
-    performed. In the performed arm the checked measurement's outcome is
-    summed out; the comparison is over the joint statistics of every
+    performed. The performed arm applies the checked measurement's
+    non-selective update (performed, outcome ignored), the skipped arm
+    leaves it out; the comparison is over the joint statistics of every
     other measurement, prefix outcomes included.
     """
     prefix = tuple(prefix)
     suffix = tuple(suffix)
     if not prefix and not suffix:
         raise ModelError("non-disturbance needs at least one surrounding measurement")
-    outer = [ProtocolStep(t, m, True) for t, m in prefix]
-    tail = [ProtocolStep(t, m, True) for t, m in suffix]
-
-    def build(perform):
-        steps = outer + [ProtocolStep(pre_transformation, measurement, perform)] + tail
-        return Protocol(preparation, tuple(steps))
-
-    performed = run_protocol(model, build(True))
-    keep = [i for i in range(len(performed.axes)) if i != len(prefix)]
-    performed = marginalize(performed, keep)
-    skipped = run_protocol(model, build(False))
-    worst = max(
-        abs(p - skipped.table[combo]) for combo, p in performed.table.items()
-    )
+    meas = model.measurement(measurement)
+    arms = _arms(model, model.preparation(preparation), prefix, pre_transformation, meas)
+    worst = _arm_deviation(model, arms, suffix)
     context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
     return OpndResult(worst <= tol, worst, context)
 
@@ -303,12 +320,12 @@ def check_opnd_complete(
 ) -> OpndCompleteResult:
     """Check non-disturbance over every bounded declared context.
 
-    Contexts where the checked measurement's non-selective update moves
-    no branch weight are settled exactly without enumerating suffixes:
-    equal inputs to the same suffix statistics give equal outputs, and a
-    raw total-variation shift bounds every downstream table deviation.
-    Contexts a reachable-set model leaves undefined (missing kernel
-    rows) are skipped and counted.
+    Both arms are built once per (preparation, prefix, pre-transformation)
+    and extended per suffix. Where the performed arm moves no branch
+    weight the context is settled without suffixes: equal inputs give
+    equal suffix statistics, and the raw total-variation shift bounds
+    every table deviation. Contexts a reachable-set model leaves
+    undefined (missing kernel rows) are skipped and counted.
     """
     if preparations is None:
         preparations = tuple(model.preparations)
@@ -327,59 +344,31 @@ def check_opnd_complete(
     ok = True
     undefined = 0
     for prep_name in preparations:
-        base = dict(model.preparation(prep_name).weights)
-        for prefix in prefixes:
+        dist = model.preparation(prep_name)
+        for prefix, pre_t in itertools.product(prefixes, pre_ts):
             try:
-                branches = [base]
-                for t, m in prefix:
-                    if t is not None:
-                        kernel = model.transformation(t)
-                        branches = [push(w, kernel) for w in branches]
-                    pre_meas = model.measurement(m)
-                    branches = [
-                        grown
-                        for w in branches
-                        for q in pre_meas.outcomes
-                        if (grown := measure(w, pre_meas, (q,)))
-                    ]
+                arms = _arms(model, dist, prefix, pre_t, meas)
             except ModelError:
-                undefined += len(pre_ts) * len(suffixes)
+                undefined += len(suffixes)
                 continue
-            for pre_t in pre_ts:
-                kernel = None if pre_t is None else model.transformation(pre_t)
+            bound = max(
+                sum(abs(skip.get(k, 0.0) - done.get(k, 0.0)) for k in set(skip) | set(done))
+                for (skip, _), (done, _) in zip(*arms)
+            )
+            if bound <= 0.5 * tol:
+                worst = max(worst, bound)
+                continue
+            for suffix in suffixes:
                 try:
-                    bound = 0.0
-                    for w in branches:
-                        evolved = w if kernel is None else push(w, kernel)
-                        moved = measure(evolved, meas, meas.outcomes)
-                        keys = set(evolved) | set(moved)
-                        shift = sum(abs(evolved.get(k, 0.0) - moved.get(k, 0.0)) for k in keys)
-                        bound = max(bound, shift)
+                    deviation = _arm_deviation(model, arms, suffix)
                 except ModelError:
-                    undefined += len(suffixes)
+                    undefined += 1
                     continue
-                if bound <= 0.5 * tol:
-                    worst = max(worst, bound)
-                    continue
-                for suffix in suffixes:
-                    try:
-                        result = check_opnd(
-                            model,
-                            prep_name,
-                            measurement,
-                            suffix=suffix,
-                            prefix=prefix,
-                            pre_transformation=pre_t,
-                            tol=tol,
-                        )
-                    except ModelError:
-                        undefined += 1
-                        continue
-                    if result.max_deviation > worst:
-                        worst = result.max_deviation
-                        witness = (prep_name, prefix, pre_t, suffix)
-                    if not result.non_disturbing:
-                        ok = False
+                if deviation > worst:
+                    worst = deviation
+                    witness = (prep_name, prefix, pre_t, suffix)
+                if not (deviation <= tol):
+                    ok = False
     return OpndCompleteResult(
         ok and worst <= tol, worst, witness, depth, tuple(preparations), undefined
     )
@@ -421,11 +410,13 @@ def check_implication_chain(
     m1, m2, m3 = arrangement.measurements
 
     oni_1, dev_1 = is_ontically_noninvasive(model.measurement(m1))
-    oni_2, dev_2 = is_ontically_noninvasive(model.measurement(m2))
+    oni_2, dev_2 = (oni_1, dev_1) if m2 == m1 else is_ontically_noninvasive(model.measurement(m2))
     oni = oni_1 and oni_2
 
     complete_1 = check_opnd_complete(model, m1, depth=depth, tol=tol)
-    complete_2 = check_opnd_complete(model, m2, depth=depth, tol=tol)
+    complete_2 = (
+        complete_1 if m2 == m1 else check_opnd_complete(model, m2, depth=depth, tol=tol)
+    )
     complete = complete_1.non_disturbing and complete_2.non_disturbing
 
     specific_1 = check_opnd(
@@ -518,8 +509,6 @@ def post_select_noninvasive(
     meas_a = model.measurement(name_a)
     meas_b = model.measurement(name_b)
 
-    if probes is None:
-        probes = [(e, t) for e in model.preparations for t in [None] + list(model.transformations)]
     equivalent, dev = measurements_equivalent(model, name_a, name_b, probes)
     if not equivalent:
         raise PreconditionError(

@@ -6,6 +6,10 @@ and its update from the evolution; the step's transformation still
 applies. The engine enumerates outcome branches depth-first in declared
 outcome order and propagates exact weighted distributions, so identical
 inputs give bit-identical tables.
+
+``walk`` is the one loop over protocol steps and ``outcome_table`` reads
+the final step. A measurement performed with its outcome ignored is the
+non-selective update ``core.measure(w, m, m.outcomes)`` of each branch.
 """
 
 from __future__ import annotations
@@ -102,8 +106,43 @@ class JointDistribution:
             raise ModelError(f"axis label {which!r} is ambiguous; use an index")
         return hits[0]
 
-    def probability(self, combo) -> float:
-        return self.table.get(tuple(combo), 0.0)
+
+def walk(model: OnticModel, branches, steps) -> list:
+    """Carry ``(weights, outcomes)`` branches through protocol steps.
+
+    Each step pushes every branch through its transformation; a performed
+    step then splits each branch by outcome with the selective update,
+    appending the outcome and dropping branches that receive no weight.
+    A skipped step applies only its transformation.
+    """
+    for step in steps:
+        if step.transformation is not None:
+            kernel = model.transformation(step.transformation)
+            branches = [(push(w, kernel), outs) for w, outs in branches]
+        if step.perform:
+            measurement = model.measurement(step.measurement)
+            branches = [
+                (grown, outs + (q,))
+                for w, outs in branches
+                for q in measurement.outcomes
+                if (grown := measure(w, measurement, (q,)))
+            ]
+    return branches
+
+
+def outcome_table(model: OnticModel, branches, step: ProtocolStep) -> dict:
+    """Outcome masses of a final performed step, keyed by branch outcomes + (q,).
+
+    The step's measurement is read but its update is not applied: nothing
+    after the final step can observe it.
+    """
+    branches = walk(model, branches, [ProtocolStep(step.transformation, step.measurement, False)])
+    measurement = model.measurement(step.measurement)
+    return {
+        outs + (q,): outcome_mass(w, measurement, q)
+        for w, outs in branches
+        for q in measurement.outcomes
+    }
 
 
 def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
@@ -116,36 +155,17 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     not evaluated.
     """
     dist = model.preparation(protocol.preparation)
-    performed = [i for i, s in enumerate(protocol.steps) if s.perform]
-    last = performed[-1]
-    axes = []
-    table: dict = {}
-    branches = [(dict(dist.weights), ())]
-    for i, step in enumerate(protocol.steps[: last + 1]):
-        if step.transformation is not None:
-            kernel = model.transformation(step.transformation)
-            branches = [(push(w, kernel), outs) for w, outs in branches]
-        if not step.perform:
-            continue
-        measurement = model.measurement(step.measurement)
-        axes.append((step.measurement, measurement.outcomes))
-        if i == last:
-            for w, outs in branches:
-                for q in measurement.outcomes:
-                    table[outs + (q,)] = outcome_mass(w, measurement, q)
-        else:
-            grown = []
-            for w, outs in branches:
-                for q in measurement.outcomes:
-                    neww = measure(w, measurement, (q,))
-                    if neww:
-                        grown.append((neww, outs + (q,)))
-            branches = grown
+    last = max(i for i, s in enumerate(protocol.steps) if s.perform)
+    steps = protocol.steps[: last + 1]
+    table = outcome_table(model, walk(model, [(dict(dist.weights), ())], steps[:-1]), steps[-1])
+    axes = tuple(
+        (s.measurement, model.measurement(s.measurement).outcomes) for s in steps if s.perform
+    )
     full = {
         combo: table.get(combo, 0.0)
         for combo in itertools.product(*(outcomes for _, outcomes in axes))
     }
-    return JointDistribution(tuple(axes), full)
+    return JointDistribution(axes, full)
 
 
 def marginalize(joint: JointDistribution, keep) -> JointDistribution:
@@ -229,27 +249,21 @@ def preparations_equivalent(
     return worst <= tol, worst
 
 
-def default_probe_pairs(model: OnticModel):
-    """Every declared (transformation-or-None, measurement) pair."""
-    kernels = [None] + list(model.transformations)
-    return [(t, m) for t in kernels for m in model.measurements]
-
-
 def measurements_equivalent(
     model: OnticModel,
     first: str,
     second: str,
-    probes,
+    probes=None,
     correspondence=None,
     tol: float = EQUIVALENCE_TOL,
 ) -> tuple[bool, float]:
     """Whether two measurements have the same response statistics on every probe.
 
     ``probes`` is a list of (preparation, transformation-or-None) name
-    pairs. ``correspondence`` maps outcomes of the first measurement to
-    outcomes of the second; by default the outcome sets must coincide.
-    Updates are deliberately ignored: equivalence classes are about
-    response statistics only.
+    pairs, by default every declared pair. ``correspondence`` maps
+    outcomes of the first measurement to outcomes of the second; by
+    default the outcome sets must coincide. Updates are deliberately
+    ignored: equivalence classes are about response statistics only.
     """
     meas_a = model.measurement(first)
     meas_b = model.measurement(second)
@@ -265,6 +279,8 @@ def measurements_equivalent(
             correspondence.values()
         ) != set(meas_b.outcomes):
             raise ModelError("outcome correspondence is not a bijection between outcome sets")
+    if probes is None:
+        probes = [(e, t) for e in model.preparations for t in [None, *model.transformations]]
     worst = 0.0
     for e_name, t_name in probes:
         dist = model.preparation(e_name)

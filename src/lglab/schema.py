@@ -10,6 +10,7 @@ repr, and table ordering is preserved.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .core import (
     Distribution,
@@ -20,7 +21,7 @@ from .core import (
     ResponseFunction,
     TransformationKernel,
 )
-from .errors import SchemaError, ValidationError
+from .errors import ModelError, SchemaError, ValidationError
 from .lg import LgArrangement
 from .operational import ObservableAssignment, Protocol, ProtocolStep
 
@@ -106,22 +107,44 @@ def model_to_doc(model: OnticModel, name=None, arrangements=None, protocols=None
     return doc
 
 
-def _require(doc, key, kind, path):
-    if key not in doc:
-        raise SchemaError(f"missing required key {key!r}", path=path)
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise SchemaError(
-            f"{key!r} must be {kind.__name__}, got {type(value).__name__}", path=path
-        )
+def _typed(value, kind, path, what="value"):
+    """``value`` if it has the JSON type ``kind``; true and false are not numbers."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        name = "number" if kind == (int, float) else kind.__name__
+        raise SchemaError(f"{what} must be {name}, got {type(value).__name__}", path=path)
     return value
 
 
-def _distribution(space, weights_doc, path) -> Distribution:
-    if not isinstance(weights_doc, dict):
-        raise SchemaError("expected a state -> probability object", path=path)
+def _require(doc, key, kind, path):
+    if key not in _typed(doc, dict, path):
+        raise SchemaError(f"missing required key {key!r}", path=path)
+    return _typed(doc[key], kind, path, repr(key))
+
+
+def _names(items, path) -> tuple:
+    return tuple(_typed(x, str, f"{path}[{i}]", "name") for i, x in enumerate(items))
+
+
+def _numbers(doc, path) -> dict:
+    """A label -> number object; the exact-type test first keeps valid rows fast."""
+    if not (isinstance(doc, dict) and {int, float}.issuperset(map(type, doc.values()))):
+        for label, value in _typed(doc, dict, path).items():
+            _typed(value, (int, float), f"{path}.{label}")
+    return doc
+
+
+@contextmanager
+def _at(path):
+    """Re-raise a component constructor's error as a SchemaError at ``path``."""
     try:
-        return Distribution(space, weights_doc)
+        yield
+    except (ValidationError, ModelError) as exc:
+        raise SchemaError(str(exc), path=path) from None
+
+
+def _distribution(space, weights_doc, path) -> Distribution:
+    try:  # not _at: a model file holds one distribution per kernel and update row
+        return Distribution(space, _numbers(weights_doc, path))
     except ValidationError as exc:
         raise SchemaError(str(exc), path=path) from None
 
@@ -133,11 +156,9 @@ def doc_to_model(doc) -> tuple:
     version = _require(doc, "schema", int, path="schema")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version}", path="schema")
-    states = _require(doc, "ontic_states", list, path="ontic_states")
-    try:
-        space = OnticStateSpace(tuple(states))
-    except ValidationError as exc:
-        raise SchemaError(str(exc), path="ontic_states") from None
+    states = _names(_require(doc, "ontic_states", list, "ontic_states"), "ontic_states")
+    with _at("ontic_states"):
+        space = OnticStateSpace(states)
 
     preparations = {}
     for pname, weights in _require(doc, "preparations", dict, "preparations").items():
@@ -145,31 +166,27 @@ def doc_to_model(doc) -> tuple:
 
     transformations = {}
     for tname, rows in _require(doc, "transformations", dict, "transformations").items():
-        if not isinstance(rows, dict):
-            raise SchemaError("expected state -> row object", path=f"transformations.{tname}")
+        path = f"transformations.{tname}"
         kernel_rows = {
-            s: _distribution(space, row, f"transformations.{tname}.{s}")
-            for s, row in rows.items()
+            s: _distribution(space, row, f"{path}.{s}")
+            for s, row in _typed(rows, dict, path).items()
         }
-        try:
+        with _at(path):
             transformations[tname] = TransformationKernel(space, kernel_rows)
-        except ValidationError as exc:
-            raise SchemaError(str(exc), path=f"transformations.{tname}") from None
 
     measurements = {}
     for mname, mdoc in _require(doc, "measurements", dict, "measurements").items():
         path = f"measurements.{mname}"
-        outcomes = tuple(_require(mdoc, "outcomes", list, path))
-        try:
-            response = ResponseFunction(
-                space, outcomes, _require(mdoc, "response", dict, path)
-            )
-        except ValidationError as exc:
-            raise SchemaError(str(exc), path=f"{path}.response") from None
+        outcomes = _names(_require(mdoc, "outcomes", list, path), f"{path}.outcomes")
+        response_doc = _require(mdoc, "response", dict, path)
+        for s, row in response_doc.items():
+            _numbers(row, f"{path}.response.{s}")
+        with _at(f"{path}.response"):
+            response = ResponseFunction(space, outcomes, response_doc)
         update_doc = _require(mdoc, "update", dict, path)
         mode = _require(update_doc, "mode", str, f"{path}.update")
         rows_doc = _require(update_doc, "rows", dict, f"{path}.update")
-        try:
+        with _at(f"{path}.update"):
             if mode == "per_outcome":
                 update = MeasurementUpdate(
                     space,
@@ -182,26 +199,23 @@ def doc_to_model(doc) -> tuple:
             elif mode == "per_state":
                 rows = {}
                 for s, per_outcome in rows_doc.items():
-                    for q, d in per_outcome.items():
+                    for q, d in _typed(per_outcome, dict, f"{path}.update.rows.{s}").items():
                         rows[(s, q)] = _distribution(space, d, f"{path}.update.rows.{s}.{q}")
                 update = MeasurementUpdate(space, outcomes, rows=rows)
             else:
                 raise SchemaError(f"unknown update mode {mode!r}", path=f"{path}.update")
             measurements[mname] = Measurement(mname, response, update)
-        except ValidationError as exc:
-            raise SchemaError(str(exc), path=f"{path}.update") from None
 
-    metadata = dict(doc.get("metadata", {}))
-    classes = doc.get("quantity_classes", {})
+    metadata = dict(_typed(doc.get("metadata", {}), dict, "metadata"))
+    classes = _typed(doc.get("quantity_classes", {}), dict, "quantity_classes")
     if classes:
         metadata["quantity_classes"] = classes
         for label, members in classes.items():
-            for m in members:
+            path = f"quantity_classes.{label}"
+            for m in _names(_typed(members, list, path), path):
                 if m not in measurements:
-                    raise SchemaError(
-                        f"unknown measurement {m!r}", path=f"quantity_classes.{label}"
-                    )
-    try:
+                    raise SchemaError(f"unknown measurement {m!r}", path=path)
+    with _at(None):
         model = OnticModel(
             space=space,
             preparations=preparations,
@@ -209,43 +223,47 @@ def doc_to_model(doc) -> tuple:
             measurements=measurements,
             metadata=metadata,
         )
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from None
 
     protocols = {}
-    for pname, pdoc in doc.get("protocols", {}).items():
+    for pname, pdoc in _typed(doc.get("protocols", {}), dict, "protocols").items():
         path = f"protocols.{pname}"
         prep = _require(pdoc, "preparation", str, path)
         if prep not in preparations:
             raise SchemaError(f"unknown preparation {prep!r}", path=path)
         steps = []
         for i, sdoc in enumerate(_require(pdoc, "steps", list, path)):
-            t = sdoc.get("transformation")
-            m = sdoc.get("measurement")
-            if t is not None and t not in transformations:
-                raise SchemaError(f"unknown transformation {t!r}", path=f"{path}.steps[{i}]")
+            spath = f"{path}.steps[{i}]"
+            t = _typed(sdoc, dict, spath).get("transformation")
+            m = _typed(sdoc.get("measurement"), str, spath, "'measurement'")
+            if t is not None and _typed(t, str, spath, "'transformation'") not in transformations:
+                raise SchemaError(f"unknown transformation {t!r}", path=spath)
             if m not in measurements:
-                raise SchemaError(f"unknown measurement {m!r}", path=f"{path}.steps[{i}]")
-            steps.append(ProtocolStep(t, m, bool(sdoc.get("perform", True))))
-        try:
+                raise SchemaError(f"unknown measurement {m!r}", path=spath)
+            perform = _typed(sdoc.get("perform", True), bool, spath, "'perform'")
+            steps.append(ProtocolStep(t, m, perform))
+        with _at(path):
             protocols[pname] = Protocol(prep, tuple(steps))
-        except ValidationError as exc:
-            raise SchemaError(str(exc), path=path) from None
 
     arrangements = {}
-    for aname, adoc in doc.get("arrangements", {}).items():
+    for aname, adoc in _typed(doc.get("arrangements", {}), dict, "arrangements").items():
         path = f"arrangements.{aname}"
         values = _require(adoc, "values", dict, path)
-        try:
+        for m, per_outcome in values.items():
+            _numbers(per_outcome, f"{path}.values.{m}")
+        transformations_doc = _require(adoc, "transformations", list, path)
+        for i, t in enumerate(transformations_doc):
+            if t is not None:
+                _typed(t, str, f"{path}.transformations[{i}]", "name")
+        with _at(path):
             arrangements[aname] = LgArrangement(
                 model=model,
                 preparation=_require(adoc, "preparation", str, path),
-                transformations=tuple(_require(adoc, "transformations", list, path)),
-                measurements=tuple(_require(adoc, "measurements", list, path)),
+                transformations=tuple(transformations_doc),
+                measurements=_names(
+                    _require(adoc, "measurements", list, path), f"{path}.measurements"
+                ),
                 assignment=ObservableAssignment(values),
             )
-        except (ValidationError, KeyError) as exc:
-            raise SchemaError(str(exc), path=path) from None
 
     return model, protocols, arrangements
 

@@ -1,16 +1,22 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lglab import lg
 from lglab import (
     Distribution,
     Measurement,
     MeasurementUpdate,
+    ModelError,
     ObservableAssignment,
     OnticModel,
     OnticStateSpace,
     PreconditionError,
+    Protocol,
+    ProtocolStep,
     ResponseFunction,
     TransformationKernel,
     LgArrangement,
@@ -21,7 +27,9 @@ from lglab import (
     disturbance_report,
     lg_value_all_three,
     lg_value_pairwise,
+    marginalize,
     post_select_noninvasive,
+    run_protocol,
 )
 from lglab.testing import random_arrangement
 from lglab.zoo import (
@@ -147,6 +155,92 @@ class TestOpnd:
         assert any(m == "Mx" for _, m in suffix)
 
 
+def two_run_opnd(model, preparation, measurement, suffix, prefix=(), pre_transformation=None):
+    """Reference definition: the performed run with the checked outcome summed out,
+    against the run that skips the checked measurement."""
+    outer = [ProtocolStep(t, m) for t, m in prefix]
+    tail = [ProtocolStep(t, m) for t, m in suffix]
+
+    def run(perform):
+        steps = outer + [ProtocolStep(pre_transformation, measurement, perform)] + tail
+        return run_protocol(model, Protocol(preparation, tuple(steps)))
+
+    performed = run(True)
+    keep = [i for i in range(len(performed.axes)) if i != len(prefix)]
+    performed = marginalize(performed, keep)
+    skipped = run(False)
+    return max(abs(p - skipped.table[combo]) for combo, p in performed.table.items())
+
+
+def two_run_contexts(model, measurement, depth=2):
+    """Reference deviation of every bounded context, and the count left undefined."""
+    alphabet = [(t, m) for t in model.transformations for m in model.measurements]
+    suffixes = [
+        seq for length in range(1, depth + 1) for seq in itertools.product(alphabet, repeat=length)
+    ]
+    deviations = {}
+    undefined = 0
+    for prep in model.preparations:
+        for prefix in [()] + [((None, m),) for m in model.measurements]:
+            for pre_t in [None, *model.transformations]:
+                for suffix in suffixes:
+                    try:
+                        deviations[(prep, prefix, pre_t, suffix)] = two_run_opnd(
+                            model, prep, measurement, suffix, prefix, pre_t
+                        )
+                    except ModelError:
+                        undefined += 1
+    return deviations, undefined
+
+
+def without_last_row(model, transformation):
+    """The model with one kernel lacking its row for the last ontic state."""
+    kernel = model.transformations[transformation]
+    last = model.space.states[-1]
+    partial = TransformationKernel(
+        model.space, {s: row for s, row in kernel.rows.items() if s != last}
+    )
+    return dataclasses.replace(
+        model, transformations={**model.transformations, transformation: partial}
+    )
+
+
+class TestOpndMatchesTwoRunDefinition:
+    CONTEXTS = [
+        # (measurement, suffix, prefix, pre-transformation)
+        ("M1", [("T1", "M2"), ("T2", "M3")], (), None),
+        ("M2", [("T2", "M3")], [(None, "M1")], "T1"),
+        ("M2", [("T1", "M3"), ("T2", "M1")], [("T2", "M3")], None),
+        ("M3", [], [(None, "M1"), ("T1", "M2")], "T2"),  # prefix only
+    ]
+
+    def test_check_opnd_on_random_models(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            model = random_arrangement(rng, max_states=5).model
+            for measurement, suffix, prefix, pre_t in self.CONTEXTS:
+                result = check_opnd(model, "E", measurement, suffix, prefix, pre_t)
+                reference = two_run_opnd(model, "E", measurement, suffix, prefix, pre_t)
+                assert abs(result.max_deviation - reference) <= 1e-15
+                assert result.non_disturbing == (reference <= 1e-9)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_check_opnd_complete_on_random_models(self, partial):
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            model = random_arrangement(rng, max_states=4).model
+            if partial:
+                model = without_last_row(model, "T2")
+            deviations, undefined = two_run_contexts(model, "M1")
+            worst = max(deviations.values())
+            result = check_opnd_complete(model, "M1")
+            assert result.undefined_contexts == undefined
+            assert (undefined > 0) == partial
+            assert abs(result.max_deviation - worst) <= 1e-15
+            assert abs(deviations[result.witness] - worst) <= 1e-15
+            assert result.non_disturbing == (worst <= 1e-9)
+
+
 class TestImplicationChain:
     def test_noninvasive_model_is_all_true(self):
         record = check_implication_chain(build_superselected_arrangement(0.25, 0.25))
@@ -168,6 +262,22 @@ class TestImplicationChain:
         for _ in range(20):
             record = check_implication_chain(random_arrangement(rng, noninvasive_early=True))
             assert record.as_tuple() == (True, True, True, True)
+
+    def test_repeated_measurement_is_enumerated_once(self, monkeypatch):
+        arr = random_arrangement(np.random.default_rng(8))
+        repeated = dataclasses.replace(arr, measurements=("M1", "M1", "M3"))
+        calls = []
+        original = lg.check_opnd_complete
+
+        def counted(model, measurement, **kwargs):
+            calls.append(measurement)
+            return original(model, measurement, **kwargs)
+
+        monkeypatch.setattr(lg, "check_opnd_complete", counted)
+        record = check_implication_chain(repeated)
+        assert calls == ["M1"]
+        first, second = record.details["complete"]
+        assert first is second
 
 
 def fully_noninvasive_pair_model():

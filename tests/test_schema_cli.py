@@ -181,6 +181,32 @@ class TestCli:
         assert run_cli(["lg", "--model", str(path), "--no-timestamp"]) == 2
         assert "preparations.prep-up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "keys,value,key_path",
+        [
+            (("preparations", "prep-up", "up"), "1.0", "preparations.prep-up.up"),
+            (("measurements", "read"), 5, "measurements.read"),
+            (("protocols", "lg-all", "steps", 0), "read", "protocols.lg-all.steps[0]"),
+            (("ontic_states", 0), ["up"], "ontic_states[0]"),
+            (("arrangements", "lg", "preparation"), "nowhere", "arrangements.lg"),
+        ],
+        ids=["string-probability", "int-measurement", "string-step", "list-state-label",
+             "unknown-arrangement-preparation"],
+    )
+    def test_malformed_model_file_exits_2_with_key_path(self, keys, value, key_path,
+                                                         tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        run_cli(["zoo", "export", "superselected", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["lg", "--model", str(path), "--no-timestamp"]) == 2
+        assert f"{key_path}: " in capsys.readouterr().err
+
     def test_unknown_protocol_exits_2(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
         run_cli(["zoo", "export", "superselected", "--out", str(path)])
