@@ -13,9 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.optimize import nnls
-
 from .core import (
     Distribution,
     OnticModel,
@@ -149,8 +146,8 @@ class Classification:
     hull_tol: float = HULL_TOL
 
 
-def _as_vector(dist: Distribution, index: dict, n: int) -> np.ndarray:
-    v = np.zeros(n)
+def _as_vector(dist: Distribution, index: dict, n: int) -> list:
+    v = [0.0] * n
     for label, w in dist.weights.items():
         v[index[label]] = w
     return v
@@ -234,6 +231,11 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
         targets.extend(grown)
         frontier = grown
 
+    # The hull solve is the only user of scipy; importing it here keeps
+    # scipy (and numpy) out of every command that does not reach it.
+    import numpy as np
+    from scipy.optimize import nnls
+
     n = len(model.space)
     index = {label: i for i, label in enumerate(model.space.states)}
     basis = np.column_stack(
@@ -244,7 +246,7 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
     all_mixture = True
     all_contained = True
     for name, dist in targets:
-        b = _as_vector(dist, index, n)
+        b = np.array(_as_vector(dist, index, n))
         weights, _ = nnls(basis, b)
         residual = 0.5 * float(np.abs(basis @ weights - b).sum())
         mixture = residual <= hull_tol

@@ -346,15 +346,32 @@ def cmd_zoo(args) -> int:
     return 0
 
 
+def _checked(parse, ok, requirement):
+    """An argparse type: ``parse`` the text, then refuse values failing ``ok``."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+    return convert
+
+
 def _add_common(parser):
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-identical reruns")
-    parser.add_argument("--tol", type=float, default=EQUIVALENCE_TOL,
+    parser.add_argument("--tol", default=EQUIVALENCE_TOL,
+                        type=_checked(float, lambda v: 0.0 <= v < math.inf,
+                                      "a finite number >= 0"),
                         help="statistical-agreement tolerance")
-    parser.add_argument("--depth", type=int, default=2,
-                        help="suffix depth bound for complete non-disturbance")
+    parser.add_argument("--depth", default=2,
+                        type=_checked(int, lambda v: v >= 2, "at least 2"),
+                        help="suffix depth bound for complete non-disturbance (at least 2, "
+                             "so that it covers the arrangement's own suffixes)")
 
 
 def _add_zoo_params(parser):
@@ -401,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ts = sub.add_parser("twoslit", help="interference closed forms and violation sweep")
     p_ts.add_argument("--mod1-sq", type=float, help="first-slit intensity |a1|^2")
-    p_ts.add_argument("--phi", type=float, help="phase difference (radians)")
+    p_ts.add_argument("--phi", type=_checked(float, math.isfinite, "a finite number"),
+                      help="phase difference (radians)")
     p_ts.add_argument("--sweep", action="store_true")
     p_ts.add_argument("--mod-steps", type=int, default=20)
     p_ts.add_argument("--phi-steps", type=int, default=36)

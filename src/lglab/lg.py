@@ -404,7 +404,17 @@ class ChainRecord:
 def check_implication_chain(
     arrangement: LgArrangement, depth: int = 2, tol: float = EQUIVALENCE_TOL
 ) -> ChainRecord:
-    """Evaluate the four chain stages and assert no forward implication fails."""
+    """Evaluate the four chain stages and assert no forward implication fails.
+
+    ``depth`` must be at least 2: the complete check then covers both
+    specific contexts (the first measurement's suffix has length 2), so
+    complete non-disturbance implies specific non-disturbance.
+    """
+    if depth < 2:
+        raise ValidationError(
+            f"suffix depth {depth!r} is below 2, so the complete check would not "
+            "cover the arrangement's own length-2 suffix"
+        )
     model = arrangement.model
     t1, t2 = arrangement.transformations
     m1, m2, m3 = arrangement.measurements

@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .classify import QuantityClass, check_equilibrium_property, classify
 from .core import (
@@ -33,6 +31,11 @@ from .core import (
 from .errors import EngineDefectError, ModelError
 from .lg import LgArrangement, disturbance_report, post_select_noninvasive
 from .operational import ObservableAssignment
+
+# numpy is imported inside the sphere geometry only, so importing this
+# module, or building any other entry, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _pm_assignment(*measurement_names) -> ObservableAssignment:
@@ -246,6 +249,8 @@ def build_superselected_arrangement(p1: float, p2: float) -> LgArrangement:
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic low-discrepancy unit vectors; no point on the equator for even n."""
+    import numpy as np
+
     k = np.arange(n)
     z = 1.0 - (2.0 * k + 1.0) / n
     golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -255,11 +260,15 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 
 def _rotation_about_y(angle: float) -> np.ndarray:
+    import numpy as np
+
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def _hemisphere_density(points: np.ndarray, direction) -> np.ndarray:
+    import numpy as np
+
     dots = points @ np.asarray(direction, dtype=float)
     w = np.where(dots > 0.0, dots, 0.0)
     return w / w.sum()
@@ -377,6 +386,8 @@ def ks_direction_measurement(model: OnticModel, direction, label: str = "probe")
     meta = model.metadata
     if meta.get("family") != "ks-sphere":
         raise ModelError("direction probes are only defined for the sphere model")
+    import numpy as np
+
     base = _fibonacci_sphere(meta["n_points"])
     dots = base @ np.asarray(direction, dtype=float)
     rows = {}
@@ -743,13 +754,9 @@ def _fixture_drifting_update() -> Fixture:
 
 def build_fixtures() -> dict:
     """All engineered fixtures, re-verified on every build."""
-    fixtures = [
-        _fixture_lgi_holds_d_nonzero(),
-        _fixture_null_result_pair(),
-        _fixture_support_mr_minimal(),
-        _fixture_drifting_update(),
-    ]
-    return {f.name: f for f in fixtures}
+    return {
+        name: builder() for name, builder in _BUILDERS.items() if name not in _DEFAULT_PARAMS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -794,26 +801,37 @@ def list_models():
     return [(name, _DESCRIPTIONS[name]) for name in _DESCRIPTIONS]
 
 
+#: Zoo entry -> builder. Parametrized entries return an LgArrangement;
+#: fixtures (the entries without default parameters) return a Fixture.
+_BUILDERS = {
+    "qubit": build_qubit_arrangement,
+    "superselected": build_superselected_arrangement,
+    "ks-sphere": build_ks_arrangement,
+    "bohm-two-path": build_bohm_arrangement,
+    "lgi-holds-d-nonzero": _fixture_lgi_holds_d_nonzero,
+    "null-result-pair": _fixture_null_result_pair,
+    "support-mr-minimal": _fixture_support_mr_minimal,
+    "drifting-update": _fixture_drifting_update,
+}
+
+
 def build(name: str, **params) -> ZooBuild:
-    """Build a zoo model by name; parameters default per _DEFAULT_PARAMS."""
-    if name in _DEFAULT_PARAMS:
-        merged = dict(_DEFAULT_PARAMS[name])
-        unknown = set(params) - set(merged)
-        if unknown:
-            raise ModelError(f"unknown parameters {sorted(unknown)} for zoo model {name!r}")
-        merged.update({k: v for k, v in params.items() if v is not None})
-        builder = {
-            "qubit": build_qubit_arrangement,
-            "superselected": build_superselected_arrangement,
-            "ks-sphere": build_ks_arrangement,
-            "bohm-two-path": build_bohm_arrangement,
-        }[name]
-        arrangement = builder(**merged)
-        return ZooBuild(name=name, model=arrangement.model, arrangement=arrangement)
-    fixtures = build_fixtures()
-    if name in fixtures:
+    """Build one zoo model by name; parameters default per _DEFAULT_PARAMS.
+
+    Only the named entry is built, so a fixture pays for its own
+    build-time verification alone.
+    """
+    if name not in _BUILDERS:
+        raise ModelError(f"unknown zoo model {name!r}; try one of {sorted(_DESCRIPTIONS)}")
+    if name not in _DEFAULT_PARAMS:
         if params:
             raise ModelError(f"fixture {name!r} takes no parameters")
-        f = fixtures[name]
+        f = _BUILDERS[name]()
         return ZooBuild(name=name, model=f.model, arrangement=f.arrangement, expected=f.expected)
-    raise ModelError(f"unknown zoo model {name!r}; try one of {sorted(_DESCRIPTIONS)}")
+    merged = dict(_DEFAULT_PARAMS[name])
+    unknown = set(params) - set(merged)
+    if unknown:
+        raise ModelError(f"unknown parameters {sorted(unknown)} for zoo model {name!r}")
+    merged.update({k: v for k, v in params.items() if v is not None})
+    arrangement = _BUILDERS[name](**merged)
+    return ZooBuild(name=name, model=arrangement.model, arrangement=arrangement)

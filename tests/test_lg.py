@@ -279,6 +279,14 @@ class TestImplicationChain:
         first, second = record.details["complete"]
         assert first is second
 
+    @pytest.mark.parametrize("depth", [1, 0, -1])
+    def test_depth_below_two_is_refused(self, depth):
+        # the complete check would not cover the first measurement's own
+        # length-2 suffix, so complete => specific would not follow
+        with pytest.raises(ValidationError, match="depth"):
+            check_implication_chain(build_qubit_arrangement(TWO_THIRDS_PI, TWO_THIRDS_PI),
+                                    depth=depth)
+
 
 def fully_noninvasive_pair_model():
     space = OnticStateSpace(("g", "h"))

@@ -261,6 +261,30 @@ class TestCli:
         assert lines[0] == "mod1_sq,phi,lg_plus,lg_plus_mirrored,violated"
         assert len(lines) == 1 + 3 * 4
 
+    @pytest.mark.parametrize("depth", ["1", "0", "-1"])
+    def test_depth_below_two_exits_2(self, depth, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(["lg", "--zoo", "qubit", "--depth", depth, "--no-timestamp"])
+        assert exited.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lg", "classify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tol_exits_2(self, command, tol, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli([command, "--zoo", "superselected", "--tol", tol, "--no-timestamp"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_exits_2(self, phi, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(["twoslit", "--mod1-sq", "0.5", f"--phi={phi}", "--no-timestamp"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "--phi" in err and "folded" not in err
+
     def test_zoo_list_contains_all_entries(self, capsys):
         run_cli(["zoo", "list", "--no-timestamp"])
         out = json.loads(capsys.readouterr().out)

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lglab import (
+    EngineDefectError,
     ModelError,
     check_macrodefinite,
     lg_value_pairwise,
@@ -11,10 +13,11 @@ from lglab import (
     single_shot_probability,
 )
 from lglab.classify import QuantityClass
-from lglab import zoo
+from lglab import schema, zoo
 
 PLUS, MINUS = "+1", "-1"
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+FIXTURES = ("lgi-holds-d-nonzero", "null-result-pair", "support-mr-minimal", "drifting-update")
 MASKS = (
     (True, True, True),
     (True, True, False),
@@ -156,6 +159,28 @@ class TestFixtures:
             "null-result-pair",
             "support-mr-minimal",
         }
+
+    def test_build_by_name_matches_build_fixtures(self):
+        fixtures = zoo.build_fixtures()
+        assert list(fixtures) == list(FIXTURES)
+        for name in FIXTURES:
+            alone = zoo.build(name)
+            assert schema.model_to_doc(alone.model) == schema.model_to_doc(fixtures[name].model)
+            assert alone.expected == fixtures[name].expected
+
+    def test_build_by_name_builds_only_that_fixture(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify ran for a fixture that was not asked for")
+
+        monkeypatch.setattr(zoo, "classify", refuse)
+        for name in FIXTURES:
+            if name != "support-mr-minimal":
+                zoo.build(name)
+
+    def test_failed_build_time_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(zoo, "classify", lambda model, cls: SimpleNamespace(verdict="MR1"))
+        with pytest.raises(EngineDefectError, match="support-mr-minimal"):
+            zoo.build("support-mr-minimal")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ModelError):
