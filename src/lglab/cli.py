@@ -17,12 +17,8 @@ from . import __version__
 from .classify import HULL_TOL, QuantityClass, check_equilibrium_property, classify
 from .core import NORMALIZATION_TOL, SUPPORT_TOL
 from .errors import EngineDefectError, LglabError, SchemaError
-from .lg import (
-    RESIDUAL_TOL,
-    check_implication_chain,
-    disturbance_report,
-)
-from .operational import EQUIVALENCE_TOL, expectation, marginalize, run_protocol
+from .lg import MASKS, RESIDUAL_TOL, check_implication_chain, disturbance_report
+from .operational import EQUIVALENCE_TOL, marginalize, run_protocol
 from . import schema, twoslit, zoo
 
 #: A decomposition residual above this gate makes the lg command exit 3.
@@ -44,7 +40,7 @@ def _report_skeleton(command, args, inputs):
     report["tolerances"] = {
         "normalization": NORMALIZATION_TOL,
         "support": SUPPORT_TOL,
-        "equivalence": args.tol,
+        "equivalence": getattr(args, "tol", EQUIVALENCE_TOL),
         "hull": HULL_TOL,
         "decomposition_residual": RESIDUAL_TOL,
         "residual_gate": RESIDUAL_GATE,
@@ -66,28 +62,33 @@ def _emit_report(args, report):
 
 
 def _zoo_params(args):
-    params = {}
-    for key in ("theta1", "theta2", "p1", "p2"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if getattr(args, "grid", None) is not None:
-        params["n_points"] = args.grid
-    return params
+    return {
+        "n_points" if key == "grid" else key: getattr(args, key)
+        for key in _ZOO_PARAMS
+        if getattr(args, key) is not None
+    }
 
 
-def _resolve_arrangement(args):
-    """(arrangement, inputs-echo) from either --zoo or --model/--arrangement."""
-    if args.zoo:
+def _resolve(args, with_arrangement=False):
+    """(model, arrangement or None, inputs echo) for --zoo or --model.
+
+    With ``with_arrangement`` (lg), the arrangement is the zoo entry's own or
+    the model file's, picked by --arrangement when the file declares several.
+    """
+    if args.zoo is not None:
+        if with_arrangement and args.arrangement is not None:
+            raise SchemaError("--arrangement picks an arrangement of a --model file, not of --zoo")
         params = _zoo_params(args)
         built = zoo.build(args.zoo, **params)
-        if built.arrangement is None:
+        if with_arrangement and built.arrangement is None:
             raise SchemaError(f"zoo model {args.zoo!r} ships no arrangement")
-        inputs = {"zoo": args.zoo, "parameters": params or "defaults"}
-        return built.arrangement, inputs
-    if not args.model:
-        raise SchemaError("either --zoo or --model is required")
-    model, protocols, arrangements = schema.load_model_file(args.model)
+        return built.model, built.arrangement, {"zoo": args.zoo, "parameters": params or "defaults"}
+    given = [key for key in _ZOO_PARAMS if getattr(args, key) is not None]
+    if given:
+        raise SchemaError(f"--{given[0]} is a zoo parameter; it does not apply to --model")
+    model, _, arrangements = schema.load_model_file(args.model)
+    if not with_arrangement:
+        return model, None, {"model": args.model}
     name = args.arrangement
     if name is None:
         if len(arrangements) != 1:
@@ -97,18 +98,7 @@ def _resolve_arrangement(args):
         name = next(iter(arrangements))
     if name not in arrangements:
         raise SchemaError(f"unknown arrangement {name!r}; file has {sorted(arrangements)}")
-    return arrangements[name], {"model": args.model, "arrangement": name}
-
-
-def _resolve_model(args):
-    if args.zoo:
-        params = _zoo_params(args)
-        built = zoo.build(args.zoo, **params)
-        return built.model, {"zoo": args.zoo, "parameters": params or "defaults"}
-    if not args.model:
-        raise SchemaError("either --zoo or --model is required")
-    model, _, _ = schema.load_model_file(args.model)
-    return model, {"model": args.model}
+    return model, arrangements[name], {"model": args.model, "arrangement": name}
 
 
 def _pair_key(pair):
@@ -139,7 +129,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_lg(args) -> int:
-    arrangement, inputs = _resolve_arrangement(args)
+    _, arrangement, inputs = _resolve(args, with_arrangement=True)
     report_obj = disturbance_report(arrangement)
     chain = check_implication_chain(arrangement, depth=args.depth, tol=args.tol)
     results = {
@@ -222,7 +212,7 @@ def _classification_doc(result):
 
 
 def cmd_classify(args) -> int:
-    model, inputs = _resolve_model(args)
+    model, _, inputs = _resolve(args)
     declared = model.metadata.get("quantity_classes", {})
     label = args.quantity_class
     if label is None:
@@ -287,6 +277,8 @@ def cmd_twoslit(args) -> int:
 
     if args.mod1_sq is None or args.phi is None:
         raise SchemaError("point mode needs --mod1-sq and --phi (or use --sweep)")
+    if args.format != "json":
+        raise SchemaError(f"--format {args.format} needs --sweep; a point report is JSON")
     phi = args.phi
     if not 0.0 <= phi < 2.0 * math.pi:
         phi = phi % (2.0 * math.pi)
@@ -317,28 +309,22 @@ def cmd_twoslit(args) -> int:
     return 0
 
 
-def cmd_zoo(args) -> int:
-    if args.action == "list":
-        report = _report_skeleton("zoo", args, {"action": "list"})
-        report["results"] = {
-            "models": [{"name": n, "description": d} for n, d in zoo.list_models()]
-        }
-        _emit_report(args, report)
-        return 0
-    params = _zoo_params(args)
-    built = zoo.build(args.name, **params)
+def cmd_zoo_list(args) -> int:
+    report = _report_skeleton("zoo", args, {"action": "list"})
+    report["results"] = {
+        "models": [{"name": n, "description": d} for n, d in zoo.list_models()]
+    }
+    _emit_report(args, report)
+    return 0
+
+
+def cmd_zoo_export(args) -> int:
+    built = zoo.build(args.name, **_zoo_params(args))
     arrangements = {}
     protocols = {}
     if built.arrangement is not None:
         arrangements["lg"] = built.arrangement
-        masks = {
-            "lg-all": (True, True, True),
-            "lg-12": (True, True, False),
-            "lg-13": (True, False, True),
-            "lg-23": (False, True, True),
-        }
-        template = built.arrangement.protocol()
-        protocols = {name: template.with_mask(mask) for name, mask in masks.items()}
+        protocols = {f"lg-{run}": built.arrangement.protocol(mask) for run, mask in MASKS.items()}
     doc = schema.model_to_doc(
         built.model, name=built.name, arrangements=arrangements, protocols=protocols
     )
@@ -359,27 +345,40 @@ def _checked(parse, ok, requirement):
     return convert
 
 
+_FINITE = _checked(float, math.isfinite, "a finite number")
+
+#: The zoo parameter options: name -> (type, help). --grid sets n_points.
+_ZOO_PARAMS = {
+    "theta1": (_FINITE, "first rotation angle (radians)"),
+    "theta2": (_FINITE, "second rotation angle (radians)"),
+    "p1": (float, "first flip probability"),
+    "p2": (float, "second flip probability"),
+    "grid": (int, "sphere grid size"),
+}
+
+
 def _add_common(parser):
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-identical reruns")
+
+
+def _add_zoo_params(parser):
+    for key, (kind, text) in _ZOO_PARAMS.items():
+        parser.add_argument(f"--{key}", type=kind, help=text)
+
+
+def _add_source(parser):
+    """Exactly one of --zoo and --model, the zoo parameters, --tol and the common options."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--zoo", help="zoo model name")
+    source.add_argument("--model", help="model file")
+    _add_zoo_params(parser)
     parser.add_argument("--tol", default=EQUIVALENCE_TOL,
                         type=_checked(float, lambda v: 0.0 <= v < math.inf,
                                       "a finite number >= 0"),
                         help="statistical-agreement tolerance")
-    parser.add_argument("--depth", default=2,
-                        type=_checked(int, lambda v: v >= 2, "at least 2"),
-                        help="suffix depth bound for complete non-disturbance (at least 2, "
-                             "so that it covers the arrangement's own suffixes)")
-
-
-def _add_zoo_params(parser):
-    parser.add_argument("--theta1", type=float, help="first rotation angle (radians)")
-    parser.add_argument("--theta2", type=float, help="second rotation angle (radians)")
-    parser.add_argument("--p1", type=float, help="first flip probability")
-    parser.add_argument("--p2", type=float, help="second flip probability")
-    parser.add_argument("--grid", type=int, help="sphere grid size")
+    _add_common(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,39 +398,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_lg = sub.add_parser("lg", help="three-time values, disturbance tables, chain record")
-    p_lg.add_argument("--zoo", help="zoo model name")
-    p_lg.add_argument("--model", help="model file")
-    p_lg.add_argument("--arrangement", help="arrangement name within the model file")
-    _add_zoo_params(p_lg)
-    _add_common(p_lg)
+    _add_source(p_lg)
+    p_lg.add_argument("--arrangement", help="arrangement name within the --model file")
+    p_lg.add_argument("--depth", default=2,
+                      type=_checked(int, lambda v: v >= 2, "at least 2"),
+                      help="suffix depth bound for complete non-disturbance (at least 2, "
+                           "so that it covers the arrangement's own suffixes)")
     p_lg.set_defaults(fn=cmd_lg)
 
     p_cls = sub.add_parser("classify", help="macrorealism taxonomy verdict")
-    p_cls.add_argument("--zoo", help="zoo model name")
-    p_cls.add_argument("--model", help="model file")
+    _add_source(p_cls)
     p_cls.add_argument("--class", dest="quantity_class", help="declared quantity class")
-    p_cls.add_argument("--image-depth", type=int, default=0,
+    p_cls.add_argument("--image-depth", default=0,
+                       type=_checked(int, lambda v: v >= 0, "at least 0"),
                        help="also classify transformation images up to this depth")
-    _add_zoo_params(p_cls)
-    _add_common(p_cls)
     p_cls.set_defaults(fn=cmd_classify)
 
     p_ts = sub.add_parser("twoslit", help="interference closed forms and violation sweep")
     p_ts.add_argument("--mod1-sq", type=float, help="first-slit intensity |a1|^2")
-    p_ts.add_argument("--phi", type=_checked(float, math.isfinite, "a finite number"),
-                      help="phase difference (radians)")
+    p_ts.add_argument("--phi", type=_FINITE, help="phase difference (radians)")
     p_ts.add_argument("--sweep", action="store_true")
     p_ts.add_argument("--mod-steps", type=int, default=20)
     p_ts.add_argument("--phi-steps", type=int, default=36)
+    p_ts.add_argument("--format", choices=("json", "csv"), default="json",
+                      help="sweep output format")
     _add_common(p_ts)
     p_ts.set_defaults(fn=cmd_twoslit)
 
     p_zoo = sub.add_parser("zoo", help="list built-in models or export one")
-    p_zoo.add_argument("action", choices=("list", "export"))
-    p_zoo.add_argument("name", nargs="?", help="model to export")
-    _add_zoo_params(p_zoo)
-    _add_common(p_zoo)
-    p_zoo.set_defaults(fn=cmd_zoo)
+    actions = p_zoo.add_subparsers(dest="action", required=True)
+    p_list = actions.add_parser("list", help="list the built-in models")
+    _add_common(p_list)
+    p_list.set_defaults(fn=cmd_zoo_list)
+    p_export = actions.add_parser("export", help="write one built-in model as a model file")
+    p_export.add_argument("name", help="model to export")
+    _add_zoo_params(p_export)
+    _add_common(p_export)
+    p_export.set_defaults(fn=cmd_zoo_export)
 
     return parser
 
@@ -439,9 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "zoo" and args.action == "export" and not args.name:
-        print("error: zoo export needs a model name", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except EngineDefectError as exc:

@@ -35,6 +35,15 @@ RESIDUAL_TOL = 1e-12
 #: The trivial all-performed bound, allowing only float noise.
 BOUND_TOL = 1e-12
 
+#: Perform masks of an arrangement's four runs: all three measurements,
+#: then each pair with the remaining one skipped.
+MASKS = {
+    "all": (True, True, True),
+    "12": (True, True, False),
+    "13": (True, False, True),
+    "23": (False, True, True),
+}
+
 
 @dataclass(frozen=True)
 class LgArrangement:
@@ -70,7 +79,7 @@ class LgArrangement:
                     f"assignment for {m_name!r} must map its outcomes onto -1 and +1"
                 )
 
-    def protocol(self, mask=(True, True, True)) -> Protocol:
+    def protocol(self, mask=MASKS["all"]) -> Protocol:
         t1, t2 = self.transformations
         m1, m2, m3 = self.measurements
         steps = (
@@ -109,14 +118,28 @@ def _all_three_value(joint: JointDistribution, asg: ObservableAssignment) -> flo
     return value
 
 
+def _pairwise_value(pair_joints, asg: ObservableAssignment) -> float:
+    """The correlators of the three pair runs (12, 13, 23), summed in that order."""
+    j_12, j_13, j_23 = pair_joints
+    return (
+        expectation(j_12, asg, axes=[0, 1])
+        + expectation(j_13, asg, axes=[0, 1])
+        + expectation(j_23, asg, axes=[0, 1])
+    )
+
+
+def _mask_runs(arrangement: LgArrangement, *runs) -> list:
+    """The joint tables of the named runs of ``MASKS``, in order."""
+    return [run_protocol(arrangement.model, arrangement.protocol(MASKS[r])) for r in runs]
+
+
 def lg_value_all_three(arrangement: LgArrangement) -> float:
     """Sum of the three pair correlators from the single all-performed run.
 
     A well-defined joint table forces this into [-1, 3]; exceeding the
     bound by more than float noise indicates a propagation defect.
     """
-    joint = run_protocol(arrangement.model, arrangement.protocol((True, True, True)))
-    return _all_three_value(joint, arrangement.assignment)
+    return _all_three_value(_mask_runs(arrangement, "all")[0], arrangement.assignment)
 
 
 def lg_value_pairwise(arrangement: LgArrangement) -> float:
@@ -125,13 +148,7 @@ def lg_value_pairwise(arrangement: LgArrangement) -> float:
     Each sub-experiment skips one measurement; preparation and
     transformations are identical in all three. No bound is imposed.
     """
-    model = arrangement.model
-    asg = arrangement.assignment
-    total = 0.0
-    for mask in ((True, True, False), (True, False, True), (False, True, True)):
-        joint = run_protocol(model, arrangement.protocol(mask))
-        total += expectation(joint, asg, axes=[0, 1])
-    return total
+    return _pairwise_value(_mask_runs(arrangement, "12", "13", "23"), arrangement.assignment)
 
 
 @dataclass(frozen=True)
@@ -166,14 +183,10 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
     the report records the residual of that identity, which must vanish
     to RESIDUAL_TOL for every finite model.
     """
-    model = arrangement.model
     asg = arrangement.assignment
     v1, v2, v3 = (arrangement.value_map(i) for i in range(3))
 
-    j_all = run_protocol(model, arrangement.protocol((True, True, True)))
-    j_12 = run_protocol(model, arrangement.protocol((True, True, False)))
-    j_13 = run_protocol(model, arrangement.protocol((True, False, True)))
-    j_23 = run_protocol(model, arrangement.protocol((False, True, True)))
+    j_all, j_12, j_13, j_23 = _mask_runs(arrangement, *MASKS)
 
     pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     t23_all = _pair_value_table(j_all, 1, 2, v2, v3)
@@ -194,11 +207,7 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
         )
 
     lg_all = _all_three_value(j_all, asg)
-    lg_pair = (
-        expectation(j_12, asg, axes=[0, 1])
-        + expectation(j_13, asg, axes=[0, 1])
-        + expectation(j_23, asg, axes=[0, 1])
-    )
+    lg_pair = _pairwise_value((j_12, j_13, j_23), asg)
     p_same = sum(
         p
         for combo, p in j_all.table.items()

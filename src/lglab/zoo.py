@@ -1,16 +1,14 @@
 """Built-in exemplar models, compiled down to finite ontic models.
 
-Each builder returns an LgArrangement whose model is self-contained:
-ontic states, preparations, transformation kernels and measurements are
-all explicit finite tables, so every number downstream comes from exact
-enumeration. Modelling choices that go beyond textbook definitions
-(update rules, transport rules, grids) are recorded in the model
-metadata.
+Every entry's model is self-contained: ontic states, preparations,
+transformation kernels and measurements are all explicit finite tables,
+so every number downstream comes from exact enumeration. Modelling
+choices that go beyond textbook definitions (update rules, transport
+rules, grids) are recorded in the model metadata.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -511,18 +509,7 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
 # engineered counterexample fixtures
 
 
-@dataclass(frozen=True)
-class Fixture:
-    """A hand-built model with verdicts verified at build time."""
-
-    name: str
-    description: str
-    model: OnticModel
-    arrangement: Optional[LgArrangement]
-    expected: dict = field(default_factory=dict)
-
-
-def _fixture_lgi_holds_d_nonzero() -> Fixture:
+def _fixture_lgi_holds_d_nonzero() -> tuple:
     """Two-state chain with a state-kicking update.
 
     The readout is exact but pushes the state around, so the marginal
@@ -582,16 +569,10 @@ def _fixture_lgi_holds_d_nonzero() -> Fixture:
             f"max |D| = {report.max_disturbance():.4g}, "
             f"pairwise value = {report.lg_pairwise:.4g}"
         )
-    return Fixture(
-        name="lgi-holds-d-nonzero",
-        description="disturbing readout whose pairwise inequality still holds",
-        model=model,
-        arrangement=arrangement,
-        expected={"max_disturbance_above": 0.1, "lg_pairwise_at_least": -1.0},
-    )
+    return model, arrangement, {"max_disturbance_above": 0.1, "lg_pairwise_at_least": -1.0}
 
 
-def _fixture_null_result_pair() -> Fixture:
+def _fixture_null_result_pair() -> tuple:
     """Two equivalent readings, each noninvasive for one outcome only.
 
     Post-selecting the untouched outcome of a fair choice between them
@@ -658,16 +639,10 @@ def _fixture_null_result_pair() -> Fixture:
     result = post_select_noninvasive(model, ("null-plus", PLUS), ("null-minus", MINUS))
     if not (result.matches_input and result.max_deviation_from_input <= 1e-12):
         raise EngineDefectError("fixture null-result-pair failed build-time verification")
-    return Fixture(
-        name="null-result-pair",
-        description="equivalent readings, each noninvasive for one outcome",
-        model=model,
-        arrangement=None,
-        expected={"post_selection_matches_input_within": 1e-12},
-    )
+    return model, None, {"post_selection_matches_input_within": 1e-12}
 
 
-def _fixture_support_mr_minimal() -> Fixture:
+def _fixture_support_mr_minimal() -> tuple:
     """Three-state model whose extra preparation sits inside eigenstate supports
     without being a mixture of the eigenstate preparations."""
     space = OnticStateSpace(("x", "y", "z"))
@@ -703,16 +678,10 @@ def _fixture_support_mr_minimal() -> Fixture:
         raise EngineDefectError(
             f"fixture support-mr-minimal failed build-time verification: {verdict}"
         )
-    return Fixture(
-        name="support-mr-minimal",
-        description="support containment without mixture membership",
-        model=model,
-        arrangement=None,
-        expected={"verdict": "MR2"},
-    )
+    return model, None, {"verdict": "MR2"}
 
 
-def _fixture_drifting_update() -> Fixture:
+def _fixture_drifting_update() -> tuple:
     """Readout whose update swaps the eigenstates: no fixed-point property."""
     space = OnticStateSpace(("u", "v"))
     response = ResponseFunction(
@@ -743,20 +712,7 @@ def _fixture_drifting_update() -> Fixture:
     )
     if equilibrium.holds:
         raise EngineDefectError("fixture drifting-update failed build-time verification")
-    return Fixture(
-        name="drifting-update",
-        description="eigenstate preparations are not fixed points of the update",
-        model=model,
-        arrangement=None,
-        expected={"equilibrium_fixed_point": False},
-    )
-
-
-def build_fixtures() -> dict:
-    """All engineered fixtures, re-verified on every build."""
-    return {
-        name: builder() for name, builder in _BUILDERS.items() if name not in _DEFAULT_PARAMS
-    }
+    return model, None, {"equilibrium_fixed_point": False}
 
 
 # ---------------------------------------------------------------------------
@@ -773,65 +729,59 @@ class ZooBuild:
     expected: dict = field(default_factory=dict)
 
 
-_DESCRIPTIONS = {
-    "qubit": "projective qubit on its reachable pure states; violates the pairwise inequality",
-    "superselected": "two basis states with stochastic flips and exact readout; mixture-macrorealist exemplar (also the classical chain)",
-    "ks-sphere": "non-contextual sphere model matching qubit statistics; support-macrorealist exemplar",
-    "bohm-two-path": "value-definite path bit riding on qubit statistics; supra-support exemplar",
-    "lgi-holds-d-nonzero": "disturbing readout whose pairwise inequality still holds",
-    "null-result-pair": "pair of one-outcome-noninvasive readings for the post-selection composite",
-    "support-mr-minimal": "minimal three-state support-macrorealist model",
-    "drifting-update": "update without the eigenstate fixed-point property",
-}
+#: Default rotation angles of the entries that take two.
+_ANGLES = {"theta1": 2.0 * math.pi / 3.0, "theta2": 2.0 * math.pi / 3.0}
 
-_DEFAULT_PARAMS = {
-    "qubit": {"theta1": 2.0 * math.pi / 3.0, "theta2": 2.0 * math.pi / 3.0},
-    "superselected": {"p1": 0.25, "p2": 0.25},
-    "ks-sphere": {
-        "n_points": 10_000,
-        "theta1": 2.0 * math.pi / 3.0,
-        "theta2": 2.0 * math.pi / 3.0,
-    },
-    "bohm-two-path": {"theta1": 2.0 * math.pi / 3.0, "theta2": 2.0 * math.pi / 3.0},
+#: Zoo entry -> (description, builder, default parameters). A parametrized
+#: builder returns an LgArrangement. A fixture has no parameters (None) and
+#: its builder returns (model, arrangement or None, expected verdicts).
+_ZOO = {
+    "qubit": ("projective qubit on its reachable pure states; violates the pairwise inequality",
+              build_qubit_arrangement, _ANGLES),
+    "superselected": ("two basis states with stochastic flips and exact readout; mixture-macrorealist exemplar (also the classical chain)",
+                      build_superselected_arrangement, {"p1": 0.25, "p2": 0.25}),
+    "ks-sphere": ("non-contextual sphere model matching qubit statistics; support-macrorealist exemplar",
+                  build_ks_arrangement, {"n_points": 10_000, **_ANGLES}),
+    "bohm-two-path": ("value-definite path bit riding on qubit statistics; supra-support exemplar",
+                      build_bohm_arrangement, _ANGLES),
+    "lgi-holds-d-nonzero": ("disturbing readout whose pairwise inequality still holds",
+                            _fixture_lgi_holds_d_nonzero, None),
+    "null-result-pair": ("pair of one-outcome-noninvasive readings for the post-selection composite",
+                         _fixture_null_result_pair, None),
+    "support-mr-minimal": ("minimal three-state support-macrorealist model",
+                           _fixture_support_mr_minimal, None),
+    "drifting-update": ("update without the eigenstate fixed-point property",
+                        _fixture_drifting_update, None),
 }
 
 
 def list_models():
     """Stable listing of zoo entries: (name, description)."""
-    return [(name, _DESCRIPTIONS[name]) for name in _DESCRIPTIONS]
-
-
-#: Zoo entry -> builder. Parametrized entries return an LgArrangement;
-#: fixtures (the entries without default parameters) return a Fixture.
-_BUILDERS = {
-    "qubit": build_qubit_arrangement,
-    "superselected": build_superselected_arrangement,
-    "ks-sphere": build_ks_arrangement,
-    "bohm-two-path": build_bohm_arrangement,
-    "lgi-holds-d-nonzero": _fixture_lgi_holds_d_nonzero,
-    "null-result-pair": _fixture_null_result_pair,
-    "support-mr-minimal": _fixture_support_mr_minimal,
-    "drifting-update": _fixture_drifting_update,
-}
+    return [(name, entry[0]) for name, entry in _ZOO.items()]
 
 
 def build(name: str, **params) -> ZooBuild:
-    """Build one zoo model by name; parameters default per _DEFAULT_PARAMS.
+    """Build one zoo model by name; unset parameters take the entry's defaults.
 
     Only the named entry is built, so a fixture pays for its own
     build-time verification alone.
     """
-    if name not in _BUILDERS:
-        raise ModelError(f"unknown zoo model {name!r}; try one of {sorted(_DESCRIPTIONS)}")
-    if name not in _DEFAULT_PARAMS:
+    if name not in _ZOO:
+        raise ModelError(f"unknown zoo model {name!r}; try one of {sorted(_ZOO)}")
+    _, builder, defaults = _ZOO[name]
+    if defaults is None:
         if params:
             raise ModelError(f"fixture {name!r} takes no parameters")
-        f = _BUILDERS[name]()
-        return ZooBuild(name=name, model=f.model, arrangement=f.arrangement, expected=f.expected)
-    merged = dict(_DEFAULT_PARAMS[name])
-    unknown = set(params) - set(merged)
+        return ZooBuild(name, *builder())
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ModelError(f"unknown parameters {sorted(unknown)} for zoo model {name!r}")
+    merged = dict(defaults)
     merged.update({k: v for k, v in params.items() if v is not None})
-    arrangement = _BUILDERS[name](**merged)
+    arrangement = builder(**merged)
     return ZooBuild(name=name, model=arrangement.model, arrangement=arrangement)
+
+
+def build_fixtures() -> dict:
+    """All engineered fixtures, re-verified on every build."""
+    return {name: build(name) for name, entry in _ZOO.items() if entry[2] is None}

@@ -1,7 +1,12 @@
+import copy
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab import SchemaError, lg_value_pairwise
 from lglab import cli, schema, zoo
@@ -107,6 +112,14 @@ class TestSchemaValidation:
 
 def run_cli(args):
     return cli.main(args)
+
+
+def exit_code(args):
+    """The exit code of a command line, whether main returns it or argparse exits."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCli:
@@ -285,6 +298,56 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--phi" in err and "folded" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lg", "--zoo", "qubit", "--theta1", "inf"],
+            ["lg", "--zoo", "bohm-two-path", "--theta1", "inf"],
+            ["lg", "--zoo", "ks-sphere", "--grid", "150", "--theta1", "nan"],
+            ["zoo", "export", "ks-sphere", "--grid", "150", "--theta1", "nan"],
+            ["lg", "--zoo", "qubit", "--theta1", "nan"],
+            ["classify", "--zoo", "qubit", "--theta2=-inf"],
+        ],
+        ids=["qubit-inf", "two-path-inf", "lg-sphere-nan", "export-sphere-nan", "qubit-nan",
+             "classify-theta2"],
+    )
+    def test_non_finite_zoo_angle_exits_2(self, argv, capsys):
+        assert exit_code([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert "--theta" in captured.err and "is not a finite number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["lg", "--zoo", "qubit", "--arrangement", "x"], "--arrangement"),
+            (["classify", "--zoo", "superselected", "--image-depth", "-1"], "--image-depth"),
+            (["twoslit", "--mod1-sq", "0.2", "--phi", "1", "--format", "csv"], "--format"),
+            (["lg", "--model", "{model}", "--theta1", "1"], "--theta1"),
+            (["classify", "--model", "{model}", "--grid", "200"], "--grid"),
+            (["run", "--model", "{model}", "--protocol", "lg-all", "--tol", "1"], "--tol"),
+            (["twoslit", "--sweep", "--depth", "3"], "--depth"),
+            (["lg", "--zoo", "qubit", "--format", "csv"], "--format"),
+            (["zoo", "list", "qubit"], "qubit"),
+            (["zoo", "list", "--grid", "7"], "--grid"),
+            (["lg", "--zoo", "qubit", "--model", "{model}"], "--model"),
+            (["classify", "--zoo", "qubit", "--model", "{model}"], "--model"),
+            (["lg"], "--zoo"),
+            (["zoo", "export"], "name"),
+        ],
+        ids=["lg-zoo-arrangement", "classify-negative-image-depth", "twoslit-point-csv",
+             "lg-model-theta1", "classify-model-grid", "run-tol", "twoslit-depth", "lg-format",
+             "zoo-list-name", "zoo-list-grid", "lg-zoo-and-model", "classify-zoo-and-model",
+             "lg-no-source", "zoo-export-no-name"],
+    )
+    def test_option_the_command_does_not_read_exits_2(self, argv, option, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        run_cli(["zoo", "export", "superselected", "--out", str(path)])
+        argv = [arg.format(model=path) for arg in argv]
+        assert exit_code([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert option in captured.err and captured.out == ""
+
     def test_zoo_list_contains_all_entries(self, capsys):
         run_cli(["zoo", "list", "--no-timestamp"])
         out = json.loads(capsys.readouterr().out)
@@ -323,3 +386,49 @@ def test_every_zoo_entry_through_the_cli(command, entry, capsys):
         doc = json.loads(captured.out)
         assert len(doc["ontic_states"]) == EXPORT_STATES[entry]
         assert ("arrangements" in doc) == (entry in LG_PINS)
+
+
+DELETE = object()
+
+#: What a mutated node becomes; DELETE removes it from its parent.
+MUTANTS = (None, True, False, "x", math.nan, math.inf, -math.inf, [], {}, DELETE)
+
+
+def node_paths(node, path=()):
+    """The key path of every node below ``node``."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield path + (key,)
+            yield from node_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def exported_superselected(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutants") / "superselected.json"
+    assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_model_file_exits_0_or_2_without_traceback(data, exported_superselected):
+    """One node of an exported model file replaced by a wrong type, NaN or inf, or deleted."""
+    path, original = exported_superselected
+    target = data.draw(st.sampled_from(list(node_paths(original))), label="node")
+    mutant = data.draw(st.sampled_from(MUTANTS), label="mutant")
+    doc = copy.deepcopy(original)
+    parent = doc
+    for key in target[:-1]:
+        parent = parent[key]
+    if mutant is DELETE:
+        del parent[target[-1]]
+    else:
+        parent[target[-1]] = mutant
+    path.write_text(json.dumps(doc))
+    for argv in (["lg"], ["classify"], ["run", "--protocol", "lg-all"]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = exit_code([*argv, "--model", str(path), "--no-timestamp"])
+        assert code in (0, 2), (argv, err.getvalue())
+        assert code == 0 or err.getvalue().startswith("error: "), (argv, err.getvalue())

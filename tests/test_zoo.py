@@ -168,6 +168,18 @@ class TestFixtures:
             assert schema.model_to_doc(alone.model) == schema.model_to_doc(fixtures[name].model)
             assert alone.expected == fixtures[name].expected
 
+    def test_build_fixtures_gives_the_zoo_builds_of_build(self):
+        def doc(built):
+            arrangements = {"lg": built.arrangement} if built.arrangement else {}
+            return schema.model_to_doc(built.model, name=built.name, arrangements=arrangements)
+
+        for name, built in zoo.build_fixtures().items():
+            alone = zoo.build(name)
+            assert isinstance(built, zoo.ZooBuild)
+            assert built.name == alone.name == name
+            assert built.expected and built.expected == alone.expected
+            assert doc(built) == doc(alone)
+
     def test_build_by_name_builds_only_that_fixture(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("classify ran for a fixture that was not asked for")
