@@ -61,12 +61,18 @@ def _emit_report(args, report):
     _emit(args, json.dumps(report, indent=2) + "\n")
 
 
-def _zoo_params(args):
-    return {
-        "n_points" if key == "grid" else key: getattr(args, key)
-        for key in _ZOO_PARAMS
-        if getattr(args, key) is not None
-    }
+def _zoo_params(args, name):
+    """The zoo parameter options given, by builder keyword; exit 2 on one ``name`` does not take."""
+    accepted = () if name is None else zoo.parameters(name)  # None: a --model file takes none
+    params = {}
+    for key in _ZOO_PARAMS:
+        if getattr(args, key) is not None:
+            keyword = "n_points" if key == "grid" else key
+            if keyword not in accepted:
+                source = "--model" if name is None else f"zoo model {name!r}"
+                raise SchemaError(f"--{key} does not apply to {source}")
+            params[keyword] = getattr(args, key)
+    return params
 
 
 def _resolve(args, with_arrangement=False):
@@ -75,17 +81,14 @@ def _resolve(args, with_arrangement=False):
     With ``with_arrangement`` (lg), the arrangement is the zoo entry's own or
     the model file's, picked by --arrangement when the file declares several.
     """
+    if with_arrangement and args.zoo is not None and args.arrangement is not None:
+        raise SchemaError("--arrangement picks an arrangement of a --model file, not of --zoo")
+    params = _zoo_params(args, args.zoo)
     if args.zoo is not None:
-        if with_arrangement and args.arrangement is not None:
-            raise SchemaError("--arrangement picks an arrangement of a --model file, not of --zoo")
-        params = _zoo_params(args)
         built = zoo.build(args.zoo, **params)
         if with_arrangement and built.arrangement is None:
             raise SchemaError(f"zoo model {args.zoo!r} ships no arrangement")
         return built.model, built.arrangement, {"zoo": args.zoo, "parameters": params or "defaults"}
-    given = [key for key in _ZOO_PARAMS if getattr(args, key) is not None]
-    if given:
-        raise SchemaError(f"--{given[0]} is a zoo parameter; it does not apply to --model")
     model, _, arrangements = schema.load_model_file(args.model)
     if not with_arrangement:
         return model, None, {"model": args.model}
@@ -130,8 +133,8 @@ def cmd_run(args) -> int:
 
 def cmd_lg(args) -> int:
     _, arrangement, inputs = _resolve(args, with_arrangement=True)
-    report_obj = disturbance_report(arrangement)
     chain = check_implication_chain(arrangement, depth=args.depth, tol=args.tol)
+    report_obj = chain.report
     results = {
         "lg_all_three": report_obj.lg_all_three,
         "lg_pairwise": report_obj.lg_pairwise,
@@ -243,9 +246,17 @@ def _fmt(value) -> str:
 
 
 def cmd_twoslit(args) -> int:
+    for key in ("mod1_sq", "phi") if args.sweep else ("mod_steps", "phi_steps"):
+        if getattr(args, key) is not None:
+            option = "--" + key.replace("_", "-")
+            raise SchemaError(
+                f"{option} does not apply to --sweep" if args.sweep else f"{option} needs --sweep"
+            )
     if args.sweep:
-        mods = [(i + 1) / (args.mod_steps + 1) for i in range(args.mod_steps)]
-        phis = [2.0 * math.pi * i / args.phi_steps for i in range(args.phi_steps)]
+        mod_steps = 20 if args.mod_steps is None else args.mod_steps
+        phi_steps = 36 if args.phi_steps is None else args.phi_steps
+        mods = [(i + 1) / (mod_steps + 1) for i in range(mod_steps)]
+        phis = [2.0 * math.pi * i / phi_steps for i in range(phi_steps)]
         rows = twoslit.violation_map(mods, phis)
         if args.format == "csv":
             lines = [",".join(twoslit.CSV_COLUMNS)]
@@ -264,7 +275,7 @@ def cmd_twoslit(args) -> int:
             _emit(args, "\n".join(lines) + "\n")
             return 0
         report = _report_skeleton(
-            "twoslit", args, {"sweep": {"mod_steps": args.mod_steps, "phi_steps": args.phi_steps}}
+            "twoslit", args, {"sweep": {"mod_steps": mod_steps, "phi_steps": phi_steps}}
         )
         report["results"] = {
             "columns": list(twoslit.CSV_COLUMNS),
@@ -319,7 +330,7 @@ def cmd_zoo_list(args) -> int:
 
 
 def cmd_zoo_export(args) -> int:
-    built = zoo.build(args.name, **_zoo_params(args))
+    built = zoo.build(args.name, **_zoo_params(args, args.name))
     arrangements = {}
     protocols = {}
     if built.arrangement is not None:
@@ -418,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ts.add_argument("--mod1-sq", type=float, help="first-slit intensity |a1|^2")
     p_ts.add_argument("--phi", type=_FINITE, help="phase difference (radians)")
     p_ts.add_argument("--sweep", action="store_true")
-    p_ts.add_argument("--mod-steps", type=int, default=20)
-    p_ts.add_argument("--phi-steps", type=int, default=36)
+    p_ts.add_argument("--mod-steps", type=int, help="sweep intensity steps (default 20)")
+    p_ts.add_argument("--phi-steps", type=int, help="sweep phase steps (default 36)")
     p_ts.add_argument("--format", choices=("json", "csv"), default="json",
                       help="sweep output format")
     _add_common(p_ts)

@@ -391,7 +391,8 @@ class ChainRecord:
     both operationally non-disturbing in every declared bounded context;
     both non-disturbing in the specific arrangement contexts; and the
     pairwise inequality satisfied. Every forward implication is asserted
-    when the record is built.
+    when the record is built. ``report`` is the disturbance report the
+    last two stages read.
     """
 
     ontically_noninvasive: bool
@@ -399,6 +400,7 @@ class ChainRecord:
     opnd_specific: bool
     lgi_satisfied: bool
     lg_pairwise: float
+    report: DisturbanceReport = field(compare=False)
     details: dict = field(default_factory=dict, compare=False)
 
     def as_tuple(self):
@@ -415,6 +417,10 @@ def check_implication_chain(
 ) -> ChainRecord:
     """Evaluate the four chain stages and assert no forward implication fails.
 
+    The specific stage reads the disturbance report of the arrangement's
+    own runs: ``d1`` and ``d2`` are the first and second measurements
+    performed vs skipped in their own contexts, and both must vanish to
+    ``tol``. The inequality stage reads the report's pairwise value.
     ``depth`` must be at least 2: the complete check then covers both
     specific contexts (the first measurement's suffix has length 2), so
     complete non-disturbance implies specific non-disturbance.
@@ -425,46 +431,24 @@ def check_implication_chain(
             "cover the arrangement's own length-2 suffix"
         )
     model = arrangement.model
-    t1, t2 = arrangement.transformations
-    m1, m2, m3 = arrangement.measurements
-
-    oni_1, dev_1 = is_ontically_noninvasive(model.measurement(m1))
-    oni_2, dev_2 = (oni_1, dev_1) if m2 == m1 else is_ontically_noninvasive(model.measurement(m2))
-    oni = oni_1 and oni_2
-
-    complete_1 = check_opnd_complete(model, m1, depth=depth, tol=tol)
-    complete_2 = (
-        complete_1 if m2 == m1 else check_opnd_complete(model, m2, depth=depth, tol=tol)
-    )
-    complete = complete_1.non_disturbing and complete_2.non_disturbing
-
-    specific_1 = check_opnd(
-        model, arrangement.preparation, m1, suffix=[(t1, m2), (t2, m3)], tol=tol
-    )
-    specific_2 = check_opnd(
-        model,
-        arrangement.preparation,
-        m2,
-        suffix=[(t2, m3)],
-        prefix=[(None, m1)],
-        pre_transformation=t1,
-        tol=tol,
-    )
-    specific = specific_1.non_disturbing and specific_2.non_disturbing
-
-    lg_pair = lg_value_pairwise(arrangement)
-    lgi = lg_pair >= -1.0 - tol
+    m1, m2, _ = arrangement.measurements
+    report = disturbance_report(arrangement)
+    early = dict.fromkeys((m1, m2))  # a repeated measurement is checked once
+    oni = {m: is_ontically_noninvasive(model.measurement(m)) for m in early}
+    complete = {m: check_opnd_complete(model, m, depth=depth, tol=tol) for m in early}
+    specific = tuple(max(map(abs, d.values())) for d in (report.d1, report.d2))
 
     record = ChainRecord(
-        ontically_noninvasive=oni,
-        opnd_complete=complete,
-        opnd_specific=specific,
-        lgi_satisfied=lgi,
-        lg_pairwise=lg_pair,
+        ontically_noninvasive=all(ok for ok, _ in oni.values()),
+        opnd_complete=all(result.non_disturbing for result in complete.values()),
+        opnd_specific=all(deviation <= tol for deviation in specific),
+        lgi_satisfied=report.lg_pairwise >= -1.0 - tol,
+        lg_pairwise=report.lg_pairwise,
+        report=report,
         details={
-            "oni_deviations": (dev_1, dev_2),
-            "complete": (complete_1, complete_2),
-            "specific": (specific_1, specific_2),
+            "oni_deviations": (oni[m1][1], oni[m2][1]),
+            "complete": (complete[m1], complete[m2]),
+            "specific": specific,
         },
     )
     stages = record.as_tuple()

@@ -760,22 +760,25 @@ def list_models():
     return [(name, entry[0]) for name, entry in _ZOO.items()]
 
 
+def parameters(name: str) -> tuple:
+    """The keyword parameters of a zoo entry's builder; a fixture takes none."""
+    if name not in _ZOO:
+        raise ModelError(f"unknown zoo model {name!r}; try one of {sorted(_ZOO)}")
+    return tuple(_ZOO[name][2] or ())
+
+
 def build(name: str, **params) -> ZooBuild:
     """Build one zoo model by name; unset parameters take the entry's defaults.
 
     Only the named entry is built, so a fixture pays for its own
     build-time verification alone.
     """
-    if name not in _ZOO:
-        raise ModelError(f"unknown zoo model {name!r}; try one of {sorted(_ZOO)}")
+    unknown = sorted(set(params) - set(parameters(name)))
+    if unknown:
+        raise ModelError(f"zoo model {name!r} takes no parameter {unknown[0]!r}")
     _, builder, defaults = _ZOO[name]
     if defaults is None:
-        if params:
-            raise ModelError(f"fixture {name!r} takes no parameters")
         return ZooBuild(name, *builder())
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ModelError(f"unknown parameters {sorted(unknown)} for zoo model {name!r}")
     merged = dict(defaults)
     merged.update({k: v for k, v in params.items() if v is not None})
     arrangement = builder(**merged)

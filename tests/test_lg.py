@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lglab import lg
+from lglab import lg, zoo
 from lglab import (
+    EQUIVALENCE_TOL,
     Distribution,
     Measurement,
     MeasurementUpdate,
@@ -262,6 +263,30 @@ class TestImplicationChain:
         for _ in range(20):
             record = check_implication_chain(random_arrangement(rng, noninvasive_early=True))
             assert record.as_tuple() == (True, True, True, True)
+
+    def test_specific_stage_is_check_opnd_in_the_arrangements_own_contexts(self):
+        rng = np.random.default_rng(43)
+        arrangements = [
+            random_arrangement(rng, noninvasive_early=identity)
+            for identity in (False, True)
+            for _ in range(6)
+        ]
+        for name, _ in zoo.list_models():
+            built = zoo.build(name, **({"n_points": 200} if name == "ks-sphere" else {}))
+            if built.arrangement is not None:
+                arrangements.append(built.arrangement)
+        for arr in arrangements:
+            record = check_implication_chain(arr)
+            (t1, t2), (m1, m2, m3) = arr.transformations, arr.measurements
+            reference = (
+                check_opnd(arr.model, arr.preparation, m1, suffix=[(t1, m2), (t2, m3)]),
+                check_opnd(arr.model, arr.preparation, m2, suffix=[(t2, m3)],
+                           prefix=[(None, m1)], pre_transformation=t1),
+            )
+            for deviation, result in zip(record.details["specific"], reference):
+                assert abs(deviation - result.max_deviation) <= 1e-15
+                assert (deviation <= EQUIVALENCE_TOL) == result.non_disturbing
+            assert record.opnd_specific == all(r.non_disturbing for r in reference)
 
     def test_repeated_measurement_is_enumerated_once(self, monkeypatch):
         arr = random_arrangement(np.random.default_rng(8))

@@ -230,17 +230,33 @@ class TestCli:
         assert run_cli(["lg", "--zoo", "nope"]) == 2
 
     def test_residual_gate_exits_3(self, capsys, monkeypatch):
-        import lglab.cli as cli_module
+        import lglab.lg as lg_module
 
-        real = cli_module.disturbance_report
+        real = lg_module.disturbance_report
 
         def doctored(arrangement):
             report = real(arrangement)
             object.__setattr__(report, "decomposition_residual", 1e-6)
             return report
 
-        monkeypatch.setattr(cli_module, "disturbance_report", doctored)
+        monkeypatch.setattr(lg_module, "disturbance_report", doctored)
         assert run_cli(["lg", "--zoo", "superselected", "--no-timestamp"]) == 3
+
+    def test_lg_runs_each_protocol_once(self, capsys, monkeypatch):
+        """The chain reads its specific stage and pairwise value from the report's four runs."""
+        import lglab.lg as lg_module
+
+        calls = {"run_protocol": 0, "check_opnd": 0}
+        for name in calls:
+            real = getattr(lg_module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lg_module, name, counted)
+        assert run_cli(["lg", "--zoo", "superselected", "--no-timestamp"]) == 0
+        assert calls == {"run_protocol": 4, "check_opnd": 0}
 
     def test_classify_verdicts(self, capsys):
         run_cli(["classify", "--zoo", "superselected", "--no-timestamp"])
@@ -334,11 +350,21 @@ class TestCli:
             (["classify", "--zoo", "qubit", "--model", "{model}"], "--model"),
             (["lg"], "--zoo"),
             (["zoo", "export"], "name"),
+            (["twoslit", "--sweep", "--mod-steps", "2", "--phi-steps", "2", "--mod1-sq", "0.3",
+              "--format", "csv"], "--mod1-sq does not apply to --sweep"),
+            (["twoslit", "--mod1-sq", "0.3", "--phi", "1", "--mod-steps", "5"],
+             "--mod-steps needs --sweep"),
+            (["classify", "--zoo", "superselected", "--grid", "300"],
+             "--grid does not apply to zoo model 'superselected'"),
+            (["lg", "--zoo", "qubit", "--grid", "300"], "--grid does not apply to zoo model"),
+            (["zoo", "export", "null-result-pair", "--p1", "0.1"], "--p1 does not apply"),
         ],
         ids=["lg-zoo-arrangement", "classify-negative-image-depth", "twoslit-point-csv",
              "lg-model-theta1", "classify-model-grid", "run-tol", "twoslit-depth", "lg-format",
              "zoo-list-name", "zoo-list-grid", "lg-zoo-and-model", "classify-zoo-and-model",
-             "lg-no-source", "zoo-export-no-name"],
+             "lg-no-source", "zoo-export-no-name", "twoslit-sweep-mod1-sq",
+             "twoslit-point-mod-steps", "classify-superselected-grid", "lg-qubit-grid",
+             "zoo-export-fixture-p1"],
     )
     def test_option_the_command_does_not_read_exits_2(self, argv, option, tmp_path, capsys):
         path = tmp_path / "chain.json"
