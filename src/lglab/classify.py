@@ -11,6 +11,8 @@ otherwise value-definite states outside every eigenstate support (MR3).
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 from .core import (
@@ -146,11 +148,73 @@ class Classification:
     hull_tol: float = HULL_TOL
 
 
-def _as_vector(dist: Distribution, index: dict, n: int) -> list:
-    v = [0.0] * n
-    for label, w in dist.weights.items():
-        v[index[label]] = w
-    return v
+def _dot(u, v) -> float:
+    return math.fsum(map(operator.mul, u, v))
+
+
+def _householder(columns, target, passive) -> tuple:
+    """QR of the passive columns by Householder reflections, applied to all.
+
+    Returns the reflected columns and target and the least-squares
+    weights of the passive columns. The weights are None when a passive
+    column is numerically dependent on the ones before it: the part of it
+    outside their span is below 1e-14 of its norm.
+    """
+    a = [list(column) for column in columns]
+    b = list(target)
+    for i, j in enumerate(passive):
+        v = a[j][i:]
+        norm = math.hypot(*v)
+        if not norm > 1e-14 * math.hypot(*columns[j]):
+            return a, b, None
+        alpha = -norm if v[0] > 0.0 else norm
+        v[0] -= alpha
+        scale = -alpha * v[0]  # half of v.v
+        for x in [a[c] for c in range(len(a)) if c not in passive[:i + 1]] + [b]:
+            f = _dot(v, x[i:]) / scale
+            x[i:] = [xi - f * vi for xi, vi in zip(x[i:], v)]
+        a[j][i:] = [alpha] + [0.0] * (len(v) - 1)
+    z = [0.0] * len(passive)
+    for i in reversed(range(len(passive))):
+        tail = math.fsum(a[passive[c]][i] * z[c] for c in range(i + 1, len(passive)))
+        z[i] = (b[i] - tail) / a[passive[i]][i]
+    return a, b, z
+
+
+def _nnls(columns, target) -> list:
+    """Nonnegative weights x minimising |sum_j x_j columns[j] - target|_2.
+
+    Lawson and Hanson's active-set algorithm (Solving Least Squares
+    Problems, 1974, ch. 23). Each passive set is solved by Householder QR,
+    and a column's gain is read from the reflected residual, where the
+    passive part is exactly zero: forming the normal equations would
+    square the condition number of near-collinear columns.
+    """
+    k = len(columns)
+    x = [0.0] * k
+    passive = []
+    a, b = columns, target
+    for _ in range(3 * k):
+        p = len(passive)
+        gain = {j: _dot(a[j][p:], b[p:]) for j in range(k) if j not in passive}
+        for t in sorted((j for j in gain if gain[j] > 0.0), key=gain.__getitem__, reverse=True):
+            a, b, z = _householder(columns, target, passive + [t])
+            if z is not None and z[-1] > 0.0:
+                break
+        else:
+            return x
+        passive.append(t)
+        while not all(zj > 0.0 for zj in z):
+            step, hit = min((x[j] / (x[j] - zj), j) for j, zj in zip(passive, z) if zj <= 0.0)
+            for j, zj in zip(passive, z):
+                x[j] += step * (zj - x[j])
+            x[hit] = 0.0
+            passive = [j for j in passive if x[j] > 0.0]
+            a, b, z = _householder(columns, target, passive)
+        x = [0.0] * k
+        for j, zj in zip(passive, z):
+            x[j] = zj
+    raise EngineDefectError(f"the hull solve did not converge in {3 * k} iterations")
 
 
 def _nu_decomposition(dist: Distribution, value_of: dict) -> tuple:
@@ -231,24 +295,22 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
         targets.extend(grown)
         frontier = grown
 
-    # The hull solve is the only user of scipy; importing it here keeps
-    # scipy (and numpy) out of every command that does not reach it.
-    import numpy as np
-    from scipy.optimize import nnls
-
-    n = len(model.space)
+    basis = [model.preparation(name).weights for name in all_eigen]
+    rows = dict.fromkeys(label for weights in basis for label in weights)
+    columns = [[weights.get(label, 0.0) for label in rows] for weights in basis]
     index = {label: i for i, label in enumerate(model.space.states)}
-    basis = np.column_stack(
-        [_as_vector(model.preparation(name), index, n) for name in all_eigen]
-    )
 
     evidence = []
     all_mixture = True
     all_contained = True
     for name, dist in targets:
-        b = np.array(_as_vector(dist, index, n))
-        weights, _ = nnls(basis, b)
-        residual = 0.5 * float(np.abs(basis @ weights - b).sum())
+        target = [dist.weights.get(label, 0.0) for label in rows]
+        weights = _nnls(columns, target)
+        misfit = target
+        for w, column in zip(weights, columns):
+            misfit = [m - w * c for m, c in zip(misfit, column)]
+        outside = [w for label, w in dist.weights.items() if label not in rows]
+        residual = 0.5 * math.fsum([*map(abs, misfit), *outside])
         mixture = residual <= hull_tol
         novel = tuple(sorted(dist.support() - union_support, key=index.__getitem__))
         contained = not novel
@@ -262,7 +324,7 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
             PreparationEvidence(
                 name=name,
                 hull_residual=residual,
-                hull_weights={e: float(w) for e, w in zip(all_eigen, weights)},
+                hull_weights=dict(zip(all_eigen, weights)),
                 mixture_member=mixture,
                 support_contained=contained,
                 novel_states=novel,

@@ -94,6 +94,8 @@ def _resolve(args, with_arrangement=False):
         return model, None, {"model": args.model}
     name = args.arrangement
     if name is None:
+        if not arrangements:
+            raise SchemaError("model file declares no arrangement")
         if len(arrangements) != 1:
             raise SchemaError(
                 f"model file declares {sorted(arrangements)}; pick one with --arrangement"
@@ -219,6 +221,8 @@ def cmd_classify(args) -> int:
     declared = model.metadata.get("quantity_classes", {})
     label = args.quantity_class
     if label is None:
+        if not declared:
+            raise SchemaError("model declares no quantity class")
         if len(declared) != 1:
             raise SchemaError(
                 f"model declares classes {sorted(declared)}; pick one with --class"

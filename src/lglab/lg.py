@@ -306,10 +306,11 @@ class OpndCompleteResult:
     by one performed declared measurement and one declared
     transformation before the checked measurement, crossed with all
     suffix sequences of declared (transformation, measurement) pairs up
-    to ``depth``. This context set covers the specific arrangement
-    contexts, so the implication from complete to specific
-    non-disturbance holds by construction. The worst-deviating context
-    (preparation, prefix, pre-transformation, suffix) is reported.
+    to ``depth``. The set covers an arrangement's specific contexts only
+    when both its transformation slots are declared: a slot without a
+    transformation puts a ``(None, measurement)`` step in a suffix, and
+    no suffix here has one. The worst-deviating context (preparation,
+    prefix, pre-transformation, suffix) is reported.
     """
 
     non_disturbing: bool
@@ -388,7 +389,8 @@ class ChainRecord:
     """Truth values along the noninvasiveness -> inequality chain.
 
     The four stages are: both early measurements ontically noninvasive;
-    both operationally non-disturbing in every declared bounded context;
+    both operationally non-disturbing in every declared bounded context
+    (and in the arrangement's own, when a slot has no transformation);
     both non-disturbing in the specific arrangement contexts; and the
     pairwise inequality satisfied. Every forward implication is asserted
     when the record is built. ``report`` is the disturbance report the
@@ -422,8 +424,11 @@ def check_implication_chain(
     performed vs skipped in their own contexts, and both must vanish to
     ``tol``. The inequality stage reads the report's pairwise value.
     ``depth`` must be at least 2: the complete check then covers both
-    specific contexts (the first measurement's suffix has length 2), so
-    complete non-disturbance implies specific non-disturbance.
+    specific contexts (the first measurement's suffix has length 2) when
+    both transformation slots are declared, so complete non-disturbance
+    implies specific non-disturbance. A slot without a transformation
+    puts its contexts outside the complete check's set, so the complete
+    stage then also requires the specific stage.
     """
     if depth < 2:
         raise ValidationError(
@@ -437,11 +442,15 @@ def check_implication_chain(
     oni = {m: is_ontically_noninvasive(model.measurement(m)) for m in early}
     complete = {m: check_opnd_complete(model, m, depth=depth, tol=tol) for m in early}
     specific = tuple(max(map(abs, d.values())) for d in (report.d1, report.d2))
+    opnd_specific = all(deviation <= tol for deviation in specific)
+    opnd_complete = all(result.non_disturbing for result in complete.values())
+    if None in arrangement.transformations:
+        opnd_complete = opnd_complete and opnd_specific
 
     record = ChainRecord(
         ontically_noninvasive=all(ok for ok, _ in oni.values()),
-        opnd_complete=all(result.non_disturbing for result in complete.values()),
-        opnd_specific=all(deviation <= tol for deviation in specific),
+        opnd_complete=opnd_complete,
+        opnd_specific=opnd_specific,
         lgi_satisfied=report.lg_pairwise >= -1.0 - tol,
         lg_pairwise=report.lg_pairwise,
         report=report,

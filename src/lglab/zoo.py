@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .classify import QuantityClass, check_equilibrium_property, classify
 from .core import (
@@ -29,11 +29,6 @@ from .core import (
 from .errors import EngineDefectError, ModelError
 from .lg import LgArrangement, disturbance_report, post_select_noninvasive
 from .operational import ObservableAssignment
-
-# numpy is imported inside the sphere geometry only, so importing this
-# module, or building any other entry, does not load it.
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _pm_assignment(*measurement_names) -> ObservableAssignment:
@@ -245,31 +240,27 @@ def build_superselected_arrangement(p1: float, p2: float) -> LgArrangement:
 # Kochen-Specker sphere model for a two-level system
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
+def _fibonacci_sphere(n: int) -> list:
     """Deterministic low-discrepancy unit vectors; no point on the equator for even n."""
-    import numpy as np
-
-    k = np.arange(n)
-    z = 1.0 - (2.0 * k + 1.0) / n
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    phi = 2.0 * math.pi * k / golden
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+    points = []
+    for k in range(n):
+        z = 1.0 - (2.0 * k + 1.0) / n
+        phi = 2.0 * math.pi * k / golden
+        r = math.sqrt(max(0.0, 1.0 - z * z))
+        points.append((r * math.cos(phi), r * math.sin(phi), z))
+    return points
 
 
-def _rotation_about_y(angle: float) -> np.ndarray:
-    import numpy as np
-
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _dots(points, direction) -> list:
+    dx, dy, dz = direction
+    return [x * dx + y * dy + z * dz for x, y, z in points]
 
 
-def _hemisphere_density(points: np.ndarray, direction) -> np.ndarray:
-    import numpy as np
-
-    dots = points @ np.asarray(direction, dtype=float)
-    w = np.where(dots > 0.0, dots, 0.0)
-    return w / w.sum()
+def _hemisphere_density(points, direction) -> list:
+    w = [d if d > 0.0 else 0.0 for d in _dots(points, direction)]
+    total = math.fsum(w)
+    return [v / total for v in w]
 
 
 def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArrangement:
@@ -299,16 +290,15 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
             if a + theta not in angles:
                 angles.append(a + theta)
     stage_of = {angle: i for i, angle in enumerate(angles)}
-    stage_points = {i: _rotation_about_y(a) @ base.T for a, i in stage_of.items()}
-
-    labels = []
+    # The response reads only the sign of each stage's z-coordinate, the
+    # third row of the rotation about y applied to the base grid.
     plus_rows = {}
-    for i in range(len(angles)):
-        z = stage_points[i][2]
-        for k in range(n_points):
-            labels.append(f"r{i}:{k}")
-        plus_rows[i] = z >= 0.0
-    space = OnticStateSpace(tuple(labels))
+    for a, i in stage_of.items():
+        s, c = math.sin(a), math.cos(a)
+        plus_rows[i] = [-s * x + c * z >= 0.0 for x, _, z in base]
+    space = OnticStateSpace(
+        tuple(f"r{i}:{k}" for i in range(len(angles)) for k in range(n_points))
+    )
 
     row_plus = {PLUS: 1.0, MINUS: 0.0}
     row_minus = {PLUS: 0.0, MINUS: 1.0}
@@ -384,10 +374,7 @@ def ks_direction_measurement(model: OnticModel, direction, label: str = "probe")
     meta = model.metadata
     if meta.get("family") != "ks-sphere":
         raise ModelError("direction probes are only defined for the sphere model")
-    import numpy as np
-
-    base = _fibonacci_sphere(meta["n_points"])
-    dots = base @ np.asarray(direction, dtype=float)
+    dots = _dots(_fibonacci_sphere(meta["n_points"]), direction)
     rows = {}
     for k in range(meta["n_points"]):
         rows[f"r0:{k}"] = {PLUS: 1.0, MINUS: 0.0} if dots[k] >= 0.0 else {PLUS: 0.0, MINUS: 1.0}

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from lglab import (
     ClassificationError,
@@ -15,7 +17,7 @@ from lglab import (
     classify,
     operational_eigenstate_supports,
 )
-from lglab.classify import QuantityClass
+from lglab.classify import HULL_TOL, QuantityClass, _nnls
 from lglab import zoo
 
 PLUS, MINUS = "+1", "-1"
@@ -211,6 +213,62 @@ class TestClassify:
         )
         cls = QuantityClass.verified(shuffled, "Q", ["look"])
         assert classify(shuffled, cls).verdict == "MR2"
+
+
+def hull_cases(seed, spread):
+    """Seeded (basis, target) pairs with k = 1..6 columns of probability vectors.
+
+    On every other case the last column lies within ``spread`` of the
+    first; every third target is a mixture of the columns, the rest are
+    random and mostly outside their hull.
+    """
+    rng = np.random.default_rng(seed)
+
+    def column(n):
+        v = np.zeros(n)
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        v[support] = rng.random(len(support)) + 1e-3
+        return v / v.sum()
+
+    for case in range(300):
+        n = int(rng.integers(3, 41))
+        k = case % 6 + 1
+        basis = np.column_stack([column(n) for _ in range(k)])
+        if k > 1 and case % 2:
+            basis[:, -1] = (1.0 - spread) * basis[:, 0] + spread * column(n)
+        target = basis @ rng.dirichlet(np.ones(k)) if case % 3 == 0 else column(n)
+        yield basis, target
+
+
+class TestHullSolve:
+    """The stdlib Lawson-Hanson solve against scipy.optimize.nnls, the solver it replaced."""
+
+    @staticmethod
+    def both(basis, target):
+        """(weights, 2-norm residual, total-variation residual) of each solver."""
+        ours = np.array(_nnls([c.tolist() for c in basis.T], target.tolist()))
+        theirs, _ = nnls(basis, target)
+        return [(w, np.linalg.norm(basis @ w - target), 0.5 * np.abs(basis @ w - target).sum())
+                for w in (ours, theirs)]
+
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_weights_and_residuals_match_scipy(self, seed):
+        for basis, target in hull_cases(seed, spread=1.0):
+            (ours, _, r_ours), (theirs, _, r_theirs) = self.both(basis, target)
+            assert (r_ours <= HULL_TOL) == (r_theirs <= HULL_TOL)
+            assert np.abs(ours - theirs).max() <= 1e-12
+            assert abs(r_ours - r_theirs) <= 1e-12
+
+    @pytest.mark.parametrize("spread", [1e-3, 1e-7, 1e-10, 0.0])
+    def test_nearly_dependent_columns_keep_verdicts_and_objective(self, spread):
+        # Nearly dependent columns fix the weights, and so the fit, only to
+        # about 1e-16 times the squared condition number, for scipy as much
+        # as here; the verdict and the minimised 2-norm residual are fixed.
+        for seed in (3, 5, 7):
+            for basis, target in hull_cases(seed, spread):
+                (_, l2_ours, r_ours), (_, l2_theirs, r_theirs) = self.both(basis, target)
+                assert (r_ours <= HULL_TOL) == (r_theirs <= HULL_TOL)
+                assert abs(l2_ours - l2_theirs) <= 1e-12
 
 
 class TestEquilibrium:

@@ -304,6 +304,24 @@ class TestImplicationChain:
         first, second = record.details["complete"]
         assert first is second
 
+    @pytest.mark.parametrize("slots", [(None, None), ("reset", None)])
+    def test_slot_without_transformation_needs_the_specific_contexts(self, slots):
+        # no suffix of the complete check has a step without a transformation,
+        # so the arrangement's own contexts are required on top of it
+        drifting = zoo.build("drifting-update").model
+        space = drifting.space
+        reset = TransformationKernel(
+            space, {s: Distribution.point_mass(space, "u") for s in space.states}
+        )
+        model = dataclasses.replace(drifting, transformations={"reset": reset})
+        arr = LgArrangement(model, "u-prep", slots, ("swapper",) * 3,
+                            ObservableAssignment({"swapper": {PLUS: 1, MINUS: -1}}))
+        record = check_implication_chain(arr)
+        complete = record.details["complete"][0]
+        assert complete.non_disturbing and complete.max_deviation == 0.0
+        assert not record.opnd_specific
+        assert not record.opnd_complete
+
     @pytest.mark.parametrize("depth", [1, 0, -1])
     def test_depth_below_two_is_refused(self, depth):
         # the complete check would not cover the first measurement's own

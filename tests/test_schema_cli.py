@@ -165,6 +165,40 @@ class TestCli:
         from_zoo = json.loads(capsys.readouterr().out)["results"]["lg_pairwise"]
         assert from_file == from_zoo
 
+    @pytest.mark.parametrize("kernels, slots", [
+        ({}, [None, None]),
+        ({"reset": {"u": {"u": 1.0}, "v": {"u": 1.0}}}, ["reset", None]),
+    ])
+    def test_arrangement_slot_without_transformation_exits_0(self, kernels, slots, tmp_path,
+                                                             capsys):
+        _, doc = export_doc("drifting-update")
+        doc["transformations"] = kernels
+        doc["arrangements"] = {"lg": {"preparation": "u-prep", "transformations": slots,
+                                      "measurements": ["swapper"] * 3,
+                                      "values": {"swapper": {"+1": 1, "-1": -1}}}}
+        path = tmp_path / "drifting.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(["lg", "--model", str(path), "--no-timestamp"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        chain = json.loads(captured.out)["results"]["chain"]
+        assert chain["opnd_complete"] is False and chain["opnd_specific"] is False
+
+    def test_model_file_without_arrangement_says_none_is_declared(self, tmp_path, capsys):
+        path = tmp_path / "drifting.json"
+        assert run_cli(["zoo", "export", "drifting-update", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run_cli(["lg", "--model", str(path)]) == 2
+        assert capsys.readouterr().err == "error: model file declares no arrangement\n"
+
+    def test_model_without_quantity_class_says_none_is_declared(self, tmp_path, capsys):
+        _, doc = export_doc("superselected")
+        doc["quantity_classes"] = {}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["classify", "--model", str(path)]) == 2
+        assert capsys.readouterr().err == "error: model declares no quantity class\n"
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": 1,')

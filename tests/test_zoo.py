@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lglab import (
+    Distribution,
     EngineDefectError,
     ModelError,
     check_macrodefinite,
@@ -115,6 +116,29 @@ class TestKsSphere:
     def test_grid_size_floor(self):
         with pytest.raises(ModelError):
             zoo.build_ks_arrangement(50, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n_points", [200, 10_000])
+    def test_geometry_matches_the_numpy_build(self, n_points):
+        """Stage signs and preparation weights equal the numpy build the stdlib one replaced."""
+        index = np.arange(n_points)
+        z = 1.0 - (2.0 * index + 1.0) / n_points
+        phi = 2.0 * math.pi * index / ((1.0 + math.sqrt(5.0)) / 2.0)
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        base = np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
+        model = zoo.build("ks-sphere", n_points=n_points).model
+        response = model.measurements["Mz"].response
+        for i, angle in enumerate(model.metadata["stage_angles"]):
+            c, s = math.cos(angle), math.sin(angle)
+            rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+            signs = [bool(v) for v in (rotation @ base.T)[2] >= 0.0]
+            assert [response.row(f"r{i}:{k}")[PLUS] == 1.0 for k in range(n_points)] == signs
+        for name, direction in (("up", (0.0, 0.0, 1.0)), ("down", (0.0, 0.0, -1.0)),
+                                ("side", (1.0, 0.0, 0.0))):
+            dots = base @ np.asarray(direction)
+            w = np.where(dots > 0.0, dots, 0.0)
+            w = w / w.sum()
+            expected = {f"r0:{k}": float(w[k]) for k in range(n_points) if w[k] > 0.0}
+            assert model.preparations[name].weights == Distribution(model.space, expected).weights
 
 
 class TestTwoPath:
