@@ -133,10 +133,35 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _steps_doc(steps):
+    return [{"transformation": t, "measurement": m} for t, m in steps]
+
+
+def _complete_doc(result):
+    """A complete non-disturbance check: its worst deviation, the context behind it, the skips."""
+    witness = None
+    if result.witness is not None:
+        preparation, prefix, pre_transformation, suffix = result.witness
+        witness = {
+            "preparation": preparation,
+            "prefix": _steps_doc(prefix),
+            "pre_transformation": pre_transformation,
+            "suffix": _steps_doc(suffix),
+        }
+    return {
+        "max_deviation": result.max_deviation,
+        "witness": witness,
+        "undefined_contexts": result.undefined_contexts,
+    }
+
+
 def cmd_lg(args) -> int:
     _, arrangement, inputs = _resolve(args, with_arrangement=True)
     chain = check_implication_chain(arrangement, depth=args.depth, tol=args.tol)
     report_obj = chain.report
+    early = zip(arrangement.measurements[:2], chain.details["oni_deviations"],
+                chain.details["complete"])
+    d1, d2 = chain.details["specific"]
     results = {
         "lg_all_three": report_obj.lg_all_three,
         "lg_pairwise": report_obj.lg_pairwise,
@@ -153,6 +178,11 @@ def cmd_lg(args) -> int:
             "opnd_specific": chain.opnd_specific,
             "lgi_satisfied": chain.lgi_satisfied,
             "suffix_depth": args.depth,
+            "measurements": {
+                m: {"ontic_deviation": ontic, "complete": _complete_doc(complete)}
+                for m, ontic, complete in early
+            },
+            "specific_deviations": {"d1": d1, "d2": d2},
         },
     }
     report = _report_skeleton("lg", args, inputs)

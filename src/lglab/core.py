@@ -9,7 +9,9 @@ identities hold to ~1e-15 rather than to the input tolerance.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import ModelError, ValidationError
@@ -344,6 +346,10 @@ class OnticModel:
 # between ontic states. They take raw {label: weight} dicts, keep the
 # total mass as given and check nothing beyond the rows they look up;
 # the Distribution-returning functions below wrap them with validation.
+# Pullback.responses, Pullback.pull and Pullback.pull_measure are the
+# duals of outcome_mass, push and measure: they carry effects (functions
+# on ontic states, such as a response's xi(q | .)) backwards, so that
+# <push(w, kernel), f> = <w, pull(f, kernel)>, and likewise for measure.
 
 
 def push(weights: Mapping, kernel: TransformationKernel) -> dict:
@@ -405,6 +411,159 @@ def measure(weights: Mapping, measurement: Measurement, outcomes) -> dict:
         for label, p in target.weights.items():
             out[label] = out.get(label, 0.0) + mass * p
     return out
+
+
+def dot(packed, effect) -> float:
+    """<w, f> = sum_s w(s) * f(s) for weights packed by ``Pullback.pack``."""
+    gather, values = packed
+    return sum(map(mul, values, gather(effect)))
+
+
+class Pullback:
+    """Effects on one space's ontic states, and the duals of push and measure.
+
+    An effect is a function on ontic states, such as a response's
+    xi(q | .), held as an array over the states' positions. It is NaN
+    outside its domain, the states from which the forward moves it
+    stands for would look up a missing row, so a dot product that
+    touches such a state is NaN. Each kernel's and measurement's rows
+    are laid out by position on first use and kept while this lives.
+    """
+
+    def __init__(self, space: OnticStateSpace):
+        self.position = {label: i for i, label in enumerate(space.states)}
+        self._forms: dict = {}  # id(kernel or measurement) -> (it, its rows by position)
+
+    def pack(self, weights: Mapping) -> tuple:
+        """Raw weights as (a reader of an effect at their states, weights), the form dot reads."""
+        positions = list(map(self.position.__getitem__, weights))
+        if len(positions) == 1:
+            [i] = positions
+            return (lambda effect: (effect[i],)), list(weights.values())
+        return itemgetter(*positions), list(weights.values())
+
+    def unit(self) -> list:
+        """The effect 1 everywhere, of observing nothing."""
+        return [array("d", [1.0]) * len(self.position)]
+
+    def responses(self, measurement: Measurement) -> list:
+        """The effect xi(q | .) of each outcome q, the dual of outcome_mass."""
+        return self._form(measurement, self._lay_out_measurement)[0]
+
+    def pull(self, effects: list, kernel: TransformationKernel) -> list:
+        """Effects pulled back through a kernel, the dual of push: s -> sum_{s'} tau(s' | s) f(s').
+
+        A result is defined exactly where the kernel has a row lying
+        inside the effect's domain: where push can move weight without
+        reaching a state outside it.
+        """
+        to, weight, spread = self._form(kernel, self._lay_out_kernel)
+        pulled = []
+        for effect in effects:
+            out = array("d", map(mul, weight, map(effect.__getitem__, to)))
+            for i, packed in spread:
+                out[i] = dot(packed, effect)
+            pulled.append(out)
+        return pulled
+
+    def pull_measure(self, effects: list, measurement: Measurement) -> list:
+        """Effects pulled back through each outcome's selective update, the dual of measure.
+
+        For each outcome q, in order, and each effect f the result has
+        the effect s -> xi(q | s) * sum_{s'} tau(s' | q, s) f(s'). It is
+        defined where the state has a response row and, for every
+        outcome it can produce, an update row lying inside f's domain: a
+        walk branches on every outcome. Update rows are grouped by
+        identity, as in measure, so a row shared by many states
+        (``outcome_rows``) costs one dot product per effect.
+        """
+        _, rows, number, xi, users = self._form(measurement, self._lay_out_measurement)
+        # The effects share their domain, so effects[0] tells which rows lie inside it.
+        outside = [g for g, packed in enumerate(rows, 1) if math.isnan(dot(packed, effects[0]))]
+        if outside:
+            xi = {q: list(by_state) for q, by_state in xi.items()}
+            for g in outside:
+                for i in users[g]:
+                    for by_state in xi.values():
+                        by_state[i] = math.nan
+        values = [[0.0] + [dot(packed, effect) for packed in rows] for effect in effects]
+        return [
+            array("d", map(mul, xi[q], map(by_row.__getitem__, number[q])))
+            for q in measurement.outcomes
+            for by_row in values
+        ]
+
+    def _form(self, component, lay_out):
+        entry = self._forms.get(id(component))
+        if entry is None:
+            entry = self._forms[id(component)] = (component, lay_out(component))
+        return entry[1]
+
+    def _lay_out_kernel(self, kernel: TransformationKernel) -> tuple:
+        """A kernel's rows by position, as pull reads them.
+
+        ``(to, weight, spread)``: the target and weight of each state's
+        single-target row, NaN weight where a state has no row, and the
+        rows with several targets as (position, packed row).
+        """
+        n = len(self.position)
+        to = [0] * n
+        weight = [math.nan] * n
+        spread = []
+        for label, row in kernel.rows.items():
+            i = self.position[label]
+            if len(row.weights) == 1:
+                [(target, p)] = row.weights.items()
+                to[i] = self.position[target]
+                weight[i] = p
+            else:
+                spread.append((i, self.pack(row.weights)))
+        return to, weight, spread
+
+    def _lay_out_measurement(self, measurement: Measurement) -> tuple:
+        """A measurement's response and update rows by position.
+
+        ``(responses, rows, number, xi, users)``: the response effects
+        (NaN where a state has no response row); the distinct update
+        rows, packed and numbered from 1 by identity; per outcome q and
+        state, the number of the state's row for q (0 for none) and
+        xi(q | state), NaN where the state lacks a response row or an
+        update row for an outcome it can produce; and per row number, the
+        states that use it for an outcome they can produce.
+        """
+        n = len(self.position)
+        outcomes = measurement.outcomes
+        responses = [array("d", [math.nan]) * n for _ in outcomes]
+        numbering: dict = {}  # id(update row) -> its number
+        rows, users = [], [[]]
+        number = {q: [0] * n for q in outcomes}
+        xi = {q: [math.nan] * n for q in outcomes}
+        for label, row in measurement.response.table.items():
+            i = self.position[label]
+            for effect, q in zip(responses, outcomes):
+                effect[i] = row[q]
+            found = []
+            for q, p in row.items():
+                if p == 0.0:
+                    continue
+                try:
+                    target = measurement.update.row(label, q)
+                except ModelError:
+                    break
+                g = numbering.get(id(target))
+                if g is None:
+                    rows.append(self.pack(target.weights))
+                    users.append([])
+                    g = numbering[id(target)] = len(rows)
+                found.append((q, p, g))
+            else:
+                for q in outcomes:
+                    xi[q][i] = 0.0
+                for q, p, g in found:
+                    number[q][i] = g
+                    xi[q][i] = p
+                    users[g].append(i)
+        return responses, rows, number, xi, users
 
 
 def compose_preparation(preparation: Distribution, kernel: TransformationKernel) -> Distribution:

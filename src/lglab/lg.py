@@ -11,10 +11,18 @@ marginal-disturbance terms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Distribution, OnticModel, is_ontically_noninvasive, measure
+from .core import (
+    Distribution,
+    OnticModel,
+    Pullback,
+    dot,
+    is_ontically_noninvasive,
+    measure,
+)
 from .errors import EngineDefectError, ModelError, PreconditionError, ValidationError
 from .operational import (
     EQUIVALENCE_TOL,
@@ -24,7 +32,6 @@ from .operational import (
     ProtocolStep,
     expectation,
     measurements_equivalent,
-    outcome_table,
     run_protocol,
     walk,
 )
@@ -250,21 +257,52 @@ def _arms(model: OnticModel, dist: Distribution, prefix, pre_transformation, mea
     return skipped, performed
 
 
-def _arm_deviation(model: OnticModel, arms, suffix) -> float:
-    """Largest difference between the arms' tables of the surrounding outcomes.
+def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
+    """The effects of each suffix and of its tails, keyed by suffix.
 
-    The tables are keyed by the prefix outcomes plus the outcomes of the
-    performed ``suffix`` pairs; with no suffix they hold the branch masses.
+    A suffix's effects are one per outcome sequence r, in product order:
+    E_r(s) is the probability that the suffix's measurements read r,
+    starting from ontic state s. They are built backwards: the effects
+    of ``(t, m) + rest`` are those of ``rest`` pulled through m's
+    selective update for each outcome and then through t, and the last
+    measurement contributes only its response, since nothing after it
+    observes its update. Suffixes sharing a tail share its effects, and
+    suffixes that differ only in their first transformation share the
+    pull through m.
     """
-    steps = [ProtocolStep(t, m) for t, m in suffix]
-    skipped, performed = (
-        outcome_table(model, walk(model, arm, steps[:-1]), steps[-1])
-        if steps
-        else {outs: sum(w.values()) for w, outs in arm}
-        for arm in arms
-    )
-    keys = performed.keys() | skipped.keys()
-    return max(abs(performed.get(k, 0.0) - skipped.get(k, 0.0)) for k in keys)
+    tails = dict.fromkeys(suffix[k:] for suffix in suffixes for k in range(len(suffix)))
+    by_pull = {}  # (m, rest) -> the tails (t, m) + rest, shorter rests first
+    for tail in sorted(tails, key=len):
+        by_pull.setdefault((tail[0][1], tail[1:]), []).append(tail)
+    effects: dict = {(): duals.unit()} if () in suffixes else {}
+    for (m_name, rest), group in by_pull.items():
+        meas = model.measurement(m_name)
+        pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
+        for tail in group:
+            t = tail[0][0]
+            effects[tail] = pulled if t is None else duals.pull(pulled, model.transformation(t))
+    return effects
+
+
+def _packed_pairs(duals: Pullback, arms) -> list:
+    """The (skipped, performed) branch pairs of ``_arms``, packed for ``dot``."""
+    skipped, performed = arms
+    return [(duals.pack(skip), duals.pack(done)) for (skip, _), (done, _) in zip(skipped, performed)]
+
+
+def _deviation(pairs, effects) -> float:
+    """Largest |<done_b, E_r> - <skip_b, E_r>| over branch pairs b and effects E_r.
+
+    ``pairs`` are ``_packed_pairs`` and ``effects`` one suffix's; the
+    entries are the two arms' tables of the prefix and suffix outcomes.
+    A branch with a state outside the effects' domain makes its dot
+    products NaN and raises ModelError: the suffix's forward walk would
+    look up a missing row from there.
+    """
+    deviations = [abs(dot(done, f) - dot(skip, f)) for skip, done in pairs for f in effects]
+    if any(map(math.isnan, deviations)):
+        raise ModelError("suffix statistics undefined on a branch of the arms")
+    return max(deviations)
 
 
 def check_opnd(
@@ -284,15 +322,21 @@ def check_opnd(
     performed. The performed arm applies the checked measurement's
     non-selective update (performed, outcome ignored), the skipped arm
     leaves it out; the comparison is over the joint statistics of every
-    other measurement, prefix outcomes included.
+    other measurement, prefix outcomes included. The arms are walked
+    forward to the checked measurement; the suffix statistics are dot
+    products of their branches with the suffix's effects, built
+    backwards. A context the model leaves undefined (a missing kernel,
+    response or update row on the way) raises ModelError.
     """
     prefix = tuple(prefix)
-    suffix = tuple(suffix)
+    suffix = tuple(map(tuple, suffix))
     if not prefix and not suffix:
         raise ModelError("non-disturbance needs at least one surrounding measurement")
     meas = model.measurement(measurement)
     arms = _arms(model, model.preparation(preparation), prefix, pre_transformation, meas)
-    worst = _arm_deviation(model, arms, suffix)
+    duals = Pullback(model.space)
+    effects = _suffix_effects(model, duals, [suffix])[suffix]
+    worst = _deviation(_packed_pairs(duals, arms), effects)
     context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
     return OpndResult(worst <= tol, worst, context)
 
@@ -309,8 +353,13 @@ class OpndCompleteResult:
     to ``depth``. The set covers an arrangement's specific contexts only
     when both its transformation slots are declared: a slot without a
     transformation puts a ``(None, measurement)`` step in a suffix, and
-    no suffix here has one. The worst-deviating context (preparation,
-    prefix, pre-transformation, suffix) is reported.
+    no suffix here has one. ``max_deviation`` is the largest table
+    deviation found, or a settled head's total-variation bound where
+    that is larger. ``witness`` is the enumerated context (preparation,
+    prefix, pre-transformation, suffix) that last raised the running
+    maximum, so the first in enumeration order to reach it, or None
+    when no enumerated context did. ``undefined_contexts`` counts the
+    contexts skipped because the model leaves them undefined.
     """
 
     non_disturbing: bool
@@ -330,13 +379,21 @@ def check_opnd_complete(
 ) -> OpndCompleteResult:
     """Check non-disturbance over every bounded declared context.
 
-    Both arms are built once per (preparation, prefix, pre-transformation)
-    and extended per suffix. Where the performed arm moves no branch
-    weight the context is settled without suffixes: equal inputs give
-    equal suffix statistics, and the raw total-variation shift bounds
-    every table deviation. Contexts a reachable-set model leaves
-    undefined (missing kernel rows) are skipped and counted.
+    Both arms are walked forward once per head (preparation, prefix,
+    pre-transformation). Where the performed arm moves no branch weight
+    the head is settled without suffixes: equal inputs give equal suffix
+    statistics, and the raw total-variation shift bounds every table
+    deviation. Otherwise each suffix's table entries are dot products of
+    the arms' branches with the suffix's effects (response functions
+    pulled back through the suffix), which are built once per call, when
+    the first head needs them. A context is undefined, and skipped and
+    counted, when the forward walk would look up a missing row: a
+    missing kernel, response or update row on the way to the checked
+    measurement, or a branch state outside the suffix effects' domain.
+    ``depth`` must be at least 1.
     """
+    if depth < 1:
+        raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")
     if preparations is None:
         preparations = tuple(model.preparations)
     meas = model.measurement(measurement)
@@ -353,6 +410,7 @@ def check_opnd_complete(
     witness = None
     ok = True
     undefined = 0
+    effects = None  # built when a context first needs its suffixes
     for prep_name in preparations:
         dist = model.preparation(prep_name)
         for prefix, pre_t in itertools.product(prefixes, pre_ts):
@@ -368,9 +426,13 @@ def check_opnd_complete(
             if bound <= 0.5 * tol:
                 worst = max(worst, bound)
                 continue
+            if effects is None:
+                duals = Pullback(model.space)
+                effects = _suffix_effects(model, duals, suffixes)
+            pairs = _packed_pairs(duals, arms)
             for suffix in suffixes:
                 try:
-                    deviation = _arm_deviation(model, arms, suffix)
+                    deviation = _deviation(pairs, effects[suffix])
                 except ModelError:
                     undefined += 1
                     continue

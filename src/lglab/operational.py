@@ -7,9 +7,13 @@ applies. The engine enumerates outcome branches depth-first in declared
 outcome order and propagates exact weighted distributions, so identical
 inputs give bit-identical tables.
 
-``walk`` is the one loop over protocol steps and ``outcome_table`` reads
-the final step. A measurement performed with its outcome ignored is the
-non-selective update ``core.measure(w, m, m.outcomes)`` of each branch.
+``walk`` is the one forward loop over protocol steps and
+``outcome_table`` reads the final step. A measurement performed with its
+outcome ignored is the non-selective update ``core.measure(w, m,
+m.outcomes)`` of each branch. The non-disturbance checks in ``lg`` also
+follow suffix steps, backwards: they pull response functions back
+through them with ``core.Pullback`` and take dot products with the
+branches ``walk`` gives them.
 """
 
 from __future__ import annotations

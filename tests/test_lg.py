@@ -155,6 +155,38 @@ class TestOpnd:
         assert prep == "plus"
         assert any(m == "Mx" for _, m in suffix)
 
+    def test_complete_check_at_depth_one_sees_the_projective_disturbance(self):
+        model = build_qubit_arrangement(TWO_THIRDS_PI, TWO_THIRDS_PI).model
+        result = check_opnd_complete(model, "Mz", depth=1)
+        assert not result.non_disturbing
+        assert result.max_deviation == pytest.approx(0.375, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_complete_check_refuses_depth_below_one(self, depth):
+        # no suffix would be enumerated, so nothing could be found disturbing
+        model = build_qubit_arrangement(TWO_THIRDS_PI, TWO_THIRDS_PI).model
+        with pytest.raises(ValidationError, match=f"depth {depth}"):
+            check_opnd_complete(model, "Mz", depth=depth)
+
+    def test_effects_are_built_only_when_a_context_needs_them(self, monkeypatch):
+        calls = []
+        original = lg._suffix_effects
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lg, "_suffix_effects", counted)
+        rng = np.random.default_rng(13)
+        identity = random_arrangement(rng, noninvasive_early=True).model
+        invasive = random_arrangement(rng).model
+        # the total-variation bound settles every identity-update context
+        assert check_opnd_complete(identity, "M1").non_disturbing
+        assert calls == []
+        for expected in (1, 2):
+            check_opnd_complete(invasive, "M1")
+            assert len(calls) == expected
+
 
 def two_run_opnd(model, preparation, measurement, suffix, prefix=(), pre_transformation=None):
     """Reference definition: the performed run with the checked outcome summed out,
@@ -206,6 +238,41 @@ def without_last_row(model, transformation):
     )
 
 
+def without_response_row(model, measurement):
+    """The model with one response lacking its row for the last ontic state."""
+    meas = model.measurements[measurement]
+    last = model.space.states[-1]
+    response = ResponseFunction(
+        model.space, meas.outcomes, {s: row for s, row in meas.response.table.items() if s != last}
+    )
+    return dataclasses.replace(
+        model, measurements={**model.measurements,
+                             measurement: Measurement(measurement, response, meas.update)}
+    )
+
+
+def without_update_row(model, measurement, impossible=False):
+    """The model with one update lacking its row for (last state, MINUS).
+
+    With ``impossible`` the response first gives MINUS probability 0 there,
+    so that no walk looks the row up.
+    """
+    meas = model.measurements[measurement]
+    last = model.space.states[-1]
+    table = dict(meas.response.table)
+    if impossible:
+        table[last] = {PLUS: 1.0, MINUS: 0.0}
+    update = MeasurementUpdate(
+        model.space, meas.outcomes,
+        {key: row for key, row in meas.update.rows.items() if key != (last, MINUS)},
+    )
+    response = ResponseFunction(model.space, meas.outcomes, table)
+    return dataclasses.replace(
+        model, measurements={**model.measurements,
+                             measurement: Measurement(measurement, response, update)}
+    )
+
+
 class TestOpndMatchesTwoRunDefinition:
     CONTEXTS = [
         # (measurement, suffix, prefix, pre-transformation)
@@ -240,6 +307,36 @@ class TestOpndMatchesTwoRunDefinition:
             assert abs(result.max_deviation - worst) <= 1e-15
             assert abs(deviations[result.witness] - worst) <= 1e-15
             assert result.non_disturbing == (worst <= 1e-9)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("missing, undefined_expected", [
+        (lambda model: without_response_row(model, "M2"), True),
+        (lambda model: without_update_row(model, "M2"), True),
+        (lambda model: without_update_row(model, "M2", impossible=True), False),
+    ], ids=["response-row", "update-row", "update-row-of-impossible-outcome"])
+    def test_undefined_contexts_beyond_kernel_rows(self, missing, undefined_expected, depth):
+        model = random_arrangement(np.random.default_rng(17), max_states=3).model
+        # M1 and M2 alone keep the depth-3 reference enumeration small
+        model = missing(dataclasses.replace(
+            model, measurements={m: model.measurements[m] for m in ("M1", "M2")}))
+        deviations, undefined = two_run_contexts(model, "M1", depth=depth)
+        worst = max(deviations.values())
+        result = check_opnd_complete(model, "M1", depth=depth)
+        assert result.undefined_contexts == undefined
+        assert (undefined > 0) == undefined_expected
+        assert abs(result.max_deviation - worst) <= 1e-15
+        assert result.witness == next(c for c, d in deviations.items() if d == worst)
+
+    def test_shared_update_rows_on_the_sphere_model(self):
+        # ks-sphere's Mz update is one shared row per outcome (outcome_rows)
+        model = zoo.build("ks-sphere", n_points=200).model
+        deviations, undefined = two_run_contexts(model, "Mz", depth=3)
+        worst = max(deviations.values())
+        result = check_opnd_complete(model, "Mz", depth=3)
+        assert result.undefined_contexts == undefined == 0
+        assert abs(result.max_deviation - worst) <= 1e-15
+        assert result.witness == next(c for c, d in deviations.items() if d == worst)
+        assert result.non_disturbing == (worst <= 1e-9)
 
 
 class TestImplicationChain:

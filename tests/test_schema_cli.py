@@ -1,15 +1,18 @@
 import copy
+import dataclasses
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglab import SchemaError, lg_value_pairwise
+from lglab import SchemaError, TransformationKernel, check_implication_chain, lg_value_pairwise
 from lglab import cli, schema, zoo
+from lglab.testing import random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
     CLASSIFY_REFUSALS,
@@ -164,6 +167,50 @@ class TestCli:
         run_cli(["lg", "--zoo", "qubit", "--no-timestamp"])
         from_zoo = json.loads(capsys.readouterr().out)["results"]["lg_pairwise"]
         assert from_file == from_zoo
+
+    def test_lg_chain_explains_each_early_measurement(self, tmp_path, capsys):
+        # a third kernel lacking one row leaves some complete-check contexts undefined
+        arr = random_arrangement(np.random.default_rng(3))
+        model, last = arr.model, arr.model.space.states[-1]
+        partial = TransformationKernel(
+            model.space, {s: row for s, row in model.transformations["T1"].rows.items() if s != last}
+        )
+        model = dataclasses.replace(model, transformations={**model.transformations, "T3": partial})
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(schema.model_to_doc(
+            model, arrangements={"lg": dataclasses.replace(arr, model=model)})))
+        args = ["lg", "--model", str(path), "--no-timestamp"]
+        assert run_cli(args) == 0
+        first = capsys.readouterr().out
+        run_cli(args)
+        assert capsys.readouterr().out == first
+        chain = json.loads(first)["results"]["chain"]
+        record = check_implication_chain(schema.load_model_file(str(path))[2]["lg"])
+        assert list(chain["measurements"]) == ["M1", "M2"]
+        for name, ontic, complete in zip(("M1", "M2"), record.details["oni_deviations"],
+                                         record.details["complete"]):
+            entry = chain["measurements"][name]
+            assert entry["ontic_deviation"] == ontic
+            assert entry["complete"]["max_deviation"] == complete.max_deviation
+            assert entry["complete"]["undefined_contexts"] == complete.undefined_contexts > 0
+            preparation, prefix, pre_transformation, suffix = complete.witness
+            assert entry["complete"]["witness"] == {
+                "preparation": preparation,
+                "prefix": [{"transformation": t, "measurement": m} for t, m in prefix],
+                "pre_transformation": pre_transformation,
+                "suffix": [{"transformation": t, "measurement": m} for t, m in suffix],
+            }
+        assert chain["specific_deviations"] == dict(zip(("d1", "d2"), record.details["specific"]))
+
+    def test_lg_chain_lists_a_repeated_measurement_once(self, capsys):
+        assert run_cli(["lg", "--zoo", "superselected", "--no-timestamp"]) == 0
+        chain = json.loads(capsys.readouterr().out)["results"]["chain"]
+        # identity updates: nothing deviates, so there is no witness context
+        assert chain["measurements"] == {"read": {
+            "ontic_deviation": 0.0,
+            "complete": {"max_deviation": 0.0, "witness": None, "undefined_contexts": 0},
+        }}
+        assert chain["specific_deviations"] == {"d1": 0.0, "d2": 0.0}
 
     @pytest.mark.parametrize("kernels, slots", [
         ({}, [None, None]),
