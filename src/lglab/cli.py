@@ -492,9 +492,6 @@ def main(argv=None) -> int:
     except EngineDefectError as exc:
         print(f"internal identity violated: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
     except (LglabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

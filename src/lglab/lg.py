@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import add, sub
 from typing import Optional
 
 from .core import (
@@ -242,19 +245,24 @@ class OpndResult:
     context: str
 
 
-def _arms(model: OnticModel, dist: Distribution, prefix, pre_transformation, measurement):
-    """The (skipped, performed) arms of the checked measurement after a prefix.
-
-    The skipped arm walks the performed ``prefix`` pairs and then only the
-    pre-transformation; the performed arm applies the measurement's
-    non-selective update to each skipped branch, which is the measurement
-    performed with its outcome ignored.
-    """
+def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation) -> list:
+    """The branches after the performed ``prefix`` and the pre-transformation, for any check."""
     steps = [ProtocolStep(t, m) for t, m in prefix]
-    steps.append(ProtocolStep(pre_transformation, measurement.label, False))
-    skipped = walk(model, [(dict(dist.weights), ())], steps)
-    performed = [(measure(w, measurement, measurement.outcomes), outs) for w, outs in skipped]
-    return skipped, performed
+    steps.append(ProtocolStep(pre_transformation, None, False))
+    return walk(model, [(dict(dist.weights), ())], steps)
+
+
+def _unmoved(measurement, branches) -> bool:
+    """Whether the update leaves each reached state exactly in place; a missing row does not."""
+    try:
+        return all(
+            measurement.update.row(s, q).weights == {s: 1.0}
+            for s in {s for weights, _ in branches for s in weights}
+            for q, p in measurement.response.row(s).items()
+            if p != 0.0
+        )
+    except ModelError:
+        return False
 
 
 def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
@@ -266,42 +274,41 @@ def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
     of ``(t, m) + rest`` are those of ``rest`` pulled through m's
     selective update for each outcome and then through t, and the last
     measurement contributes only its response, since nothing after it
-    observes its update. Suffixes sharing a tail share its effects, and
-    suffixes that differ only in their first transformation share the
-    pull through m.
+    observes its update. Suffixes sharing a tail share its effects.
     """
     tails = dict.fromkeys(suffix[k:] for suffix in suffixes for k in range(len(suffix)))
-    by_pull = {}  # (m, rest) -> the tails (t, m) + rest, shorter rests first
-    for tail in sorted(tails, key=len):
-        by_pull.setdefault((tail[0][1], tail[1:]), []).append(tail)
     effects: dict = {(): duals.unit()} if () in suffixes else {}
-    for (m_name, rest), group in by_pull.items():
+    for tail in sorted(tails, key=len):
+        (t, m_name), rest = tail[0], tail[1:]
         meas = model.measurement(m_name)
         pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
-        for tail in group:
-            t = tail[0][0]
-            effects[tail] = pulled if t is None else duals.pull(pulled, model.transformation(t))
+        effects[tail] = pulled if t is None else duals.pull(pulled, model.transformation(t))
     return effects
 
 
-def _packed_pairs(duals: Pullback, arms) -> list:
-    """The (skipped, performed) branch pairs of ``_arms``, packed for ``dot``."""
-    skipped, performed = arms
-    return [(duals.pack(skip), duals.pack(done)) for (skip, _), (done, _) in zip(skipped, performed)]
+def _disturbances(duals: Pullback, measurement, effects) -> list:
+    """D_r = sum_q P_q E_r - E_r for each effect E_r, P_q the pull through outcome q's update.
 
-
-def _deviation(pairs, effects) -> float:
-    """Largest |<done_b, E_r> - <skip_b, E_r>| over branch pairs b and effects E_r.
-
-    ``pairs`` are ``_packed_pairs`` and ``effects`` one suffix's; the
-    entries are the two arms' tables of the prefix and suffix outcomes.
-    A branch with a state outside the effects' domain makes its dot
-    products NaN and raises ModelError: the suffix's forward walk would
-    look up a missing row from there.
+    The sum is E_r read after the measurement with its outcome ignored.
     """
-    deviations = [abs(dot(done, f) - dot(skip, f)) for skip, done in pairs for f in effects]
+    pulled = duals.pull_measure(effects, measurement)  # outcome-major
+    n = len(effects)
+    return [
+        array("d", map(sub, reduce(partial(map, add), pulled[j::n]), effect))
+        for j, effect in enumerate(effects)
+    ]
+
+
+def _deviation(branches, shifts) -> float:
+    """Largest |<w_b, D_r>| over packed branches b and one suffix's ``_disturbances`` D_r.
+
+    A branch with a state outside the effects' domain makes its dot
+    products NaN and raises ModelError: a forward walk would look up a
+    missing row from there.
+    """
+    deviations = [abs(dot(w, f)) for w in branches for f in shifts]
     if any(map(math.isnan, deviations)):
-        raise ModelError("suffix statistics undefined on a branch of the arms")
+        raise ModelError("suffix statistics undefined on a branch reaching the measurement")
     return max(deviations)
 
 
@@ -319,13 +326,12 @@ def check_opnd(
     The protocol is: preparation, the ``prefix`` (transformation,
     measurement) pairs all performed, then ``pre_transformation``
     followed by the checked measurement, then the ``suffix`` pairs all
-    performed. The performed arm applies the checked measurement's
-    non-selective update (performed, outcome ignored), the skipped arm
+    performed. The performed run applies the checked measurement's
+    non-selective update (performed, outcome ignored), the skipped run
     leaves it out; the comparison is over the joint statistics of every
-    other measurement, prefix outcomes included. The arms are walked
-    forward to the checked measurement; the suffix statistics are dot
-    products of their branches with the suffix's effects, built
-    backwards. A context the model leaves undefined (a missing kernel,
+    other measurement, prefix outcomes included: the dot products of the
+    branches reaching the measurement with the suffix's disturbance
+    effects. A context the model leaves undefined (a missing kernel,
     response or update row on the way) raises ModelError.
     """
     prefix = tuple(prefix)
@@ -333,10 +339,10 @@ def check_opnd(
     if not prefix and not suffix:
         raise ModelError("non-disturbance needs at least one surrounding measurement")
     meas = model.measurement(measurement)
-    arms = _arms(model, model.preparation(preparation), prefix, pre_transformation, meas)
+    branches = _reaching(model, model.preparation(preparation), prefix, pre_transformation)
     duals = Pullback(model.space)
-    effects = _suffix_effects(model, duals, [suffix])[suffix]
-    worst = _deviation(_packed_pairs(duals, arms), effects)
+    shifts = _disturbances(duals, meas, _suffix_effects(model, duals, [suffix])[suffix])
+    worst = _deviation([duals.pack(w) for w, _ in branches], shifts)
     context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
     return OpndResult(worst <= tol, worst, context)
 
@@ -354,8 +360,7 @@ class OpndCompleteResult:
     when both its transformation slots are declared: a slot without a
     transformation puts a ``(None, measurement)`` step in a suffix, and
     no suffix here has one. ``max_deviation`` is the largest table
-    deviation found, or a settled head's total-variation bound where
-    that is larger. ``witness`` is the enumerated context (preparation,
+    deviation found. ``witness`` is the enumerated context (preparation,
     prefix, pre-transformation, suffix) that last raised the running
     maximum, so the first in enumeration order to reach it, or None
     when no enumerated context did. ``undefined_contexts`` counts the
@@ -379,24 +384,26 @@ def check_opnd_complete(
 ) -> OpndCompleteResult:
     """Check non-disturbance over every bounded declared context.
 
-    Both arms are walked forward once per head (preparation, prefix,
-    pre-transformation). Where the performed arm moves no branch weight
-    the head is settled without suffixes: equal inputs give equal suffix
-    statistics, and the raw total-variation shift bounds every table
-    deviation. Otherwise each suffix's table entries are dot products of
-    the arms' branches with the suffix's effects (response functions
-    pulled back through the suffix), which are built once per call, when
-    the first head needs them. A context is undefined, and skipped and
-    counted, when the forward walk would look up a missing row: a
-    missing kernel, response or update row on the way to the checked
-    measurement, or a branch state outside the suffix effects' domain.
-    ``depth`` must be at least 1.
+    The branches are walked forward to the checked measurement once per
+    head (preparation, prefix, pre-transformation). A head is settled
+    when the measurement's update leaves every state they reach exactly
+    in place. Otherwise a context's deviation is the largest |<w_b, D_r>|
+    over branches b and outcome sequences r, where D_r is the suffix's
+    effect E_r (a response function pulled back through the suffix)
+    pulled back through the measurement performed with its outcome
+    ignored, minus E_r. A context is undefined, and skipped and counted,
+    when the forward walk would look up a missing row. ``depth`` must be
+    at least 1.
     """
+    return _complete(model, (measurement,), depth, preparations, tol)[measurement]
+
+
+def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict:
+    """``check_opnd_complete`` of each measurement, walking each head once for all of them."""
     if depth < 1:
         raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")
-    if preparations is None:
-        preparations = tuple(model.preparations)
-    meas = model.measurement(measurement)
+    preparations = tuple(model.preparations if preparations is None else preparations)
+    checked = {m: model.measurement(m) for m in measurements}
     alphabet = [(t, m) for t in model.transformations for m in model.measurements]
     suffixes = [
         seq
@@ -406,44 +413,38 @@ def check_opnd_complete(
     prefixes = [()] + [((None, m),) for m in model.measurements]
     pre_ts = [None] + list(model.transformations)
 
-    worst = 0.0
-    witness = None
-    ok = True
-    undefined = 0
-    effects = None  # built when a context first needs its suffixes
+    worst = dict.fromkeys(checked, 0.0)
+    witness = dict.fromkeys(checked)
+    undefined = dict.fromkeys(checked, 0)
+    duals = Pullback(model.space)
+    effects, shifts = None, {}  # built when a context first needs them
     for prep_name in preparations:
         dist = model.preparation(prep_name)
         for prefix, pre_t in itertools.product(prefixes, pre_ts):
             try:
-                arms = _arms(model, dist, prefix, pre_t, meas)
+                branches = _reaching(model, dist, prefix, pre_t)
             except ModelError:
-                undefined += len(suffixes)
+                undefined = {m: n + len(suffixes) for m, n in undefined.items()}
                 continue
-            bound = max(
-                sum(abs(skip.get(k, 0.0) - done.get(k, 0.0)) for k in set(skip) | set(done))
-                for (skip, _), (done, _) in zip(*arms)
-            )
-            if bound <= 0.5 * tol:
-                worst = max(worst, bound)
-                continue
-            if effects is None:
-                duals = Pullback(model.space)
-                effects = _suffix_effects(model, duals, suffixes)
-            pairs = _packed_pairs(duals, arms)
-            for suffix in suffixes:
-                try:
-                    deviation = _deviation(pairs, effects[suffix])
-                except ModelError:
-                    undefined += 1
+            packed = None
+            for m, meas in checked.items():
+                if _unmoved(meas, branches):
                     continue
-                if deviation > worst:
-                    worst = deviation
-                    witness = (prep_name, prefix, pre_t, suffix)
-                if not (deviation <= tol):
-                    ok = False
-    return OpndCompleteResult(
-        ok and worst <= tol, worst, witness, depth, tuple(preparations), undefined
-    )
+                if m not in shifts:
+                    effects = effects or _suffix_effects(model, duals, suffixes)
+                    shifts[m] = {s: _disturbances(duals, meas, effects[s]) for s in suffixes}
+                packed = packed or [duals.pack(w) for w, _ in branches]
+                for suffix in suffixes:
+                    try:
+                        deviation = _deviation(packed, shifts[m][suffix])
+                    except ModelError:
+                        undefined[m] += 1
+                        continue
+                    if deviation > worst[m]:
+                        worst[m] = deviation
+                        witness[m] = (prep_name, prefix, pre_t, suffix)
+    return {m: OpndCompleteResult(worst[m] <= tol, worst[m], witness[m], depth, preparations,
+                                  undefined[m]) for m in checked}
 
 
 @dataclass(frozen=True)
@@ -502,7 +503,7 @@ def check_implication_chain(
     report = disturbance_report(arrangement)
     early = dict.fromkeys((m1, m2))  # a repeated measurement is checked once
     oni = {m: is_ontically_noninvasive(model.measurement(m)) for m in early}
-    complete = {m: check_opnd_complete(model, m, depth=depth, tol=tol) for m in early}
+    complete = _complete(model, early, depth, None, tol)
     specific = tuple(max(map(abs, d.values())) for d in (report.d1, report.d2))
     opnd_specific = all(deviation <= tol for deviation in specific)
     opnd_complete = all(result.non_disturbing for result in complete.values())

@@ -7,13 +7,11 @@ applies. The engine enumerates outcome branches depth-first in declared
 outcome order and propagates exact weighted distributions, so identical
 inputs give bit-identical tables.
 
-``walk`` is the one forward loop over protocol steps and
-``outcome_table`` reads the final step. A measurement performed with its
-outcome ignored is the non-selective update ``core.measure(w, m,
-m.outcomes)`` of each branch. The non-disturbance checks in ``lg`` also
-follow suffix steps, backwards: they pull response functions back
-through them with ``core.Pullback`` and take dot products with the
-branches ``walk`` gives them.
+``walk`` is the one forward loop over protocol steps. The
+non-disturbance checks in ``lg`` walk forward only to the checked
+measurement; they follow it and the suffix steps backwards, pulling
+response functions back through them with ``core.Pullback``, and take
+dot products with the branches ``walk`` gives them.
 """
 
 from __future__ import annotations
@@ -134,21 +132,6 @@ def walk(model: OnticModel, branches, steps) -> list:
     return branches
 
 
-def outcome_table(model: OnticModel, branches, step: ProtocolStep) -> dict:
-    """Outcome masses of a final performed step, keyed by branch outcomes + (q,).
-
-    The step's measurement is read but its update is not applied: nothing
-    after the final step can observe it.
-    """
-    branches = walk(model, branches, [ProtocolStep(step.transformation, step.measurement, False)])
-    measurement = model.measurement(step.measurement)
-    return {
-        outs + (q,): outcome_mass(w, measurement, q)
-        for w, outs in branches
-        for q in measurement.outcomes
-    }
-
-
 def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     """Exact joint outcome distribution of a protocol run.
 
@@ -156,12 +139,18 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     performed measurement branches on its outcomes with weight
     xi(q|state) and applies its update per (state, outcome). Steps after
     the last performed measurement cannot influence the table and are
-    not evaluated.
+    not evaluated, and that measurement is read without its update.
     """
     dist = model.preparation(protocol.preparation)
     last = max(i for i, s in enumerate(protocol.steps) if s.perform)
     steps = protocol.steps[: last + 1]
-    table = outcome_table(model, walk(model, [(dict(dist.weights), ())], steps[:-1]), steps[-1])
+    final = model.measurement(steps[-1].measurement)
+    read = steps[:-1] + (ProtocolStep(steps[-1].transformation, final.label, False),)
+    table = {
+        outs + (q,): outcome_mass(w, final, q)
+        for w, outs in walk(model, [(dict(dist.weights), ())], read)
+        for q in final.outcomes
+    }
     axes = tuple(
         (s.measurement, model.measurement(s.measurement).outcomes) for s in steps if s.perform
     )

@@ -138,14 +138,14 @@ def _at(path):
     """Re-raise a component constructor's error as a SchemaError at ``path``."""
     try:
         yield
-    except (ValidationError, ModelError) as exc:
+    except (ValidationError, ModelError, OverflowError) as exc:  # overflow: an int past any float
         raise SchemaError(str(exc), path=path) from None
 
 
 def _distribution(space, weights_doc, path) -> Distribution:
     try:  # not _at: a model file holds one distribution per kernel and update row
         return Distribution(space, _numbers(weights_doc, path))
-    except ValidationError as exc:
+    except (ValidationError, OverflowError) as exc:
         raise SchemaError(str(exc), path=path) from None
 
 
@@ -275,8 +275,19 @@ def dump_document(doc, path):
 
 
 def load_document(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The JSON document in a UTF-8 file; a file that does not parse is a SchemaError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError("JSON nesting is too deep") from None
+    except ValueError:  # an integer literal past Python's limit on digits
+        raise SchemaError("an integer literal has too many digits to read") from None
 
 
 def load_model_file(path) -> tuple:

@@ -180,7 +180,7 @@ class TestOpnd:
         rng = np.random.default_rng(13)
         identity = random_arrangement(rng, noninvasive_early=True).model
         invasive = random_arrangement(rng).model
-        # the total-variation bound settles every identity-update context
+        # an identity update leaves every reached state in place, which settles each head
         assert check_opnd_complete(identity, "M1").non_disturbing
         assert calls == []
         for expected in (1, 2):
@@ -248,6 +248,22 @@ def without_response_row(model, measurement):
     return dataclasses.replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, response, meas.update)}
+    )
+
+
+def kicked_toward_uniform(model, measurement, eps):
+    """The model with each of a measurement's update rows mixed with weight ``eps`` of uniform."""
+    meas = model.measurements[measurement]
+    states = model.space.states
+    rows = {
+        key: Distribution(model.space, {s: (1.0 - eps) * row.weight(s) + eps / len(states)
+                                        for s in states})
+        for key, row in meas.update.rows.items()
+    }
+    update = MeasurementUpdate(model.space, meas.outcomes, rows)
+    return dataclasses.replace(
+        model, measurements={**model.measurements,
+                             measurement: Measurement(measurement, meas.response, update)}
     )
 
 
@@ -327,6 +343,19 @@ class TestOpndMatchesTwoRunDefinition:
         assert abs(result.max_deviation - worst) <= 1e-15
         assert result.witness == next(c for c, d in deviations.items() if d == worst)
 
+    def test_nearly_identity_update_reports_a_table_deviation(self):
+        # nothing settles the heads, so the deviation and witness come from the tables
+        identity = random_arrangement(np.random.default_rng(29), max_states=4,
+                                      noninvasive_early=True).model
+        model = kicked_toward_uniform(identity, "M1", 1e-11)
+        deviations, undefined = two_run_contexts(model, "M1")
+        worst = max(deviations.values())
+        result = check_opnd_complete(model, "M1")
+        assert result.undefined_contexts == undefined == 0
+        assert abs(result.max_deviation - worst) <= 1e-15
+        assert result.witness == next(c for c, d in deviations.items() if d == worst)
+        assert result.non_disturbing
+
     def test_shared_update_rows_on_the_sphere_model(self):
         # ks-sphere's Mz update is one shared row per outcome (outcome_rows)
         model = zoo.build("ks-sphere", n_points=200).model
@@ -389,17 +418,47 @@ class TestImplicationChain:
         arr = random_arrangement(np.random.default_rng(8))
         repeated = dataclasses.replace(arr, measurements=("M1", "M1", "M3"))
         calls = []
-        original = lg.check_opnd_complete
+        original = lg._complete
 
-        def counted(model, measurement, **kwargs):
-            calls.append(measurement)
-            return original(model, measurement, **kwargs)
+        def counted(model, measurements, *args):
+            calls.append(tuple(measurements))
+            return original(model, measurements, *args)
 
-        monkeypatch.setattr(lg, "check_opnd_complete", counted)
+        monkeypatch.setattr(lg, "_complete", counted)
         record = check_implication_chain(repeated)
-        assert calls == ["M1"]
+        assert calls == [("M1",)]
         first, second = record.details["complete"]
         assert first is second
+
+    def test_early_measurements_share_one_effect_build(self, monkeypatch):
+        calls = []
+        original = lg._suffix_effects
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lg, "_suffix_effects", counted)
+        record = check_implication_chain(random_arrangement(np.random.default_rng(13)))
+        assert not any(result.non_disturbing for result in record.details["complete"])
+        assert len(calls) == 1
+
+    def test_complete_stage_equals_separate_checks(self):
+        # T1 lacks a kernel row, so heads that apply it are undefined as a whole;
+        # M2 lacks a response row. The arrangement uses neither.
+        rng = np.random.default_rng(31)
+        for identity in (False, True, False, True):  # an identity M1's heads settle, M3's do not
+            arr = random_arrangement(rng, max_states=5, noninvasive_early=identity)
+            model = without_response_row(without_last_row(arr.model, "T1"), "M2")
+            arr = LgArrangement(model, "E", ("T2", "T2"), ("M1", "M3", "M3"), arr.assignment)
+            record = check_implication_chain(arr)
+            for m, shared in zip(("M1", "M3"), record.details["complete"]):
+                alone = check_opnd_complete(model, m)
+                assert shared.undefined_contexts > 0
+                assert shared.non_disturbing == alone.non_disturbing
+                assert shared.witness == alone.witness
+                assert shared.undefined_contexts == alone.undefined_contexts
+                assert shared.max_deviation == alone.max_deviation
 
     @pytest.mark.parametrize("slots", [(None, None), ("reset", None)])
     def test_slot_without_transformation_needs_the_specific_contexts(self, slots):

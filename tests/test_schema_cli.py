@@ -283,9 +283,12 @@ class TestCli:
             (("protocols", "lg-all", "steps", 0), "read", "protocols.lg-all.steps[0]"),
             (("ontic_states", 0), ["up"], "ontic_states[0]"),
             (("arrangements", "lg", "preparation"), "nowhere", "arrangements.lg"),
+            (("preparations", "prep-up", "up"), 10**400, "preparations.prep-up"),
+            (("measurements", "read", "response", "up", "+1"), 10**400,
+             "measurements.read.response"),
         ],
         ids=["string-probability", "int-measurement", "string-step", "list-state-label",
-             "unknown-arrangement-preparation"],
+             "unknown-arrangement-preparation", "huge-int-probability", "huge-int-response"],
     )
     def test_malformed_model_file_exits_2_with_key_path(self, keys, value, key_path,
                                                          tmp_path, capsys):
@@ -300,6 +303,22 @@ class TestCli:
         capsys.readouterr()
         assert run_cli(["lg", "--model", str(path), "--no-timestamp"]) == 2
         assert f"{key_path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (["lg"], b"\xff\xfe{}", "not UTF-8: byte 0xff at offset 0"),
+            (["classify"], b"[" * 100_000, "JSON nesting is too deep"),
+            (["run", "--protocol", "x"], b'{"schema": 1' + b"0" * 5000 + b"}",
+             "an integer literal has too many digits to read"),
+        ],
+        ids=["not-utf-8", "deep-nesting", "integer-past-digit-limit"],
+    )
+    def test_unreadable_model_file_exits_2(self, argv, content, message, tmp_path, capsys):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        assert run_cli([*argv, "--model", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_protocol_exits_2(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
