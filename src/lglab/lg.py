@@ -252,17 +252,26 @@ def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation)
     return walk(model, [(dict(dist.weights), ())], steps)
 
 
-def _unmoved(measurement, branches) -> bool:
-    """Whether the update leaves each reached state exactly in place; a missing row does not."""
+def _settled(model: OnticModel, measurement) -> bool:
+    """Whether no walk can miss a row and ``measurement`` leaves every state exactly in place.
+
+    No walk misses a row when the model declares every kernel and response
+    row, and an update row for every outcome of nonzero probability.
+    """
+    states = model.space.states
     try:
-        return all(
-            measurement.update.row(s, q).weights == {s: 1.0}
-            for s in {s for weights, _ in branches for s in weights}
-            for q, p in measurement.response.row(s).items()
+        moved = any(
+            meas.update.row(s, q).weights != {s: 1.0} and meas is measurement
+            for meas in (measurement, *model.measurements.values())
+            for s in states
+            for q, p in meas.response.row(s).items()
             if p != 0.0
         )
     except ModelError:
         return False
+    return not moved and all(
+        s in kernel.rows for kernel in model.transformations.values() for s in states
+    )
 
 
 def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
@@ -384,16 +393,17 @@ def check_opnd_complete(
 ) -> OpndCompleteResult:
     """Check non-disturbance over every bounded declared context.
 
-    The branches are walked forward to the checked measurement once per
-    head (preparation, prefix, pre-transformation). A head is settled
-    when the measurement's update leaves every state they reach exactly
-    in place. Otherwise a context's deviation is the largest |<w_b, D_r>|
-    over branches b and outcome sequences r, where D_r is the suffix's
-    effect E_r (a response function pulled back through the suffix)
-    pulled back through the measurement performed with its outcome
-    ignored, minus E_r. A context is undefined, and skipped and counted,
-    when the forward walk would look up a missing row. ``depth`` must be
-    at least 1.
+    The measurement is settled, with no context walked, when the model
+    declares every row a walk may look up and the measurement's update
+    leaves every state exactly in place. Otherwise the branches are
+    walked forward to it once per head (preparation, prefix,
+    pre-transformation), and a context's deviation is the largest
+    |<w_b, D_r>| over branches b and outcome sequences r, where D_r is
+    the suffix's effect E_r (a response function pulled back through
+    the suffix) pulled back through the measurement performed with its
+    outcome ignored, minus E_r. A context is undefined, and skipped and
+    counted, when the forward walk would look up a missing row. ``depth``
+    must be at least 1.
     """
     return _complete(model, (measurement,), depth, preparations, tol)[measurement]
 
@@ -416,24 +426,21 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
     worst = dict.fromkeys(checked, 0.0)
     witness = dict.fromkeys(checked)
     undefined = dict.fromkeys(checked, 0)
+    left = [m for m, meas in checked.items() if not _settled(model, meas)]
+    heads = list(itertools.product(prefixes, pre_ts)) if left else []
     duals = Pullback(model.space)
-    effects, shifts = None, {}  # built when a context first needs them
+    effects = _suffix_effects(model, duals, suffixes) if left else {}
+    shifts = {m: {s: _disturbances(duals, checked[m], effects[s]) for s in suffixes} for m in left}
     for prep_name in preparations:
         dist = model.preparation(prep_name)
-        for prefix, pre_t in itertools.product(prefixes, pre_ts):
+        for prefix, pre_t in heads:
             try:
                 branches = _reaching(model, dist, prefix, pre_t)
-            except ModelError:
+            except ModelError:  # so no measurement is settled: that needs every row declared
                 undefined = {m: n + len(suffixes) for m, n in undefined.items()}
                 continue
-            packed = None
-            for m, meas in checked.items():
-                if _unmoved(meas, branches):
-                    continue
-                if m not in shifts:
-                    effects = effects or _suffix_effects(model, duals, suffixes)
-                    shifts[m] = {s: _disturbances(duals, meas, effects[s]) for s in suffixes}
-                packed = packed or [duals.pack(w) for w, _ in branches]
+            packed = [duals.pack(w) for w, _ in branches]
+            for m in left:
                 for suffix in suffixes:
                     try:
                         deviation = _deviation(packed, shifts[m][suffix])

@@ -31,8 +31,33 @@ from .lg import LgArrangement, disturbance_report, post_select_noninvasive
 from .operational import ObservableAssignment
 
 
-def _pm_assignment(*measurement_names) -> ObservableAssignment:
-    return ObservableAssignment({m: {PLUS: 1, MINUS: -1} for m in set(measurement_names)})
+def _reading(space: OnticStateSpace, reads_plus) -> ResponseFunction:
+    """The deterministic reading of each state in ``reads_plus``: +1 where true, -1 where false."""
+    plus = {PLUS: 1.0, MINUS: 0.0}
+    minus = {PLUS: 0.0, MINUS: 1.0}
+    return ResponseFunction(
+        space, OUTCOMES, {s: plus if p else minus for s, p in reads_plus.items()}
+    )
+
+
+def _swaps(space: OnticStateSpace, pairs, p: float) -> TransformationKernel:
+    """The kernel that swaps the states of each pair (a, b) with probability p."""
+    rows = {}
+    for a, b in pairs:
+        rows[a] = Distribution(space, {a: 1.0 - p, b: p})
+        rows[b] = Distribution(space, {b: 1.0 - p, a: p})
+    return TransformationKernel(space, rows)
+
+
+def _repeated(model: OnticModel, preparation, transformations, measurement) -> LgArrangement:
+    """The arrangement reading one measurement at all three times, valued +1/-1."""
+    return LgArrangement(
+        model=model,
+        preparation=preparation,
+        transformations=transformations,
+        measurements=(measurement,) * 3,
+        assignment=ObservableAssignment({measurement: {PLUS: 1, MINUS: -1}}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +193,7 @@ def build_qubit_arrangement(theta1: float, theta2: float) -> LgArrangement:
             "quantity_classes": {"Q": ["Mz"]},
         },
     )
-    return LgArrangement(
-        model=model,
-        preparation="up",
-        transformations=("rot1", "rot2"),
-        measurements=("Mz", "Mz", "Mz"),
-        assignment=_pm_assignment("Mz"),
-    )
+    return _repeated(model, "up", ("rot1", "rot2"), "Mz")
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +212,19 @@ def build_superselected_arrangement(p1: float, p2: float) -> LgArrangement:
         if not 0.0 <= p <= 1.0:
             raise ModelError(f"flip probability {p!r} outside [0, 1]")
     space = OnticStateSpace(("up", "down"))
-    point_up = Distribution.point_mass(space, "up")
-    point_down = Distribution.point_mass(space, "down")
-
-    def flip_kernel(p):
-        return TransformationKernel(
-            space,
-            {
-                "up": Distribution(space, {"up": 1.0 - p, "down": p}),
-                "down": Distribution(space, {"down": 1.0 - p, "up": p}),
-            },
-        )
-
-    response = ResponseFunction(
-        space,
-        OUTCOMES,
-        {"up": {PLUS: 1.0, MINUS: 0.0}, "down": {PLUS: 0.0, MINUS: 1.0}},
-    )
+    response = _reading(space, {"up": True, "down": False})
     update = MeasurementUpdate.noninvasive(space, OUTCOMES, space.states)
     model = OnticModel(
         space=space,
         preparations={
-            "prep-up": point_up,
-            "prep-down": point_down,
+            "prep-up": Distribution.point_mass(space, "up"),
+            "prep-down": Distribution.point_mass(space, "down"),
             "prep-mixed": Distribution(space, {"up": 0.5, "down": 0.5}),
         },
-        transformations={"flip1": flip_kernel(p1), "flip2": flip_kernel(p2)},
+        transformations={
+            "flip1": _swaps(space, [("up", "down")], p1),
+            "flip2": _swaps(space, [("up", "down")], p2),
+        },
         measurements={"read": Measurement("read", response, update)},
         metadata={
             "family": "superselected",
@@ -227,13 +233,7 @@ def build_superselected_arrangement(p1: float, p2: float) -> LgArrangement:
             "quantity_classes": {"Q": ["read"]},
         },
     )
-    return LgArrangement(
-        model=model,
-        preparation="prep-up",
-        transformations=("flip1", "flip2"),
-        measurements=("read", "read", "read"),
-        assignment=_pm_assignment("read"),
-    )
+    return _repeated(model, "prep-up", ("flip1", "flip2"), "read")
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +289,20 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
         for a in level1:
             if a + theta not in angles:
                 angles.append(a + theta)
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ModelError(f"rotation stage angle {angle!r} is not finite")
     stage_of = {angle: i for i, angle in enumerate(angles)}
     # The response reads only the sign of each stage's z-coordinate, the
     # third row of the rotation about y applied to the base grid.
-    plus_rows = {}
-    for a, i in stage_of.items():
+    reads_plus = []
+    for a in angles:
         s, c = math.sin(a), math.cos(a)
-        plus_rows[i] = [-s * x + c * z >= 0.0 for x, _, z in base]
+        reads_plus += [-s * x + c * z >= 0.0 for x, _, z in base]
     space = OnticStateSpace(
         tuple(f"r{i}:{k}" for i in range(len(angles)) for k in range(n_points))
     )
-
-    row_plus = {PLUS: 1.0, MINUS: 0.0}
-    row_minus = {PLUS: 0.0, MINUS: 1.0}
-    response = ResponseFunction(
-        space,
-        OUTCOMES,
-        {
-            f"r{i}:{k}": (row_plus if plus_rows[i][k] else row_minus)
-            for i in range(len(angles))
-            for k in range(n_points)
-        },
-    )
+    response = _reading(space, dict(zip(space.states, reads_plus)))
 
     def base_density(direction) -> Distribution:
         w = _hemisphere_density(base, direction)
@@ -356,13 +348,7 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
             "quantity_classes": {"Q": ["Mz"]},
         },
     )
-    return LgArrangement(
-        model=model,
-        preparation="up",
-        transformations=("rot1", "rot2"),
-        measurements=("Mz", "Mz", "Mz"),
-        assignment=_pm_assignment("Mz"),
-    )
+    return _repeated(model, "up", ("rot1", "rot2"), "Mz")
 
 
 def ks_direction_measurement(model: OnticModel, direction, label: str = "probe") -> Measurement:
@@ -375,10 +361,7 @@ def ks_direction_measurement(model: OnticModel, direction, label: str = "probe")
     if meta.get("family") != "ks-sphere":
         raise ModelError("direction probes are only defined for the sphere model")
     dots = _dots(_fibonacci_sphere(meta["n_points"]), direction)
-    rows = {}
-    for k in range(meta["n_points"]):
-        rows[f"r0:{k}"] = {PLUS: 1.0, MINUS: 0.0} if dots[k] >= 0.0 else {PLUS: 0.0, MINUS: 1.0}
-    response = ResponseFunction(model.space, OUTCOMES, rows)
+    response = _reading(model.space, {f"r0:{k}": d >= 0.0 for k, d in enumerate(dots)})
     return Measurement(label, response, MeasurementUpdate(model.space, OUTCOMES))
 
 
@@ -415,14 +398,7 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
     labels = {s: f"p{s[1]}|{_ModeSet.label(s[0])}" for s in states}
     space = OnticStateSpace(tuple(labels[s] for s in states))
 
-    response = ResponseFunction(
-        space,
-        OUTCOMES,
-        {
-            labels[s]: {PLUS: 1.0, MINUS: 0.0} if s[1] == 1 else {PLUS: 0.0, MINUS: 1.0}
-            for s in states
-        },
-    )
+    response = _reading(space, {labels[s]: s[1] == 1 for s in states})
     update_rows = {}
     for s in states:
         _, path = s
@@ -483,13 +459,7 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
             "quantity_classes": {"Q": ["path"]},
         },
     )
-    return LgArrangement(
-        model=model,
-        preparation="up",
-        transformations=("rot1", "rot2"),
-        measurements=("path", "path", "path"),
-        assignment=_pm_assignment("path"),
-    )
+    return _repeated(model, "up", ("rot1", "rot2"), "path")
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +477,7 @@ def _fixture_lgi_holds_d_nonzero() -> tuple:
     kick = 0.4
     drift = 0.05
     space = OnticStateSpace(("a", "b"))
-    response = ResponseFunction(
-        space,
-        OUTCOMES,
-        {"a": {PLUS: 1.0, MINUS: 0.0}, "b": {PLUS: 0.0, MINUS: 1.0}},
-    )
+    response = _reading(space, {"a": True, "b": False})
     update = MeasurementUpdate(
         space,
         OUTCOMES,
@@ -520,20 +486,13 @@ def _fixture_lgi_holds_d_nonzero() -> tuple:
             ("b", MINUS): Distribution(space, {"b": 1.0 - kick, "a": kick}),
         },
     )
-
-    def drift_kernel():
-        return TransformationKernel(
-            space,
-            {
-                "a": Distribution(space, {"a": 1.0 - drift, "b": drift}),
-                "b": Distribution(space, {"b": 1.0 - drift, "a": drift}),
-            },
-        )
-
     model = OnticModel(
         space=space,
         preparations={"start": Distribution.point_mass(space, "a")},
-        transformations={"drift1": drift_kernel(), "drift2": drift_kernel()},
+        transformations={
+            "drift1": _swaps(space, [("a", "b")], drift),
+            "drift2": _swaps(space, [("a", "b")], drift),
+        },
         measurements={"kick-read": Measurement("kick-read", response, update)},
         metadata={
             "family": "fixture",
@@ -542,13 +501,7 @@ def _fixture_lgi_holds_d_nonzero() -> tuple:
             "quantity_classes": {"Q": ["kick-read"]},
         },
     )
-    arrangement = LgArrangement(
-        model=model,
-        preparation="start",
-        transformations=("drift1", "drift2"),
-        measurements=("kick-read", "kick-read", "kick-read"),
-        assignment=_pm_assignment("kick-read"),
-    )
+    arrangement = _repeated(model, "start", ("drift1", "drift2"), "kick-read")
     report = disturbance_report(arrangement)
     if not (report.max_disturbance() > 0.1 and report.lg_pairwise >= -1.0):
         raise EngineDefectError(
@@ -566,16 +519,11 @@ def _fixture_null_result_pair() -> tuple:
     yields a composite that never moves any ontic state on kept runs.
     """
     space = OnticStateSpace(("l1", "l2", "l3", "l4"))
-    rows = {
-        "l1": {PLUS: 1.0, MINUS: 0.0},
-        "l2": {PLUS: 1.0, MINUS: 0.0},
-        "l3": {PLUS: 0.0, MINUS: 1.0},
-        "l4": {PLUS: 0.0, MINUS: 1.0},
-    }
+    reads_plus = {"l1": True, "l2": True, "l3": False, "l4": False}
     point = {s: Distribution.point_mass(space, s) for s in space.states}
     null_plus = Measurement(
         "null-plus",
-        ResponseFunction(space, OUTCOMES, rows),
+        _reading(space, reads_plus),
         MeasurementUpdate(
             space,
             OUTCOMES,
@@ -589,7 +537,7 @@ def _fixture_null_result_pair() -> tuple:
     )
     null_minus = Measurement(
         "null-minus",
-        ResponseFunction(space, OUTCOMES, rows),
+        _reading(space, reads_plus),
         MeasurementUpdate(
             space,
             OUTCOMES,
@@ -601,15 +549,7 @@ def _fixture_null_result_pair() -> tuple:
             },
         ),
     )
-    stir = TransformationKernel(
-        space,
-        {
-            "l1": Distribution(space, {"l1": 0.8, "l2": 0.2}),
-            "l2": Distribution(space, {"l2": 0.8, "l1": 0.2}),
-            "l3": Distribution(space, {"l3": 0.8, "l4": 0.2}),
-            "l4": Distribution(space, {"l4": 0.8, "l3": 0.2}),
-        },
-    )
+    stir = _swaps(space, [("l1", "l2"), ("l3", "l4")], 0.2)
     model = OnticModel(
         space=space,
         preparations={
@@ -635,15 +575,7 @@ def _fixture_support_mr_minimal() -> tuple:
     space = OnticStateSpace(("x", "y", "z"))
     plus_prep = Distribution(space, {"x": 0.5, "y": 0.5})
     minus_prep = Distribution.point_mass(space, "z")
-    response = ResponseFunction(
-        space,
-        OUTCOMES,
-        {
-            "x": {PLUS: 1.0, MINUS: 0.0},
-            "y": {PLUS: 1.0, MINUS: 0.0},
-            "z": {PLUS: 0.0, MINUS: 1.0},
-        },
-    )
+    response = _reading(space, {"x": True, "y": True, "z": False})
     update = MeasurementUpdate(
         space, OUTCOMES, outcome_rows={PLUS: plus_prep, MINUS: minus_prep}
     )
@@ -671,11 +603,7 @@ def _fixture_support_mr_minimal() -> tuple:
 def _fixture_drifting_update() -> tuple:
     """Readout whose update swaps the eigenstates: no fixed-point property."""
     space = OnticStateSpace(("u", "v"))
-    response = ResponseFunction(
-        space,
-        OUTCOMES,
-        {"u": {PLUS: 1.0, MINUS: 0.0}, "v": {PLUS: 0.0, MINUS: 1.0}},
-    )
+    response = _reading(space, {"u": True, "v": False})
     update = MeasurementUpdate(
         space,
         OUTCOMES,

@@ -180,7 +180,8 @@ class TestOpnd:
         rng = np.random.default_rng(13)
         identity = random_arrangement(rng, noninvasive_early=True).model
         invasive = random_arrangement(rng).model
-        # an identity update leaves every reached state in place, which settles each head
+        # the model declares every row and M1's update leaves every state in place,
+        # which settles M1 without a walk
         assert check_opnd_complete(identity, "M1").non_disturbing
         assert calls == []
         for expected in (1, 2):
@@ -343,6 +344,17 @@ class TestOpndMatchesTwoRunDefinition:
         assert abs(result.max_deviation - worst) <= 1e-15
         assert result.witness == next(c for c, d in deviations.items() if d == worst)
 
+    def test_identity_update_with_a_missing_suffix_row_counts_its_contexts(self):
+        # M1 leaves every state in place, but T2 lacks a row that suffixes look up
+        identity = random_arrangement(np.random.default_rng(3), max_states=4,
+                                      noninvasive_early=True).model
+        model = without_last_row(identity, "T2")
+        deviations, undefined = two_run_contexts(model, "M1")
+        result = check_opnd_complete(model, "M1")
+        assert result.undefined_contexts == undefined == 408
+        assert abs(result.max_deviation - max(deviations.values())) <= 1e-15
+        assert result.non_disturbing
+
     def test_nearly_identity_update_reports_a_table_deviation(self):
         # nothing settles the heads, so the deviation and witness come from the tables
         identity = random_arrangement(np.random.default_rng(29), max_states=4,
@@ -447,7 +459,7 @@ class TestImplicationChain:
         # T1 lacks a kernel row, so heads that apply it are undefined as a whole;
         # M2 lacks a response row. The arrangement uses neither.
         rng = np.random.default_rng(31)
-        for identity in (False, True, False, True):  # an identity M1's heads settle, M3's do not
+        for identity in (False, True, False, True):  # missing rows settle no measurement
             arr = random_arrangement(rng, max_states=5, noninvasive_early=identity)
             model = without_response_row(without_last_row(arr.model, "T1"), "M2")
             arr = LgArrangement(model, "E", ("T2", "T2"), ("M1", "M3", "M3"), arr.assignment)

@@ -434,6 +434,21 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lg", "--zoo", "ks-sphere", "--grid", "100", "--theta1", "1e308", "--theta2", "1e308"],
+            ["zoo", "export", "ks-sphere", "--grid", "100", "--theta1", "1e308"],
+        ],
+        ids=["lg-both-angles", "export-theta1"],
+    )
+    def test_sphere_stage_angle_overflow_exits_2(self, argv, capsys):
+        # each angle is finite, but a stage angle theta1 + theta is not
+        assert exit_code([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert "stage angle inf is not finite" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv,option",
         [
             (["lg", "--zoo", "qubit", "--arrangement", "x"], "--arrangement"),
