@@ -138,7 +138,8 @@ def _steps_doc(steps):
 
 
 def _complete_doc(result):
-    """A complete non-disturbance check: its worst deviation, the context behind it, the skips."""
+    """A complete non-disturbance check: its worst deviation, the context behind it, the skips,
+    whether it was settled without a walk, and the preparations it quantified over."""
     witness = None
     if result.witness is not None:
         preparation, prefix, pre_transformation, suffix = result.witness
@@ -152,6 +153,8 @@ def _complete_doc(result):
         "max_deviation": result.max_deviation,
         "witness": witness,
         "undefined_contexts": result.undefined_contexts,
+        "settled": result.settled,
+        "preparations": list(result.preparations),
     }
 
 

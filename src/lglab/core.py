@@ -350,6 +350,8 @@ class OnticModel:
 # duals of outcome_mass, push and measure: they carry effects (functions
 # on ontic states, such as a response's xi(q | .)) backwards, so that
 # <push(w, kernel), f> = <w, pull(f, kernel)>, and likewise for measure.
+# An effect is a coefficient times a base array (lg sums such terms); a
+# pull through an update that forgets the incoming state stays rank one.
 
 
 def push(weights: Mapping, kernel: TransformationKernel) -> dict:
@@ -423,16 +425,24 @@ class Pullback:
     """Effects on one space's ontic states, and the duals of push and measure.
 
     An effect is a function on ontic states, such as a response's
-    xi(q | .), held as an array over the states' positions. It is NaN
-    outside its domain, the states from which the forward moves it
-    stands for would look up a missing row, so a dot product that
-    touches such a state is NaN. Each kernel's and measurement's rows
-    are laid out by position on first use and kept while this lives.
+    xi(q | .), held as a term ``(c, base)``: a coefficient times an array
+    over the states' positions (``lg`` sums such terms). It is NaN outside
+    its domain, the states from which the forward moves it stands for
+    would look up a missing row, so a dot product that touches such a
+    state is NaN; coefficients stay finite, so the NaN stays in the base.
+
+    A pull through a kernel maps the base. A pull through an outcome that
+    every state draws from one shared update row stays rank one, <row, f>
+    times xi(q | .), so effects past an update that forgets the incoming
+    state share a few bases; any other pull builds one base per effect.
+    Layouts, and each base's pull through a kernel or dots with a
+    measurement's rows, are computed once and kept while this lives.
     """
 
     def __init__(self, space: OnticStateSpace):
         self.position = {label: i for i, label in enumerate(space.states)}
         self._forms: dict = {}  # id(kernel or measurement) -> (it, its rows by position)
+        self._per_base: dict = {}  # (id(component), id(base)) -> (base, what it gave)
 
     def pack(self, weights: Mapping) -> tuple:
         """Raw weights as (a reader of an effect at their states, weights), the form dot reads."""
@@ -444,11 +454,11 @@ class Pullback:
 
     def unit(self) -> list:
         """The effect 1 everywhere, of observing nothing."""
-        return [array("d", [1.0]) * len(self.position)]
+        return [(1.0, array("d", [1.0]) * len(self.position))]
 
     def responses(self, measurement: Measurement) -> list:
         """The effect xi(q | .) of each outcome q, the dual of outcome_mass."""
-        return self._form(measurement, self._lay_out_measurement)[0]
+        return [(1.0, base) for base in self._form(measurement, self._lay_out_measurement)[0]]
 
     def pull(self, effects: list, kernel: TransformationKernel) -> list:
         """Effects pulled back through a kernel, the dual of push: s -> sum_{s'} tau(s' | s) f(s').
@@ -458,13 +468,14 @@ class Pullback:
         reaching a state outside it.
         """
         to, weight, spread = self._form(kernel, self._lay_out_kernel)
-        pulled = []
-        for effect in effects:
-            out = array("d", map(mul, weight, map(effect.__getitem__, to)))
+
+        def pulled(base):
+            out = array("d", map(mul, weight, map(base.__getitem__, to)))
             for i, packed in spread:
-                out[i] = dot(packed, effect)
-            pulled.append(out)
-        return pulled
+                out[i] = dot(packed, base)
+            return out
+
+        return [(c, self._once(kernel, base, pulled)) for c, base in effects]
 
     def pull_measure(self, effects: list, measurement: Measurement) -> list:
         """Effects pulled back through each outcome's selective update, the dual of measure.
@@ -475,20 +486,27 @@ class Pullback:
         outcome it can produce, an update row lying inside f's domain: a
         walk branches on every outcome. Update rows are grouped by
         identity, as in measure, so a row shared by many states
-        (``outcome_rows``) costs one dot product per effect.
+        (``outcome_rows``) costs one dot product per base, and an outcome
+        drawn from one shared row gives <row, f> times xi(q | .), unless a
+        row reaches outside f's domain, whose NaN stays with its users.
         """
-        _, rows, number, xi, users = self._form(measurement, self._lay_out_measurement)
+        _, rows, number, xi, users, shared = self._form(measurement, self._lay_out_measurement)
+
+        def at_rows(base):
+            return [0.0] + [dot(packed, base) for packed in rows]
+
+        values = []
+        for c, base in effects:
+            by_row = self._once(measurement, base, at_rows)
+            values.append(by_row if c == 1.0 else [c * v for v in by_row])
         # The effects share their domain, so effects[0] tells which rows lie inside it.
-        outside = [g for g, packed in enumerate(rows, 1) if math.isnan(dot(packed, effects[0]))]
+        outside = [g for g, v in enumerate(values[0]) if math.isnan(v)]
         if outside:
-            xi = {q: list(by_state) for q, by_state in xi.items()}
-            for g in outside:
-                for i in users[g]:
-                    for by_state in xi.values():
-                        by_state[i] = math.nan
-        values = [[0.0] + [dot(packed, effect) for packed in rows] for effect in effects]
+            shared = {}
+            xi = _blanked(xi, (i for g in outside for i in users[g]))
         return [
-            array("d", map(mul, xi[q], map(by_row.__getitem__, number[q])))
+            (by_row[shared[q]], xi[q]) if q in shared
+            else (1.0, array("d", map(mul, xi[q], map(by_row.__getitem__, number[q]))))
             for q in measurement.outcomes
             for by_row in values
         ]
@@ -497,6 +515,14 @@ class Pullback:
         entry = self._forms.get(id(component))
         if entry is None:
             entry = self._forms[id(component)] = (component, lay_out(component))
+        return entry[1]
+
+    def _once(self, component, base, compute):
+        """compute(base) for one kernel or measurement, computed once per base."""
+        key = (id(component), id(base))
+        entry = self._per_base.get(key)
+        if entry is None:
+            entry = self._per_base[key] = (base, compute(base))
         return entry[1]
 
     def _lay_out_kernel(self, kernel: TransformationKernel) -> tuple:
@@ -523,13 +549,15 @@ class Pullback:
     def _lay_out_measurement(self, measurement: Measurement) -> tuple:
         """A measurement's response and update rows by position.
 
-        ``(responses, rows, number, xi, users)``: the response effects
-        (NaN where a state has no response row); the distinct update
-        rows, packed and numbered from 1 by identity; per outcome q and
-        state, the number of the state's row for q (0 for none) and
+        ``(responses, rows, number, xi, users, shared)``: the response
+        effects (NaN where a state has no response row); the distinct
+        update rows, packed and numbered from 1 by identity; per outcome
+        q and state, the number of the state's row for q (0 for none) and
         xi(q | state), NaN where the state lacks a response row or an
-        update row for an outcome it can produce; and per row number, the
-        states that use it for an outcome they can produce.
+        update row for an outcome it can produce (else the response
+        effect itself); per row number, the states that use it for an
+        outcome they can produce; and the number of each outcome's row
+        where every state producing it draws it from one row.
         """
         n = len(self.position)
         outcomes = measurement.outcomes
@@ -537,7 +565,7 @@ class Pullback:
         numbering: dict = {}  # id(update row) -> its number
         rows, users = [], [[]]
         number = {q: [0] * n for q in outcomes}
-        xi = {q: [math.nan] * n for q in outcomes}
+        undefined = []
         for label, row in measurement.response.table.items():
             i = self.position[label]
             for effect, q in zip(responses, outcomes):
@@ -549,21 +577,33 @@ class Pullback:
                 try:
                     target = measurement.update.row(label, q)
                 except ModelError:
+                    undefined.append(i)
                     break
                 g = numbering.get(id(target))
                 if g is None:
                     rows.append(self.pack(target.weights))
                     users.append([])
                     g = numbering[id(target)] = len(rows)
-                found.append((q, p, g))
+                found.append((q, g))
             else:
-                for q in outcomes:
-                    xi[q][i] = 0.0
-                for q, p, g in found:
+                for q, g in found:
                     number[q][i] = g
-                    xi[q][i] = p
                     users[g].append(i)
-        return responses, rows, number, xi, users
+        xi = dict(zip(outcomes, responses))
+        if undefined:
+            xi = _blanked(xi, undefined)
+        drawn = {q: set(by_state) - {0} for q, by_state in number.items()}
+        shared = {q: min(numbers) for q, numbers in drawn.items() if len(numbers) == 1}
+        return responses, rows, number, xi, users, shared
+
+
+def _blanked(xi: dict, states) -> dict:
+    """Copies of the xi(q | .) arrays, NaN at the given state positions."""
+    xi = {q: array("d", by_state) for q, by_state in xi.items()}
+    for i in states:
+        for by_state in xi.values():
+            by_state[i] = math.nan
+    return xi
 
 
 def compose_preparation(preparation: Distribution, kernel: TransformationKernel) -> Distribution:

@@ -15,7 +15,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional
 
 from .core import (
@@ -283,39 +283,71 @@ def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
     of ``(t, m) + rest`` are those of ``rest`` pulled through m's
     selective update for each outcome and then through t, and the last
     measurement contributes only its response, since nothing after it
-    observes its update. Suffixes sharing a tail share its effects.
+    observes its update. Suffixes sharing a tail share its effects, and
+    tails differing only in their first transformation share the pull
+    through m.
     """
     tails = dict.fromkeys(suffix[k:] for suffix in suffixes for k in range(len(suffix)))
     effects: dict = {(): duals.unit()} if () in suffixes else {}
+    through: dict = {}  # (m, rest) -> the effects of rest pulled through m
     for tail in sorted(tails, key=len):
         (t, m_name), rest = tail[0], tail[1:]
-        meas = model.measurement(m_name)
-        pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
+        pulled = through.get((m_name, rest))
+        if pulled is None:
+            meas = model.measurement(m_name)
+            pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
+            through[m_name, rest] = pulled
         effects[tail] = pulled if t is None else duals.pull(pulled, model.transformation(t))
     return effects
 
 
-def _disturbances(duals: Pullback, measurement, effects) -> list:
+def _disturbances(duals: Pullback, measurement, effects, bases: dict) -> list:
     """D_r = sum_q P_q E_r - E_r for each effect E_r, P_q the pull through outcome q's update.
 
     The sum is E_r read after the measurement with its outcome ignored.
+    When every pull built a whole array (coefficient 1), as through
+    per-state update rows, each D_r is one array. Otherwise the D_r are
+    sums of (coefficient, base) terms, one per outcome and -E_r, returned
+    as layers (coefficients, base numbers) holding one term of every D_r.
+    ``bases`` maps id(base) to (number, base), numbered from 0 in order
+    of first use, so that a base shared by several terms is dotted once.
     """
     pulled = duals.pull_measure(effects, measurement)  # outcome-major
     n = len(effects)
+    if all(c == 1.0 for c, _ in pulled):
+        return [
+            array("d", map(sub, reduce(partial(map, add), (part for _, part in pulled[j::n])),
+                           base if c == 1.0 else map(mul, itertools.repeat(c), base)))
+            for j, (c, base) in enumerate(effects)
+        ]
+    layers = [pulled[k:k + n] for k in range(0, len(pulled), n)] + [[(-c, e) for c, e in effects]]
     return [
-        array("d", map(sub, reduce(partial(map, add), pulled[j::n]), effect))
-        for j, effect in enumerate(effects)
+        ([c for c, _ in layer], [bases.setdefault(id(e), (len(bases), e))[0] for _, e in layer])
+        for layer in layers
     ]
 
 
-def _deviation(branches, shifts) -> float:
+def _dots(packed, bases: dict) -> list:
+    """<w_b, base> for each packed branch b and each base, in number order."""
+    return [[dot(w, base) for _, base in bases.values()] for w in packed]
+
+
+def _deviation(packed, dots, shifts) -> float:
     """Largest |<w_b, D_r>| over packed branches b and one suffix's ``_disturbances`` D_r.
 
-    A branch with a state outside the effects' domain makes its dot
-    products NaN and raises ModelError: a forward walk would look up a
-    missing row from there.
+    A whole D_r takes one dot product per branch. A sum of terms is read
+    from the branches' ``_dots`` as a few coefficient * dot products,
+    added term by term. A branch with a state outside the effects' domain
+    makes its dot products NaN and raises ModelError: a forward walk
+    would look up a missing row from there.
     """
-    deviations = [abs(dot(w, f)) for w in branches for f in shifts]
+    if isinstance(shifts[0], tuple):
+        deviations = []
+        for at in dots:
+            terms = [map(mul, cs, map(at.__getitem__, ks)) for cs, ks in shifts]
+            deviations += map(abs, reduce(partial(map, add), terms))
+    else:
+        deviations = [abs(dot(w, f)) for w in packed for f in shifts]
     if any(map(math.isnan, deviations)):
         raise ModelError("suffix statistics undefined on a branch reaching the measurement")
     return max(deviations)
@@ -350,8 +382,10 @@ def check_opnd(
     meas = model.measurement(measurement)
     branches = _reaching(model, model.preparation(preparation), prefix, pre_transformation)
     duals = Pullback(model.space)
-    shifts = _disturbances(duals, meas, _suffix_effects(model, duals, [suffix])[suffix])
-    worst = _deviation([duals.pack(w) for w, _ in branches], shifts)
+    bases: dict = {}
+    shifts = _disturbances(duals, meas, _suffix_effects(model, duals, [suffix])[suffix], bases)
+    packed = [duals.pack(w) for w, _ in branches]
+    worst = _deviation(packed, _dots(packed, bases), shifts)
     context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
     return OpndResult(worst <= tol, worst, context)
 
@@ -374,6 +408,8 @@ class OpndCompleteResult:
     maximum, so the first in enumeration order to reach it, or None
     when no enumerated context did. ``undefined_contexts`` counts the
     contexts skipped because the model leaves them undefined.
+    ``settled`` is true when the measurement was settled without walking
+    any context (see ``check_opnd_complete``).
     """
 
     non_disturbing: bool
@@ -382,6 +418,7 @@ class OpndCompleteResult:
     depth: int
     preparations: tuple
     undefined_contexts: int = 0
+    settled: bool = False
 
 
 def check_opnd_complete(
@@ -430,7 +467,9 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
     heads = list(itertools.product(prefixes, pre_ts)) if left else []
     duals = Pullback(model.space)
     effects = _suffix_effects(model, duals, suffixes) if left else {}
-    shifts = {m: {s: _disturbances(duals, checked[m], effects[s]) for s in suffixes} for m in left}
+    bases: dict = {}  # of every sum of terms, dotted once per branch and head
+    shifts = {m: {s: _disturbances(duals, checked[m], effects[s], bases) for s in suffixes}
+              for m in left}
     for prep_name in preparations:
         dist = model.preparation(prep_name)
         for prefix, pre_t in heads:
@@ -440,10 +479,11 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
                 undefined = {m: n + len(suffixes) for m, n in undefined.items()}
                 continue
             packed = [duals.pack(w) for w, _ in branches]
+            dots = _dots(packed, bases)
             for m in left:
                 for suffix in suffixes:
                     try:
-                        deviation = _deviation(packed, shifts[m][suffix])
+                        deviation = _deviation(packed, dots, shifts[m][suffix])
                     except ModelError:
                         undefined[m] += 1
                         continue
@@ -451,7 +491,7 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
                         worst[m] = deviation
                         witness[m] = (prep_name, prefix, pre_t, suffix)
     return {m: OpndCompleteResult(worst[m] <= tol, worst[m], witness[m], depth, preparations,
-                                  undefined[m]) for m in checked}
+                                  undefined[m], m not in left) for m in checked}
 
 
 @dataclass(frozen=True)

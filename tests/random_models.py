@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
+from lglab.core import (
     MINUS,
     OUTCOMES,
     PLUS,
@@ -16,8 +16,8 @@ from .core import (
     ResponseFunction,
     TransformationKernel,
 )
-from .lg import LgArrangement
-from .operational import ObservableAssignment
+from lglab.lg import LgArrangement
+from lglab.operational import ObservableAssignment
 
 
 def _random_distribution(rng, space) -> Distribution:

@@ -22,7 +22,7 @@ from lglab import (
     single_shot_probability,
 )
 from lglab.classify import QuantityClass
-from lglab.testing import random_arrangement
+from random_models import random_arrangement
 from lglab import cli, schema, twoslit, zoo
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
 
-from lglab import lg, zoo
+from lglab import core, lg, zoo
 from lglab import (
     EQUIVALENCE_TOL,
     Distribution,
@@ -32,7 +33,7 @@ from lglab import (
     post_select_noninvasive,
     run_protocol,
 )
-from lglab.testing import random_arrangement
+from random_models import random_arrangement
 from lglab.zoo import (
     build_fixtures,
     build_qubit_arrangement,
@@ -182,11 +183,32 @@ class TestOpnd:
         invasive = random_arrangement(rng).model
         # the model declares every row and M1's update leaves every state in place,
         # which settles M1 without a walk
-        assert check_opnd_complete(identity, "M1").non_disturbing
+        settled = check_opnd_complete(identity, "M1")
+        assert settled.non_disturbing and settled.settled
         assert calls == []
         for expected in (1, 2):
-            check_opnd_complete(invasive, "M1")
+            assert not check_opnd_complete(invasive, "M1").settled
             assert len(calls) == expected
+
+    def test_effects_through_a_forgetful_update_share_their_bases(self, monkeypatch):
+        # ks-sphere's Mz update is one shared row per outcome, so every effect
+        # past it is a coefficient on xi(+-|.) or on their pulls through
+        # rot1 and rot2: a deeper suffix builds no new base
+        model = zoo.build("ks-sphere", n_points=200).model
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return array(*args)
+
+        monkeypatch.setattr(core, "array", counted)
+        monkeypatch.setattr(lg, "array", counted)
+        counts = []
+        for depth in (2, 3):
+            built.clear()
+            check_opnd_complete(model, "Mz", depth=depth)
+            counts.append(len(built))
+        assert counts[1] <= counts[0]
 
 
 def two_run_opnd(model, preparation, measurement, suffix, prefix=(), pre_transformation=None):
@@ -290,6 +312,51 @@ def without_update_row(model, measurement, impossible=False):
     )
 
 
+def with_update(model, measurement, outcome_rows, rows=None, response=None):
+    """The model with a measurement's update replaced, and some of its response rows."""
+    meas = model.measurements[measurement]
+    table = {**meas.response.table, **(response or {})}
+    update = MeasurementUpdate(model.space, meas.outcomes, rows, outcome_rows)
+    return dataclasses.replace(model, measurements={
+        **model.measurements,
+        measurement: Measurement(measurement, ResponseFunction(model.space, meas.outcomes, table),
+                                 update)})
+
+
+def shared_row_outside_the_domain(model):
+    """M1's PLUS row is shared and puts weight on the last state, where T1 has no row.
+
+    PLUS is impossible at s0, so s0 does not use that row: contexts whose
+    branches stay at s0, from the added preparation, remain defined.
+    """
+    space = model.space
+    s0, *rest = space.states
+    model = with_update(model, "M1",
+                        {PLUS: Distribution(space, {s: 1.0 / len(rest) for s in rest}),
+                         MINUS: Distribution.point_mass(space, s0)},
+                        response={s0: {PLUS: 0.0, MINUS: 1.0}})
+    model = without_last_row(model, "T1")
+    return dataclasses.replace(
+        model, preparations={**model.preparations, "at-s0": Distribution.point_mass(space, s0)})
+
+
+def shared_and_per_state_rows(model):
+    """M1 draws PLUS from one shared row and keeps its per-state MINUS rows."""
+    rows = model.measurements["M1"].update.rows
+    return with_update(model, "M1", {PLUS: model.preparations["E"]},
+                       rows={key: row for key, row in rows.items() if key[1] == MINUS})
+
+
+def shared_row_of_an_impossible_outcome(model):
+    """M1's shared rows serve outcomes of probability 0 at s0 (MINUS) and s1 (PLUS)."""
+    space = model.space
+    s0, s1, *_ = space.states
+    return with_update(model, "M1",
+                       {PLUS: model.preparations["E"],
+                        MINUS: Distribution(space, {s: 1.0 / len(space) for s in space.states})},
+                       response={s0: {PLUS: 1.0, MINUS: 0.0}, s1: {PLUS: 0.0, MINUS: 1.0}})
+
+
 class TestOpndMatchesTwoRunDefinition:
     CONTEXTS = [
         # (measurement, suffix, prefix, pre-transformation)
@@ -330,7 +397,13 @@ class TestOpndMatchesTwoRunDefinition:
         (lambda model: without_response_row(model, "M2"), True),
         (lambda model: without_update_row(model, "M2"), True),
         (lambda model: without_update_row(model, "M2", impossible=True), False),
-    ], ids=["response-row", "update-row", "update-row-of-impossible-outcome"])
+        # M1's pulls below go through one shared update row per outcome
+        (shared_row_outside_the_domain, True),
+        (shared_and_per_state_rows, False),
+        (shared_row_of_an_impossible_outcome, False),
+    ], ids=["response-row", "update-row", "update-row-of-impossible-outcome",
+            "shared-row-outside-the-domain", "shared-and-per-state-rows",
+            "shared-row-of-an-impossible-outcome"])
     def test_undefined_contexts_beyond_kernel_rows(self, missing, undefined_expected, depth):
         model = random_arrangement(np.random.default_rng(17), max_states=3).model
         # M1 and M2 alone keep the depth-3 reference enumeration small

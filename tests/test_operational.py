@@ -27,7 +27,7 @@ from lglab import (
     ResponseFunction,
     TransformationKernel,
 )
-from lglab.testing import random_arrangement
+from random_models import random_arrangement
 from lglab.zoo import build_qubit_arrangement
 
 PLUS, MINUS = "+1", "-1"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lglab import SchemaError, TransformationKernel, check_implication_chain, lg_value_pairwise
 from lglab import cli, schema, zoo
-from lglab.testing import random_arrangement
+from random_models import random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
     CLASSIFY_REFUSALS,
@@ -193,6 +193,9 @@ class TestCli:
             assert entry["ontic_deviation"] == ontic
             assert entry["complete"]["max_deviation"] == complete.max_deviation
             assert entry["complete"]["undefined_contexts"] == complete.undefined_contexts > 0
+            # a missing kernel row settles nothing, so every context was walked
+            assert entry["complete"]["settled"] is complete.settled is False
+            assert entry["complete"]["preparations"] == list(complete.preparations)
             preparation, prefix, pre_transformation, suffix = complete.witness
             assert entry["complete"]["witness"] == {
                 "preparation": preparation,
@@ -205,10 +208,13 @@ class TestCli:
     def test_lg_chain_lists_a_repeated_measurement_once(self, capsys):
         assert run_cli(["lg", "--zoo", "superselected", "--no-timestamp"]) == 0
         chain = json.loads(capsys.readouterr().out)["results"]["chain"]
-        # identity updates: nothing deviates, so there is no witness context
+        # identity updates on every declared row: settled without a walk, so
+        # nothing deviates and there is no witness context
         assert chain["measurements"] == {"read": {
             "ontic_deviation": 0.0,
-            "complete": {"max_deviation": 0.0, "witness": None, "undefined_contexts": 0},
+            "complete": {"max_deviation": 0.0, "witness": None, "undefined_contexts": 0,
+                         "settled": True,
+                         "preparations": ["prep-up", "prep-down", "prep-mixed"]},
         }}
         assert chain["specific_deviations"] == {"d1": 0.0, "d2": 0.0}
 
