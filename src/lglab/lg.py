@@ -284,31 +284,28 @@ def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
     selective update for each outcome and then through t, and the last
     measurement contributes only its response, since nothing after it
     observes its update. Suffixes sharing a tail share its effects, and
-    tails differing only in their first transformation share the pull
-    through m.
+    ``duals`` dots each of their bases with m's update rows once, however
+    many transformations precede m.
     """
     tails = dict.fromkeys(suffix[k:] for suffix in suffixes for k in range(len(suffix)))
     effects: dict = {(): duals.unit()} if () in suffixes else {}
-    through: dict = {}  # (m, rest) -> the effects of rest pulled through m
     for tail in sorted(tails, key=len):
         (t, m_name), rest = tail[0], tail[1:]
-        pulled = through.get((m_name, rest))
-        if pulled is None:
-            meas = model.measurement(m_name)
-            pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
-            through[m_name, rest] = pulled
+        meas = model.measurement(m_name)
+        pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
         effects[tail] = pulled if t is None else duals.pull(pulled, model.transformation(t))
     return effects
 
 
-def _disturbances(duals: Pullback, measurement, effects, bases: dict) -> list:
+def _disturbances(duals: Pullback, measurement, effects, bases: dict) -> tuple:
     """D_r = sum_q P_q E_r - E_r for each effect E_r, P_q the pull through outcome q's update.
 
     The sum is E_r read after the measurement with its outcome ignored.
-    When every pull built a whole array (coefficient 1), as through
-    per-state update rows, each D_r is one array. Otherwise the D_r are
-    sums of (coefficient, base) terms, one per outcome and -E_r, returned
-    as layers (coefficients, base numbers) holding one term of every D_r.
+    Returns ``(whole, layers)``, one of them empty. When every pull built
+    a whole array (coefficient 1), as through per-state update rows,
+    ``whole`` holds each D_r as one array. Otherwise ``layers`` holds the
+    D_r as sums of terms: one layer per outcome and one of -E_r, each a
+    list of (coefficient, base number) pairs with one term of every D_r.
     ``bases`` maps id(base) to (number, base), numbered from 0 in order
     of first use, so that a base shared by several terms is dotted once.
     """
@@ -319,12 +316,10 @@ def _disturbances(duals: Pullback, measurement, effects, bases: dict) -> list:
             array("d", map(sub, reduce(partial(map, add), (part for _, part in pulled[j::n])),
                            base if c == 1.0 else map(mul, itertools.repeat(c), base)))
             for j, (c, base) in enumerate(effects)
-        ]
+        ], []
     layers = [pulled[k:k + n] for k in range(0, len(pulled), n)] + [[(-c, e) for c, e in effects]]
-    return [
-        ([c for c, _ in layer], [bases.setdefault(id(e), (len(bases), e))[0] for _, e in layer])
-        for layer in layers
-    ]
+    return [], [[(c, bases.setdefault(id(e), (len(bases), e))[0]) for c, e in layer]
+                for layer in layers]
 
 
 def _dots(packed, bases: dict) -> list:
@@ -335,22 +330,26 @@ def _dots(packed, bases: dict) -> list:
 def _deviation(packed, dots, shifts) -> float:
     """Largest |<w_b, D_r>| over packed branches b and one suffix's ``_disturbances`` D_r.
 
-    A whole D_r takes one dot product per branch. A sum of terms is read
-    from the branches' ``_dots`` as a few coefficient * dot products,
-    added term by term. A branch with a state outside the effects' domain
-    makes its dot products NaN and raises ModelError: a forward walk
-    would look up a missing row from there.
+    A whole D_r takes one dot product per branch. A D_r in layers is
+    read from the branches' ``_dots`` as a sum of coefficient * dot
+    products, added layer by layer. Whole D_r are not read from
+    ``_dots``: that would add a Python-level pass over every branch and
+    D_r, which slows models of a few states and many contexts. A branch
+    with a state outside the effects' domain makes its dot products NaN
+    and raises ModelError: a forward walk would look up a missing row
+    from there.
     """
-    if isinstance(shifts[0], tuple):
-        deviations = []
-        for at in dots:
-            terms = [map(mul, cs, map(at.__getitem__, ks)) for cs, ks in shifts]
-            deviations += map(abs, reduce(partial(map, add), terms))
+    whole, layers = shifts
+    if whole:
+        sums = [dot(w, f) for w in packed for f in whole]
     else:
-        deviations = [abs(dot(w, f)) for w in packed for f in shifts]
-    if any(map(math.isnan, deviations)):
+        first, *rest = layers
+        sums = [c * at[k] for at in dots for c, k in first]
+        for terms in rest:
+            sums = list(map(add, sums, [c * at[k] for at in dots for c, k in terms]))
+    if any(map(math.isnan, sums)):
         raise ModelError("suffix statistics undefined on a branch reaching the measurement")
-    return max(deviations)
+    return max(map(abs, sums))
 
 
 def check_opnd(
@@ -467,7 +466,7 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
     heads = list(itertools.product(prefixes, pre_ts)) if left else []
     duals = Pullback(model.space)
     effects = _suffix_effects(model, duals, suffixes) if left else {}
-    bases: dict = {}  # of every sum of terms, dotted once per branch and head
+    bases: dict = {}  # of every D_r's terms, dotted once per branch and head
     shifts = {m: {s: _disturbances(duals, checked[m], effects[s], bases) for s in suffixes}
               for m in left}
     for prep_name in preparations:

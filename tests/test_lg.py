@@ -428,6 +428,22 @@ class TestOpndMatchesTwoRunDefinition:
         assert abs(result.max_deviation - max(deviations.values())) <= 1e-15
         assert result.non_disturbing
 
+    def test_rounding_noise_of_an_identity_update_names_a_witness(self):
+        # M2 leaves every state in place, so every context's true deviation is 0.
+        # Effects past M1's shared rows are sums of coefficient * base terms, whose
+        # rounding reads 5e-17 here, and the first context to reach it is named.
+        # This pins the summation order: changing it moves the value or the witness.
+        identity = random_arrangement(np.random.default_rng(5001), max_states=3,
+                                      noninvasive_early=True).model
+        space = identity.space
+        model = with_update(without_last_row(identity, "T1"), "M1",
+                            {PLUS: identity.preparations["E"],
+                             MINUS: Distribution.point_mass(space, space.states[0])})
+        result = check_opnd_complete(model, "M2")
+        assert result.non_disturbing and result.undefined_contexts == 408
+        assert result.max_deviation == 5.110269487305461e-17
+        assert result.witness == ("E", (), None, (("T2", "M1"), ("T2", "M3")))
+
     def test_nearly_identity_update_reports_a_table_deviation(self):
         # nothing settles the heads, so the deviation and witness come from the tables
         identity = random_arrangement(np.random.default_rng(29), max_states=4,
