@@ -20,8 +20,6 @@ from .core import (
     OnticModel,
     SUPPORT_TOL,
     compose_preparation,
-    measure,
-    outcome_mass,
 )
 from .errors import ClassificationError, EngineDefectError, ModelError
 from .operational import (
@@ -379,12 +377,11 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
         _, names = operational_eigenstate_supports(model, quantity_class, q)
         for name in names:
             dist = model.preparation(name)
-            weights = {
-                label: w for label, w in dist.weights.items()
-                if meas.response.row(label)[q] > SUPPORT_TOL
-            }
-            p_q = outcome_mass(weights, meas, q)
-            post = {label: w / p_q for label, w in measure(weights, meas, (q,)).items()}
+            branch = model.space.pack({label: w for label, w in dist.weights.items()
+                                       if meas.response.row(label)[q] > SUPPORT_TOL})
+            p_q = meas.form.masses(branch)[q]
+            post = model.space.unpack(meas.form.measure(branch, q))
+            post = {label: w / p_q for label, w in post.items()}
             deviations[name] = Distribution(model.space, post).total_variation(dist)
     worst = max(deviations.values(), default=0.0)
     return EquilibriumResult(holds=worst <= tol, worst_deviation=worst,

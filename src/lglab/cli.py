@@ -416,15 +416,15 @@ def _add_zoo_params(parser):
         parser.add_argument(f"--{key}", type=kind, help=text)
 
 
-def _add_source(parser):
+def _add_source(parser, least_tol=0.0):
     """Exactly one of --zoo and --model, the zoo parameters, --tol and the common options."""
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--zoo", help="zoo model name")
     source.add_argument("--model", help="model file")
     _add_zoo_params(parser)
     parser.add_argument("--tol", default=EQUIVALENCE_TOL,
-                        type=_checked(float, lambda v: 0.0 <= v < math.inf,
-                                      "a finite number >= 0"),
+                        type=_checked(float, lambda v: least_tol <= v < math.inf,
+                                      f"a finite number >= {least_tol:g}"),
                         help="statistical-agreement tolerance")
     _add_common(parser)
 
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_lg = sub.add_parser("lg", help="three-time values, disturbance tables, chain record")
-    _add_source(p_lg)
+    _add_source(p_lg, least_tol=RESIDUAL_TOL)
     p_lg.add_argument("--arrangement", help="arrangement name within the --model file")
     p_lg.add_argument("--depth", default=2,
                       type=_checked(int, lambda v: v >= 2, "at least 2"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter, mul
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -40,7 +41,8 @@ class OnticStateSpace:
     """An ordered finite set of opaque ontic-state labels.
 
     The ordering is fixed at construction and is what makes every
-    downstream table, report and file deterministic.
+    downstream table, report and file deterministic. ``position`` maps
+    each label to its index in that order.
     """
 
     states: tuple
@@ -48,16 +50,29 @@ class OnticStateSpace:
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValidationError("state space must contain at least one state")
-        members = frozenset(self.states)
-        if len(members) != len(self.states):
+        position = {label: i for i, label in enumerate(self.states)}
+        if len(position) != len(self.states):
             raise ValidationError("state labels must be unique")
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "position", position)
 
     def __contains__(self, label) -> bool:
-        return label in self._members
+        return label in self.position
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def pack(self, weights: Mapping) -> tuple:
+        """Weights keyed by label as a branch: their positions, ascending, and weights."""
+        positions = list(map(self.position.__getitem__, weights))
+        values = list(weights.values())
+        if positions != sorted(positions):
+            positions, values = map(list, zip(*sorted(zip(positions, values))))
+        return positions, values
+
+    def unpack(self, branch) -> dict:
+        """A branch as weights keyed by label, in position order."""
+        positions, weights = branch
+        return dict(zip(map(self.states.__getitem__, positions), weights))
 
 
 def _check_same_space(a: OnticStateSpace, b: OnticStateSpace, what: str):
@@ -192,7 +207,7 @@ class TransformationKernel:
     Applying the kernel to weight on a state without a row is an error.
     """
 
-    __slots__ = ("space", "rows")
+    __slots__ = ("space", "rows", "__dict__")  # __dict__ keeps the compiled form
 
     def __init__(self, space: OnticStateSpace, rows: Mapping[Label, Distribution]):
         for label, dist in rows.items():
@@ -202,15 +217,14 @@ class TransformationKernel:
         self.space = space
         self.rows = dict(rows)
 
+    @cached_property
+    def form(self) -> "KernelForm":
+        """The rows by state position, compiled on first use and kept."""
+        return KernelForm(self)
+
     @classmethod
     def identity(cls, space: OnticStateSpace) -> "TransformationKernel":
         return cls(space, {s: Distribution.point_mass(space, s) for s in space.states})
-
-    def row(self, label: Label) -> Distribution:
-        try:
-            return self.rows[label]
-        except KeyError:
-            raise ModelError(f"kernel row undefined for state {label!r}") from None
 
 
 class MeasurementUpdate:
@@ -288,6 +302,11 @@ class Measurement:
     def space(self):
         return self.response.space
 
+    @cached_property
+    def form(self) -> "MeasurementForm":
+        """The response and update rows by state position, compiled on first use and kept."""
+        return MeasurementForm(self)
+
 
 @dataclass(frozen=True)
 class OnticModel:
@@ -342,259 +361,265 @@ class OnticModel:
 # ---------------------------------------------------------------------------
 # operations
 #
-# push, outcome_mass and measure are the only code that moves weight
-# between ontic states. They take raw {label: weight} dicts, keep the
-# total mass as given and check nothing beyond the rows they look up;
-# the Distribution-returning functions below wrap them with validation.
-# Pullback.responses, Pullback.pull and Pullback.pull_measure are the
-# duals of outcome_mass, push and measure: they carry effects (functions
-# on ontic states, such as a response's xi(q | .)) backwards, so that
-# <push(w, kernel), f> = <w, pull(f, kernel)>, and likewise for measure.
-# An effect is a coefficient times a base array (lg sums such terms); a
-# pull through an update that forgets the incoming state stays rank one.
+# A branch is weight on ontic states packed by position: (positions in
+# ascending order, their weights), so every sum over a branch runs in
+# one order. Each kernel and measurement is compiled once, on first use,
+# into the positional form it keeps (KernelForm, MeasurementForm). The
+# forms' push, measure and masses are the only code that moves weight
+# between ontic states; they keep the total mass as given and check
+# nothing beyond the rows they read. The forms' pulls read the same rows
+# backwards, carrying effects (functions on ontic states, such as
+# xi(q | .)) so that <push(w), f> = <w, pull(f)>, and likewise for measure.
+#
+# An effect is a term (c, base): a coefficient times an array over the
+# states' positions (lg sums such terms). It is NaN outside its domain,
+# the states from which the forward moves it stands for would look up a
+# missing row; coefficients stay finite, so the NaN stays in the base. A
+# pull through an outcome that every state draws from one shared update
+# row stays rank one, <row, f> times xi(q | .), so effects past an update
+# that forgets the incoming state share a few bases. A pull's memo, kept
+# for one check, computes each base's pull through a form once.
 
 
-def push(weights: Mapping, kernel: TransformationKernel) -> dict:
-    """Raw weights pushed through a kernel: sum_{s0} w(s0) * tau(. | s0)."""
+def _gather(positions):
+    """A reader of an effect's values at the given positions, in their order."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
+def dots(branch, effects) -> list:
+    """<w, f> = sum_s w(s) * f(s) for each effect f, over the branch's positions in order."""
+    positions, weights = branch
+    gather = _gather(positions)
+    return [sum(map(mul, weights, gather(f))) for f in effects]
+
+
+def _row(space: OnticStateSpace, weights: Mapping, gathers: dict) -> tuple:
+    """A kernel or update row as a branch, with the reader the pulls dot it through;
+    rows on the same positions share both, through ``gathers``."""
+    positions, values = space.pack(weights)
+    key = tuple(positions)
+    if key not in gathers:
+        gathers[key] = key, _gather(positions)
+    positions, gather = gathers[key]
+    return positions, tuple(values), gather
+
+
+def _ascending(out: dict) -> tuple:
+    """Weights keyed by position as a branch."""
+    positions = sorted(out)
+    return positions, list(map(out.__getitem__, positions))
+
+
+def summed(branches) -> tuple:
+    """The sum of branches, as one branch."""
     out: dict = {}
-    rows = kernel.rows
-    for label, w in weights.items():
-        row = rows.get(label)
-        if row is None:
-            raise ModelError(f"kernel row undefined for state {label!r}")
-        for target, p in row.weights.items():
-            out[target] = out.get(target, 0.0) + w * p
-    return out
+    for positions, weights in branches:
+        for i, w in zip(positions, weights):
+            out[i] = out.get(i, 0.0) + w
+    return _ascending(out)
 
 
-def outcome_mass(weights: Mapping, measurement: Measurement, outcome: Outcome) -> float:
-    """Raw weight the measurement sends to one outcome: sum_s w(s) * xi(q | s)."""
-    table = measurement.response.table
-    total = 0.0
-    for label, w in weights.items():
-        row = table.get(label)
-        if row is None:
-            raise ModelError(f"response undefined for state {label!r}")
-        total += w * row[outcome]
-    return total
+class KernelForm:
+    """A kernel's rows by state position.
 
-
-def measure(weights: Mapping, measurement: Measurement, outcomes) -> dict:
-    """Raw weights after a measurement, summed over the given outcomes.
-
-    Returns sum_{q in outcomes} sum_s w(s) * xi(q | s) * tau(. | q, s):
-    ``(q,)`` is the selective update for outcome q (unnormalized, total
-    mass the outcome's probability) and ``measurement.outcomes`` the
-    non-selective one. Update rows are looked up only for nonzero flows,
-    and flows are grouped by the identity of their update row before
-    expansion, so updates that forget the incoming state (shared row
-    objects) cost O(support) instead of O(support^2).
+    ``to`` and ``weight`` hold the target and weight of each state's
+    single-target row, with NaN weight where the state's row has several
+    targets or there is none. ``spread`` maps the position of each row
+    with several targets to that row (see ``_row``).
     """
-    table = measurement.response.table
-    update = measurement.update
-    groups: dict = {}
-    for label, w in weights.items():
-        row = table.get(label)
-        if row is None:
-            raise ModelError(f"response undefined for state {label!r}")
-        for q in outcomes:
-            mass = w * row[q]
-            if mass == 0.0:
-                continue
-            target = update.row(label, q)
-            key = id(target)
-            entry = groups.get(key)
-            if entry is None:
-                groups[key] = [target, mass]
+
+    __slots__ = ("states", "to", "weight", "spread")
+
+    def __init__(self, kernel: TransformationKernel):
+        space = kernel.space
+        n = len(space.states)
+        self.states = space.states
+        self.to = array("i", [0]) * n
+        self.weight = array("d", [math.nan]) * n
+        self.spread = {}
+        gathers: dict = {}
+        for label, row in kernel.rows.items():
+            i = space.position[label]
+            if len(row.weights) == 1:
+                [(target, p)] = row.weights.items()
+                self.to[i] = space.position[target]
+                self.weight[i] = p
             else:
-                entry[1] += mass
-    out: dict = {}
-    for target, mass in groups.values():
-        for label, p in target.weights.items():
-            out[label] = out.get(label, 0.0) + mass * p
-    return out
+                self.spread[i] = _row(space, row.weights, gathers)
 
+    def push(self, branch) -> tuple:
+        """The branch pushed through the kernel: sum_{s0} w(s0) * tau(. | s0)."""
+        out: dict = {}
+        spread, to, weight = self.spread, self.to, self.weight
+        for i, w in zip(*branch):
+            row = spread.get(i)
+            if row is not None:
+                for t, p in zip(row[0], row[1]):
+                    out[t] = out.get(t, 0.0) + w * p
+            elif weight[i] == weight[i]:
+                t = to[i]
+                out[t] = out.get(t, 0.0) + w * weight[i]
+            else:
+                raise ModelError(f"kernel row undefined for state {self.states[i]!r}")
+        return _ascending(out)
 
-def dot(packed, effect) -> float:
-    """<w, f> = sum_s w(s) * f(s) for weights packed by ``Pullback.pack``."""
-    gather, values = packed
-    return sum(map(mul, values, gather(effect)))
-
-
-class Pullback:
-    """Effects on one space's ontic states, and the duals of push and measure.
-
-    An effect is a function on ontic states, such as a response's
-    xi(q | .), held as a term ``(c, base)``: a coefficient times an array
-    over the states' positions (``lg`` sums such terms). It is NaN outside
-    its domain, the states from which the forward moves it stands for
-    would look up a missing row, so a dot product that touches such a
-    state is NaN; coefficients stay finite, so the NaN stays in the base.
-
-    A pull through a kernel maps the base. A pull through an outcome that
-    every state draws from one shared update row stays rank one, <row, f>
-    times xi(q | .), so effects past an update that forgets the incoming
-    state share a few bases; any other pull builds one base per effect.
-    Layouts, and each base's pull through a kernel or dots with a
-    measurement's rows, are computed once and kept while this lives.
-    """
-
-    def __init__(self, space: OnticStateSpace):
-        self.position = {label: i for i, label in enumerate(space.states)}
-        self._forms: dict = {}  # id(kernel or measurement) -> (it, its rows by position)
-        self._per_base: dict = {}  # (id(component), id(base)) -> (base, what it gave)
-
-    def pack(self, weights: Mapping) -> tuple:
-        """Raw weights as (a reader of an effect at their states, weights), the form dot reads."""
-        positions = list(map(self.position.__getitem__, weights))
-        if len(positions) == 1:
-            [i] = positions
-            return (lambda effect: (effect[i],)), list(weights.values())
-        return itemgetter(*positions), list(weights.values())
-
-    def unit(self) -> list:
-        """The effect 1 everywhere, of observing nothing."""
-        return [(1.0, array("d", [1.0]) * len(self.position))]
-
-    def responses(self, measurement: Measurement) -> list:
-        """The effect xi(q | .) of each outcome q, the dual of outcome_mass."""
-        return [(1.0, base) for base in self._form(measurement, self._lay_out_measurement)[0]]
-
-    def pull(self, effects: list, kernel: TransformationKernel) -> list:
-        """Effects pulled back through a kernel, the dual of push: s -> sum_{s'} tau(s' | s) f(s').
+    def pull(self, effects: list, memo: dict) -> list:
+        """Effects pulled back through the kernel, the dual of push: s -> sum_t tau(t | s) f(t).
 
         A result is defined exactly where the kernel has a row lying
         inside the effect's domain: where push can move weight without
         reaching a state outside it.
         """
-        to, weight, spread = self._form(kernel, self._lay_out_kernel)
-
         def pulled(base):
-            out = array("d", map(mul, weight, map(base.__getitem__, to)))
-            for i, packed in spread:
-                out[i] = dot(packed, base)
+            out = array("d", map(mul, self.weight, map(base.__getitem__, self.to)))
+            for i, (_, weights, gather) in self.spread.items():
+                out[i] = sum(map(mul, weights, gather(base)))
             return out
 
-        return [(c, self._once(kernel, base, pulled)) for c, base in effects]
+        return [(c, _once(memo, self, base, pulled)) for c, base in effects]
 
-    def pull_measure(self, effects: list, measurement: Measurement) -> list:
+
+class MeasurementForm:
+    """A measurement's response and update rows by state position.
+
+    ``responses[q]`` is xi(q | .) as an array, NaN where a state has no
+    response row. The distinct update rows are numbered from 1 by
+    identity, and ``rows`` holds each (see ``_row``; entry 0 is unused).
+    ``number[q]`` gives each state's row number for q, 0 where q has
+    probability 0 there or the row is missing; ``missing`` lists the
+    (position, outcome) pairs of nonzero probability without an update
+    row, in response-table order. A walk branches on every outcome, so a
+    state in ``missing`` is outside the domain of every pull: ``xi`` is
+    ``responses`` with NaN there too, and ``shared`` maps each outcome
+    that all the other states producing it draw from one row to that
+    row's number. ``in_place`` holds when no row is missing and each state
+    draws every outcome from the point mass at itself: the update moves
+    no state.
+    """
+
+    __slots__ = ("states", "responses", "rows", "number", "missing", "xi", "shared", "in_place")
+
+    def __init__(self, measurement: "Measurement"):
+        space = measurement.space
+        n = len(space.states)
+        self.states = space.states
+        self.responses = {q: array("d", [math.nan]) * n for q in measurement.outcomes}
+        self.number = {q: array("i", [0]) * n for q in measurement.outcomes}
+        self.rows, self.missing = [None], []
+        numbering, gathers = {}, {}  # id(update row) -> its number
+        for label, row in measurement.response.table.items():
+            i = space.position[label]
+            for q, p in row.items():
+                self.responses[q][i] = p
+                if p == 0.0:
+                    continue
+                try:
+                    target = measurement.update.row(label, q)
+                except ModelError:
+                    self.missing.append((i, q))
+                    continue
+                g = self.number[q][i] = numbering.setdefault(id(target), len(self.rows))
+                if g == len(self.rows):
+                    self.rows.append(_row(space, target.weights, gathers))
+        undefined = {i for i, _ in self.missing}
+        self.xi = _blanked(self.responses, undefined) if undefined else self.responses
+        drawn = {q: {g for i, g in enumerate(by_state) if g and i not in undefined}
+                 for q, by_state in self.number.items()}
+        self.shared = {q: min(numbers) for q, numbers in drawn.items() if len(numbers) == 1}
+        self.in_place = not self.missing and all(
+            self.rows[g][:2] == ((i,), (1.0,))
+            for by_state in self.number.values() for i, g in enumerate(by_state) if g
+        )
+
+    def masses(self, branch) -> dict:
+        """Weight the measurement sends to each outcome q: sum_s w(s) * xi(q | s)."""
+        totals = dots(branch, self.responses.values())
+        if math.isnan(totals[0]):
+            xi = next(iter(self.responses.values()))
+            raise self._undefined(next(i for i in branch[0] if math.isnan(xi[i])))
+        return dict(zip(self.responses, totals))
+
+    def measure(self, branch, outcome: Outcome) -> tuple:
+        """The branch after the selective update for one outcome q, unnormalized.
+
+        Returns sum_s w(s) * xi(q | s) * tau(. | q, s), whose total mass is
+        the outcome's probability. Update rows are read only for nonzero
+        flows, and flows are summed per row before it is expanded, so a
+        row shared by many states (``outcome_rows``) is expanded once. An
+        update that leaves every state in place only scales the branch.
+        """
+        xi, number = self.responses[outcome], self.number[outcome]
+        if self.in_place:
+            scaled = [(i, mass) for i, w in zip(*branch) if (mass := w * xi[i]) != 0.0]
+            if any(mass != mass for _, mass in scaled):
+                raise self._undefined(next(i for i, mass in scaled if mass != mass))
+            return [i for i, _ in scaled], [mass for _, mass in scaled]
+        masses: dict = {}
+        for i, w in zip(*branch):
+            mass = w * xi[i]
+            if mass == 0.0:
+                continue
+            g = number[i]
+            if not g:
+                raise self._undefined(i, None if mass != mass else outcome)
+            masses[g] = masses.get(g, 0.0) + mass
+        out: dict = {}
+        for g, mass in masses.items():
+            positions, weights, _ = self.rows[g]
+            for t, p in zip(positions, weights):
+                out[t] = out.get(t, 0.0) + mass * p
+        return _ascending(out)
+
+    def pull(self, effects: list, memo: dict) -> list:
         """Effects pulled back through each outcome's selective update, the dual of measure.
 
         For each outcome q, in order, and each effect f the result has
         the effect s -> xi(q | s) * sum_{s'} tau(s' | q, s) f(s'). It is
         defined where the state has a response row and, for every
         outcome it can produce, an update row lying inside f's domain: a
-        walk branches on every outcome. Update rows are grouped by
-        identity, as in measure, so a row shared by many states
-        (``outcome_rows``) costs one dot product per base, and an outcome
-        drawn from one shared row gives <row, f> times xi(q | .), unless a
-        row reaches outside f's domain, whose NaN stays with its users.
+        walk branches on every outcome. Each numbered row is dotted with
+        each base once; an outcome in ``shared`` gives <row, f> times
+        xi(q | .), unless a row reaches outside f's domain.
         """
-        _, rows, number, xi, users, shared = self._form(measurement, self._lay_out_measurement)
-
         def at_rows(base):
-            return [0.0] + [dot(packed, base) for packed in rows]
+            return [0.0] + [sum(map(mul, weights, take(base))) for _, weights, take in self.rows[1:]]
 
         values = []
         for c, base in effects:
-            by_row = self._once(measurement, base, at_rows)
+            by_row = _once(memo, self, base, at_rows)
             values.append(by_row if c == 1.0 else [c * v for v in by_row])
-        # The effects share their domain, so effects[0] tells which rows lie inside it.
-        outside = [g for g, v in enumerate(values[0]) if math.isnan(v)]
-        if outside:
-            shared = {}
-            xi = _blanked(xi, (i for g in outside for i in users[g]))
+        # The effects share their domain, so effects[0] tells which rows lie inside it,
+        # and the states drawing from a row outside it leave it too.
+        outside = {g for g, v in enumerate(values[0]) if math.isnan(v)}
+        users = outside and {i for q, by_state in self.number.items()
+                             for i, g in enumerate(by_state)
+                             if g in outside and not math.isnan(self.xi[q][i])}
+        xi, shared = (_blanked(self.xi, users), {}) if users else (self.xi, self.shared)
         return [
             (by_row[shared[q]], xi[q]) if q in shared
-            else (1.0, array("d", map(mul, xi[q], map(by_row.__getitem__, number[q]))))
-            for q in measurement.outcomes
+            else (1.0, array("d", map(mul, xi[q], map(by_row.__getitem__, self.number[q]))))
+            for q in self.responses
             for by_row in values
         ]
 
-    def _form(self, component, lay_out):
-        entry = self._forms.get(id(component))
-        if entry is None:
-            entry = self._forms[id(component)] = (component, lay_out(component))
-        return entry[1]
+    def _undefined(self, i: int, outcome=None) -> ModelError:
+        """The error of reaching a state without a response row, or without an outcome's update row."""
+        if outcome is None:
+            return ModelError(f"response undefined for state {self.states[i]!r}")
+        return ModelError(
+            f"measurement update undefined for state {self.states[i]!r}, outcome {outcome!r}"
+        )
 
-    def _once(self, component, base, compute):
-        """compute(base) for one kernel or measurement, computed once per base."""
-        key = (id(component), id(base))
-        entry = self._per_base.get(key)
-        if entry is None:
-            entry = self._per_base[key] = (base, compute(base))
-        return entry[1]
 
-    def _lay_out_kernel(self, kernel: TransformationKernel) -> tuple:
-        """A kernel's rows by position, as pull reads them.
-
-        ``(to, weight, spread)``: the target and weight of each state's
-        single-target row, NaN weight where a state has no row, and the
-        rows with several targets as (position, packed row).
-        """
-        n = len(self.position)
-        to = [0] * n
-        weight = [math.nan] * n
-        spread = []
-        for label, row in kernel.rows.items():
-            i = self.position[label]
-            if len(row.weights) == 1:
-                [(target, p)] = row.weights.items()
-                to[i] = self.position[target]
-                weight[i] = p
-            else:
-                spread.append((i, self.pack(row.weights)))
-        return to, weight, spread
-
-    def _lay_out_measurement(self, measurement: Measurement) -> tuple:
-        """A measurement's response and update rows by position.
-
-        ``(responses, rows, number, xi, users, shared)``: the response
-        effects (NaN where a state has no response row); the distinct
-        update rows, packed and numbered from 1 by identity; per outcome
-        q and state, the number of the state's row for q (0 for none) and
-        xi(q | state), NaN where the state lacks a response row or an
-        update row for an outcome it can produce (else the response
-        effect itself); per row number, the states that use it for an
-        outcome they can produce; and the number of each outcome's row
-        where every state producing it draws it from one row.
-        """
-        n = len(self.position)
-        outcomes = measurement.outcomes
-        responses = [array("d", [math.nan]) * n for _ in outcomes]
-        numbering: dict = {}  # id(update row) -> its number
-        rows, users = [], [[]]
-        number = {q: [0] * n for q in outcomes}
-        undefined = []
-        for label, row in measurement.response.table.items():
-            i = self.position[label]
-            for effect, q in zip(responses, outcomes):
-                effect[i] = row[q]
-            found = []
-            for q, p in row.items():
-                if p == 0.0:
-                    continue
-                try:
-                    target = measurement.update.row(label, q)
-                except ModelError:
-                    undefined.append(i)
-                    break
-                g = numbering.get(id(target))
-                if g is None:
-                    rows.append(self.pack(target.weights))
-                    users.append([])
-                    g = numbering[id(target)] = len(rows)
-                found.append((q, g))
-            else:
-                for q, g in found:
-                    number[q][i] = g
-                    users[g].append(i)
-        xi = dict(zip(outcomes, responses))
-        if undefined:
-            xi = _blanked(xi, undefined)
-        drawn = {q: set(by_state) - {0} for q, by_state in number.items()}
-        shared = {q: min(numbers) for q, numbers in drawn.items() if len(numbers) == 1}
-        return responses, rows, number, xi, users, shared
+def _once(memo: dict, form, base, compute):
+    """compute(base) for one form, computed once per base while the memo lives."""
+    key = (id(form), id(base))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (base, compute(base))
+    return entry[1]
 
 
 def _blanked(xi: dict, states) -> dict:
@@ -612,7 +637,8 @@ def compose_preparation(preparation: Distribution, kernel: TransformationKernel)
     Returns the distribution with weights sum_{s0} mu(s0) * tau(s | s0).
     """
     _check_same_space(preparation.space, kernel.space, "compose_preparation")
-    return Distribution(preparation.space, push(preparation.weights, kernel))
+    space = preparation.space
+    return Distribution(space, space.unpack(kernel.form.push(space.pack(preparation.weights))))
 
 
 def compose_kernels(first: TransformationKernel, second: TransformationKernel) -> TransformationKernel:
@@ -636,7 +662,7 @@ def single_shot_probability(
         raise ModelError(f"unknown outcome {outcome!r} for measurement {measurement.label!r}")
     _check_same_space(preparation.space, measurement.space, "single_shot_probability")
     dist = preparation if kernel is None else compose_preparation(preparation, kernel)
-    return outcome_mass(dist.weights, measurement, outcome)
+    return measurement.form.masses(dist.space.pack(dist.weights))[outcome]
 
 
 def is_ontically_noninvasive(
@@ -652,15 +678,16 @@ def is_ontically_noninvasive(
     if for_outcome is not None and for_outcome not in measurement.outcomes:
         raise ModelError(f"unknown outcome {for_outcome!r}")
     checked = (for_outcome,) if for_outcome is not None else measurement.outcomes
+    form = measurement.form
+    for i, q in form.missing:
+        if q in checked and form.responses[q][i] > SUPPORT_TOL:
+            raise form._undefined(i, q)
+    weight = {g: dict(zip(*row[:2])) for g, row in enumerate(form.rows) if g}
     worst = 0.0
-    for label, row in measurement.response.table.items():
-        for q in checked:
-            if row[q] <= SUPPORT_TOL:
-                continue
-            dist = measurement.update.row(label, q)
-            deviation = 1.0 - dist.weight(label)
-            if deviation > worst:
-                worst = deviation
+    for q in checked:
+        for i, (p, g) in enumerate(zip(form.responses[q], form.number[q])):
+            if p > SUPPORT_TOL:
+                worst = max(worst, 1.0 - weight[g].get(i, 0.0))
     return worst <= SUPPORT_TOL, worst
 
 
@@ -672,6 +699,7 @@ def post_measurement_distribution(preparation: Distribution, measurement: Measur
     operational-disturbance check.
     """
     _check_same_space(preparation.space, measurement.space, "post_measurement_distribution")
-    return Distribution(
-        preparation.space, measure(preparation.weights, measurement, measurement.outcomes)
-    )
+    space = preparation.space
+    branch = space.pack(preparation.weights)
+    updated = summed(measurement.form.measure(branch, q) for q in measurement.outcomes)
+    return Distribution(space, space.unpack(updated))

@@ -15,17 +15,10 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Optional
 
-from .core import (
-    Distribution,
-    OnticModel,
-    Pullback,
-    dot,
-    is_ontically_noninvasive,
-    measure,
-)
+from .core import Distribution, OnticModel, dots, is_ontically_noninvasive, summed
 from .errors import EngineDefectError, ModelError, PreconditionError, ValidationError
 from .operational import (
     EQUIVALENCE_TOL,
@@ -249,7 +242,7 @@ def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation)
     """The branches after the performed ``prefix`` and the pre-transformation, for any check."""
     steps = [ProtocolStep(t, m) for t, m in prefix]
     steps.append(ProtocolStep(pre_transformation, None, False))
-    return walk(model, [(dict(dist.weights), ())], steps)
+    return [w for w, _ in walk(model, [(model.space.pack(dist.weights), ())], steps)]
 
 
 def _settled(model: OnticModel, measurement) -> bool:
@@ -258,23 +251,15 @@ def _settled(model: OnticModel, measurement) -> bool:
     No walk misses a row when the model declares every kernel and response
     row, and an update row for every outcome of nonzero probability.
     """
-    states = model.space.states
-    try:
-        moved = any(
-            meas.update.row(s, q).weights != {s: 1.0} and meas is measurement
-            for meas in (measurement, *model.measurements.values())
-            for s in states
-            for q, p in meas.response.row(s).items()
-            if p != 0.0
-        )
-    except ModelError:
-        return False
-    return not moved and all(
-        s in kernel.rows for kernel in model.transformations.values() for s in states
+    n = len(model.space.states)
+    return measurement.form.in_place and not any(
+        len(kernel.rows) != n for kernel in model.transformations.values()
+    ) and not any(
+        len(meas.response.table) != n or meas.form.missing for meas in model.measurements.values()
     )
 
 
-def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
+def _suffix_effects(model: OnticModel, memo: dict, suffixes) -> dict:
     """The effects of each suffix and of its tails, keyed by suffix.
 
     A suffix's effects are one per outcome sequence r, in product order:
@@ -284,69 +269,62 @@ def _suffix_effects(model: OnticModel, duals: Pullback, suffixes) -> dict:
     selective update for each outcome and then through t, and the last
     measurement contributes only its response, since nothing after it
     observes its update. Suffixes sharing a tail share its effects, and
-    ``duals`` dots each of their bases with m's update rows once, however
+    ``memo`` keeps each of their bases' dots with m's update rows, however
     many transformations precede m.
     """
     tails = dict.fromkeys(suffix[k:] for suffix in suffixes for k in range(len(suffix)))
-    effects: dict = {(): duals.unit()} if () in suffixes else {}
+    effects: dict = {(): [(1.0, array("d", [1.0]) * len(model.space))]} if () in suffixes else {}
     for tail in sorted(tails, key=len):
         (t, m_name), rest = tail[0], tail[1:]
-        meas = model.measurement(m_name)
-        pulled = duals.pull_measure(effects[rest], meas) if rest else duals.responses(meas)
-        effects[tail] = pulled if t is None else duals.pull(pulled, model.transformation(t))
+        form = model.measurement(m_name).form
+        pulled = (form.pull(effects[rest], memo) if rest
+                  else [(1.0, base) for base in form.responses.values()])
+        effects[tail] = pulled if t is None else model.transformation(t).form.pull(pulled, memo)
     return effects
 
 
-def _disturbances(duals: Pullback, measurement, effects, bases: dict) -> tuple:
+def _disturbances(memo: dict, measurement, effects, bases: dict) -> tuple:
     """D_r = sum_q P_q E_r - E_r for each effect E_r, P_q the pull through outcome q's update.
 
     The sum is E_r read after the measurement with its outcome ignored.
-    Returns ``(whole, layers)``, one of them empty. When every pull built
-    a whole array (coefficient 1), as through per-state update rows,
-    ``whole`` holds each D_r as one array. Otherwise ``layers`` holds the
-    D_r as sums of terms: one layer per outcome and one of -E_r, each a
-    list of (coefficient, base number) pairs with one term of every D_r.
-    ``bases`` maps id(base) to (number, base), numbered from 0 in order
-    of first use, so that a base shared by several terms is dotted once.
+    Returns the D_r as sums of terms, in layers: each layer is a list of
+    (coefficient, base number) pairs with one term of every D_r. When
+    every pull built a whole array (coefficient 1), as through per-state
+    update rows, each D_r is one array, in one layer of coefficients 1.
+    Otherwise there is one layer per outcome and one of -E_r. ``bases``
+    maps id(base) to (number, base), numbered from 0 in order of first
+    use, so that a base shared by several terms is dotted once.
     """
-    pulled = duals.pull_measure(effects, measurement)  # outcome-major
+    pulled = measurement.form.pull(effects, memo)  # outcome-major
     n = len(effects)
-    if all(c == 1.0 for c, _ in pulled):
-        return [
-            array("d", map(sub, reduce(partial(map, add), (part for _, part in pulled[j::n])),
-                           base if c == 1.0 else map(mul, itertools.repeat(c), base)))
-            for j, (c, base) in enumerate(effects)
-        ], []
     layers = [pulled[k:k + n] for k in range(0, len(pulled), n)] + [[(-c, e) for c, e in effects]]
-    return [], [[(c, bases.setdefault(id(e), (len(bases), e))[0]) for c, e in layer]
-                for layer in layers]
+    if all(c == 1.0 for c, _ in pulled):  # add up each D_r's terms in one array
+        layers = [[(1.0, array("d", reduce(partial(map, add),
+                                           (map(mul, itertools.repeat(c), e) for c, e in terms))))
+                   for terms in zip(*layers)]]
+    return [[(c, bases.setdefault(id(e), (len(bases), e))[0]) for c, e in layer]
+            for layer in layers]
 
 
-def _dots(packed, bases: dict) -> list:
-    """<w_b, base> for each packed branch b and each base, in number order."""
-    return [[dot(w, base) for _, base in bases.values()] for w in packed]
+def _dots(branches, bases: dict) -> list:
+    """<w_b, base> for each branch b and each base, in number order."""
+    bases = [base for _, base in bases.values()]
+    return [dots(w, bases) for w in branches]
 
 
-def _deviation(packed, dots, shifts) -> float:
-    """Largest |<w_b, D_r>| over packed branches b and one suffix's ``_disturbances`` D_r.
+def _deviation(by_base, layers) -> float:
+    """Largest |<w_b, D_r>| over branches b and one suffix's ``_disturbances`` D_r.
 
-    A whole D_r takes one dot product per branch. A D_r in layers is
-    read from the branches' ``_dots`` as a sum of coefficient * dot
-    products, added layer by layer. Whole D_r are not read from
-    ``_dots``: that would add a Python-level pass over every branch and
-    D_r, which slows models of a few states and many contexts. A branch
-    with a state outside the effects' domain makes its dot products NaN
-    and raises ModelError: a forward walk would look up a missing row
-    from there.
+    Each D_r is read from the branches' ``_dots`` as a sum of
+    coefficient * dot products, added layer by layer. A branch with a
+    state outside the effects' domain makes its dot products NaN and
+    raises ModelError: a forward walk would look up a missing row from
+    there.
     """
-    whole, layers = shifts
-    if whole:
-        sums = [dot(w, f) for w in packed for f in whole]
-    else:
-        first, *rest = layers
-        sums = [c * at[k] for at in dots for c, k in first]
-        for terms in rest:
-            sums = list(map(add, sums, [c * at[k] for at in dots for c, k in terms]))
+    first, *rest = layers
+    sums = [c * at[k] for at in by_base for c, k in first]
+    for terms in rest:
+        sums = list(map(add, sums, [c * at[k] for at in by_base for c, k in terms]))
     if any(map(math.isnan, sums)):
         raise ModelError("suffix statistics undefined on a branch reaching the measurement")
     return max(map(abs, sums))
@@ -380,11 +358,10 @@ def check_opnd(
         raise ModelError("non-disturbance needs at least one surrounding measurement")
     meas = model.measurement(measurement)
     branches = _reaching(model, model.preparation(preparation), prefix, pre_transformation)
-    duals = Pullback(model.space)
+    memo: dict = {}
     bases: dict = {}
-    shifts = _disturbances(duals, meas, _suffix_effects(model, duals, [suffix])[suffix], bases)
-    packed = [duals.pack(w) for w, _ in branches]
-    worst = _deviation(packed, _dots(packed, bases), shifts)
+    shifts = _disturbances(memo, meas, _suffix_effects(model, memo, [suffix])[suffix], bases)
+    worst = _deviation(_dots(branches, bases), shifts)
     context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
     return OpndResult(worst <= tol, worst, context)
 
@@ -464,10 +441,10 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
     undefined = dict.fromkeys(checked, 0)
     left = [m for m, meas in checked.items() if not _settled(model, meas)]
     heads = list(itertools.product(prefixes, pre_ts)) if left else []
-    duals = Pullback(model.space)
-    effects = _suffix_effects(model, duals, suffixes) if left else {}
+    memo: dict = {}  # of the pulls, per base and form (see core)
+    effects = _suffix_effects(model, memo, suffixes) if left else {}
     bases: dict = {}  # of every D_r's terms, dotted once per branch and head
-    shifts = {m: {s: _disturbances(duals, checked[m], effects[s], bases) for s in suffixes}
+    shifts = {m: {s: _disturbances(memo, checked[m], effects[s], bases) for s in suffixes}
               for m in left}
     for prep_name in preparations:
         dist = model.preparation(prep_name)
@@ -477,12 +454,11 @@ def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict
             except ModelError:  # so no measurement is settled: that needs every row declared
                 undefined = {m: n + len(suffixes) for m, n in undefined.items()}
                 continue
-            packed = [duals.pack(w) for w, _ in branches]
-            dots = _dots(packed, bases)
+            by_base = _dots(branches, bases)
             for m in left:
                 for suffix in suffixes:
                     try:
-                        deviation = _deviation(packed, dots, shifts[m][suffix])
+                        deviation = _deviation(by_base, shifts[m][suffix])
                     except ModelError:
                         undefined[m] += 1
                         continue
@@ -537,13 +513,17 @@ def check_implication_chain(
     both transformation slots are declared, so complete non-disturbance
     implies specific non-disturbance. A slot without a transformation
     puts its contexts outside the complete check's set, so the complete
-    stage then also requires the specific stage.
+    stage then also requires the specific stage. ``tol`` must be at least
+    RESIDUAL_TOL: the stages compare float sums, whose rounding noise
+    (about 1e-17 on an identity update) would otherwise decide them.
     """
     if depth < 2:
         raise ValidationError(
             f"suffix depth {depth!r} is below 2, so the complete check would not "
             "cover the arrangement's own length-2 suffix"
         )
+    if not tol >= RESIDUAL_TOL:
+        raise ValidationError(f"tolerance {tol!r} is below the float noise floor {RESIDUAL_TOL}")
     model = arrangement.model
     m1, m2, _ = arrangement.measurements
     report = disturbance_report(arrangement)
@@ -651,9 +631,9 @@ def post_select_noninvasive(
             label: w * (meas_a.response.row(label)[q_a] + meas_b.response.row(label)[q_b])
             for label, w in half.items()
         }
-        post = measure(half, meas_a, (q_a,))
-        for label, w in measure(half, meas_b, (q_b,)).items():
-            post[label] = post.get(label, 0.0) + w
+        branch = model.space.pack(half)
+        post = model.space.unpack(summed([meas_a.form.measure(branch, q_a),
+                                          meas_b.form.measure(branch, q_b)]))
         keep_probability = sum(kept.values())
         if keep_probability <= 0.0:
             raise ModelError(

@@ -7,11 +7,12 @@ applies. The engine enumerates outcome branches depth-first in declared
 outcome order and propagates exact weighted distributions, so identical
 inputs give bit-identical tables.
 
-``walk`` is the one forward loop over protocol steps. The
+``walk`` is the one forward loop over protocol steps, through the
+kernels' and measurements' positional forms (see ``core``). The
 non-disturbance checks in ``lg`` walk forward only to the checked
 measurement; they follow it and the suffix steps backwards, pulling
-response functions back through them with ``core.Pullback``, and take
-dot products with the branches ``walk`` gives them.
+response functions back through the same forms, and take dot products
+with the branches ``walk`` gives them.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (
-    OnticModel,
-    measure,
-    outcome_mass,
-    push,
-    single_shot_probability,
-)
+from .core import OnticModel, single_shot_probability
 from .errors import ModelError, ValidationError
 
 #: Tolerance for declaring two sets of operational statistics equal.
@@ -110,7 +105,7 @@ class JointDistribution:
 
 
 def walk(model: OnticModel, branches, steps) -> list:
-    """Carry ``(weights, outcomes)`` branches through protocol steps.
+    """Carry ``(branch, outcomes)`` pairs (see ``core``) through protocol steps.
 
     Each step pushes every branch through its transformation; a performed
     step then splits each branch by outcome with the selective update,
@@ -119,15 +114,15 @@ def walk(model: OnticModel, branches, steps) -> list:
     """
     for step in steps:
         if step.transformation is not None:
-            kernel = model.transformation(step.transformation)
-            branches = [(push(w, kernel), outs) for w, outs in branches]
+            kernel = model.transformation(step.transformation).form
+            branches = [(kernel.push(w), outs) for w, outs in branches]
         if step.perform:
             measurement = model.measurement(step.measurement)
             branches = [
                 (grown, outs + (q,))
                 for w, outs in branches
                 for q in measurement.outcomes
-                if (grown := measure(w, measurement, (q,)))
+                if (grown := measurement.form.measure(w, q))[0]
             ]
     return branches
 
@@ -147,9 +142,9 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     final = model.measurement(steps[-1].measurement)
     read = steps[:-1] + (ProtocolStep(steps[-1].transformation, final.label, False),)
     table = {
-        outs + (q,): outcome_mass(w, final, q)
-        for w, outs in walk(model, [(dict(dist.weights), ())], read)
-        for q in final.outcomes
+        outs + (q,): p
+        for w, outs in walk(model, [(model.space.pack(dist.weights), ())], read)
+        for q, p in final.form.masses(w).items()
     }
     axes = tuple(
         (s.measurement, model.measurement(s.measurement).outcomes) for s in steps if s.perform

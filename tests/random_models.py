@@ -1,6 +1,8 @@
-"""Seeded random finite models for fuzzing the exact identities."""
+"""Seeded random finite models for fuzzing the exact identities, and row mutations of models."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -82,3 +84,36 @@ def random_arrangement(rng: np.random.Generator, max_states: int = 8,
             {m: {PLUS: 1, MINUS: -1} for m in ("M1", "M2", "M3")}
         ),
     )
+
+
+def without_last_row(model, transformation):
+    """The model with one kernel lacking its row for the last ontic state."""
+    kernel = model.transformations[transformation]
+    last = model.space.states[-1]
+    partial = TransformationKernel(
+        model.space, {s: row for s, row in kernel.rows.items() if s != last}
+    )
+    return dataclasses.replace(
+        model, transformations={**model.transformations, transformation: partial}
+    )
+
+
+def with_update(model, measurement, outcome_rows, rows=None, response=None):
+    """The model with a measurement's update replaced, and some of its response rows."""
+    meas = model.measurements[measurement]
+    table = {**meas.response.table, **(response or {})}
+    update = MeasurementUpdate(model.space, meas.outcomes, rows, outcome_rows)
+    return dataclasses.replace(model, measurements={
+        **model.measurements,
+        measurement: Measurement(measurement, ResponseFunction(model.space, meas.outcomes, table),
+                                 update)})
+
+
+def identity_with_shared_rows():
+    """An identity arrangement whose T1 lacks its last row and whose M1 draws from shared rows."""
+    arr = random_arrangement(np.random.default_rng(5001), max_states=3, noninvasive_early=True)
+    space = arr.model.space
+    model = with_update(without_last_row(arr.model, "T1"), "M1",
+                        {PLUS: arr.model.preparations["E"],
+                         MINUS: Distribution.point_mass(space, space.states[0])})
+    return dataclasses.replace(arr, model=model)

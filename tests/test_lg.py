@@ -33,7 +33,13 @@ from lglab import (
     post_select_noninvasive,
     run_protocol,
 )
-from random_models import random_arrangement
+import reference_walk
+from random_models import (
+    identity_with_shared_rows,
+    random_arrangement,
+    with_update,
+    without_last_row,
+)
 from lglab.zoo import (
     build_fixtures,
     build_qubit_arrangement,
@@ -195,6 +201,9 @@ class TestOpnd:
         # past it is a coefficient on xi(+-|.) or on their pulls through
         # rot1 and rot2: a deeper suffix builds no new base
         model = zoo.build("ks-sphere", n_points=200).model
+        # compile the positional forms first, so that only the checks' own arrays are counted
+        for component in (*model.transformations.values(), *model.measurements.values()):
+            assert component.form is component.form
         built = []
 
         def counted(*args):
@@ -208,18 +217,35 @@ class TestOpnd:
             built.clear()
             check_opnd_complete(model, "Mz", depth=depth)
             counts.append(len(built))
-        assert counts[1] <= counts[0]
+        assert 0 < counts[1] <= counts[0]
+
+    def test_a_second_check_compiles_no_form(self, monkeypatch):
+        # each kernel and measurement is compiled once, on first use, and keeps its form
+        arr = random_arrangement(np.random.default_rng(7))
+        compiled = []
+        for name in ("KernelForm", "MeasurementForm"):
+            original = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda component, original=original: (
+                compiled.append(component) or original(component)))
+        suffix = [("T1", "M2"), ("T2", "M3")]
+        check_opnd(arr.model, "E", "M1", suffix)
+        check_implication_chain(arr)
+        assert len(compiled) == len(arr.model.transformations) + len(arr.model.measurements)
+        compiled.clear()
+        check_opnd(arr.model, "E", "M1", suffix)
+        check_implication_chain(arr)
+        assert compiled == []
 
 
 def two_run_opnd(model, preparation, measurement, suffix, prefix=(), pre_transformation=None):
     """Reference definition: the performed run with the checked outcome summed out,
-    against the run that skips the checked measurement."""
+    against the run that skips the checked measurement, both walked by label."""
     outer = [ProtocolStep(t, m) for t, m in prefix]
     tail = [ProtocolStep(t, m) for t, m in suffix]
 
     def run(perform):
         steps = outer + [ProtocolStep(pre_transformation, measurement, perform)] + tail
-        return run_protocol(model, Protocol(preparation, tuple(steps)))
+        return reference_walk.run_protocol(model, Protocol(preparation, tuple(steps)))
 
     performed = run(True)
     keep = [i for i in range(len(performed.axes)) if i != len(prefix)]
@@ -247,18 +273,6 @@ def two_run_contexts(model, measurement, depth=2):
                     except ModelError:
                         undefined += 1
     return deviations, undefined
-
-
-def without_last_row(model, transformation):
-    """The model with one kernel lacking its row for the last ontic state."""
-    kernel = model.transformations[transformation]
-    last = model.space.states[-1]
-    partial = TransformationKernel(
-        model.space, {s: row for s, row in kernel.rows.items() if s != last}
-    )
-    return dataclasses.replace(
-        model, transformations={**model.transformations, transformation: partial}
-    )
 
 
 def without_response_row(model, measurement):
@@ -312,17 +326,6 @@ def without_update_row(model, measurement, impossible=False):
     )
 
 
-def with_update(model, measurement, outcome_rows, rows=None, response=None):
-    """The model with a measurement's update replaced, and some of its response rows."""
-    meas = model.measurements[measurement]
-    table = {**meas.response.table, **(response or {})}
-    update = MeasurementUpdate(model.space, meas.outcomes, rows, outcome_rows)
-    return dataclasses.replace(model, measurements={
-        **model.measurements,
-        measurement: Measurement(measurement, ResponseFunction(model.space, meas.outcomes, table),
-                                 update)})
-
-
 def shared_row_outside_the_domain(model):
     """M1's PLUS row is shared and puts weight on the last state, where T1 has no row.
 
@@ -355,6 +358,45 @@ def shared_row_of_an_impossible_outcome(model):
                        {PLUS: model.preparations["E"],
                         MINUS: Distribution(space, {s: 1.0 / len(space) for s in space.states})},
                        response={s0: {PLUS: 1.0, MINUS: 0.0}, s1: {PLUS: 0.0, MINUS: 1.0}})
+
+
+class TestRunProtocolMatchesReferenceWalk:
+    @pytest.mark.parametrize("mutate, raises", [
+        (lambda model: model, False),
+        (lambda model: without_last_row(model, "T1"), True),
+        (lambda model: without_last_row(model, "T2"), True),
+        (lambda model: without_response_row(model, "M1"), True),
+        (lambda model: without_response_row(model, "M2"), True),
+        (lambda model: without_update_row(model, "M1"), True),
+        (lambda model: without_update_row(model, "M2"), True),
+        (lambda model: without_update_row(model, "M2", impossible=True), False),
+        (shared_row_outside_the_domain, True),
+        (shared_and_per_state_rows, False),
+        (shared_row_of_an_impossible_outcome, False),
+    ], ids=["none", "kernel-row-T1", "kernel-row-T2", "response-row-M1", "response-row-M2",
+            "update-row-M1", "update-row-M2", "update-row-of-impossible-outcome",
+            "shared-row-outside-the-domain", "shared-and-per-state-rows",
+            "shared-row-of-an-impossible-outcome"])
+    def test_tables_equal_the_reference_walks(self, mutate, raises):
+        rng = np.random.default_rng(61)
+        raised = 0
+        for k in range(12):
+            arr = random_arrangement(rng, max_states=5, noninvasive_early=k % 3 == 0)
+            model = mutate(arr.model)
+            for mask in lg.MASKS.values():
+                protocol = arr.protocol(mask)
+                try:
+                    expected = reference_walk.run_protocol(model, protocol)
+                except ModelError:
+                    raised += 1
+                    with pytest.raises(ModelError):
+                        run_protocol(model, protocol)
+                    continue
+                joint = run_protocol(model, protocol)
+                assert joint.axes == expected.axes
+                assert list(joint.table) == list(expected.table)
+                assert max(abs(p - expected.table[c]) for c, p in joint.table.items()) <= 1e-15
+        assert (raised > 0) == raises
 
 
 class TestOpndMatchesTwoRunDefinition:
@@ -433,12 +475,7 @@ class TestOpndMatchesTwoRunDefinition:
         # Effects past M1's shared rows are sums of coefficient * base terms, whose
         # rounding reads 5e-17 here, and the first context to reach it is named.
         # This pins the summation order: changing it moves the value or the witness.
-        identity = random_arrangement(np.random.default_rng(5001), max_states=3,
-                                      noninvasive_early=True).model
-        space = identity.space
-        model = with_update(without_last_row(identity, "T1"), "M1",
-                            {PLUS: identity.preparations["E"],
-                             MINUS: Distribution.point_mass(space, space.states[0])})
+        model = identity_with_shared_rows().model
         result = check_opnd_complete(model, "M2")
         assert result.non_disturbing and result.undefined_contexts == 408
         assert result.max_deviation == 5.110269487305461e-17
@@ -482,6 +519,15 @@ class TestImplicationChain:
         fixture = build_fixtures()["lgi-holds-d-nonzero"]
         record = check_implication_chain(fixture.arrangement)
         assert record.as_tuple() == (False, False, False, True)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-20, 1e-16, 1e-13])
+    def test_tolerance_below_the_residual_floor_is_refused(self, tol):
+        # an identity update is settled at exactly 0, but the d-tables carry ~1e-17 of
+        # rounding noise, which a tolerance this small would let decide the stages
+        arr = random_arrangement(np.random.default_rng(5001), max_states=3, noninvasive_early=True)
+        with pytest.raises(ValidationError, match="below the float noise floor 1e-12"):
+            check_implication_chain(arr, tol=tol)
+        assert check_implication_chain(arr, tol=lg.RESIDUAL_TOL).as_tuple() == (True,) * 4
 
     def test_chain_never_raises_on_random_models(self):
         rng = np.random.default_rng(41)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lglab import SchemaError, TransformationKernel, check_implication_chain, lg_value_pairwise
 from lglab import cli, schema, zoo
-from random_models import random_arrangement
+from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
     CLASSIFY_REFUSALS,
@@ -376,6 +376,18 @@ class TestCli:
         assert out["results"]["verdict"] == "not-MR"
         assert out["results"]["macrodefinite_witness_count"] > 0
 
+    def test_classify_image_weights_follow_the_state_order(self, capsys):
+        # an image's weights come from compose_preparation in state order: prep-down>flip1
+        # puts 0.75 on "down" (the -1 value) but lists "up" (+1), the first state, first
+        args = ["classify", "--zoo", "superselected", "--image-depth", "1", "--no-timestamp"]
+        assert run_cli(args) == 0
+        evidence = {e["preparation"]: e
+                    for e in json.loads(capsys.readouterr().out)["results"]["evidence"]}
+        image = evidence["prep-down>flip1"]
+        assert image["value_weights"] == {"+1": 0.25, "-1": 0.75}
+        assert list(image["value_weights"]) == ["+1", "-1"]
+        assert list(image["value_components"]) == ["+1", "-1"]
+
     def test_twoslit_point(self, capsys):
         run_cli(["twoslit", "--mod1-sq", "0.2", "--phi", str(math.pi), "--no-timestamp"])
         out = json.loads(capsys.readouterr().out)
@@ -403,14 +415,31 @@ class TestCli:
         assert exited.value.code == 2
         assert "--depth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["lg", "classify"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol, command", [
+        *((tol, command) for tol in ("nan", "inf", "-1") for command in ("lg", "classify")),
+        ("0", "lg"),  # below the residual floor the chain's stages would read rounding noise
+    ])
     def test_non_finite_or_negative_tol_exits_2(self, command, tol, capsys):
         with pytest.raises(SystemExit) as exited:
             run_cli([command, "--zoo", "superselected", "--tol", tol, "--no-timestamp"])
         assert exited.value.code == 2
         captured = capsys.readouterr()
         assert "--tol" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["0", "1e-20", "1e-16"])
+    def test_lg_tol_below_the_residual_floor_exits_2_on_a_model_file(self, tol, tmp_path, capsys):
+        # M2 is an identity update, settled at exactly 0, but the d-tables of this
+        # arrangement carry ~1e-17 of rounding noise: such a --tol made the chain's
+        # implication assertions fail (exit 3) on a valid model
+        arr = identity_with_shared_rows()
+        arr = dataclasses.replace(arr, transformations=("T2", "T2"),
+                                  measurements=("M2", "M2", "M3"))
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(schema.model_to_doc(arr.model, arrangements={"lg": arr})))
+        assert exit_code(["lg", "--model", str(path), "--tol", tol, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and captured.out == ""
+        assert run_cli(["lg", "--model", str(path), "--no-timestamp"]) == 0
 
     @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
     def test_non_finite_phi_exits_2(self, phi, capsys):
