@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Distribution,
@@ -40,16 +40,16 @@ class QuantityClass:
     measurements: tuple
 
     @classmethod
-    def verified(cls, model: OnticModel, label: str, measurements, probes=None,
+    def verified(cls, model: OnticModel, label: str, measurements,
                  tol: float = EQUIVALENCE_TOL) -> "QuantityClass":
-        """Build the class, checking pairwise equivalence on the declared probes."""
+        """Build the class, checking pairwise equivalence on every declared probe."""
         measurements = tuple(measurements)
         if not measurements:
             raise ModelError("a quantity class needs at least one measurement")
         for name in measurements:
             model.measurement(name)
         for a, b in itertools.combinations(measurements, 2):
-            equivalent, dev = measurements_equivalent(model, a, b, probes, tol=tol)
+            equivalent, dev = measurements_equivalent(model, a, b, tol=tol)
             if not equivalent:
                 raise ModelError(
                     f"measurements {a!r} and {b!r} differ on the probe set "
@@ -67,8 +67,7 @@ class MacrodefiniteResult:
     value_of: dict  # state -> outcome, only meaningful when holds
 
 
-def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass,
-                        tol: float = SUPPORT_TOL) -> MacrodefiniteResult:
+def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> MacrodefiniteResult:
     """Check non-contextual value-definiteness of the whole state space."""
     members = [model.measurement(m) for m in quantity_class.measurements]
     witnesses = []
@@ -76,7 +75,7 @@ def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass,
     for state in model.space.states:
         determined = None
         for meas in members:
-            outcome = meas.response.determined_outcome(state, tol=tol)
+            outcome = meas.response.determined_outcome(state)
             if outcome is None:
                 row = meas.response.row(state)
                 witnesses.append((state, meas.label, f"stochastic response {dict(row)!r}"))
@@ -96,21 +95,17 @@ def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass,
 
 
 def operational_eigenstate_supports(model: OnticModel, quantity_class: QuantityClass,
-                                    outcome, preparations=None,
-                                    tol: float = EQUIVALENCE_TOL) -> tuple:
+                                    outcome) -> tuple:
     """Union of supports of the declared eigenstate preparations for one value.
 
     Returns (support frozenset, tuple of contributing preparation names);
     an empty name tuple means no eigenstate preparation is declared for
     this value.
     """
-    if preparations is None:
-        preparations = list(model.preparations)
     names = []
     support = set()
-    for name in preparations:
-        dist = model.preparation(name)
-        if is_operational_eigenstate(model, dist, quantity_class.measurements, outcome, tol=tol):
+    for name, dist in model.preparations.items():
+        if is_operational_eigenstate(model, dist, quantity_class.measurements, outcome):
             names.append(name)
             support |= dist.support()
     return frozenset(support), tuple(names)
@@ -143,7 +138,6 @@ class Classification:
     evidence: tuple  # PreparationEvidence per classified preparation
     classified_preparations: tuple
     skipped_images: tuple = ()
-    hull_tol: float = HULL_TOL
 
 
 def _dot(u, v) -> float:
@@ -235,15 +229,16 @@ def _nu_decomposition(dist: Distribution, value_of: dict) -> tuple:
     return masses, components
 
 
-def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None,
-             hull_tol: float = HULL_TOL, image_depth: int = 0) -> Classification:
+def classify(model: OnticModel, quantity_class: QuantityClass,
+             image_depth: int = 0) -> Classification:
     """Classify a model into the three-family taxonomy for one quantity class.
 
     Classification is relative to the declared preparations (the set is
-    echoed in the result). With ``image_depth`` > 0, images of declared
-    preparations under sequences of declared transformations up to that
-    depth are classified too; images whose kernel rows are undefined on
-    the needed states are skipped and reported.
+    echoed in the result), and mixture membership is decided to HULL_TOL.
+    With ``image_depth`` > 0, images of declared preparations under
+    sequences of declared transformations up to that depth are classified
+    too; images whose kernel rows are undefined on the needed states are
+    skipped and reported.
     """
     md = check_macrodefinite(model, quantity_class)
     if not md.holds:
@@ -256,18 +251,13 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
             values_without_eigenstate=(),
             evidence=(),
             classified_preparations=(),
-            hull_tol=hull_tol,
         )
 
-    if preparations is None:
-        preparations = list(model.preparations)
     outcomes = model.measurement(quantity_class.measurements[0]).outcomes
     eigen_names: dict = {}
     union_support: set = set()
     for q in outcomes:
-        support, names = operational_eigenstate_supports(
-            model, quantity_class, q, preparations=preparations
-        )
+        support, names = operational_eigenstate_supports(model, quantity_class, q)
         eigen_names[q] = names
         union_support |= support
     missing = tuple(q for q in outcomes if not eigen_names[q])
@@ -278,7 +268,7 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
             f"{quantity_class.label!r}; classification impossible"
         )
 
-    targets = [(name, model.preparation(name)) for name in preparations]
+    targets = list(model.preparations.items())
     skipped = []
     frontier = list(targets)
     for depth in range(1, image_depth + 1):
@@ -309,7 +299,7 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
             misfit = [m - w * c for m, c in zip(misfit, column)]
         outside = [w for label, w in dist.weights.items() if label not in rows]
         residual = 0.5 * math.fsum([*map(abs, misfit), *outside])
-        mixture = residual <= hull_tol
+        mixture = residual <= HULL_TOL
         novel = tuple(sorted(dist.support() - union_support, key=index.__getitem__))
         contained = not novel
         if mixture and not contained:
@@ -349,7 +339,6 @@ def classify(model: OnticModel, quantity_class: QuantityClass, preparations=None
         evidence=tuple(evidence),
         classified_preparations=tuple(name for name, _ in targets),
         skipped_images=tuple(skipped),
-        hull_tol=hull_tol,
     )
 
 
@@ -363,13 +352,14 @@ class EquilibriumResult:
 
 
 def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
-                               measurement: str, tol: float = 1e-9) -> EquilibriumResult:
+                               measurement: str) -> EquilibriumResult:
     """Whether each declared eigenstate preparation is preserved by its own update.
 
     For the eigenstate preparation of value q, the preparation is
     conditioned on outcome q (states with xi(q|s) <= SUPPORT_TOL
     dropped, the update for q applied, the result divided by P(q)) and
-    compared with the preparation itself in total variation.
+    compared with the preparation itself in total variation, to
+    EQUIVALENCE_TOL.
     """
     meas = model.measurement(measurement)
     deviations = {}
@@ -384,5 +374,5 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
             post = {label: w / p_q for label, w in post.items()}
             deviations[name] = Distribution(model.space, post).total_variation(dist)
     worst = max(deviations.values(), default=0.0)
-    return EquilibriumResult(holds=worst <= tol, worst_deviation=worst,
+    return EquilibriumResult(holds=worst <= EQUIVALENCE_TOL, worst_deviation=worst,
                              per_preparation=deviations)

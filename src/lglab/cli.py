@@ -8,10 +8,10 @@ property of a valid input).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
 from .classify import HULL_TOL, QuantityClass, check_equilibrium_property, classify
@@ -49,16 +49,17 @@ def _report_skeleton(command, args, inputs):
     return report
 
 
-def _emit(args, text):
+def _emit(args, write):
+    """Call ``write`` on the --out file, or on stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(handle)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _emit_report(args, report):
-    _emit(args, json.dumps(report, indent=2) + "\n")
+def _emit_report(args, doc):
+    _emit(args, partial(schema.write_document, doc))
 
 
 def _zoo_params(args, name):
@@ -206,7 +207,7 @@ def _classification_doc(result):
         "quantity_class": result.quantity_class,
         "verdict": result.verdict,
         "macrodefinite": result.macrodefinite,
-        "hull_tol": result.hull_tol,
+        "hull_tol": HULL_TOL,
     }
     if not result.macrodefinite:
         witnesses = list(result.macrodefinite_witnesses)
@@ -309,7 +310,7 @@ def cmd_twoslit(args) -> int:
                         )
                     )
                 )
-            _emit(args, "\n".join(lines) + "\n")
+            _emit(args, lambda handle: handle.write("\n".join(lines) + "\n"))
             return 0
         report = _report_skeleton(
             "twoslit", args, {"sweep": {"mod_steps": mod_steps, "phi_steps": phi_steps}}
@@ -376,7 +377,7 @@ def cmd_zoo_export(args) -> int:
     doc = schema.model_to_doc(
         built.model, name=built.name, arrangements=arrangements, protocols=protocols
     )
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _emit_report(args, doc)
     return 0
 
 

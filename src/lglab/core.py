@@ -117,8 +117,8 @@ class Distribution:
     def weight(self, label: Label) -> float:
         return self.weights.get(label, 0.0)
 
-    def support(self, tol: float = SUPPORT_TOL) -> frozenset:
-        return frozenset(k for k, v in self.weights.items() if v > tol)
+    def support(self) -> frozenset:
+        return frozenset(k for k, v in self.weights.items() if v > SUPPORT_TOL)
 
     def total_variation(self, other: "Distribution") -> float:
         keys = set(self.weights) | set(other.weights)
@@ -190,11 +190,11 @@ class ResponseFunction:
         except KeyError:
             raise ModelError(f"response undefined for state {label!r}") from None
 
-    def determined_outcome(self, label: Label, tol: float = SUPPORT_TOL):
+    def determined_outcome(self, label: Label):
         """The single outcome taken with probability 1, or None if stochastic."""
         row = self.row(label)
-        hits = [q for q, p in row.items() if p >= 1.0 - tol]
-        if len(hits) == 1 and all(p <= tol for q, p in row.items() if q != hits[0]):
+        hits = [q for q, p in row.items() if p >= 1.0 - SUPPORT_TOL]
+        if len(hits) == 1 and all(p <= SUPPORT_TOL for q, p in row.items() if q != hits[0]):
             return hits[0]
         return None
 

@@ -35,7 +35,8 @@ from .operational import (
 #: The exact decomposition identity must hold to this tolerance.
 RESIDUAL_TOL = 1e-12
 
-#: The trivial all-performed bound, allowing only float noise.
+#: Float noise allowed on the trivial all-performed bound and on the
+#: post-selection match.
 BOUND_TOL = 1e-12
 
 #: Perform masks of an arrangement's four runs: all three measurements,
@@ -337,7 +338,6 @@ def check_opnd(
     suffix,
     prefix=(),
     pre_transformation: Optional[str] = None,
-    tol: float = EQUIVALENCE_TOL,
 ) -> OpndResult:
     """Compare surrounding statistics with a measurement performed vs skipped.
 
@@ -349,8 +349,9 @@ def check_opnd(
     leaves it out; the comparison is over the joint statistics of every
     other measurement, prefix outcomes included: the dot products of the
     branches reaching the measurement with the suffix's disturbance
-    effects. A context the model leaves undefined (a missing kernel,
-    response or update row on the way) raises ModelError.
+    effects, non-disturbing to EQUIVALENCE_TOL. A context the model
+    leaves undefined (a missing kernel, response or update row on the
+    way) raises ModelError.
     """
     prefix = tuple(prefix)
     suffix = tuple(map(tuple, suffix))
@@ -363,7 +364,7 @@ def check_opnd(
     shifts = _disturbances(memo, meas, _suffix_effects(model, memo, [suffix])[suffix], bases)
     worst = _deviation(_dots(branches, bases), shifts)
     context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
-    return OpndResult(worst <= tol, worst, context)
+    return OpndResult(worst <= EQUIVALENCE_TOL, worst, context)
 
 
 @dataclass(frozen=True)
@@ -397,13 +398,7 @@ class OpndCompleteResult:
     settled: bool = False
 
 
-def check_opnd_complete(
-    model: OnticModel,
-    measurement: str,
-    depth: int = 2,
-    preparations=None,
-    tol: float = EQUIVALENCE_TOL,
-) -> OpndCompleteResult:
+def check_opnd_complete(model: OnticModel, measurement: str, depth: int = 2) -> OpndCompleteResult:
     """Check non-disturbance over every bounded declared context.
 
     The measurement is settled, with no context walked, when the model
@@ -415,17 +410,18 @@ def check_opnd_complete(
     the suffix's effect E_r (a response function pulled back through
     the suffix) pulled back through the measurement performed with its
     outcome ignored, minus E_r. A context is undefined, and skipped and
-    counted, when the forward walk would look up a missing row. ``depth``
-    must be at least 1.
+    counted, when the forward walk would look up a missing row. The
+    measurement is non-disturbing when the largest deviation is at most
+    EQUIVALENCE_TOL. ``depth`` must be at least 1.
     """
-    return _complete(model, (measurement,), depth, preparations, tol)[measurement]
+    return _complete(model, (measurement,), depth, EQUIVALENCE_TOL)[measurement]
 
 
-def _complete(model: OnticModel, measurements, depth, preparations, tol) -> dict:
+def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     """``check_opnd_complete`` of each measurement, walking each head once for all of them."""
     if depth < 1:
         raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")
-    preparations = tuple(model.preparations if preparations is None else preparations)
+    preparations = tuple(model.preparations)
     checked = {m: model.measurement(m) for m in measurements}
     alphabet = [(t, m) for t in model.transformations for m in model.measurements]
     suffixes = [
@@ -529,7 +525,7 @@ def check_implication_chain(
     report = disturbance_report(arrangement)
     early = dict.fromkeys((m1, m2))  # a repeated measurement is checked once
     oni = {m: is_ontically_noninvasive(model.measurement(m)) for m in early}
-    complete = _complete(model, early, depth, None, tol)
+    complete = _complete(model, early, depth, tol)
     specific = tuple(max(map(abs, d.values())) for d in (report.d1, report.d2))
     opnd_specific = all(deviation <= tol for deviation in specific)
     opnd_complete = all(result.non_disturbing for result in complete.values())
@@ -576,7 +572,7 @@ class PostSelectionResult:
     """The composed coin-flip + keep/discard process and its verification.
 
     ``matches_input`` holds when the kept-branch ontic distribution
-    reproduces the input preparation exactly (the composite acts as a
+    reproduces the input preparation to BOUND_TOL (the composite acts as a
     totally noninvasive process); ``consistent`` holds when the
     end-to-end updated kept distribution agrees with the untouched
     kept-branch weights, which the partial-noninvasiveness precondition
@@ -591,26 +587,21 @@ class PostSelectionResult:
     max_update_inconsistency: float
 
 
-def post_select_noninvasive(
-    model: OnticModel,
-    keep_first,
-    keep_second,
-    probes=None,
-    tol: float = 1e-12,
-) -> PostSelectionResult:
+def post_select_noninvasive(model: OnticModel, keep_first, keep_second) -> PostSelectionResult:
     """Verify the fair-choice + post-selection composite on every preparation.
 
     ``keep_first`` and ``keep_second`` are (measurement name, kept
     outcome) pairs; each measurement must be noninvasive for its kept
-    outcome and the two must be operationally equivalent. On each run
-    one of the two is chosen with probability 1/2 and the run is kept
-    only when the chosen measurement produced its kept outcome.
+    outcome and the two must be operationally equivalent on every
+    declared probe. On each run one of the two is chosen with
+    probability 1/2 and the run is kept only when the chosen
+    measurement produced its kept outcome.
     """
     (name_a, q_a), (name_b, q_b) = keep_first, keep_second
     meas_a = model.measurement(name_a)
     meas_b = model.measurement(name_b)
 
-    equivalent, dev = measurements_equivalent(model, name_a, name_b, probes)
+    equivalent, dev = measurements_equivalent(model, name_a, name_b)
     if not equivalent:
         raise PreconditionError(
             f"measurements {name_a!r} and {name_b!r} are not operationally "
@@ -659,8 +650,8 @@ def post_select_noninvasive(
     return PostSelectionResult(
         kept_outcomes=((name_a, q_a), (name_b, q_b)),
         records=tuple(records),
-        matches_input=worst_input <= tol,
-        consistent=worst_update <= tol,
+        matches_input=worst_input <= BOUND_TOL,
+        consistent=worst_update <= BOUND_TOL,
         max_deviation_from_input=worst_input,
         max_update_inconsistency=worst_update,
     )

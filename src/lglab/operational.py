@@ -215,9 +215,7 @@ def expectation(joint: JointDistribution, assignment: ObservableAssignment, axes
     return total
 
 
-def preparations_equivalent(
-    model: OnticModel, first, second, probes, tol: float = EQUIVALENCE_TOL
-) -> tuple[bool, float]:
+def preparations_equivalent(model: OnticModel, first, second, probes) -> tuple[bool, float]:
     """Whether two preparations agree on every declared probe.
 
     ``probes`` is a finite list of (transformation-or-None, measurement)
@@ -234,55 +232,37 @@ def preparations_equivalent(
             pa = single_shot_probability(dist_a, kernel, measurement, q)
             pb = single_shot_probability(dist_b, kernel, measurement, q)
             worst = max(worst, abs(pa - pb))
-    return worst <= tol, worst
+    return worst <= EQUIVALENCE_TOL, worst
 
 
 def measurements_equivalent(
-    model: OnticModel,
-    first: str,
-    second: str,
-    probes=None,
-    correspondence=None,
-    tol: float = EQUIVALENCE_TOL,
+    model: OnticModel, first: str, second: str, probes=None, tol: float = EQUIVALENCE_TOL
 ) -> tuple[bool, float]:
     """Whether two measurements have the same response statistics on every probe.
 
     ``probes`` is a list of (preparation, transformation-or-None) name
-    pairs, by default every declared pair. ``correspondence`` maps
-    outcomes of the first measurement to outcomes of the second; by
-    default the outcome sets must coincide. Updates are deliberately
-    ignored: equivalence classes are about response statistics only.
+    pairs, by default every declared pair. The two outcome sets must
+    coincide. Updates are deliberately ignored: equivalence classes are
+    about response statistics only.
     """
     meas_a = model.measurement(first)
     meas_b = model.measurement(second)
-    if correspondence is None:
-        if set(meas_a.outcomes) != set(meas_b.outcomes):
-            raise ModelError(
-                f"measurements {first!r} and {second!r} have different outcome sets "
-                "and no correspondence was declared"
-            )
-        correspondence = {q: q for q in meas_a.outcomes}
-    else:
-        if set(correspondence) != set(meas_a.outcomes) or set(
-            correspondence.values()
-        ) != set(meas_b.outcomes):
-            raise ModelError("outcome correspondence is not a bijection between outcome sets")
+    if set(meas_a.outcomes) != set(meas_b.outcomes):
+        raise ModelError(f"measurements {first!r} and {second!r} have different outcome sets")
     if probes is None:
         probes = [(e, t) for e in model.preparations for t in [None, *model.transformations]]
     worst = 0.0
     for e_name, t_name in probes:
         dist = model.preparation(e_name)
         kernel = None if t_name is None else model.transformation(t_name)
-        for qa, qb in correspondence.items():
-            pa = single_shot_probability(dist, kernel, meas_a, qa)
-            pb = single_shot_probability(dist, kernel, meas_b, qb)
+        for q in meas_a.outcomes:
+            pa = single_shot_probability(dist, kernel, meas_a, q)
+            pb = single_shot_probability(dist, kernel, meas_b, q)
             worst = max(worst, abs(pa - pb))
     return worst <= tol, worst
 
 
-def is_operational_eigenstate(
-    model: OnticModel, preparation, measurements, outcome, tol: float = EQUIVALENCE_TOL
-) -> bool:
+def is_operational_eigenstate(model: OnticModel, preparation, measurements, outcome) -> bool:
     """Whether every measurement in the class returns ``outcome`` with probability 1.
 
     The caller is responsible for the class members being pairwise
@@ -292,6 +272,6 @@ def is_operational_eigenstate(
     dist = model.preparation(preparation)
     for m_name in measurements:
         measurement = model.measurement(m_name) if isinstance(m_name, str) else m_name
-        if single_shot_probability(dist, None, measurement, outcome) < 1.0 - tol:
+        if single_shot_probability(dist, None, measurement, outcome) < 1.0 - EQUIVALENCE_TOL:
             return False
     return True

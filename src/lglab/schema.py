@@ -268,10 +268,19 @@ def doc_to_model(doc) -> tuple:
     return model, protocols, arrangements
 
 
+def write_document(doc, handle):
+    """Write ``doc`` to a text handle as indented JSON and a final newline.
+
+    Model files and command reports are all written here. The text is
+    streamed, so a large document is never held as one string.
+    """
+    json.dump(doc, handle, indent=2)
+    handle.write("\n")
+
+
 def dump_document(doc, path):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        write_document(doc, handle)
 
 
 def load_document(path) -> dict:

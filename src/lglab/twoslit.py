@@ -53,12 +53,12 @@ class SlitAmplitudes:
             raise ValidationError("bin probability (|a1+a2|^2)/2 exceeds 1")
 
     @classmethod
-    def from_intensity_phase(cls, mod1_sq: float, phi: float, total: float = 1.0) -> "SlitAmplitudes":
-        """Amplitudes with |a1|^2 = mod1_sq, |a2|^2 = total - mod1_sq, phase difference phi."""
-        if not 0.0 <= mod1_sq <= total:
-            raise ValidationError(f"mod1_sq {mod1_sq!r} outside [0, {total}]")
+    def from_intensity_phase(cls, mod1_sq: float, phi: float) -> "SlitAmplitudes":
+        """Amplitudes with |a1|^2 = mod1_sq, |a2|^2 = 1 - mod1_sq, phase difference phi."""
+        if not 0.0 <= mod1_sq <= 1.0:
+            raise ValidationError(f"mod1_sq {mod1_sq!r} outside [0, 1.0]")
         a1 = math.sqrt(mod1_sq)
-        a2 = math.sqrt(total - mod1_sq) * cmath.exp(1j * phi)
+        a2 = math.sqrt(1.0 - mod1_sq) * cmath.exp(1j * phi)
         return cls(a1, a2)
 
     @property

@@ -351,8 +351,8 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     return _repeated(model, "up", ("rot1", "rot2"), "Mz")
 
 
-def ks_direction_measurement(model: OnticModel, direction, label: str = "probe") -> Measurement:
-    """A deterministic reading along an arbitrary direction, on the base grid.
+def ks_direction_measurement(model: OnticModel, direction) -> Measurement:
+    """A deterministic reading ``probe`` along an arbitrary direction, on the base grid.
 
     Intended for single-shot probing of the sphere model (the update is
     empty; the measurement is not meant to be inserted mid-protocol).
@@ -362,7 +362,7 @@ def ks_direction_measurement(model: OnticModel, direction, label: str = "probe")
         raise ModelError("direction probes are only defined for the sphere model")
     dots = _dots(_fibonacci_sphere(meta["n_points"]), direction)
     response = _reading(model.space, {f"r0:{k}": d >= 0.0 for k, d in enumerate(dots)})
-    return Measurement(label, response, MeasurementUpdate(model.space, OUTCOMES))
+    return Measurement("probe", response, MeasurementUpdate(model.space, OUTCOMES))
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ class TestEquivalences:
             transformations=dict(spin_model.transformations),
             measurements={**spin_model.measurements, "odd": odd},
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="have different outcome sets"):
             measurements_equivalent(model, "Mz", "odd", [("zero", None)])
 
 

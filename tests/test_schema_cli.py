@@ -10,7 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lglab import SchemaError, TransformationKernel, check_implication_chain, lg_value_pairwise
+from lglab import (
+    EQUIVALENCE_TOL,
+    HULL_TOL,
+    NORMALIZATION_TOL,
+    RESIDUAL_TOL,
+    SUPPORT_TOL,
+    SchemaError,
+    TransformationKernel,
+    check_implication_chain,
+    lg_value_pairwise,
+)
 from lglab import cli, schema, zoo
 from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
@@ -530,6 +540,17 @@ class TestCli:
         assert len(out["results"]["models"]) >= 6
 
 
+#: The tolerances block of an lg or classify report at the default --tol.
+TOLERANCES = {
+    "normalization": NORMALIZATION_TOL,
+    "support": SUPPORT_TOL,
+    "equivalence": EQUIVALENCE_TOL,
+    "hull": HULL_TOL,
+    "decomposition_residual": RESIDUAL_TOL,
+    "residual_gate": cli.RESIDUAL_GATE,
+}
+
+
 @pytest.mark.parametrize("entry", ZOO)
 @pytest.mark.parametrize(
     "command",
@@ -545,7 +566,9 @@ def test_every_zoo_entry_through_the_cli(command, entry, capsys):
             assert code == 2 and "ships no arrangement" in captured.err
             return
         assert code == 0
-        results = json.loads(captured.out)["results"]
+        report = json.loads(captured.out)
+        assert report["tolerances"] == TOLERANCES
+        results = report["results"]
         value, stages = LG_PINS[entry]
         assert results["lg_pairwise"] == pytest.approx(value, abs=1e-9)
         chain = results["chain"]
@@ -556,7 +579,10 @@ def test_every_zoo_entry_through_the_cli(command, entry, capsys):
             assert code == 2 and CLASSIFY_REFUSALS[entry] in captured.err
             return
         assert code == 0
-        assert json.loads(captured.out)["results"]["verdict"] == CLASSIFY_PINS[entry]
+        report = json.loads(captured.out)
+        assert report["tolerances"] == TOLERANCES
+        assert report["results"]["hull_tol"] == report["tolerances"]["hull"]
+        assert report["results"]["verdict"] == CLASSIFY_PINS[entry]
     else:
         assert code == 0
         doc = json.loads(captured.out)
