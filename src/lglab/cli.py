@@ -29,7 +29,8 @@ def _timestamp():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _report_skeleton(command, args, inputs):
+def _report_skeleton(command, args, inputs, **tolerances):
+    """The report's header: the tolerances that applied, ``tolerances`` overriding or adding."""
     report = {
         "tool": "lglab",
         "version": __version__,
@@ -40,10 +41,11 @@ def _report_skeleton(command, args, inputs):
     report["tolerances"] = {
         "normalization": NORMALIZATION_TOL,
         "support": SUPPORT_TOL,
-        "equivalence": getattr(args, "tol", EQUIVALENCE_TOL),
+        "equivalence": EQUIVALENCE_TOL,
         "hull": HULL_TOL,
         "decomposition_residual": RESIDUAL_TOL,
         "residual_gate": RESIDUAL_GATE,
+        **tolerances,
     }
     report["inputs"] = inputs
     return report
@@ -189,7 +191,7 @@ def cmd_lg(args) -> int:
             "specific_deviations": {"d1": d1, "d2": d2},
         },
     }
-    report = _report_skeleton("lg", args, inputs)
+    report = _report_skeleton("lg", args, inputs, equivalence=args.tol)
     report["results"] = results
     _emit_report(args, report)
     if not (abs(report_obj.decomposition_residual) <= RESIDUAL_GATE):
@@ -273,7 +275,7 @@ def cmd_classify(args) -> int:
         }
         doc["eigenstate_fixed_point"] = equilibrium
     inputs["class"] = label
-    report = _report_skeleton("classify", args, inputs)
+    report = _report_skeleton("classify", args, inputs, class_equivalence=args.tol)
     report["results"] = doc
     _emit_report(args, report)
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter, mul
@@ -121,7 +122,8 @@ class Distribution:
         return frozenset(k for k, v in self.weights.items() if v > SUPPORT_TOL)
 
     def total_variation(self, other: "Distribution") -> float:
-        keys = set(self.weights) | set(other.weights)
+        """Half the L1 distance, summed in state order so that every process adds alike."""
+        keys = sorted(self.weights.keys() | other.weights.keys(), key=self.space.position.get)
         return 0.5 * sum(abs(self.weight(k) - other.weight(k)) for k in keys)
 
     def __repr__(self):
@@ -218,9 +220,11 @@ class TransformationKernel:
         self.rows = dict(rows)
 
     @cached_property
-    def form(self) -> "KernelForm":
-        """The rows by state position, compiled on first use and kept."""
-        return KernelForm(self)
+    def form(self) -> "Form":
+        """The rows by state position, compiled on first use and kept, as a measurement
+        with one certain outcome (see ``Form``)."""
+        return Form(self.space, (None,), ((s, _CERTAIN) for s in self.rows),
+                    lambda label, _: self.rows[label])
 
     @classmethod
     def identity(cls, space: OnticStateSpace) -> "TransformationKernel":
@@ -303,9 +307,9 @@ class Measurement:
         return self.response.space
 
     @cached_property
-    def form(self) -> "MeasurementForm":
+    def form(self) -> "Form":
         """The response and update rows by state position, compiled on first use and kept."""
-        return MeasurementForm(self)
+        return Form(self.space, self.outcomes, self.response.table.items(), self.update.row)
 
 
 @dataclass(frozen=True)
@@ -364,21 +368,23 @@ class OnticModel:
 # A branch is weight on ontic states packed by position: (positions in
 # ascending order, their weights), so every sum over a branch runs in
 # one order. Each kernel and measurement is compiled once, on first use,
-# into the positional form it keeps (KernelForm, MeasurementForm). The
-# forms' push, measure and masses are the only code that moves weight
-# between ontic states; they keep the total mass as given and check
-# nothing beyond the rows they read. The forms' pulls read the same rows
-# backwards, carrying effects (functions on ontic states, such as
-# xi(q | .)) so that <push(w), f> = <w, pull(f)>, and likewise for measure.
+# into the positional form it keeps (Form); a kernel compiles as a
+# measurement with one certain outcome. A form's measure and masses are
+# the only code that moves weight between ontic states; they keep the
+# total mass as given and check nothing beyond the rows they read. Its
+# pull reads the same rows backwards, carrying effects (functions on
+# ontic states, such as xi(q | .)) so that <measure(w, q), f> =
+# <w, pull(f)[q]>.
 #
 # An effect is a term (c, base): a coefficient times an array over the
 # states' positions (lg sums such terms). It is NaN outside its domain,
 # the states from which the forward moves it stands for would look up a
 # missing row; coefficients stay finite, so the NaN stays in the base. A
-# pull through an outcome that every state draws from one shared update
-# row stays rank one, <row, f> times xi(q | .), so effects past an update
-# that forgets the incoming state share a few bases. A pull's memo, kept
-# for one check, computes each base's pull through a form once.
+# pull through an outcome that every state draws from one row stays rank
+# one, <row, f> times xi(q | .): effects past an update that forgets the
+# incoming state, or past a reset kernel, share a few bases. A pull's
+# memo, kept for one check, computes each base's pull through a form
+# once, and every pull keeps its effect's coefficient.
 
 
 def _gather(positions):
@@ -421,116 +427,77 @@ def summed(branches) -> tuple:
     return _ascending(out)
 
 
-class KernelForm:
-    """A kernel's rows by state position.
+class Form:
+    """A measurement's rows by state position; a kernel compiles as one.
 
-    ``to`` and ``weight`` hold the target and weight of each state's
-    single-target row, with NaN weight where the state's row has several
-    targets or there is none. ``spread`` maps the position of each row
-    with several targets to that row (see ``_row``).
-    """
-
-    __slots__ = ("states", "to", "weight", "spread")
-
-    def __init__(self, kernel: TransformationKernel):
-        space = kernel.space
-        n = len(space.states)
-        self.states = space.states
-        self.to = array("i", [0]) * n
-        self.weight = array("d", [math.nan]) * n
-        self.spread = {}
-        gathers: dict = {}
-        for label, row in kernel.rows.items():
-            i = space.position[label]
-            if len(row.weights) == 1:
-                [(target, p)] = row.weights.items()
-                self.to[i] = space.position[target]
-                self.weight[i] = p
-            else:
-                self.spread[i] = _row(space, row.weights, gathers)
-
-    def push(self, branch) -> tuple:
-        """The branch pushed through the kernel: sum_{s0} w(s0) * tau(. | s0)."""
-        out: dict = {}
-        spread, to, weight = self.spread, self.to, self.weight
-        for i, w in zip(*branch):
-            row = spread.get(i)
-            if row is not None:
-                for t, p in zip(row[0], row[1]):
-                    out[t] = out.get(t, 0.0) + w * p
-            elif weight[i] == weight[i]:
-                t = to[i]
-                out[t] = out.get(t, 0.0) + w * weight[i]
-            else:
-                raise ModelError(f"kernel row undefined for state {self.states[i]!r}")
-        return _ascending(out)
-
-    def pull(self, effects: list, memo: dict) -> list:
-        """Effects pulled back through the kernel, the dual of push: s -> sum_t tau(t | s) f(t).
-
-        A result is defined exactly where the kernel has a row lying
-        inside the effect's domain: where push can move weight without
-        reaching a state outside it.
-        """
-        def pulled(base):
-            out = array("d", map(mul, self.weight, map(base.__getitem__, self.to)))
-            for i, (_, weights, gather) in self.spread.items():
-                out[i] = sum(map(mul, weights, gather(base)))
-            return out
-
-        return [(c, _once(memo, self, base, pulled)) for c, base in effects]
-
-
-class MeasurementForm:
-    """A measurement's response and update rows by state position.
+    A kernel is a measurement whose one outcome, None, is certain where
+    it declares a row: xi(None | .) is 1 there and NaN elsewhere, and the
+    row is the update. So kernels share every method of measurements, and
+    a reset kernel, whose states all draw one row, pulls rank one.
 
     ``responses[q]`` is xi(q | .) as an array, NaN where a state has no
-    response row. The distinct update rows are numbered from 1 by
-    identity, and ``rows`` holds each (see ``_row``; entry 0 is unused).
-    ``number[q]`` gives each state's row number for q, 0 where q has
-    probability 0 there or the row is missing; ``missing`` lists the
-    (position, outcome) pairs of nonzero probability without an update
-    row, in response-table order. A walk branches on every outcome, so a
-    state in ``missing`` is outside the domain of every pull: ``xi`` is
-    ``responses`` with NaN there too, and ``shared`` maps each outcome
-    that all the other states producing it draw from one row to that
-    row's number. ``in_place`` holds when no row is missing and each state
-    draws every outcome from the point mass at itself: the update moves
-    no state.
+    response row. ``to[q]`` tells where each state's update row for q
+    sends its weight, as an index into a base extended past its end (see
+    ``pull``): below ``end``, the number of states, the position of a
+    point mass of weight 1; ``end`` where q has probability 0 or the row
+    is missing; above ``end``, a row numbered by identity, which ``rows``
+    maps to that row (see ``_row``). ``missing`` lists the (position,
+    outcome) pairs of nonzero probability without an update row, in
+    response-table order. A walk branches on every outcome, so a state in
+    ``missing`` is outside the domain of every pull: ``xi`` is
+    ``responses`` with NaN there too. ``shared`` maps each outcome that
+    all the other states producing it draw from one row to that row's
+    ``to`` value. ``pooled[q]`` holds, in number order, the rows that
+    several states draw for q. ``in_place`` holds when no row is missing
+    and each state draws every outcome from the point mass at itself: the
+    update moves no state.
     """
 
-    __slots__ = ("states", "responses", "rows", "number", "missing", "xi", "shared", "in_place")
+    __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "xi", "shared",
+                 "pooled", "in_place")
 
-    def __init__(self, measurement: "Measurement"):
-        space = measurement.space
-        n = len(space.states)
-        self.states = space.states
-        self.responses = {q: array("d", [math.nan]) * n for q in measurement.outcomes}
-        self.number = {q: array("i", [0]) * n for q in measurement.outcomes}
-        self.rows, self.missing = [None], []
-        numbering, gathers = {}, {}  # id(update row) -> its number
-        for label, row in measurement.response.table.items():
+    def __init__(self, space: OnticStateSpace, outcomes: tuple, table: Iterable, row):
+        """Compile (label, {outcome: probability}) response rows and ``row(label, outcome)``,
+        the update row, which raises ModelError where it is missing."""
+        end = len(space.states)
+        self.states, self.outcomes = space.states, outcomes
+        self.responses = {q: array("d", [math.nan]) * end for q in outcomes}
+        self.to = {q: array("i", [end]) * end for q in outcomes}
+        self.rows, self.missing = {}, []
+        numbering, gathers = {}, {}  # id(update row) -> its to value
+        sources = {q: {} for q in outcomes}  # the same, drawn from states a walk can leave
+        for label, probabilities in table:
             i = space.position[label]
-            for q, p in row.items():
+            draws, missed = [], len(self.missing)
+            for q, p in probabilities.items():
                 self.responses[q][i] = p
                 if p == 0.0:
                     continue
                 try:
-                    target = measurement.update.row(label, q)
+                    target = row(label, q)
                 except ModelError:
                     self.missing.append((i, q))
                     continue
-                g = self.number[q][i] = numbering.setdefault(id(target), len(self.rows))
-                if g == len(self.rows):
-                    self.rows.append(_row(space, target.weights, gathers))
+                if list(target.weights.values()) == [1.0]:
+                    [t] = map(space.position.__getitem__, target.weights)
+                else:
+                    t = numbering.setdefault(id(target), end + 1 + len(self.rows))
+                    if t not in self.rows:
+                        self.rows[t] = _row(space, target.weights, gathers)
+                self.to[q][i] = t
+                draws.append((q, id(target), t))
+            if len(self.missing) == missed:
+                for q, key, t in draws:
+                    sources[q][key] = t
         undefined = {i for i, _ in self.missing}
         self.xi = _blanked(self.responses, undefined) if undefined else self.responses
-        drawn = {q: {g for i, g in enumerate(by_state) if g and i not in undefined}
-                 for q, by_state in self.number.items()}
-        self.shared = {q: min(numbers) for q, numbers in drawn.items() if len(numbers) == 1}
+        self.shared = {q: t for q, by_row in sources.items() if len(by_row) == 1
+                       for t in by_row.values()}
+        self.pooled = {q: dict.fromkeys(sorted(t for t, k in Counter(to).items()
+                                               if k > 1 and t > end))
+                       for q, to in self.to.items()}
         self.in_place = not self.missing and all(
-            self.rows[g][:2] == ((i,), (1.0,))
-            for by_state in self.number.values() for i, g in enumerate(by_state) if g
+            t in (i, end) for to in self.to.values() for i, t in enumerate(to)
         )
 
     def masses(self, branch) -> dict:
@@ -545,72 +512,89 @@ class MeasurementForm:
         """The branch after the selective update for one outcome q, unnormalized.
 
         Returns sum_s w(s) * xi(q | s) * tau(. | q, s), whose total mass is
-        the outcome's probability. Update rows are read only for nonzero
-        flows, and flows are summed per row before it is expanded, so a
-        row shared by many states (``outcome_rows``) is expanded once. An
-        update that leaves every state in place only scales the branch.
+        the outcome's probability; through a kernel (q = None), the branch
+        pushed through it. An update that leaves every state in place only
+        scales the branch. An outcome in ``shared`` (``outcome_rows``, a
+        reset) moves <w, xi(q | .)> onto its row, the dual of a rank-one
+        pull, when no row is missing. Otherwise rows are read for nonzero
+        flows in state order, except that the flows into a row several
+        states draw are summed and the row expanded once.
         """
-        xi, number = self.responses[outcome], self.number[outcome]
+        xi, to = self.responses[outcome], self.to[outcome]
         if self.in_place:
             scaled = [(i, mass) for i, w in zip(*branch) if (mass := w * xi[i]) != 0.0]
             if any(mass != mass for _, mass in scaled):
                 raise self._undefined(next(i for i, mass in scaled if mass != mass))
             return [i for i, _ in scaled], [mass for _, mass in scaled]
-        masses: dict = {}
+        end, t = len(self.states), self.shared.get(outcome)
+        if t is not None and not self.missing:  # every state producing q draws row t
+            [flow] = dots(branch, [xi])
+            if flow != flow:
+                raise self._undefined(next(i for i in branch[0] if xi[i] != xi[i]))
+            positions, weights = self.rows[t][:2] if t > end else ((t,), (1.0,))
+            return (list(positions), [flow * p for p in weights]) if flow else ([], [])
+        pooled = self.pooled[outcome]
+        out: dict = {}
         for i, w in zip(*branch):
             mass = w * xi[i]
             if mass == 0.0:
                 continue
-            g = number[i]
-            if not g:
+            t = to[i]
+            if t < end or t in pooled:  # a point mass, or a row whose flows are summed first
+                out[t] = out.get(t, 0.0) + mass
+            elif t > end:
+                positions, weights, _ = self.rows[t]
+                for s, p in zip(positions, weights):
+                    out[s] = out.get(s, 0.0) + mass * p
+            else:
                 raise self._undefined(i, None if mass != mass else outcome)
-            masses[g] = masses.get(g, 0.0) + mass
-        out: dict = {}
-        for g, mass in masses.items():
-            positions, weights, _ = self.rows[g]
-            for t, p in zip(positions, weights):
-                out[t] = out.get(t, 0.0) + mass * p
+        for t in pooled:
+            if t in out:
+                mass = out.pop(t)
+                positions, weights, _ = self.rows[t]
+                for s, p in zip(positions, weights):
+                    out[s] = out.get(s, 0.0) + mass * p
         return _ascending(out)
 
     def pull(self, effects: list, memo: dict) -> list:
         """Effects pulled back through each outcome's selective update, the dual of measure.
 
-        For each outcome q, in order, and each effect f the result has
-        the effect s -> xi(q | s) * sum_{s'} tau(s' | q, s) f(s'). It is
-        defined where the state has a response row and, for every
-        outcome it can produce, an update row lying inside f's domain: a
-        walk branches on every outcome. Each numbered row is dotted with
-        each base once; an outcome in ``shared`` gives <row, f> times
-        xi(q | .), unless a row reaches outside f's domain.
+        For each outcome q, in order, and each effect c * f the result has
+        the effect s -> c * xi(q | s) * sum_{s'} tau(s' | q, s) f(s'). It is
+        defined where the state has a response row, an update row for every
+        outcome it can produce (a walk branches on every outcome), and for
+        q a row lying inside f's domain. The base f is extended past its end
+        by a 0, which the states drawing no row read, and by its dots with
+        the numbered rows; each state then reads its ``to`` value there,
+        and an outcome in ``shared`` gives that value times xi(q | .)
+        while it is a number.
         """
-        def at_rows(base):
-            return [0.0] + [sum(map(mul, weights, take(base))) for _, weights, take in self.rows[1:]]
+        def pulled(base):
+            ext = base + array("d", [0.0] + [sum(map(mul, weights, take(base)))
+                                             for _, weights, take in self.rows.values()])
+            xi, shared = self.xi, self.shared
+            return [(ext[shared[q]], xi[q]) if q in shared and not math.isnan(ext[shared[q]])
+                    else (1.0, array("d", map(mul, xi[q], map(ext.__getitem__, to))))
+                    for q, to in self.to.items()]
 
-        values = []
-        for c, base in effects:
-            by_row = _once(memo, self, base, at_rows)
-            values.append(by_row if c == 1.0 else [c * v for v in by_row])
-        # The effects share their domain, so effects[0] tells which rows lie inside it,
-        # and the states drawing from a row outside it leave it too.
-        outside = {g for g, v in enumerate(values[0]) if math.isnan(v)}
-        users = outside and {i for q, by_state in self.number.items()
-                             for i, g in enumerate(by_state)
-                             if g in outside and not math.isnan(self.xi[q][i])}
-        xi, shared = (_blanked(self.xi, users), {}) if users else (self.xi, self.shared)
-        return [
-            (by_row[shared[q]], xi[q]) if q in shared
-            else (1.0, array("d", map(mul, xi[q], map(by_row.__getitem__, self.number[q]))))
-            for q in self.responses
-            for by_row in values
-        ]
+        terms = [_once(memo, self, base, pulled) for _, base in effects]
+        return [(c * b, e)
+                for by_effect in zip(*terms) for (c, _), (b, e) in zip(effects, by_effect)]
 
     def _undefined(self, i: int, outcome=None) -> ModelError:
-        """The error of reaching a state without a response row, or without an outcome's update row."""
-        if outcome is None:
-            return ModelError(f"response undefined for state {self.states[i]!r}")
-        return ModelError(
-            f"measurement update undefined for state {self.states[i]!r}, outcome {outcome!r}"
-        )
+        """The error of reaching a state without a kernel, response or outcome's update row."""
+        state = self.states[i]
+        if outcome is not None:
+            return ModelError(
+                f"measurement update undefined for state {state!r}, outcome {outcome!r}"
+            )
+        if self.outcomes == (None,):
+            return ModelError(f"kernel row undefined for state {state!r}")
+        return ModelError(f"response undefined for state {state!r}")
+
+
+#: The response row of a kernel's one outcome, None: it occurs with certainty.
+_CERTAIN = {None: 1.0}
 
 
 def _once(memo: dict, form, base, compute):
@@ -638,7 +622,8 @@ def compose_preparation(preparation: Distribution, kernel: TransformationKernel)
     """
     _check_same_space(preparation.space, kernel.space, "compose_preparation")
     space = preparation.space
-    return Distribution(space, space.unpack(kernel.form.push(space.pack(preparation.weights))))
+    pushed = kernel.form.measure(space.pack(preparation.weights), None)
+    return Distribution(space, space.unpack(pushed))
 
 
 def compose_kernels(first: TransformationKernel, second: TransformationKernel) -> TransformationKernel:
@@ -682,12 +667,15 @@ def is_ontically_noninvasive(
     for i, q in form.missing:
         if q in checked and form.responses[q][i] > SUPPORT_TOL:
             raise form._undefined(i, q)
-    weight = {g: dict(zip(*row[:2])) for g, row in enumerate(form.rows) if g}
+    weight = {t: dict(zip(*row[:2])) for t, row in form.rows.items()}
     worst = 0.0
     for q in checked:
-        for i, (p, g) in enumerate(zip(form.responses[q], form.number[q])):
-            if p > SUPPORT_TOL:
-                worst = max(worst, 1.0 - weight[g].get(i, 0.0))
+        to = form.to[q]
+        for i, p in enumerate(form.responses[q]):
+            if p > SUPPORT_TOL and to[i] != i:  # the point mass at i leaves the state in place
+                moved = 1.0 - weight[to[i]].get(i, 0.0) if to[i] in weight else 1.0
+                if moved > worst:
+                    worst = moved
     return worst <= SUPPORT_TOL, worst
 
 

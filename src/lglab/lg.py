@@ -290,8 +290,9 @@ def _disturbances(memo: dict, measurement, effects, bases: dict) -> tuple:
     The sum is E_r read after the measurement with its outcome ignored.
     Returns the D_r as sums of terms, in layers: each layer is a list of
     (coefficient, base number) pairs with one term of every D_r. When
-    every pull built a whole array (coefficient 1), as through per-state
-    update rows, each D_r is one array, in one layer of coefficients 1.
+    every pulled term has coefficient 1, as through per-state update rows
+    of effects that no shared row has scaled, each D_r is one array, in
+    one layer of coefficients 1.
     Otherwise there is one layer per outcome and one of -E_r. ``bases``
     maps id(base) to (number, base), numbered from 0 in order of first
     use, so that a base shared by several terms is dotted once.

@@ -7,8 +7,9 @@ applies. The engine enumerates outcome branches depth-first in declared
 outcome order and propagates exact weighted distributions, so identical
 inputs give bit-identical tables.
 
-``walk`` is the one forward loop over protocol steps, through the
-kernels' and measurements' positional forms (see ``core``). The
+``walk`` is the one forward loop over protocol steps. It moves every
+branch with ``measure`` of one compiled form (see ``core``): a
+transformation is a measurement whose one outcome, None, is certain. The
 non-disturbance checks in ``lg`` walk forward only to the checked
 measurement; they follow it and the suffix steps backwards, pulling
 response functions back through the same forms, and take dot products
@@ -115,7 +116,7 @@ def walk(model: OnticModel, branches, steps) -> list:
     for step in steps:
         if step.transformation is not None:
             kernel = model.transformation(step.transformation).form
-            branches = [(kernel.push(w), outs) for w, outs in branches]
+            branches = [(kernel.measure(w, None), outs) for w, outs in branches]
         if step.perform:
             measurement = model.measurement(step.measurement)
             branches = [

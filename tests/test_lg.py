@@ -223,10 +223,8 @@ class TestOpnd:
         # each kernel and measurement is compiled once, on first use, and keeps its form
         arr = random_arrangement(np.random.default_rng(7))
         compiled = []
-        for name in ("KernelForm", "MeasurementForm"):
-            original = getattr(core, name)
-            monkeypatch.setattr(core, name, lambda component, original=original: (
-                compiled.append(component) or original(component)))
+        original = core.Form
+        monkeypatch.setattr(core, "Form", lambda *args: compiled.append(args) or original(*args))
         suffix = [("T1", "M2"), ("T2", "M3")]
         check_opnd(arr.model, "E", "M1", suffix)
         check_implication_chain(arr)
@@ -360,6 +358,24 @@ def shared_row_of_an_impossible_outcome(model):
                        response={s0: {PLUS: 1.0, MINUS: 0.0}, s1: {PLUS: 0.0, MINUS: 1.0}})
 
 
+def reset(model, kernel, row):
+    """The model with one kernel sending every state to the same row object."""
+    rows = dict.fromkeys(model.space.states, row)
+    return dataclasses.replace(model, transformations={
+        **model.transformations, kernel: TransformationKernel(model.space, rows)})
+
+
+def reset_inside_the_domain(model):
+    """T1 resets every state to the preparation E, where every later row is declared."""
+    return reset(model, "T1", model.preparations["E"])
+
+
+def reset_outside_the_domain(model):
+    """T1 resets every state to the last one, where T2 has no row."""
+    point = Distribution.point_mass(model.space, model.space.states[-1])
+    return without_last_row(reset(model, "T1", point), "T2")
+
+
 class TestRunProtocolMatchesReferenceWalk:
     @pytest.mark.parametrize("mutate, raises", [
         (lambda model: model, False),
@@ -373,11 +389,15 @@ class TestRunProtocolMatchesReferenceWalk:
         (shared_row_outside_the_domain, True),
         (shared_and_per_state_rows, False),
         (shared_row_of_an_impossible_outcome, False),
+        (reset_inside_the_domain, False),
+        (reset_outside_the_domain, True),
     ], ids=["none", "kernel-row-T1", "kernel-row-T2", "response-row-M1", "response-row-M2",
             "update-row-M1", "update-row-M2", "update-row-of-impossible-outcome",
             "shared-row-outside-the-domain", "shared-and-per-state-rows",
-            "shared-row-of-an-impossible-outcome"])
+            "shared-row-of-an-impossible-outcome", "reset-inside-the-domain",
+            "reset-outside-the-domain"])
     def test_tables_equal_the_reference_walks(self, mutate, raises):
+        # a walk that reaches a missing kernel, response or update row names it as the reference
         rng = np.random.default_rng(61)
         raised = 0
         for k in range(12):
@@ -387,16 +407,37 @@ class TestRunProtocolMatchesReferenceWalk:
                 protocol = arr.protocol(mask)
                 try:
                     expected = reference_walk.run_protocol(model, protocol)
-                except ModelError:
+                except ModelError as error:
                     raised += 1
-                    with pytest.raises(ModelError):
+                    with pytest.raises(ModelError) as engine_error:
                         run_protocol(model, protocol)
+                    assert str(engine_error.value) == str(error)
                     continue
                 joint = run_protocol(model, protocol)
                 assert joint.axes == expected.axes
                 assert list(joint.table) == list(expected.table)
                 assert max(abs(p - expected.table[c]) for c, p in joint.table.items()) <= 1e-15
         assert (raised > 0) == raises
+
+    @pytest.mark.parametrize("component", ["Mz", "Mz-without-its-minus-row", "reset"])
+    def test_a_row_several_states_draw_is_expanded_once(self, component):
+        # the flows into ks-sphere's shared Mz row, also when a missing row leaves them to the
+        # state loop, or into a reset kernel's one row, are summed first and the row is
+        # expanded once: each weight is the summed flow times p
+        model = zoo.build("ks-sphere", n_points=200).model
+        mz = model.measurements["Mz"]
+        row, outcome, form = mz.update.outcome_rows[PLUS], PLUS, mz.form
+        if component == "Mz-without-its-minus-row":
+            update = MeasurementUpdate(model.space, mz.outcomes, outcome_rows={PLUS: row})
+            form = Measurement("Mz", mz.response, update).form
+            assert form.missing
+        elif component == "reset":
+            outcome = None
+            form = TransformationKernel(model.space, dict.fromkeys(model.space.states, row)).form
+        branch = model.space.pack(model.preparations["side"].weights)
+        flow = sum(mass for i, w in zip(*branch) if (mass := w * form.responses[outcome][i]))
+        expected = {model.space.position[s]: flow * p for s, p in row.weights.items()}
+        assert dict(zip(*form.measure(branch, outcome))) == expected
 
 
 class TestOpndMatchesTwoRunDefinition:
@@ -459,6 +500,37 @@ class TestOpndMatchesTwoRunDefinition:
         assert abs(result.max_deviation - worst) <= 1e-15
         assert result.witness == next(c for c, d in deviations.items() if d == worst)
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("mutate, undefined_expected", [
+        (reset_inside_the_domain, False),
+        (reset_outside_the_domain, True),
+    ], ids=["inside", "outside"])
+    def test_contexts_through_a_reset_kernel(self, mutate, undefined_expected, depth):
+        # T1's pulls are rank one, on a row inside or outside the domain. A reset forgets
+        # what came before it, so contexts tie, and rounding picks the witness among them.
+        model = random_arrangement(np.random.default_rng(17), max_states=3).model
+        model = mutate(dataclasses.replace(
+            model, measurements={m: model.measurements[m] for m in ("M1", "M2")}))
+        deviations, undefined = two_run_contexts(model, "M1", depth=depth)
+        worst = max(deviations.values())
+        result = check_opnd_complete(model, "M1", depth=depth)
+        assert result.undefined_contexts == undefined
+        assert (undefined > 0) == undefined_expected
+        assert abs(result.max_deviation - worst) <= 1e-15
+        assert abs(deviations[result.witness] - worst) <= 1e-15
+
+    @pytest.mark.parametrize("mutate", [reset_inside_the_domain, reset_outside_the_domain],
+                             ids=["inside", "outside"])
+    def test_a_reset_kernel_pulls_rank_one(self, mutate):
+        # every state draws T1's one row, so an effect pulls back to <row, f> times xi(None | .)
+        model = mutate(random_arrangement(np.random.default_rng(19), max_states=4).model)
+        form = model.transformations["T1"].form
+        row = model.transformations["T1"].rows[model.space.states[0]]
+        f = array("d", np.random.default_rng(23).random(len(model.space)))
+        [(c, base)] = form.pull([(2.0, f)], {})
+        assert base is form.xi[None]
+        assert c == 2.0 * core.dots(model.space.pack(row.weights), [f])[0]
+
     def test_identity_update_with_a_missing_suffix_row_counts_its_contexts(self):
         # M1 leaves every state in place, but T2 lacks a row that suffixes look up
         identity = random_arrangement(np.random.default_rng(3), max_states=4,
@@ -472,14 +544,15 @@ class TestOpndMatchesTwoRunDefinition:
 
     def test_rounding_noise_of_an_identity_update_names_a_witness(self):
         # M2 leaves every state in place, so every context's true deviation is 0.
-        # Effects past M1's shared rows are sums of coefficient * base terms, whose
-        # rounding reads 5e-17 here, and the first context to reach it is named.
+        # Effects past M1's shared rows are sums of coefficient * base terms, and a
+        # pull through per-state rows keeps the coefficient; their rounding reads
+        # 5.6e-17 here, and the first context to reach it is named.
         # This pins the summation order: changing it moves the value or the witness.
         model = identity_with_shared_rows().model
         result = check_opnd_complete(model, "M2")
         assert result.non_disturbing and result.undefined_contexts == 408
-        assert result.max_deviation == 5.110269487305461e-17
-        assert result.witness == ("E", (), None, (("T2", "M1"), ("T2", "M3")))
+        assert result.max_deviation == 5.551115123125783e-17
+        assert result.witness == ("E", (), None, (("T2", "M1"), ("T2", "M1")))
 
     def test_nearly_identity_update_reports_a_table_deviation(self):
         # nothing settles the heads, so the deviation and witness come from the tables

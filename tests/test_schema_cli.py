@@ -540,7 +540,8 @@ class TestCli:
         assert len(out["results"]["models"]) >= 6
 
 
-#: The tolerances block of an lg or classify report at the default --tol.
+#: The tolerances block of an lg report at the default --tol; a classify report adds
+#: "class_equivalence", its own --tol.
 TOLERANCES = {
     "normalization": NORMALIZATION_TOL,
     "support": SUPPORT_TOL,
@@ -580,7 +581,7 @@ def test_every_zoo_entry_through_the_cli(command, entry, capsys):
             return
         assert code == 0
         report = json.loads(captured.out)
-        assert report["tolerances"] == TOLERANCES
+        assert report["tolerances"] == {**TOLERANCES, "class_equivalence": EQUIVALENCE_TOL}
         assert report["results"]["hull_tol"] == report["tolerances"]["hull"]
         assert report["results"]["verdict"] == CLASSIFY_PINS[entry]
     else:
@@ -588,6 +589,13 @@ def test_every_zoo_entry_through_the_cli(command, entry, capsys):
         doc = json.loads(captured.out)
         assert len(doc["ontic_states"]) == EXPORT_STATES[entry]
         assert ("arrangements" in doc) == (entry in LG_PINS)
+
+
+def test_classify_report_states_the_tolerances_its_checks_used(capsys):
+    # --tol sets only the class members' pairwise check; the eigenstate checks keep 1e-9
+    assert run_cli(["classify", "--zoo", "superselected", "--tol", "0.5", "--no-timestamp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tolerances"] == {**TOLERANCES, "class_equivalence": 0.5}
 
 
 DELETE = object()
