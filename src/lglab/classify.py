@@ -19,6 +19,7 @@ from .core import (
     Distribution,
     OnticModel,
     SUPPORT_TOL,
+    check_size,
     compose_preparation,
 )
 from .errors import ClassificationError, EngineDefectError, ModelError
@@ -268,6 +269,9 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
             f"{quantity_class.label!r}; classification impossible"
         )
 
+    branching = len(model.transformations)
+    check_size(f"--image-depth {image_depth}", "preparation images",
+               len(model.preparations) * branching, branching, image_depth)
     targets = list(model.preparations.items())
     skipped = []
     frontier = list(targets)
@@ -286,7 +290,6 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
     basis = [model.preparation(name).weights for name in all_eigen]
     rows = dict.fromkeys(label for weights in basis for label in weights)
     columns = [[weights.get(label, 0.0) for label in rows] for weights in basis]
-    index = {label: i for i, label in enumerate(model.space.states)}
 
     evidence = []
     all_mixture = True
@@ -300,7 +303,7 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
         outside = [w for label, w in dist.weights.items() if label not in rows]
         residual = 0.5 * math.fsum([*map(abs, misfit), *outside])
         mixture = residual <= HULL_TOL
-        novel = tuple(sorted(dist.support() - union_support, key=index.__getitem__))
+        novel = tuple(sorted(dist.support() - union_support, key=model.space.position.__getitem__))
         contained = not novel
         if mixture and not contained:
             raise EngineDefectError(

@@ -12,16 +12,18 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import partial
+from operator import attrgetter
 
 from . import __version__
 from .classify import HULL_TOL, QuantityClass, check_equilibrium_property, classify
-from .core import NORMALIZATION_TOL, SUPPORT_TOL
+from .core import NORMALIZATION_TOL, SUPPORT_TOL, check_size
 from .errors import EngineDefectError, LglabError, SchemaError
 from .lg import MASKS, RESIDUAL_TOL, check_implication_chain, disturbance_report
 from .operational import EQUIVALENCE_TOL, marginalize, run_protocol
 from . import schema, twoslit, zoo
 
-#: A decomposition residual above this gate makes the lg command exit 3.
+#: The run-time gate on the decomposition residual: above it the lg command
+#: writes its report and exits 3. ``RESIDUAL_TOL`` is the floor of d3 and --tol.
 RESIDUAL_GATE = 1e-10
 
 
@@ -295,34 +297,20 @@ def cmd_twoslit(args) -> int:
     if args.sweep:
         mod_steps = 20 if args.mod_steps is None else args.mod_steps
         phi_steps = 36 if args.phi_steps is None else args.phi_steps
+        check_size(f"--mod-steps {mod_steps} by --phi-steps {phi_steps}", "sweep rows",
+                   max(mod_steps, 0) * max(phi_steps, 0))
         mods = [(i + 1) / (mod_steps + 1) for i in range(mod_steps)]
         phis = [2.0 * math.pi * i / phi_steps for i in range(phi_steps)]
-        rows = twoslit.violation_map(mods, phis)
+        # each row's fields as the columns name them: dataclasses.astuple, without its deep copy
+        rows = list(map(attrgetter(*twoslit.CSV_COLUMNS), twoslit.violation_map(mods, phis)))
         if args.format == "csv":
-            lines = [",".join(twoslit.CSV_COLUMNS)]
-            for r in rows:
-                lines.append(
-                    ",".join(
-                        (
-                            _fmt(r.mod1_sq),
-                            _fmt(r.phi),
-                            _fmt(r.lg_plus),
-                            _fmt(r.lg_plus_mirrored),
-                            "1" if r.violated else "0",
-                        )
-                    )
-                )
+            lines = [",".join(twoslit.CSV_COLUMNS), *(",".join(map(_fmt, r)) for r in rows)]
             _emit(args, lambda handle: handle.write("\n".join(lines) + "\n"))
             return 0
         report = _report_skeleton(
             "twoslit", args, {"sweep": {"mod_steps": mod_steps, "phi_steps": phi_steps}}
         )
-        report["results"] = {
-            "columns": list(twoslit.CSV_COLUMNS),
-            "rows": [
-                [r.mod1_sq, r.phi, r.lg_plus, r.lg_plus_mirrored, r.violated] for r in rows
-            ],
-        }
+        report["results"] = {"columns": list(twoslit.CSV_COLUMNS), "rows": list(map(list, rows))}
         _emit_report(args, report)
         return 0
 

@@ -31,6 +31,30 @@ _RENORM_SKIP = 1e-13
 Label = Hashable
 Outcome = Hashable
 
+#: The most items (suffix effects, images, sweep rows, ontic states) one
+#: size option may ask for: past it the input is refused before any is built.
+SIZE_LIMIT = 10**6
+
+
+def check_size(option: str, items: str, first: int, ratio: int = 0, terms: int = 1) -> None:
+    """Raise ValidationError when ``option`` asks for more than SIZE_LIMIT ``items``.
+
+    They number first * (1 + ratio + ... + ratio**(terms - 1)). The terms
+    are added only while they are nonzero and the sum is within the limit,
+    so a count too large to hold is refused as fast as any other.
+    """
+    total = 0
+    for k in range(terms):
+        term = first * ratio**k
+        if not term:
+            return
+        total += term
+        if total > SIZE_LIMIT:
+            more = "more than " if k + 1 < terms and ratio else ""
+            raise ValidationError(f"{option} asks for {more}{total} {items}; "
+                                  f"the limit is {SIZE_LIMIT}")
+
+
 #: Outcome labels of a binary measurement whose values are +1 and -1.
 PLUS = "+1"
 MINUS = "-1"

@@ -18,7 +18,7 @@ from functools import partial, reduce
 from operator import add, mul
 from typing import Optional
 
-from .core import Distribution, OnticModel, dots, is_ontically_noninvasive, summed
+from .core import Distribution, OnticModel, check_size, dots, is_ontically_noninvasive, summed
 from .errors import EngineDefectError, ModelError, PreconditionError, ValidationError
 from .operational import (
     EQUIVALENCE_TOL,
@@ -32,7 +32,9 @@ from .operational import (
     walk,
 )
 
-#: The exact decomposition identity must hold to this tolerance.
+#: The float noise floor: the largest d3 entry allowed and the least ``tol``
+#: of the chain. No run compares the decomposition residual with it: the lg
+#: command gates that at ``cli.RESIDUAL_GATE``.
 RESIDUAL_TOL = 1e-12
 
 #: Float noise allowed on the trivial all-performed bound and on the
@@ -184,8 +186,9 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
 
     The pairwise correlation sum always equals
     ``4*(P(+,+,+) + P(-,-,-)) + 2*(sum of equal-value d1 and d2 entries) - 1``;
-    the report records the residual of that identity, which must vanish
-    to RESIDUAL_TOL for every finite model.
+    the report records the residual of that identity, which vanishes up
+    to float rounding for every finite model (the lg command refuses one
+    above ``cli.RESIDUAL_GATE``).
     """
     asg = arrangement.assignment
     v1, v2, v3 = (arrangement.value_map(i) for i in range(3))
@@ -422,6 +425,9 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     """``check_opnd_complete`` of each measurement, walking each head once for all of them."""
     if depth < 1:
         raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")
+    # the suffixes of length L carry (|T| * sum over m of |outcomes(m)|)^L effects D_r
+    steps = len(model.transformations) * sum(len(m.outcomes) for m in model.measurements.values())
+    check_size(f"--depth {depth}", "suffix effects", steps, steps, depth)
     preparations = tuple(model.preparations)
     checked = {m: model.measurement(m) for m in measurements}
     alphabet = [(t, m) for t in model.transformations for m in model.measurements]

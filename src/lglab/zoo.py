@@ -10,6 +10,7 @@ rules, grids) are recorded in the model metadata.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .core import (
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
+    check_size,
 )
 from .errors import EngineDefectError, ModelError
 from .lg import LgArrangement, disturbance_report, post_select_noninvasive
@@ -72,64 +74,65 @@ def _rotate(theta: float, amps: tuple) -> tuple:
     return (c * a - s * b, s * a + c * b)
 
 
-class _ModeSet:
+class _ModeSet(dict):
     """Registry of pure two-level states up to global sign.
 
-    Exact amplitudes are kept for all arithmetic; states are merged (and
-    labelled) by their sign-fixed amplitudes rounded to 12 digits.
+    Exact amplitudes are kept for all arithmetic, as the values; states
+    are merged (and labelled) by their keys, the sign-fixed amplitudes
+    rounded to 12 digits.
     """
-
-    def __init__(self):
-        self.exact = {}
-        self.order = []
 
     def add(self, amps: tuple) -> tuple:
         a, b = amps
         if a < 0.0 or (a == 0.0 and b < 0.0):
             a, b = -a, -b
         key = (round(a, 12) + 0.0, round(b, 12) + 0.0)
-        if key not in self.exact:
-            self.exact[key] = (a, b)
-            self.order.append(key)
+        self.setdefault(key, (a, b))
         return key
 
-    def rotated(self, theta: float, key: tuple) -> tuple:
-        return self.add(_rotate(theta, self.exact[key]))
+    def rotated(self, key: tuple, theta: float) -> tuple:
+        return self.add(_rotate(theta, self[key]))
 
     @staticmethod
     def label(key: tuple) -> str:
         return f"({key[0]:.12g},{key[1]:.12g})"
 
 
-def _mode_closure(theta1: float, theta2: float, extra_starts=()):
-    """Reachable pure states for the three-slot arrangement and its checks.
+def _closure(starts, rotate, theta1: float, theta2: float) -> tuple:
+    """The states the three-slot arrangement reaches, and its two rotations' image maps.
 
-    Evolutions start from collapse targets (the basis) or declared
-    preparations, and at most two rotations compose before a measurement
-    lands the state back on the basis; the closure is therefore the
-    start set plus its one- and two-rotation images. Returns the mode
-    registry, the start keys, and per-rotation image maps covering the
-    start and one-rotation states.
+    Evolutions start from collapse targets or declared preparations, and
+    at most two rotations compose before a measurement lands the state
+    back on a collapse target; the closure is therefore the starts plus
+    their one- and two-rotation images, ``rotate(state, theta)`` giving
+    each. Returns the states in first-reach order (the starts, their rot1
+    and then rot2 images, then those of the one-rotation states not yet
+    mapped) and the rot1 and rot2 image maps, keyed in that order.
     """
-    modes = _ModeSet()
-    starts = [modes.add((1.0, 0.0)), modes.add((0.0, 1.0))]
-    for amps in extra_starts:
-        key = modes.add(amps)
-        if key not in starts:
-            starts.append(key)
-    images = {"r1": {}, "r2": {}}
-    level1 = []
-    for tag, theta in (("r1", theta1), ("r2", theta2)):
-        for key in starts:
-            img = modes.rotated(theta, key)
-            images[tag][key] = img
-            if img not in level1:
-                level1.append(img)
-    for tag, theta in (("r1", theta1), ("r2", theta2)):
-        for key in level1:
-            if key not in images[tag]:
-                images[tag][key] = modes.rotated(theta, key)
-    return modes, starts, images
+    reached = dict.fromkeys(starts)
+    maps = ({}, {})
+
+    def extend(domain):
+        for images, theta in zip(maps, (theta1, theta2)):
+            for state in domain:
+                if state not in images:
+                    images[state] = rotate(state, theta)
+                    reached.setdefault(images[state])
+
+    extend(starts)
+    extend(dict.fromkeys([*maps[0].values(), *maps[1].values()]))
+    return tuple(reached), maps
+
+
+def _rotations(space: OnticStateSpace, maps, rows) -> dict:
+    """rot1 and rot2 from ``_closure``'s maps; ``rows(state, image)`` gives a state's rows by label."""
+    kernels = {}
+    for name, images in zip(("rot1", "rot2"), maps):
+        table = {}
+        for state, image in images.items():
+            table.update(rows(state, image))
+        kernels[name] = TransformationKernel(space, table)
+    return kernels
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +146,21 @@ def build_qubit_arrangement(theta1: float, theta2: float) -> LgArrangement:
     the response is the squared overlap with the reading basis, and the
     update collapses onto the recorded eigenstate.
     """
-    modes, starts, images = _mode_closure(theta1, theta2)
-    e0, e1 = starts[0], starts[1]
-    labels = {key: f"q{_ModeSet.label(key)}" for key in modes.order}
-    space = OnticStateSpace(tuple(labels[key] for key in modes.order))
+    modes = _ModeSet()
+    e0, e1 = map(modes.add, ((1.0, 0.0), (0.0, 1.0)))
+    keys, maps = _closure((e0, e1), modes.rotated, theta1, theta2)
+    labels = {key: f"q{_ModeSet.label(key)}" for key in keys}
+    space = OnticStateSpace(tuple(labels.values()))
 
     response = ResponseFunction(
         space,
         OUTCOMES,
         {
             labels[key]: {
-                PLUS: modes.exact[key][0] ** 2,
-                MINUS: modes.exact[key][1] ** 2,
+                PLUS: modes[key][0] ** 2,
+                MINUS: modes[key][1] ** 2,
             }
-            for key in modes.order
+            for key in keys
         },
     )
     update = MeasurementUpdate(
@@ -169,16 +173,9 @@ def build_qubit_arrangement(theta1: float, theta2: float) -> LgArrangement:
     )
     measurement = Measurement("Mz", response, update)
 
-    kernels = {
-        name: TransformationKernel(
-            space,
-            {
-                labels[key]: Distribution.point_mass(space, labels[img])
-                for key, img in images[tag].items()
-            },
-        )
-        for name, tag in (("rot1", "r1"), ("rot2", "r2"))
-    }
+    kernels = _rotations(
+        space, maps, lambda key, image: {labels[key]: Distribution.point_mass(space, labels[image])}
+    )
 
     model = OnticModel(
         space=space,
@@ -276,22 +273,14 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     """
     if n_points < 100:
         raise ModelError("sphere grid needs at least 100 points")
-    base = _fibonacci_sphere(n_points)
-    # Measurement updates land back on the base grid, so at most two
-    # rotations compose; one grid copy per reachable angle suffices.
-    angles = [0.0]
-    level1 = []
-    for theta in (theta1, theta2):
-        if theta not in angles:
-            angles.append(theta)
-        level1.append(theta)
-    for theta in (theta1, theta2):
-        for a in level1:
-            if a + theta not in angles:
-                angles.append(a + theta)
+    # one grid copy per rotation stage; updates land on the base grid, stage 0
+    angles, maps = _closure((0.0,), operator.add, theta1, theta2)
     for angle in angles:
         if not math.isfinite(angle):
             raise ModelError(f"rotation stage angle {angle!r} is not finite")
+    check_size(f"--grid {n_points} over {len(angles)} rotation stages", "ontic states",
+               len(angles) * n_points)
+    base = _fibonacci_sphere(n_points)
     stage_of = {angle: i for i, angle in enumerate(angles)}
     # The response reads only the sign of each stage's z-coordinate, the
     # third row of the rotation about y applied to the base grid.
@@ -316,22 +305,14 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     update = MeasurementUpdate(space, OUTCOMES, outcome_rows={PLUS: up, MINUS: down})
     measurement = Measurement("Mz", response, update)
 
-    def stage_shift(angle):
-        rows = {}
-        for domain_angle in dict.fromkeys([0.0] + level1):
-            si = stage_of[domain_angle]
-            ti = stage_of[domain_angle + angle]
-            for k in range(n_points):
-                rows[f"r{si}:{k}"] = Distribution.point_mass(space, f"r{ti}:{k}")
-        return TransformationKernel(space, rows)
-
-    rot1 = stage_shift(theta1)
-    rot2 = stage_shift(theta2)
+    def shifted(angle, image) -> dict:
+        si, ti = stage_of[angle], stage_of[image]
+        return {f"r{si}:{k}": Distribution.point_mass(space, f"r{ti}:{k}") for k in range(n_points)}
 
     model = OnticModel(
         space=space,
         preparations={"up": up, "down": down, "side": side},
-        transformations={"rot1": rot1, "rot2": rot2},
+        transformations=_rotations(space, maps, shifted),
         measurements={"Mz": measurement},
         metadata={
             "family": "ks-sphere",
@@ -381,17 +362,17 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
     coincide with the bare qubit's.
     """
     half = math.sqrt(0.5)
-    modes, starts, images = _mode_closure(theta1, theta2, extra_starts=[(half, half)])
-    e0, e1 = starts[0], starts[1]
-    superposed = starts[-1] if len(starts) > 2 else modes.add((half, half))
+    modes = _ModeSet()
+    e0, e1, superposed = map(modes.add, ((1.0, 0.0), (0.0, 1.0), (half, half)))
+    keys, maps = _closure((e0, e1, superposed), modes.rotated, theta1, theta2)
 
     def path_weight(key, path):
-        amp = modes.exact[key][0] if path == 1 else modes.exact[key][1]
+        amp = modes[key][0] if path == 1 else modes[key][1]
         return amp * amp
 
     states = [
         (key, path)
-        for key in modes.order
+        for key in keys
         for path in (1, 2)
         if path_weight(key, path) > 0.0
     ]
@@ -424,14 +405,10 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
             weights[labels[(new_key, other)]] = 1.0 - stay
         return Distribution(space, weights)
 
-    kernels = {}
-    for name, tag in (("rot1", "r1"), ("rot2", "r2")):
-        rows = {}
-        for key, img in images[tag].items():
-            for path in (1, 2):
-                if (key, path) in labels:
-                    rows[labels[(key, path)]] = transport_row(key, path, img)
-        kernels[name] = TransformationKernel(space, rows)
+    kernels = _rotations(space, maps, lambda key, image: {
+        labels[(key, path)]: transport_row(key, path, image)
+        for path in (1, 2) if (key, path) in labels
+    })
 
     model = OnticModel(
         space=space,

@@ -21,6 +21,7 @@ from lglab import (
     post_measurement_distribution,
     single_shot_probability,
 )
+from lglab import core
 
 PLUS, MINUS = "+1", "-1"
 OUTCOMES = (PLUS, MINUS)
@@ -310,3 +311,18 @@ def test_response_stores_python_floats(p):
         space, OUTCOMES, {"l1": {PLUS: np.float64(p), MINUS: np.float64(0.75)}}
     )
     assert [type(v) for v in response.row("l1").values()] == [float, float]
+
+
+def test_check_size_adds_terms_only_while_nonzero_and_within_the_limit(monkeypatch):
+    monkeypatch.setattr(core, "SIZE_LIMIT", 10)
+    core.check_size("--x 1", "items", 10)  # at the limit is within it
+    core.check_size("--x 2", "items", 5, 0, 10**18)  # 5, then zeros: stops at the first
+    with pytest.raises(ValidationError, match=r"^--x 3 asks for 11 items; the limit is 10$"):
+        core.check_size("--x 3", "items", 11)
+    with pytest.raises(ValidationError, match=r"^--x 4 asks for 14 items;"):
+        core.check_size("--x 4", "items", 2, 2, 3)  # 2 + 4 + 8, the last term
+    # refused at the first partial sum past the limit, 3 + 6 + 12, not after 10**18 terms
+    with pytest.raises(ValidationError, match=r"^--x 5 asks for more than 21 items;"):
+        core.check_size("--x 5", "items", 3, 2, 10**18)
+    with pytest.raises(ValidationError, match=r"^--x 6 asks for more than 11 items;"):
+        core.check_size("--x 6", "items", 1, 1, 10**18)

@@ -21,7 +21,7 @@ from lglab import (
     check_implication_chain,
     lg_value_pairwise,
 )
-from lglab import cli, schema, zoo
+from lglab import cli, core, schema, zoo
 from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
@@ -492,6 +492,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "stage angle inf is not finite" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["lg", "--zoo", "qubit", "--depth", "3"],
+             "--depth 3 asks for more than 20 suffix effects; the limit is 10"),
+            (["classify", "--zoo", "superselected", "--image-depth", "2"],
+             "--image-depth 2 asks for 18 preparation images; the limit is 10"),
+            (["twoslit", "--sweep", "--mod-steps", "5", "--phi-steps", "4"],
+             "--mod-steps 5 by --phi-steps 4 asks for 20 sweep rows; the limit is 10"),
+            (["lg", "--zoo", "ks-sphere", "--grid", "100"],
+             "--grid 100 over 3 rotation stages asks for 300 ontic states; the limit is 10"),
+        ],
+        ids=["lg-depth", "classify-image-depth", "twoslit-sweep", "sphere-grid"],
+    )
+    def test_size_past_the_limit_exits_2(self, argv, message, monkeypatch, capsys):
+        # the limit is lowered, so that no command here could allocate much without it
+        monkeypatch.setattr(core, "SIZE_LIMIT", 10)
+        assert exit_code([*argv, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     @pytest.mark.parametrize(
         "argv,option",

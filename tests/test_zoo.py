@@ -162,6 +162,75 @@ class TestTwoPath:
         assert lg_value_pairwise(arr) == pytest.approx(-1.5, abs=1e-9)
 
 
+#: The default angles and angle pairs whose stage angles stay finite.
+CLOSURE_PAIRS = [(TWO_THIRDS_PI, TWO_THIRDS_PI), (0.0, 0.0), (-0.0, 1.0), (1.0, 1.0),
+                 (math.pi, math.pi), (2.0 * math.pi, -2.0 * math.pi), (0.3, 2.0), (-1.2, 5.5)]
+
+
+def _reach(model, unit):
+    """Brute force over the kernels' public rows, at the level of ``unit(label)``.
+
+    The starts are the units of the preparations and the update rows (the
+    collapse targets). Returns the starts, the units one rotation reaches
+    from them, and the units one or two rotations reach, rot1 and rot2 in
+    either order.
+    """
+    kernels = [model.transformations[name] for name in ("rot1", "rot2")]
+    rows = [*model.preparations.values()]
+    for meas in model.measurements.values():
+        rows += [*meas.update.rows.values(), *meas.update.outcome_rows.values()]
+    starts = {unit(label) for row in rows for label in row.weights}
+
+    def images(units):
+        return {unit(target) for kernel in kernels for label, row in kernel.rows.items()
+                if unit(label) in units for target in row.weights}
+
+    one = starts | images(starts)
+    return starts, one, one | images(one)
+
+
+def _check_closure(model, unit):
+    """States are what the starts reach; each kernel has rows on the starts and their images."""
+    _, one, two = _reach(model, unit)
+    assert {unit(label) for label in model.space.states} == two
+    for name in ("rot1", "rot2"):
+        assert {unit(label) for label in model.transformations[name].rows} == one
+    return one, two
+
+
+class TestReachableClosure:
+    @pytest.mark.parametrize("t1, t2", CLOSURE_PAIRS)
+    def test_qubit_states_are_the_two_rotation_closure(self, t1, t2):
+        model = zoo.build_qubit_arrangement(t1, t2).model
+        _check_closure(model, lambda label: label)
+        for kernel in model.transformations.values():
+            assert all(len(row.weights) == 1 for row in kernel.rows.values())
+
+    @pytest.mark.parametrize("t1, t2", CLOSURE_PAIRS)
+    def test_two_path_modes_are_the_two_rotation_closure(self, t1, t2):
+        model = zoo.build_bohm_arrangement(t1, t2).model
+        one, _ = _check_closure(model, lambda label: label.split("|")[1])
+        for kernel in model.transformations.values():  # every path of a mapped mode has a row
+            assert set(kernel.rows) == {s for s in model.space.states if s.split("|")[1] in one}
+
+    @pytest.mark.parametrize("t1, t2", CLOSURE_PAIRS)
+    def test_sphere_stage_angles_are_the_two_rotation_closure(self, t1, t2):
+        n_points = 100
+        model = zoo.build_ks_arrangement(n_points, t1, t2).model
+        angles = model.metadata["stage_angles"]
+        reached = {0.0, t1, t2, t1 + t1, t1 + t2, t2 + t1, t2 + t2}
+        assert len(angles) == len(reached) and set(angles) == reached
+        one, two = _check_closure(model, lambda label: int(label[1:label.index(":")]))
+        assert two == set(range(len(angles)))
+        for name, theta in (("rot1", t1), ("rot2", t2)):
+            rows = model.transformations[name].rows
+            assert len(rows) == len(one) * n_points
+            for label, row in rows.items():
+                stage, k = map(int, label[1:].split(":"))
+                (target,) = row.weights
+                assert target == f"r{angles.index(angles[stage] + theta)}:{k}"
+
+
 class TestFixtures:
     def test_registry_is_stable(self):
         names = [name for name, _ in zoo.list_models()]
