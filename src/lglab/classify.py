@@ -32,6 +32,10 @@ from .operational import (
 #: Total-variation residual below which a mixture decomposition counts as exact.
 HULL_TOL = 1e-8
 
+#: The least share of its norm that a column of the hull solve must have
+#: outside the span of the columns before it to count as independent.
+RANK_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class QuantityClass:
@@ -151,14 +155,14 @@ def _householder(columns, target, passive) -> tuple:
     Returns the reflected columns and target and the least-squares
     weights of the passive columns. The weights are None when a passive
     column is numerically dependent on the ones before it: the part of it
-    outside their span is below 1e-14 of its norm.
+    outside their span is below RANK_TOL of its norm.
     """
     a = [list(column) for column in columns]
     b = list(target)
     for i, j in enumerate(passive):
         v = a[j][i:]
         norm = math.hypot(*v)
-        if not norm > 1e-14 * math.hypot(*columns[j]):
+        if not norm > RANK_TOL * math.hypot(*columns[j]):
             return a, b, None
         alpha = -norm if v[0] > 0.0 else norm
         v[0] -= alpha
@@ -275,7 +279,9 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
     targets = list(model.preparations.items())
     skipped = []
     frontier = list(targets)
-    for depth in range(1, image_depth + 1):
+    for _ in range(image_depth):
+        if not frontier:  # no image grew at the last depth, so none grows at a deeper one
+            break
         grown = []
         for name, dist in frontier:
             for t_name in model.transformations:

@@ -137,7 +137,12 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, space: OnticStateSpace, label: Label) -> "Distribution":
-        return cls(space, {label: 1.0})
+        """All weight on one state: the validated row {label: 1.0}, built directly."""
+        if label not in space.position:
+            raise ValidationError(f"unknown state label {label!r}")
+        dist = cls.__new__(cls)
+        dist.space, dist.weights = space, {label: 1.0}
+        return dist
 
     def weight(self, label: Label) -> float:
         return self.weights.get(label, 0.0)
@@ -502,12 +507,14 @@ class Form:
                 except ModelError:
                     self.missing.append((i, q))
                     continue
-                if list(target.weights.values()) == [1.0]:
-                    [t] = map(space.position.__getitem__, target.weights)
-                else:
-                    t = numbering.setdefault(id(target), end + 1 + len(self.rows))
-                    if t not in self.rows:
+                t = numbering.get(id(target))
+                if t is None:  # the row's first draw: read it once, however many states share it
+                    if len(target.weights) == 1 and [*target.weights.values()] == [1.0]:
+                        [t] = map(space.position.__getitem__, target.weights)
+                    else:
+                        t = end + 1 + len(self.rows)
                         self.rows[t] = _row(space, target.weights, gathers)
+                    numbering[id(target)] = t
                 self.to[q][i] = t
                 draws.append((q, id(target), t))
             if len(self.missing) == missed:

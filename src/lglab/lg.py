@@ -18,7 +18,15 @@ from functools import partial, reduce
 from operator import add, mul
 from typing import Optional
 
-from .core import Distribution, OnticModel, check_size, dots, is_ontically_noninvasive, summed
+from .core import (
+    NORMALIZATION_TOL,
+    Distribution,
+    OnticModel,
+    check_size,
+    dots,
+    is_ontically_noninvasive,
+    summed,
+)
 from .errors import EngineDefectError, ModelError, PreconditionError, ValidationError
 from .operational import (
     EQUIVALENCE_TOL,
@@ -205,7 +213,7 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
 
     for name, table in (("d1", d1), ("d2", d2)):
         balance = sum(table.values())
-        if not (abs(balance) <= 1e-9):
+        if not (abs(balance) <= NORMALIZATION_TOL):  # each table compared sums to 1 within it
             raise EngineDefectError(f"{name} entries sum to {balance!r}, expected 0")
     worst_d3 = max(abs(v) for v in d3.values())
     if not (worst_d3 <= RESIDUAL_TOL):
@@ -431,11 +439,8 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     preparations = tuple(model.preparations)
     checked = {m: model.measurement(m) for m in measurements}
     alphabet = [(t, m) for t in model.transformations for m in model.measurements]
-    suffixes = [
-        seq
-        for length in range(1, depth + 1)
-        for seq in itertools.product(alphabet, repeat=length)
-    ]
+    lengths = range(1, depth + 1) if alphabet else ()  # no step makes no suffix of any length
+    suffixes = [seq for length in lengths for seq in itertools.product(alphabet, repeat=length)]
     prefixes = [()] + [((None, m),) for m in model.measurements]
     pre_ts = [None] + list(model.transformations)
 

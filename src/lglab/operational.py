@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import OnticModel, single_shot_probability
+from .core import NORMALIZATION_TOL, OnticModel, single_shot_probability
 from .errors import ModelError, ValidationError
 
 #: Tolerance for declaring two sets of operational statistics equal.
@@ -84,12 +84,12 @@ class JointDistribution:
     def __post_init__(self):
         total = 0.0
         for combo, p in self.table.items():
-            if not (p >= -1e-15):
+            if not (p >= -1e-15):  # kept local: the rounding a computed joint probability shows
                 raise ValidationError(
                     f"probability {p!r} for {combo!r} is not a nonnegative number"
                 )
             total += p
-        if not (abs(total - 1.0) <= 1e-9):
+        if not (abs(total - 1.0) <= NORMALIZATION_TOL):
             raise ValidationError(f"joint table sums to {total!r}, expected 1")
 
     def axis_index(self, which) -> int:

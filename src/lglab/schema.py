@@ -5,12 +5,21 @@ probabilities as decimal literals, hand-editable and diff-friendly.
 Export followed by import reproduces the model exactly: state and
 outcome labels are strings, floats round-trip through their shortest
 repr, and table ordering is preserved.
+
+``write_document`` writes the bytes of ``json.dump(doc, handle,
+indent=2)`` and a newline, at the speed of ``json``'s C encoder: that
+encoder cannot indent, but it writes each container that holds no
+container, one item to a line, when its item separator carries the
+line break and the indent. The loader builds a point mass, the most
+common row of a large model, directly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import (
     Distribution,
@@ -143,7 +152,13 @@ def _at(path):
 
 
 def _distribution(space, weights_doc, path) -> Distribution:
+    """The distribution a row describes; a point mass, one known label holding the float 1.0,
+    is built directly, as it passes every check of the others."""
     try:  # not _at: a model file holds one distribution per kernel and update row
+        if isinstance(weights_doc, dict) and len(weights_doc) == 1:
+            [(label, weight)] = weights_doc.items()
+            if type(weight) is float and weight == 1.0:
+                return Distribution.point_mass(space, label)
         return Distribution(space, _numbers(weights_doc, path))
     except (ValidationError, OverflowError) as exc:
         raise SchemaError(str(exc), path=path) from None
@@ -268,14 +283,68 @@ def doc_to_model(doc) -> tuple:
     return model, protocols, arrangements
 
 
-def write_document(doc, handle):
-    """Write ``doc`` to a text handle as indented JSON and a final newline.
+#: The exact types of the values a container written by one C encoder call may hold.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
-    Model files and command reports are all written here. The text is
-    streamed, so a large document is never held as one string.
+#: What json.dump calls on a value it cannot write: it raises json.dump's TypeError.
+_DEFAULT = json.JSONEncoder().default
+
+
+def write_document(doc, handle):
+    """Write ``doc`` to a text handle as ``json.dump(doc, handle, indent=2)`` does, then a newline.
+
+    Model files and command reports are all written here. A container
+    whose values are all str, int, float, bool or None goes to one
+    ``json.encoder.c_make_encoder`` call, made once per depth, whose item
+    separator is a comma, a line break and the indent of its items; only
+    its brackets are then indented. Other containers are walked here,
+    and each item is written as it is reached, so a large document is
+    never held as one string.
     """
-    json.dump(doc, handle, indent=2)
-    handle.write("\n")
+    write = handle.write
+    encoders: dict = {}  # depth -> the C encoder of a container's items at that depth
+
+    def flat(value, depth) -> str:
+        encode = encoders.get(depth)
+        if encode is None:
+            encode = encoders[depth] = c_make_encoder(
+                None, _DEFAULT, encode_basestring_ascii, None,
+                ": ", ",\n" + "  " * (depth + 1), False, False, True)
+        return "".join(encode(value, depth))
+
+    def emit(value, depth):
+        if isinstance(value, dict):
+            brackets, values = "{}", value.values()
+        elif isinstance(value, (list, tuple)):
+            brackets, values = "[]", value
+        else:
+            return write(flat(value, depth))
+        if not value:
+            return write(brackets)
+        indent = "\n" + "  " * (depth + 1)
+        if _SCALARS.issuperset(map(type, values)):
+            text = flat(value, depth)
+            return write(brackets[0] + indent + text[1:-1] + indent[:-2] + brackets[1])
+        heads = map(_key, value) if brackets == "{}" else itertools.repeat("")
+        separator = brackets[0] + indent
+        for head, item in zip(heads, values):
+            write(separator + head)
+            emit(item, depth + 1)
+            separator = "," + indent
+        write(indent[:-2] + brackets[1])
+
+    emit(doc, 0)
+    write("\n")
+
+
+def _key(key) -> str:
+    """A dict key as json.dump writes it, with the separator after it."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key) + ": "
 
 
 def dump_document(doc, path):

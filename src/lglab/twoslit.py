@@ -31,6 +31,11 @@ from .operational import ObservableAssignment
 
 TWO_PI = 2.0 * math.pi
 
+#: Rounding allowed above 1 on a squared modulus or a bin probability:
+#: amplitudes taken as square roots of probabilities square back to
+#: within a few ulps of them.
+MODULUS_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SlitAmplitudes:
@@ -45,11 +50,11 @@ class SlitAmplitudes:
 
     def __post_init__(self):
         m1, m2 = abs(self.a1), abs(self.a2)
-        if m1 * m1 > 1.0 + 1e-12 or m2 * m2 > 1.0 + 1e-12:
+        if m1 * m1 > 1.0 + MODULUS_SLACK or m2 * m2 > 1.0 + MODULUS_SLACK:
             raise ValidationError("each squared modulus must be at most 1")
         if m1 == 0.0 and m2 == 0.0:
             raise ValidationError("at least one amplitude must be nonzero")
-        if 0.5 * abs(self.a1 + self.a2) ** 2 > 1.0 + 1e-12:
+        if 0.5 * abs(self.a1 + self.a2) ** 2 > 1.0 + MODULUS_SLACK:
             raise ValidationError("bin probability (|a1+a2|^2)/2 exceeds 1")
 
     @classmethod

@@ -29,7 +29,7 @@ from .core import (
     check_size,
 )
 from .errors import EngineDefectError, ModelError
-from .lg import LgArrangement, disturbance_report, post_select_noninvasive
+from .lg import BOUND_TOL, LgArrangement, disturbance_report, post_select_noninvasive
 from .operational import ObservableAssignment
 
 
@@ -541,9 +541,9 @@ def _fixture_null_result_pair() -> tuple:
         },
     )
     result = post_select_noninvasive(model, ("null-plus", PLUS), ("null-minus", MINUS))
-    if not (result.matches_input and result.max_deviation_from_input <= 1e-12):
+    if not (result.matches_input and result.max_deviation_from_input <= BOUND_TOL):
         raise EngineDefectError("fixture null-result-pair failed build-time verification")
-    return model, None, {"post_selection_matches_input_within": 1e-12}
+    return model, None, {"post_selection_matches_input_within": BOUND_TOL}
 
 
 def _fixture_support_mr_minimal() -> tuple:

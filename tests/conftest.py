@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from lglab import (
@@ -66,3 +68,28 @@ def spin_model():
         transformations={"id": TransformationKernel.identity(space)},
         measurements={"Mz": mz, "Mx": mx, "Mz-alt": mz_alt},
     )
+
+
+@pytest.fixture
+def lines_run():
+    """lines_run(function, *args): how many lines of the function's module run in the call.
+
+    A count of loop passes that does not depend on the clock.
+    """
+    def count(function, *args):
+        path, runs = function.__code__.co_filename, 0
+
+        def local(frame, event, arg):
+            nonlocal runs
+            runs += event == "line"
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path else None)
+        try:
+            function(*args)
+        finally:
+            sys.settrace(previous)
+        return runs
+
+    return count

@@ -288,3 +288,12 @@ class TestEquilibrium:
         build = zoo.build("drifting-update")
         result = check_equilibrium_property(build.model, model_class(build), "swapper")
         assert not result.holds
+
+
+def test_images_stop_at_the_first_depth_that_adds_none(lines_run):
+    # the model has no transformation, so no depth adds an image: the loop over
+    # depths stops at the first empty frontier, and a deep --image-depth costs nothing more
+    build = zoo.build("support-mr-minimal")
+    cls = model_class(build)
+    shallow, deep = (lines_run(classify, build.model, cls, depth) for depth in (2, 10**3))
+    assert deep == shallow

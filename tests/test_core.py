@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -326,3 +327,46 @@ def test_check_size_adds_terms_only_while_nonzero_and_within_the_limit(monkeypat
         core.check_size("--x 5", "items", 3, 2, 10**18)
     with pytest.raises(ValidationError, match=r"^--x 6 asks for more than 11 items;"):
         core.check_size("--x 6", "items", 1, 1, 10**18)
+
+
+class CountedReads(dict):
+    """A row's weights that count how often they are read: values() and items() calls."""
+
+    reads = 0
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def test_compiling_reads_each_shared_row_once():
+    # every state draws one of a few shared rows, as on the sphere model, where
+    # 30 000 states draw one of Mz's two 5 000-entry rows: each row is read once
+    space = OnticStateSpace(tuple(f"s{i}" for i in range(40)))
+    spread = {s: 1.0 / 20 for s in space.states[:20]}
+    rows = {
+        "plus": Distribution(space, spread),
+        "minus": Distribution(space, {s: 1.0 / 20 for s in space.states[20:]}),
+        "reset": Distribution(space, spread),
+        "point": Distribution.point_mass(space, "s0"),
+    }
+    for dist in rows.values():
+        dist.weights = CountedReads(dist.weights)
+    half = {PLUS: 0.5, MINUS: 0.5}
+    measurement = Measurement(
+        "M",
+        ResponseFunction(space, OUTCOMES, dict.fromkeys(space.states, half)),
+        MeasurementUpdate(space, OUTCOMES, outcome_rows={PLUS: rows["plus"], MINUS: rows["minus"]}),
+    )
+    reset = TransformationKernel(space, dict.fromkeys(space.states, rows["reset"]))
+    collapse = TransformationKernel(space, dict.fromkeys(space.states, rows["point"]))
+    forms = [measurement.form, reset.form, collapse.form]
+    assert {name: dist.weights.reads for name, dist in rows.items()} == dict.fromkeys(rows, 1)
+    # the forms still send every state's weight where the rows say
+    assert forms[2].to[None] == array("i", [0]) * len(space)
+    branch = space.pack(dict.fromkeys(space.states, 1.0 / 40))
+    assert space.unpack(forms[1].measure(branch, None)) == pytest.approx(spread)

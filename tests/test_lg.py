@@ -175,6 +175,14 @@ class TestOpnd:
         with pytest.raises(ValidationError, match=f"depth {depth}"):
             check_opnd_complete(model, "Mz", depth=depth)
 
+    def test_a_model_without_transformations_builds_no_suffix_length(self, lines_run):
+        # without a (transformation, measurement) step no suffix has any length, so the
+        # check costs the same at every depth
+        model = zoo.build("support-mr-minimal").model
+        shallow, deep = (lines_run(lg._complete, model, tuple(model.measurements), depth,
+                                   EQUIVALENCE_TOL) for depth in (2, 10**3))
+        assert deep == shallow
+
     def test_effects_are_built_only_when_a_context_needs_them(self, monkeypatch):
         calls = []
         original = lg._suffix_effects

@@ -1,0 +1,226 @@
+"""Model files in and out: the indented writer and the loader's point-mass rows.
+
+``schema.write_document`` must write the bytes of ``json.dump(doc,
+handle, indent=2)`` and a newline. ``json.dumps`` stays the reference
+here, on every zoo export, on the command reports and on synthetic
+documents that reach each branch of the writer.
+"""
+
+import copy
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from lglab import Distribution, SchemaError, cli, schema
+from perfbench.workloads import CLI_GRID, ZOO
+
+
+def json_dump_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def assert_same_text(got, expected):
+    """Fail naming the first difference: pytest's diff of a megabyte string takes minutes."""
+    if got != expected:
+        at = next(i for i, pair in enumerate(zip(got + "\0", expected + "\1")) if len(set(pair)) > 1)
+        pytest.fail(f"first difference at offset {at}: "
+                    f"{got[at - 30:at + 30]!r} against {expected[at - 30:at + 30]!r}")
+
+
+def written(doc, write_document=schema.write_document) -> str:
+    handle = io.StringIO()
+    write_document(doc, handle)
+    return handle.getvalue()
+
+
+def export_document(entry, *params) -> dict:
+    """The document ``lglab zoo export`` writes."""
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["zoo", "export", entry, *params]) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The (document, text) of each write_document call, which passes the text on."""
+    calls = []
+
+    def recorded(doc, handle):  # written() keeps the writer it was defined with
+        calls.append((doc, written(doc)))
+        handle.write(calls[-1][1])
+
+    monkeypatch.setattr(schema, "write_document", recorded)
+    return calls
+
+
+#: Command lines whose reports the suite reads, beside every zoo entry's lg,
+#: classify and export; {model} is an exported superselected file.
+REPORTS = [
+    ["lg", "--zoo", "superselected", "--p1", "0.25", "--p2", "0.25"],
+    ["lg", "--zoo", "qubit", "--depth", "3"],
+    ["lg", "--zoo", "bohm-two-path", "--depth", "3"],
+    ["lg", "--zoo", "superselected", "--tol", "0.01"],
+    ["classify", "--zoo", "superselected", "--image-depth", "1"],
+    ["classify", "--zoo", "superselected", "--tol", "0.5"],
+    ["classify", "--zoo", "qubit"],
+    ["twoslit", "--mod1-sq", "0.2", "--phi", str(math.pi)],
+    ["twoslit", "--mod1-sq", "0.5", "--phi", "7.0"],
+    ["twoslit", "--sweep", "--mod-steps", "3", "--phi-steps", "4"],
+    ["zoo", "list"],
+    ["lg", "--model", "{model}", "--arrangement", "lg"],
+    ["run", "--model", "{model}", "--protocol", "lg-all", "--marginal", "0,2"],
+]
+
+ZOO_REPORTS = [[*command, entry, *CLI_GRID.get(entry, [])]
+               for entry in ZOO for command in (["lg", "--zoo"], ["classify", "--zoo"],
+                                                ["zoo", "export"])]
+
+
+@pytest.mark.parametrize("argv", ZOO_REPORTS + REPORTS + [["zoo", "export", "ks-sphere"]],
+                         ids=" ".join)
+def test_every_report_is_written_as_json_dump_writes_it(argv, writes, tmp_path, capsys):
+    model = tmp_path / "superselected.json"
+    cli.main(["zoo", "export", "superselected", "--out", str(model)])
+    writes.clear()
+    code = cli.main([arg.format(model=model) for arg in argv] + ["--no-timestamp"])
+    out = capsys.readouterr().out
+    if code == 2:  # a refusal (lg on an entry without an arrangement) writes no report
+        assert writes == [] and out == ""
+        return
+    [(doc, text)] = writes
+    assert_same_text(text, json_dump_text(doc))
+    assert_same_text(out, text)
+
+
+#: Documents that reach every branch: scalars at the top, empty containers at
+#: several depths, lists of lists, tuples, non-finite floats, non-ASCII text,
+#: keys of every allowed type, and values of subclasses of the JSON types.
+SYNTHETIC = [
+    0, -1.5, "text", None, True, [], {}, (),
+    [[]], [{}], {"a": {}}, {"a": []}, {"a": {"b": {"c": {}, "d": []}}},
+    [[1, 2], [3, [4, {}]], [], [[[]]]],
+    (1, (2.5, ("x", None))),
+    {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [math.nan, -math.inf]},
+    {"é": "ü ☃ \U0001f600", "\x00\n\t\"\\": [" ", "ß"]},
+    {1: "int", 2.5: "float", True: "true", False: "false", None: "null", math.nan: "nan",
+     -math.inf: "-inf", 10**30: "big"},
+    {"mixed": {"a": {1: [True, False, None]}, "b": 2}},
+    {math.nan: [1], -math.inf: {"a": {}}, True: [[]], None: {"x": [2]}, 2.5: [3], 10**30: [4]},
+    {"numpy": np.float64(0.1), "row": {"s": np.float64(1 / 3), "t": 1}, "flags": [True, False]},
+    [np.float64("nan"), np.float64(-0.0), 1e308, 5e-324, -0.0],
+    {"deep": [[[[[{"k": [1, [2, [3, {}]]]}]]]]]},
+]
+
+
+@pytest.mark.parametrize("doc", SYNTHETIC)
+def test_synthetic_documents_are_written_as_json_dump_writes_them(doc):
+    assert_same_text(written(doc), json_dump_text(doc))
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {1, 2}},
+    {"a": [object()]},
+    object(),
+    {"a": {"b": 1, "c": {"d": b"bytes"}}},
+    {(1, 2): 1},
+    {"a": {"b": {(1,): 2}}},
+    {"a": {"b": [], frozenset(): 1}},
+])
+def test_an_unserialisable_value_raises_json_dumps_type_error(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as raised:
+        written(doc)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_large_export_is_streamed_in_pieces():
+    # the document is never held as one string: a write carries at most one
+    # container of scalars, here the largest is the list of the 600 states
+    doc = export_document("ks-sphere", "--grid", "200")
+    pieces = Pieces()
+    schema.write_document(doc, pieces)
+    assert_same_text("".join(pieces), json_dump_text(doc))
+    assert len(pieces) > 1000
+    assert max(map(len, pieces)) < sum(map(len, pieces)) / 10
+
+
+class Pieces(list):
+    """A text handle that keeps each write apart."""
+
+    write = list.append
+
+
+# ---------------------------------------------------------------------------
+# point-mass rows on the loader's direct path
+
+
+#: (zoo entry, key path to a one-entry row holding 1.0): a preparation, a
+#: kernel row and a per-state update row.
+POINT_MASS_ROWS = [
+    ("qubit", ("preparations", "up")),
+    ("qubit", ("transformations", "rot1", "q(1,0)")),
+    ("superselected", ("measurements", "read", "update", "rows", "up", "+1")),
+]
+
+
+def row_parent(doc, path):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    return parent
+
+
+@pytest.fixture(params=POINT_MASS_ROWS, ids=lambda p: ".".join(p[1]))
+def point_row(request):
+    entry, path = request.param
+    doc = export_document(entry)
+    [(label, weight)] = row_parent(doc, path)[path[-1]].items()
+    assert weight == 1.0 and type(weight) is float
+    return doc, path, label
+
+
+def load_with_row(point_row, row):
+    doc, path, _ = point_row
+    doc = copy.deepcopy(doc)
+    row_parent(doc, path)[path[-1]] = row
+    return schema.doc_to_model(doc)[0]
+
+
+@pytest.mark.parametrize("row,suffix,message", [
+    ({"nowhere": 1.0}, "", "unknown state label 'nowhere'"),
+    ({"{label}": True}, ".{label}", "value must be number, got bool"),
+    ({"{label}": math.nan}, "", "weight nan for state '{label}' is not a nonnegative number"),
+    ({"{label}": -1.0}, "", "weight -1.0 for state '{label}' is not a nonnegative number"),
+    ({"{label}": 1.5}, "", "weights sum to 1.5, expected 1 within 1e-09"),
+], ids=["unknown-label", "true", "nan", "negative", "far-from-1"])
+def test_a_one_entry_row_is_refused_as_the_validated_path_refuses_it(point_row, row, suffix,
+                                                                     message):
+    label, path = point_row[2], ".".join(point_row[1])
+    row = {key.format(label=label): value for key, value in row.items()}
+    with pytest.raises(SchemaError) as raised:
+        load_with_row(point_row, row)
+    assert raised.value.path == path + suffix.format(label=label)
+    assert str(raised.value) == f"{path}{suffix.format(label=label)}: {message.format(label=label)}"
+
+
+@pytest.mark.parametrize("weight", [1, 1.0000000001])
+def test_a_row_not_holding_the_float_one_is_validated_and_loads_as_it(point_row, weight,
+                                                                      monkeypatch):
+    # the int 1, and a weight that renormalizes to 1.0, take the validated
+    # path; the row loads as the float 1.0, as the point mass does
+    label = point_row[2]
+    direct = []  # the labels of the rows loaded on the direct path
+    point_mass = Distribution.point_mass.__func__
+    monkeypatch.setattr(Distribution, "point_mass", classmethod(
+        lambda cls, space, at: direct.append(at) or point_mass(cls, space, at)))
+    reference = load_with_row(point_row, {label: 1.0})
+    on_direct_path = direct.count(label)
+    direct.clear()
+    model = load_with_row(point_row, {label: weight})
+    assert direct.count(label) == on_direct_path - 1
+    assert json.dumps(schema.model_to_doc(model)) == json.dumps(schema.model_to_doc(reference))
