@@ -12,7 +12,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from functools import partial
-from operator import attrgetter
 
 from . import __version__
 from .classify import HULL_TOL, QuantityClass, check_equilibrium_property, classify
@@ -301,8 +300,7 @@ def cmd_twoslit(args) -> int:
                    max(mod_steps, 0) * max(phi_steps, 0))
         mods = [(i + 1) / (mod_steps + 1) for i in range(mod_steps)]
         phis = [2.0 * math.pi * i / phi_steps for i in range(phi_steps)]
-        # each row's fields as the columns name them: dataclasses.astuple, without its deep copy
-        rows = list(map(attrgetter(*twoslit.CSV_COLUMNS), twoslit.violation_map(mods, phis)))
+        rows = twoslit.violation_map(mods, phis)
         if args.format == "csv":
             lines = [",".join(twoslit.CSV_COLUMNS), *(",".join(map(_fmt, r)) for r in rows)]
             _emit(args, lambda handle: handle.write("\n".join(lines) + "\n"))

@@ -430,15 +430,10 @@ def dots(branch, effects) -> list:
     return [sum(map(mul, weights, gather(f))) for f in effects]
 
 
-def _row(space: OnticStateSpace, weights: Mapping, gathers: dict) -> tuple:
-    """A kernel or update row as a branch, with the reader the pulls dot it through;
-    rows on the same positions share both, through ``gathers``."""
+def _row(space: OnticStateSpace, weights: Mapping) -> tuple:
+    """A kernel or update row as a branch, with the reader the pulls dot it through."""
     positions, values = space.pack(weights)
-    key = tuple(positions)
-    if key not in gathers:
-        gathers[key] = key, _gather(positions)
-    positions, gather = gathers[key]
-    return positions, tuple(values), gather
+    return positions, tuple(values), _gather(positions)
 
 
 def _ascending(out: dict) -> tuple:
@@ -477,13 +472,14 @@ class Form:
     ``responses`` with NaN there too. ``shared`` maps each outcome that
     all the other states producing it draw from one row to that row's
     ``to`` value. ``pooled[q]`` holds, in number order, the rows that
-    several states draw for q. ``in_place`` holds when no row is missing
-    and each state draws every outcome from the point mass at itself: the
-    update moves no state.
+    several states draw for q. ``complete`` holds when every state has a
+    response row and none is ``missing``: no walk misses a row here.
+    ``in_place`` holds when no row is missing and each state draws every
+    outcome from the point mass at itself: the update moves no state.
     """
 
     __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "xi", "shared",
-                 "pooled", "in_place")
+                 "pooled", "complete", "in_place")
 
     def __init__(self, space: OnticStateSpace, outcomes: tuple, table: Iterable, row):
         """Compile (label, {outcome: probability}) response rows and ``row(label, outcome)``,
@@ -493,9 +489,9 @@ class Form:
         self.responses = {q: array("d", [math.nan]) * end for q in outcomes}
         self.to = {q: array("i", [end]) * end for q in outcomes}
         self.rows, self.missing = {}, []
-        numbering, gathers = {}, {}  # id(update row) -> its to value
+        numbering, declared = {}, 0  # id(update row) -> its to value; response rows so far
         sources = {q: {} for q in outcomes}  # the same, drawn from states a walk can leave
-        for label, probabilities in table:
+        for declared, (label, probabilities) in enumerate(table, 1):
             i = space.position[label]
             draws, missed = [], len(self.missing)
             for q, p in probabilities.items():
@@ -513,7 +509,7 @@ class Form:
                         [t] = map(space.position.__getitem__, target.weights)
                     else:
                         t = end + 1 + len(self.rows)
-                        self.rows[t] = _row(space, target.weights, gathers)
+                        self.rows[t] = _row(space, target.weights)
                     numbering[id(target)] = t
                 self.to[q][i] = t
                 draws.append((q, id(target), t))
@@ -527,6 +523,7 @@ class Form:
         self.pooled = {q: dict.fromkeys(sorted(t for t, k in Counter(to).items()
                                                if k > 1 and t > end))
                        for q, to in self.to.items()}
+        self.complete = declared == end and not self.missing
         self.in_place = not self.missing and all(
             t in (i, end) for to in self.to.values() for i, t in enumerate(to)
         )
@@ -664,21 +661,21 @@ def compose_kernels(first: TransformationKernel, second: TransformationKernel) -
     return TransformationKernel(first.space, rows)
 
 
-def single_shot_probability(
-    preparation: Distribution,
-    kernel: Optional[TransformationKernel],
-    measurement: Measurement,
-    outcome: Outcome,
-) -> float:
-    """Probability of one outcome after preparation -> transformation -> measurement.
+def outcome_probabilities(preparation: Distribution, kernel: Optional[TransformationKernel],
+                          measurement: Measurement) -> dict:
+    """Each outcome's probability after preparation -> transformation -> measurement;
+    ``kernel`` may be None for an immediate measurement."""
+    _check_same_space(preparation.space, measurement.space, "outcome_probabilities")
+    dist = preparation if kernel is None else compose_preparation(preparation, kernel)
+    return measurement.form.masses(dist.space.pack(dist.weights))
 
-    ``kernel`` may be None for an immediate measurement.
-    """
+
+def single_shot_probability(preparation: Distribution, kernel: Optional[TransformationKernel],
+                            measurement: Measurement, outcome: Outcome) -> float:
+    """The probability of one outcome: its entry of ``outcome_probabilities``."""
     if outcome not in measurement.outcomes:
         raise ModelError(f"unknown outcome {outcome!r} for measurement {measurement.label!r}")
-    _check_same_space(preparation.space, measurement.space, "single_shot_probability")
-    dist = preparation if kernel is None else compose_preparation(preparation, kernel)
-    return measurement.form.masses(dist.space.pack(dist.weights))[outcome]
+    return outcome_probabilities(preparation, kernel, measurement)[outcome]
 
 
 def is_ontically_noninvasive(

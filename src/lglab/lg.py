@@ -247,7 +247,6 @@ class OpndResult:
 
     non_disturbing: bool
     max_deviation: float
-    context: str
 
 
 def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation) -> list:
@@ -258,17 +257,11 @@ def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation)
 
 
 def _settled(model: OnticModel, measurement) -> bool:
-    """Whether no walk can miss a row and ``measurement`` leaves every state exactly in place.
-
-    No walk misses a row when the model declares every kernel and response
-    row, and an update row for every outcome of nonzero probability.
-    """
-    n = len(model.space.states)
-    return measurement.form.in_place and not any(
-        len(kernel.rows) != n for kernel in model.transformations.values()
-    ) and not any(
-        len(meas.response.table) != n or meas.form.missing for meas in model.measurements.values()
-    )
+    """Whether ``measurement`` leaves every state exactly in place and no walk can miss a row:
+    every kernel's and measurement's form is ``complete`` (see ``core.Form``)."""
+    return measurement.form.in_place and all(
+        part.form.complete for parts in (model.transformations, model.measurements)
+        for part in parts.values())
 
 
 def _suffix_effects(model: OnticModel, memo: dict, suffixes) -> dict:
@@ -375,8 +368,7 @@ def check_opnd(
     bases: dict = {}
     shifts = _disturbances(memo, meas, _suffix_effects(model, memo, [suffix])[suffix], bases)
     worst = _deviation(_dots(branches, bases), shifts)
-    context = f"E={preparation!r}, M={measurement!r}, suffix={[m for _, m in suffix]!r}"
-    return OpndResult(worst <= EQUIVALENCE_TOL, worst, context)
+    return OpndResult(worst <= EQUIVALENCE_TOL, worst)
 
 
 @dataclass(frozen=True)
@@ -591,7 +583,6 @@ class PostSelectionResult:
     guarantees row by row.
     """
 
-    kept_outcomes: tuple
     records: tuple
     matches_input: bool
     consistent: bool
@@ -660,7 +651,6 @@ def post_select_noninvasive(model: OnticModel, keep_first, keep_second) -> PostS
     worst_input = max(r.deviation_from_input for r in records)
     worst_update = max(r.update_consistency for r in records)
     return PostSelectionResult(
-        kept_outcomes=((name_a, q_a), (name_b, q_b)),
         records=tuple(records),
         matches_input=worst_input <= BOUND_TOL,
         consistent=worst_update <= BOUND_TOL,

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import NORMALIZATION_TOL, OnticModel, single_shot_probability
+from .core import NORMALIZATION_TOL, OnticModel, outcome_probabilities, single_shot_probability
 from .errors import ModelError, ValidationError
 
 #: Tolerance for declaring two sets of operational statistics equal.
@@ -229,10 +229,9 @@ def preparations_equivalent(model: OnticModel, first, second, probes) -> tuple[b
     for t_name, m_name in probes:
         kernel = None if t_name is None else model.transformation(t_name)
         measurement = model.measurement(m_name)
-        for q in measurement.outcomes:
-            pa = single_shot_probability(dist_a, kernel, measurement, q)
-            pb = single_shot_probability(dist_b, kernel, measurement, q)
-            worst = max(worst, abs(pa - pb))
+        pa = outcome_probabilities(dist_a, kernel, measurement)
+        pb = outcome_probabilities(dist_b, kernel, measurement)
+        worst = max(worst, *(abs(pa[q] - pb[q]) for q in measurement.outcomes))
     return worst <= EQUIVALENCE_TOL, worst
 
 
@@ -256,10 +255,9 @@ def measurements_equivalent(
     for e_name, t_name in probes:
         dist = model.preparation(e_name)
         kernel = None if t_name is None else model.transformation(t_name)
-        for q in meas_a.outcomes:
-            pa = single_shot_probability(dist, kernel, meas_a, q)
-            pb = single_shot_probability(dist, kernel, meas_b, q)
-            worst = max(worst, abs(pa - pb))
+        pa = outcome_probabilities(dist, kernel, meas_a)
+        pb = outcome_probabilities(dist, kernel, meas_b)
+        worst = max(worst, *(abs(pa[q] - pb[q]) for q in meas_a.outcomes))
     return worst <= tol, worst
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     MINUS,
@@ -215,9 +216,8 @@ def compile_to_arrangement(s: SlitAmplitudes) -> LgArrangement:
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One violation-map entry (angles in radians)."""
+class SweepPoint(NamedTuple):
+    """One violation-map entry (angles in radians): a row of the sweep's CSV and JSON tables."""
 
     mod1_sq: float
     phi: float
@@ -226,7 +226,7 @@ class SweepPoint:
     violated: bool
 
 
-CSV_COLUMNS = ("mod1_sq", "phi", "lg_plus", "lg_plus_mirrored", "violated")
+CSV_COLUMNS = SweepPoint._fields
 
 
 def violation_map(mod1_sq_grid, phi_grid) -> list:
@@ -245,13 +245,5 @@ def violation_map(mod1_sq_grid, phi_grid) -> list:
         for phi in phi_grid:
             s = SlitAmplitudes.from_intensity_phase(m1, phi)
             value = lg_plus_value(s)
-            rows.append(
-                SweepPoint(
-                    mod1_sq=m1,
-                    phi=phi % TWO_PI,
-                    lg_plus=value,
-                    lg_plus_mirrored=lg_plus_mirrored(s),
-                    violated=value < -1.0,
-                )
-            )
+            rows.append(SweepPoint(m1, phi % TWO_PI, value, lg_plus_mirrored(s), value < -1.0))
     return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .classify import QuantityClass, check_equilibrium_property, classify
@@ -78,15 +78,16 @@ class _ModeSet(dict):
     """Registry of pure two-level states up to global sign.
 
     Exact amplitudes are kept for all arithmetic, as the values; states
-    are merged (and labelled) by their keys, the sign-fixed amplitudes
-    rounded to 12 digits.
+    are merged (and labelled) by their keys: the amplitudes rounded to 12
+    digits, signed so that the first nonzero one is positive. The sign is
+    read from the key, so a rounding residue never splits a ray.
     """
 
     def add(self, amps: tuple) -> tuple:
         a, b = amps
-        if a < 0.0 or (a == 0.0 and b < 0.0):
-            a, b = -a, -b
         key = (round(a, 12) + 0.0, round(b, 12) + 0.0)
+        if key < (0.0, 0.0):
+            a, b, key = -a, -b, (-key[0] + 0.0, -key[1] + 0.0)
         self.setdefault(key, (a, b))
         return key
 
@@ -486,7 +487,7 @@ def _fixture_lgi_holds_d_nonzero() -> tuple:
             f"max |D| = {report.max_disturbance():.4g}, "
             f"pairwise value = {report.lg_pairwise:.4g}"
         )
-    return model, arrangement, {"max_disturbance_above": 0.1, "lg_pairwise_at_least": -1.0}
+    return model, arrangement
 
 
 def _fixture_null_result_pair() -> tuple:
@@ -543,7 +544,7 @@ def _fixture_null_result_pair() -> tuple:
     result = post_select_noninvasive(model, ("null-plus", PLUS), ("null-minus", MINUS))
     if not (result.matches_input and result.max_deviation_from_input <= BOUND_TOL):
         raise EngineDefectError("fixture null-result-pair failed build-time verification")
-    return model, None, {"post_selection_matches_input_within": BOUND_TOL}
+    return model, None
 
 
 def _fixture_support_mr_minimal() -> tuple:
@@ -574,7 +575,7 @@ def _fixture_support_mr_minimal() -> tuple:
         raise EngineDefectError(
             f"fixture support-mr-minimal failed build-time verification: {verdict}"
         )
-    return model, None, {"verdict": "MR2"}
+    return model, None
 
 
 def _fixture_drifting_update() -> tuple:
@@ -604,7 +605,7 @@ def _fixture_drifting_update() -> tuple:
     )
     if equilibrium.holds:
         raise EngineDefectError("fixture drifting-update failed build-time verification")
-    return model, None, {"equilibrium_fixed_point": False}
+    return model, None
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +619,14 @@ class ZooBuild:
     name: str
     model: OnticModel
     arrangement: Optional[LgArrangement]
-    expected: dict = field(default_factory=dict)
 
 
 #: Default rotation angles of the entries that take two.
 _ANGLES = {"theta1": 2.0 * math.pi / 3.0, "theta2": 2.0 * math.pi / 3.0}
 
 #: Zoo entry -> (description, builder, default parameters). A parametrized
-#: builder returns an LgArrangement. A fixture has no parameters (None) and
-#: its builder returns (model, arrangement or None, expected verdicts).
+#: builder returns an LgArrangement. A fixture has no parameters (None); its
+#: builder verifies the model and returns (model, arrangement or None).
 _ZOO = {
     "qubit": ("projective qubit on its reachable pure states; violates the pairwise inequality",
               build_qubit_arrangement, _ANGLES),

@@ -384,6 +384,71 @@ def reset_outside_the_domain(model):
     return without_last_row(reset(model, "T1", point), "T2")
 
 
+def declares_every_row(model) -> bool:
+    """Every kernel and response row, and an update row for every outcome of nonzero
+    probability, counted on the model's own tables rather than read from its forms."""
+    n = len(model.space)
+
+    def has_update(meas, state, outcome):
+        try:
+            return meas.update.row(state, outcome) is not None
+        except ModelError:
+            return False
+
+    return all(len(kernel.rows) == n for kernel in model.transformations.values()) and all(
+        len(meas.response.table) == n
+        and all(has_update(meas, s, q) for s, row in meas.response.table.items()
+                for q, p in row.items() if p != 0.0)
+        for meas in model.measurements.values())
+
+
+def _identity_model():
+    return random_arrangement(np.random.default_rng(29), max_states=4,
+                              noninvasive_early=True).model
+
+
+#: (model, whether it declares every row): each zoo entry, and an identity model
+#: as built and with the row mutations the non-disturbance tests use.
+DECLARED_ROWS = [
+    *((lambda name=name: zoo.build(name, **({"n_points": 200} if name == "ks-sphere" else {}))
+       .model, None) for name, _ in zoo.list_models()),
+    (_identity_model, True),
+    (lambda: without_last_row(_identity_model(), "T2"), False),
+    (lambda: without_response_row(_identity_model(), "M2"), False),
+    (lambda: without_update_row(_identity_model(), "M2"), False),
+    (lambda: without_update_row(_identity_model(), "M2", impossible=True), True),
+    (lambda: identity_with_shared_rows().model, False),
+    (lambda: shared_and_per_state_rows(_identity_model()), True),
+    (lambda: shared_row_outside_the_domain(_identity_model()), False),
+    (lambda: reset_inside_the_domain(_identity_model()), True),
+]
+DECLARED_ROWS_IDS = [*(name for name, _ in zoo.list_models()), "identity", "kernel-row",
+                     "response-row", "update-row", "update-row-of-impossible-outcome",
+                     "shared-rows", "shared-and-per-state-rows", "shared-row-outside-the-domain",
+                     "reset"]
+
+
+class TestSettledByForms:
+    """The settling rule reads each form's ``complete`` flag, set when the form is compiled."""
+
+    @pytest.mark.parametrize("build, declared", DECLARED_ROWS, ids=DECLARED_ROWS_IDS)
+    def test_forms_are_complete_exactly_when_every_row_is_declared(self, build, declared):
+        model = build()
+        parts = [*model.transformations.values(), *model.measurements.values()]
+        assert all(part.form.complete for part in parts) == declares_every_row(model)
+        assert declared is None or declares_every_row(model) == declared
+        n = len(model.space)
+        for kernel in model.transformations.values():
+            assert kernel.form.complete == (len(kernel.rows) == n)
+
+    @pytest.mark.parametrize("build, _", DECLARED_ROWS, ids=DECLARED_ROWS_IDS)
+    def test_a_measurement_is_settled_by_the_row_rule(self, build, _):
+        model = build()
+        for name, meas in model.measurements.items():
+            settled = meas.form.in_place and declares_every_row(model)
+            assert check_opnd_complete(model, name).settled == settled
+
+
 class TestRunProtocolMatchesReferenceWalk:
     @pytest.mark.parametrize("mutate, raises", [
         (lambda model: model, False),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lglab import core
 from lglab import (
     Distribution,
     JointDistribution,
@@ -208,6 +209,22 @@ class TestEquivalences:
     def test_differing_response_detected(self, spin_model):
         ok, dev = measurements_equivalent(spin_model, "Mz", "Mx", [("zero", None)])
         assert not ok and dev == pytest.approx(0.5)
+
+    def test_each_cell_is_computed_once_per_side(self, spin_model, monkeypatch):
+        # a (preparation, probe) cell's outcome probabilities come from one pass of a
+        # measurement's form per side, however many outcomes are compared
+        passes = []
+        masses = core.Form.masses
+        monkeypatch.setattr(core.Form, "masses",
+                            lambda form, branch: passes.append(form) or masses(form, branch))
+        mz, alt = (spin_model.measurements[m].form for m in ("Mz", "Mz-alt"))
+        probes = [(e, t) for e in ("zero", "one", "plus") for t in (None, "id")]
+        measurements_equivalent(spin_model, "Mz", "Mz-alt", probes)
+        assert passes == [mz, alt] * len(probes)
+        passes.clear()
+        probes = [(None, "Mz"), (None, "Mx"), ("id", "Mz")]
+        preparations_equivalent(spin_model, "zero", "plus", probes)
+        assert passes == [spin_model.measurements[m].form for _, m in probes for _ in "ab"]
 
     def test_missing_outcome_correspondence_rejected(self, spin_model):
         space = spin_model.space

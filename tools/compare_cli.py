@@ -1,0 +1,112 @@
+"""Compare the CLI output of two source trees, byte for byte.
+
+Usage: python tools/compare_cli.py PARENT_TREE CHILD_TREE
+
+Each tree is a checkout of this repository (a directory holding ``src/lglab``).
+The script runs a fixed list of ``lglab`` commands, all with
+``--no-timestamp``, once with each tree's ``src`` on ``PYTHONPATH``, and
+compares stdout, stderr and exit code. It prints each command whose
+results differ, and the streams that differ, and exits 1 if any does,
+0 if none does. The zoo entries are the ones the parent's ``zoo list``
+names; ``lg`` of an entry without an arrangement is compared as the
+refusal it is. Every command runs in one scratch directory, so that
+relative paths in messages match; ``run --model`` reads a superselected
+model file that the parent tree exports there first.
+
+Only the standard library is used, so any interpreter that runs lglab
+runs this.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+#: (theta1, theta2) pairs beside the defaults. The last three are whole
+#: multiples of pi, where rounding leaves residues of about 1e-16 on exact zeros.
+ANGLES = ((0.3, 2.0), (1.0, 1.0), (-1.2, 5.5), (2 * math.pi, -2 * math.pi),
+          (3 * math.pi, -math.pi), (-math.pi, -math.pi))
+
+MODEL_FILE = "superselected.json"
+
+
+def commands(zoo: list) -> list:
+    """The compared command lines, without the leading ``lglab``, for the zoo entries named."""
+    out = []
+    for name in zoo:
+        out += [["zoo", "export", name],
+                ["classify", "--zoo", name],
+                ["classify", "--zoo", name, "--image-depth", "2"],
+                ["lg", "--zoo", name],
+                ["lg", "--zoo", name, "--depth", "3"]]
+    for theta1, theta2 in ANGLES:
+        angles = [f"--theta1={theta1!r}", f"--theta2={theta2!r}"]
+        out += [["lg", "--zoo", "qubit", *angles],
+                ["lg", "--zoo", "bohm-two-path", *angles],
+                ["lg", "--zoo", "ks-sphere", "--grid", "300", *angles],
+                ["zoo", "export", "bohm-two-path", *angles]]
+    out += [
+        ["lg", "--zoo", "superselected", "--p1", "0.1", "--p2", "0.7", "--depth", "4"],
+        ["twoslit", "--mod1-sq", "0.3", "--phi", "2.5"],
+        ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40", "--format", "csv"],
+        ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40"],
+        ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
+        ["zoo", "list"],
+        # inputs refused with exit 2
+        ["lg", "--zoo", "no-such-model"],
+        ["lg", "--zoo", "qubit", "--depth", "1"],
+        ["classify", "--zoo", "qubit", "--p1", "0.1"],
+        ["twoslit", "--mod-steps", "3"],
+        ["run", "--model", "no-such-file.json", "--protocol", "lg-all"],
+    ]
+    return [argv + ["--no-timestamp"] for argv in out]
+
+
+def run(tree: str, argv: list, cwd: str) -> tuple:
+    """(exit code, stdout, stderr) of ``lglab argv`` on the tree's source."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    done = subprocess.run([sys.executable, "-m", "lglab.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="the tree taken as the reference")
+    parser.add_argument("child", help="the tree compared with it")
+    args = parser.parse_args(argv)
+    for tree in (args.parent, args.child):
+        if not os.path.isfile(os.path.join(tree, "src", "lglab", "cli.py")):
+            parser.error(f"{tree} holds no src/lglab/cli.py")
+
+    with tempfile.TemporaryDirectory(prefix="compare-cli-") as cwd:
+        code, out, err = run(args.parent, ["zoo", "list", "--no-timestamp"], cwd)
+        if code != 0:
+            print(f"zoo list with the parent exited {code}: {err.decode()}")
+            return 2
+        listed = commands([entry["name"] for entry in json.loads(out)["results"]["models"]])
+        code, _, err = run(args.parent, ["zoo", "export", "superselected", "--out", MODEL_FILE,
+                                         "--no-timestamp"], cwd)
+        if code != 0:
+            print(f"exporting {MODEL_FILE} with the parent exited {code}: {err.decode()}")
+            return 2
+        parent = [run(args.parent, argv, cwd) for argv in listed]
+        child = [run(args.child, argv, cwd) for argv in listed]
+
+    differing = 0
+    for command, before, after in zip(listed, parent, child):
+        streams = [s for s, b, a in zip(("exit code", "stdout", "stderr"), before, after) if b != a]
+        if streams:
+            differing += 1
+            print(f"differs ({', '.join(streams)}): lglab {' '.join(command)}")
+    print(f"{len(listed)} commands, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
