@@ -67,7 +67,8 @@ class OnticStateSpace:
 
     The ordering is fixed at construction and is what makes every
     downstream table, report and file deterministic. ``position`` maps
-    each label to its index in that order.
+    each label to its index in that order; ``points`` holds the point
+    mass of each label that ``Distribution.point_mass`` has been asked for.
     """
 
     states: tuple
@@ -79,6 +80,7 @@ class OnticStateSpace:
         if len(position) != len(self.states):
             raise ValidationError("state labels must be unique")
         object.__setattr__(self, "position", position)
+        object.__setattr__(self, "points", {})
 
     def __contains__(self, label) -> bool:
         return label in self.position
@@ -111,7 +113,9 @@ class Distribution:
     Weights are validated (nonnegative, summing to 1 within
     NORMALIZATION_TOL) and then renormalized exactly. Zero entries are
     dropped; the stored mapping is the support plus sub-threshold residue.
-    Instances are treated as immutable.
+    Mutating an instance, its ``weights`` included, is unsupported: point
+    masses are shared (see ``point_mass``) and compiled forms keep what
+    they read.
     """
 
     __slots__ = ("space", "weights")
@@ -137,11 +141,18 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, space: OnticStateSpace, label: Label) -> "Distribution":
-        """All weight on one state: the validated row {label: 1.0}, built directly."""
-        if label not in space.position:
-            raise ValidationError(f"unknown state label {label!r}")
-        dist = cls.__new__(cls)
-        dist.space, dist.weights = space, {label: 1.0}
+        """All weight on one state: the validated row {label: 1.0}, built directly.
+
+        The space keeps one point mass per label, made on first request, so
+        every caller shares it; mutating it is unsupported. An unknown label
+        is refused and leaves nothing kept.
+        """
+        dist = space.points.get(label)
+        if dist is None:
+            if label not in space.position:
+                raise ValidationError(f"unknown state label {label!r}")
+            dist = space.points[label] = cls.__new__(cls)
+            dist.space, dist.weights = space, {label: 1.0}
         return dist
 
     def weight(self, label: Label) -> float:
@@ -182,7 +193,8 @@ class ResponseFunction:
     ``table`` maps state -> {outcome: probability}. Each present row must
     sum to 1; rows may be defined only for the states the device can
     actually be asked about (reachable-set models), and a missing row
-    raises when queried.
+    raises when queried. Each distinct row object is validated and
+    normalized once, and the states that draw it share the normalized row.
     """
 
     __slots__ = ("space", "outcomes", "table")
@@ -192,25 +204,14 @@ class ResponseFunction:
         if len(outcomes) < 1 or len(set(outcomes)) != len(outcomes):
             raise ValidationError("outcomes must be a non-empty set of unique labels")
         normalized = {}
+        memo = {}  # id(row) -> (row, normalized): held, so that no other row takes the id
         for label, row in table.items():
             if label not in space:
                 raise ValidationError(f"unknown state label {label!r} in response table")
-            for q, p in row.items():
-                if q not in outcomes:
-                    raise ValidationError(f"unknown outcome {q!r} in row for {label!r}")
-                if not (p >= 0.0):
-                    raise ValidationError(
-                        f"response probability {p!r} for {label!r} is not a nonnegative number"
-                    )
-            total = math.fsum(row.values())
-            if not (abs(total - 1.0) <= NORMALIZATION_TOL):
-                raise ValidationError(
-                    f"response row for {label!r} sums to {total!r}, expected 1"
-                )
-            if abs(total - 1.0) <= _RENORM_SKIP:
-                normalized[label] = {q: float(row.get(q, 0.0)) for q in outcomes}
-            else:
-                normalized[label] = {q: float(row.get(q, 0.0) / total) for q in outcomes}
+            entry = memo.get(id(row))
+            if entry is None:
+                entry = memo[id(row)] = (row, _normalized(label, row, outcomes))
+            normalized[label] = entry[1]
         self.space = space
         self.outcomes = outcomes
         self.table = normalized
@@ -228,6 +229,24 @@ class ResponseFunction:
         if len(hits) == 1 and all(p <= SUPPORT_TOL for q, p in row.items() if q != hits[0]):
             return hits[0]
         return None
+
+
+def _normalized(label: Label, row: Mapping, outcomes: tuple) -> dict:
+    """State ``label``'s response row checked and renormalized, read through one items() call."""
+    items = row.items()
+    for q, p in items:
+        if q not in outcomes:
+            raise ValidationError(f"unknown outcome {q!r} in row for {label!r}")
+        if not (p >= 0.0):
+            raise ValidationError(
+                f"response probability {p!r} for {label!r} is not a nonnegative number"
+            )
+    total = math.fsum(p for _, p in items)
+    if not (abs(total - 1.0) <= NORMALIZATION_TOL):
+        raise ValidationError(f"response row for {label!r} sums to {total!r}, expected 1")
+    if abs(total - 1.0) <= _RENORM_SKIP:
+        return {q: float(row.get(q, 0.0)) for q in outcomes}
+    return {q: float(row.get(q, 0.0) / total) for q in outcomes}
 
 
 class TransformationKernel:
@@ -294,11 +313,7 @@ class MeasurementUpdate:
     @classmethod
     def noninvasive(cls, space, outcomes, labels) -> "MeasurementUpdate":
         """The identity update: every outcome leaves every state untouched."""
-        rows = {}
-        for s in labels:
-            point = Distribution.point_mass(space, s)
-            for q in outcomes:
-                rows[(s, q)] = point
+        rows = {(s, q): Distribution.point_mass(space, s) for s in labels for q in outcomes}
         return cls(space, outcomes, rows)
 
     def row(self, label: Label, outcome: Outcome) -> Distribution:
@@ -470,8 +485,10 @@ class Form:
     response-table order. A walk branches on every outcome, so a state in
     ``missing`` is outside the domain of every pull: ``xi`` is
     ``responses`` with NaN there too. ``shared`` maps each outcome that
-    all the other states producing it draw from one row to that row's
-    ``to`` value. ``pooled[q]`` holds, in number order, the rows that
+    all the states producing it and missing no row send to one ``to``
+    value to that value: a point mass counts as one row by its state,
+    whichever objects carry it, so how a model was built does not decide
+    which sums run. ``pooled[q]`` holds, in number order, the rows that
     several states draw for q. ``complete`` holds when every state has a
     response row and none is ``missing``: no walk misses a row here.
     ``in_place`` holds when no row is missing and each state draws every
@@ -490,7 +507,7 @@ class Form:
         self.to = {q: array("i", [end]) * end for q in outcomes}
         self.rows, self.missing = {}, []
         numbering, declared = {}, 0  # id(update row) -> its to value; response rows so far
-        sources = {q: {} for q in outcomes}  # the same, drawn from states a walk can leave
+        sources = {q: set() for q in outcomes}  # to values drawn from states a walk can leave
         for declared, (label, probabilities) in enumerate(table, 1):
             i = space.position[label]
             draws, missed = [], len(self.missing)
@@ -512,14 +529,13 @@ class Form:
                         self.rows[t] = _row(space, target.weights)
                     numbering[id(target)] = t
                 self.to[q][i] = t
-                draws.append((q, id(target), t))
+                draws.append((q, t))
             if len(self.missing) == missed:
-                for q, key, t in draws:
-                    sources[q][key] = t
+                for q, t in draws:
+                    sources[q].add(t)
         undefined = {i for i, _ in self.missing}
         self.xi = _blanked(self.responses, undefined) if undefined else self.responses
-        self.shared = {q: t for q, by_row in sources.items() if len(by_row) == 1
-                       for t in by_row.values()}
+        self.shared = {q: t for q, drawn in sources.items() if len(drawn) == 1 for t in drawn}
         self.pooled = {q: dict.fromkeys(sorted(t for t, k in Counter(to).items()
                                                if k > 1 and t > end))
                        for q, to in self.to.items()}

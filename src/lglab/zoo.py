@@ -294,11 +294,14 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     )
     response = _reading(space, dict(zip(space.states, reads_plus)))
 
+    def stage(angle) -> tuple:
+        """The labels of one rotation stage's grid copy, in grid order."""
+        first = stage_of[angle] * n_points
+        return space.states[first:first + n_points]
+
     def base_density(direction) -> Distribution:
         w = _hemisphere_density(base, direction)
-        return Distribution(
-            space, {f"r0:{k}": w[k] for k in range(n_points) if w[k] > 0.0}
-        )
+        return Distribution(space, {s: v for s, v in zip(stage(0.0), w) if v > 0.0})
 
     up = base_density((0.0, 0.0, 1.0))
     down = base_density((0.0, 0.0, -1.0))
@@ -307,8 +310,7 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     measurement = Measurement("Mz", response, update)
 
     def shifted(angle, image) -> dict:
-        si, ti = stage_of[angle], stage_of[image]
-        return {f"r{si}:{k}": Distribution.point_mass(space, f"r{ti}:{k}") for k in range(n_points)}
+        return {s: Distribution.point_mass(space, t) for s, t in zip(stage(angle), stage(image))}
 
     model = OnticModel(
         space=space,

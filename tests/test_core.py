@@ -1,5 +1,6 @@
 import math
 from array import array
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -341,6 +342,82 @@ class CountedReads(dict):
     def items(self):
         self.reads += 1
         return super().items()
+
+
+def test_point_mass_is_one_object_per_state():
+    space = two_state_space()
+    first = Distribution.point_mass(space, "l1")
+    assert Distribution.point_mass(space, "l1") is first
+    assert Distribution.point_mass(space, "l2") is not first
+    assert first.weights == {"l1": 1.0}
+
+
+def test_point_mass_of_an_unknown_label_is_refused_and_not_kept():
+    space = two_state_space()
+    with pytest.raises(ValidationError, match="unknown state label 'nope'"):
+        Distribution.point_mass(space, "nope")
+    assert space.points == {}
+
+
+def test_identity_rows_are_the_space_point_masses():
+    space = OnticStateSpace(("a", "b", "c"))
+    rows = TransformationKernel.identity(space).rows
+    assert all(row is Distribution.point_mass(space, s) for s, row in rows.items())
+
+
+def test_response_reads_each_shared_row_once():
+    # 40 states draw two shared rows: each is checked once, and the states that
+    # draw one row share one normalized row
+    space = OnticStateSpace(tuple(f"s{i}" for i in range(40)))
+    rows = [CountedReads({PLUS: 1.0}), CountedReads({PLUS: 0.25, MINUS: 0.75})]
+    response = ResponseFunction(space, OUTCOMES, {s: rows[i % 2] for i, s in enumerate(space.states)})
+    assert [row.reads for row in rows] == [1, 1]
+    assert len({id(row) for row in response.table.values()}) == 2
+    assert response.table["s0"] is response.table["s38"]
+    assert response.table["s0"] == {PLUS: 1.0, MINUS: 0.0}
+    assert response.table["s39"] == {PLUS: 0.25, MINUS: 0.75}
+
+
+class FreshRows(Mapping):
+    """A response table whose items() builds each state's row afresh, in pairs of
+    alternating contents, so that each row is freed once the next is read.
+
+    The rows are a dict subclass: plain dicts would share a free list with the
+    normalized rows, which would take each freed row's memory first. So the id
+    of a freed row goes to a later row, and a memo keyed by id that did not hold
+    its rows would hand that row the normalized contents of the freed one.
+    """
+
+    class Row(dict):
+        pass
+
+    CONTENTS = ({PLUS: 1.0}, {PLUS: 1.0}, {MINUS: 1.0}, {MINUS: 1.0})
+
+    def __init__(self, states):
+        self.states = states
+
+    def expected(self, i):
+        return {q: self.CONTENTS[i % 4].get(q, 0.0) for q in OUTCOMES}
+
+    def __getitem__(self, label):
+        return self.Row(self.CONTENTS[self.states.index(label) % 4])
+
+    def __iter__(self):
+        return iter(self.states)
+
+    def __len__(self):
+        return len(self.states)
+
+    def items(self):
+        for i, label in enumerate(self.states):
+            yield label, self.Row(self.CONTENTS[i % 4])
+
+
+def test_response_memo_holds_its_rows():
+    space = OnticStateSpace(tuple(f"s{i}" for i in range(40)))
+    table = FreshRows(space.states)
+    response = ResponseFunction(space, OUTCOMES, table)
+    assert [response.table[s] for s in space.states] == list(map(table.expected, range(40)))
 
 
 def test_compiling_reads_each_shared_row_once():

@@ -675,6 +675,26 @@ class TestImplicationChain:
             check_implication_chain(arr, tol=tol)
         assert check_implication_chain(arr, tol=lg.RESIDUAL_TOL).as_tuple() == (True,) * 4
 
+    def test_details_do_not_depend_on_row_objects(self):
+        # the two-path update collapses onto point masses; built from the space's
+        # point masses, from one object per target state or from a fresh object per
+        # state, it compiles alike, so every detail agrees to the last bit
+        arr = zoo.build("bohm-two-path").arrangement
+        model, space = arr.model, arr.model.space
+        shared = {}
+        rebuilds = (lambda s: shared.setdefault(s, Distribution(space, {s: 1.0})),
+                    lambda s: Distribution(space, {s: 1.0}))
+        details = [check_implication_chain(arr).details]
+        for point in rebuilds:
+            rows = {}
+            for key, row in model.measurements["path"].update.rows.items():
+                [target] = row.weights
+                rows[key] = point(target)
+            rebuilt = dataclasses.replace(arr, model=with_update(model, "path", None, rows))
+            details.append(check_implication_chain(rebuilt).details)
+        assert details[1] == details[0]
+        assert details[2] == details[0]
+
     def test_chain_never_raises_on_random_models(self):
         rng = np.random.default_rng(41)
         for _ in range(20):

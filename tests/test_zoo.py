@@ -117,6 +117,20 @@ class TestKsSphere:
         with pytest.raises(ModelError):
             zoo.build_ks_arrangement(50, 1.0, 1.0)
 
+    def test_rows_are_one_object_per_distinct_row(self):
+        # rot1 and rot2 send the 200 states of the first two stages to the 200 of the
+        # last two: each target's point mass is one object, built or loaded
+        model = zoo.build("ks-sphere", n_points=100).model
+        loaded, _, _ = schema.doc_to_model(schema.model_to_doc(model))
+        for m in (model, loaded):
+            rows = [row for name in ("rot1", "rot2") for row in m.transformations[name].rows.values()]
+            assert len(rows) == 400
+            assert len({id(row) for row in rows}) == len({s for row in rows for s in row.weights})
+            assert len({id(row) for row in rows}) == 200
+        # every state draws one of the builder's two response rows
+        table = model.measurements["Mz"].response.table
+        assert len({id(row) for row in table.values()}) == 2
+
     @pytest.mark.parametrize("n_points", [200, 10_000])
     def test_geometry_matches_the_numpy_build(self, n_points):
         """Stage signs and preparation weights equal the numpy build the stdlib one replaced."""

@@ -8,8 +8,10 @@ The script runs a fixed list of ``lglab`` commands, all with
 compares stdout, stderr and exit code. It prints each command whose
 results differ, and the streams that differ, and exits 1 if any does,
 0 if none does. The zoo entries are the ones the parent's ``zoo list``
-names; ``lg`` of an entry without an arrangement is compared as the
-refusal it is. Every command runs in one scratch directory, so that
+names, each exported, classified and run through ``lg`` at its default
+parameters: ks-sphere at its default grid of 30 000 ontic states as well
+as at ``--grid 300``. ``lg`` of an entry without an arrangement is
+compared as the refusal it is. Every command runs in one scratch directory, so that
 relative paths in messages match; ``run --model`` reads a superselected
 model file that the parent tree exports there first.
 
