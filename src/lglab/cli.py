@@ -96,18 +96,26 @@ def _resolve(args, with_arrangement=False):
     model, _, arrangements = schema.load_model_file(args.model)
     if not with_arrangement:
         return model, None, {"model": args.model}
-    name = args.arrangement
-    if name is None:
-        if not arrangements:
-            raise SchemaError("model file declares no arrangement")
-        if len(arrangements) != 1:
-            raise SchemaError(
-                f"model file declares {sorted(arrangements)}; pick one with --arrangement"
-            )
-        name = next(iter(arrangements))
-    if name not in arrangements:
-        raise SchemaError(f"unknown arrangement {name!r}; file has {sorted(arrangements)}")
+    name = _pick(arrangements, args.arrangement, "arrangement", "--arrangement", "model file")
     return model, arrangements[name], {"model": args.model, "arrangement": name}
+
+
+def _pick(declared, name, kind, option, owner):
+    """``name``, or the one name in ``declared`` when ``option`` was not given (``name`` None).
+
+    A SchemaError, so exit 2, when no option was given and ``declared`` is
+    empty or holds several names, or when ``declared`` lacks ``name``.
+    ``owner`` names what declares them in the messages.
+    """
+    if name is None:
+        if not declared:
+            raise SchemaError(f"{owner} declares no {kind}")
+        if len(declared) != 1:
+            raise SchemaError(f"{owner} declares {sorted(declared)}; pick one with {option}")
+        name = next(iter(declared))
+    if name not in declared:
+        raise SchemaError(f"unknown {kind} {name!r}; {owner} has {sorted(declared)}")
+    return name
 
 
 def _pair_key(pair):
@@ -116,9 +124,8 @@ def _pair_key(pair):
 
 def cmd_run(args) -> int:
     model, protocols, _ = schema.load_model_file(args.model)
-    if args.protocol not in protocols:
-        raise SchemaError(f"unknown protocol {args.protocol!r}; file has {sorted(protocols)}")
-    joint = run_protocol(model, protocols[args.protocol])
+    name = _pick(protocols, args.protocol, "protocol", "--protocol", "model file")
+    joint = run_protocol(model, protocols[name])
     results = {
         "axes": [{"measurement": m, "outcomes": list(o)} for m, o in joint.axes],
         "joint": [
@@ -256,17 +263,7 @@ def _classification_doc(result):
 def cmd_classify(args) -> int:
     model, _, inputs = _resolve(args)
     declared = model.metadata.get("quantity_classes", {})
-    label = args.quantity_class
-    if label is None:
-        if not declared:
-            raise SchemaError("model declares no quantity class")
-        if len(declared) != 1:
-            raise SchemaError(
-                f"model declares classes {sorted(declared)}; pick one with --class"
-            )
-        label = next(iter(declared))
-    if label not in declared:
-        raise SchemaError(f"unknown quantity class {label!r}; model has {sorted(declared)}")
+    label = _pick(declared, args.quantity_class, "quantity class", "--class", "model")
     cls = QuantityClass.verified(model, label, declared[label], tol=args.tol)
     result = classify(model, cls, image_depth=args.image_depth)
     doc = _classification_doc(result)

@@ -13,6 +13,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Hashable, Iterable, Mapping, Optional
 
@@ -388,22 +389,21 @@ class OnticModel:
         if isinstance(name, Distribution):
             _check_same_space(self.space, name.space, "inline preparation")
             return name
-        try:
-            return self.preparations[name]
-        except KeyError:
-            raise ModelError(f"unknown preparation {name!r}") from None
+        return _declared(self.preparations, "preparation", name)
 
     def transformation(self, name) -> TransformationKernel:
-        try:
-            return self.transformations[name]
-        except KeyError:
-            raise ModelError(f"unknown transformation {name!r}") from None
+        return _declared(self.transformations, "transformation", name)
 
     def measurement(self, name) -> Measurement:
-        try:
-            return self.measurements[name]
-        except KeyError:
-            raise ModelError(f"unknown measurement {name!r}") from None
+        return _declared(self.measurements, "measurement", name)
+
+
+def _declared(components: dict, kind: str, name):
+    """The component declared under ``name``; an undeclared name is a ModelError."""
+    try:
+        return components[name]
+    except KeyError:
+        raise ModelError(f"unknown {kind} {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +714,13 @@ def is_ontically_noninvasive(
     weight = {t: dict(zip(*row[:2])) for t, row in form.rows.items()}
     worst = 0.0
     for q in checked:
-        to = form.to[q]
-        for i, p in enumerate(form.responses[q]):
-            if p > SUPPORT_TOL and to[i] != i:  # the point mass at i leaves the state in place
-                moved = 1.0 - weight[to[i]].get(i, 0.0) if to[i] in weight else 1.0
-                if moved > worst:
-                    worst = moved
+        produced = map(SUPPORT_TOL.__lt__, form.responses[q])  # xi(q | s) > SUPPORT_TOL
+        for i, t in compress(enumerate(form.to[q]), produced):
+            # t == i is the point mass at i, which leaves the state in place
+            if t != i and (moved := 1.0 - weight[t].get(i, 0.0) if t in weight else 1.0) > worst:
+                worst = moved
+                if worst >= 1.0:  # tau(s | q, s) >= 0, so no row moves a state further
+                    return False, worst
     return worst <= SUPPORT_TOL, worst
 
 

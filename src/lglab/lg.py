@@ -251,8 +251,7 @@ class OpndResult:
 
 def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation) -> list:
     """The branches after the performed ``prefix`` and the pre-transformation, for any check."""
-    steps = [ProtocolStep(t, m) for t, m in prefix]
-    steps.append(ProtocolStep(pre_transformation, None, False))
+    steps = [*prefix, (pre_transformation, None)]
     return [w for w, _ in walk(model, [(model.space.pack(dist.weights), ())], steps)]
 
 
@@ -312,20 +311,14 @@ def _disturbances(memo: dict, measurement, effects, bases: dict) -> tuple:
             for layer in layers]
 
 
-def _dots(branches, bases: dict) -> list:
-    """<w_b, base> for each branch b and each base, in number order."""
-    bases = [base for _, base in bases.values()]
-    return [dots(w, bases) for w in branches]
-
-
 def _deviation(by_base, layers) -> float:
     """Largest |<w_b, D_r>| over branches b and one suffix's ``_disturbances`` D_r.
 
-    Each D_r is read from the branches' ``_dots`` as a sum of
-    coefficient * dot products, added layer by layer. A branch with a
-    state outside the effects' domain makes its dot products NaN and
-    raises ModelError: a forward walk would look up a missing row from
-    there.
+    Each D_r is read from the branches' dots with the numbered bases, in
+    number order, as a sum of coefficient * dot products, added layer by
+    layer. A branch with a state outside the effects' domain makes its
+    dot products NaN and raises ModelError: a forward walk would look up
+    a missing row from there.
     """
     first, *rest = layers
     sums = [c * at[k] for at in by_base for c, k in first]
@@ -367,7 +360,8 @@ def check_opnd(
     memo: dict = {}
     bases: dict = {}
     shifts = _disturbances(memo, meas, _suffix_effects(model, memo, [suffix])[suffix], bases)
-    worst = _deviation(_dots(branches, bases), shifts)
+    numbered = [base for _, base in bases.values()]
+    worst = _deviation([dots(w, numbered) for w in branches], shifts)
     return OpndResult(worst <= EQUIVALENCE_TOL, worst)
 
 
@@ -446,6 +440,7 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     bases: dict = {}  # of every D_r's terms, dotted once per branch and head
     shifts = {m: {s: _disturbances(memo, checked[m], effects[s], bases) for s in suffixes}
               for m in left}
+    numbered = [base for _, base in bases.values()]
     for prep_name in preparations:
         dist = model.preparation(prep_name)
         for prefix, pre_t in heads:
@@ -454,7 +449,7 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
             except ModelError:  # so no measurement is settled: that needs every row declared
                 undefined = {m: n + len(suffixes) for m, n in undefined.items()}
                 continue
-            by_base = _dots(branches, bases)
+            by_base = [dots(w, numbered) for w in branches]
             for m in left:
                 for suffix in suffixes:
                     try:

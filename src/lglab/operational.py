@@ -7,7 +7,9 @@ applies. The engine enumerates outcome branches depth-first in declared
 outcome order and propagates exact weighted distributions, so identical
 inputs give bit-identical tables.
 
-``walk`` is the one forward loop over protocol steps. It moves every
+``walk`` is the one forward loop over steps. It takes each step as a
+(transformation or None, measurement or None) pair of names, so a
+skipped protocol step is a pair without its measurement. It moves every
 branch with ``measure`` of one compiled form (see ``core``): a
 transformation is a measurement whose one outcome, None, is certain. The
 non-disturbance checks in ``lg`` walk forward only to the checked
@@ -106,19 +108,20 @@ class JointDistribution:
 
 
 def walk(model: OnticModel, branches, steps) -> list:
-    """Carry ``(branch, outcomes)`` pairs (see ``core``) through protocol steps.
+    """Carry ``(branch, outcomes)`` pairs (see ``core``) through steps.
 
-    Each step pushes every branch through its transformation; a performed
-    step then splits each branch by outcome with the selective update,
-    appending the outcome and dropping branches that receive no weight.
-    A skipped step applies only its transformation.
+    A step is a (transformation or None, measurement or None) pair of
+    names. Each step pushes every branch through its transformation; a
+    step with a measurement then splits each branch by outcome with the
+    selective update, appending the outcome and dropping branches that
+    receive no weight.
     """
-    for step in steps:
-        if step.transformation is not None:
-            kernel = model.transformation(step.transformation).form
+    for t_name, m_name in steps:
+        if t_name is not None:
+            kernel = model.transformation(t_name).form
             branches = [(kernel.measure(w, None), outs) for w, outs in branches]
-        if step.perform:
-            measurement = model.measurement(step.measurement)
+        if m_name is not None:
+            measurement = model.measurement(m_name)
             branches = [
                 (grown, outs + (q,))
                 for w, outs in branches
@@ -126,6 +129,15 @@ def walk(model: OnticModel, branches, steps) -> list:
                 if (grown := measurement.form.measure(w, q))[0]
             ]
     return branches
+
+
+def _dense(axes: tuple, table: dict) -> JointDistribution:
+    """The joint over ``axes`` holding ``table``, with 0.0 for every outcome tuple it lacks."""
+    full = {
+        combo: table.get(combo, 0.0)
+        for combo in itertools.product(*(outcomes for _, outcomes in axes))
+    }
+    return JointDistribution(axes, full)
 
 
 def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
@@ -141,7 +153,8 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     last = max(i for i, s in enumerate(protocol.steps) if s.perform)
     steps = protocol.steps[: last + 1]
     final = model.measurement(steps[-1].measurement)
-    read = steps[:-1] + (ProtocolStep(steps[-1].transformation, final.label, False),)
+    read = [(s.transformation, s.measurement if s.perform else None) for s in steps[:-1]]
+    read.append((steps[-1].transformation, None))
     table = {
         outs + (q,): p
         for w, outs in walk(model, [(model.space.pack(dist.weights), ())], read)
@@ -150,11 +163,7 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     axes = tuple(
         (s.measurement, model.measurement(s.measurement).outcomes) for s in steps if s.perform
     )
-    full = {
-        combo: table.get(combo, 0.0)
-        for combo in itertools.product(*(outcomes for _, outcomes in axes))
-    }
-    return JointDistribution(axes, full)
+    return _dense(axes, table)
 
 
 def marginalize(joint: JointDistribution, keep) -> JointDistribution:
@@ -162,16 +171,11 @@ def marginalize(joint: JointDistribution, keep) -> JointDistribution:
     if not keep:
         raise ModelError("keep must name at least one axis")
     indices = sorted({joint.axis_index(k) for k in keep})
-    axes = tuple(joint.axes[i] for i in indices)
     out: dict = {}
     for combo, p in joint.table.items():
         key = tuple(combo[i] for i in indices)
         out[key] = out.get(key, 0.0) + p
-    full = {
-        combo: out.get(combo, 0.0)
-        for combo in itertools.product(*(outcomes for _, outcomes in axes))
-    }
-    return JointDistribution(axes, full)
+    return _dense(tuple(joint.axes[i] for i in indices), out)
 
 
 @dataclass(frozen=True)
@@ -262,15 +266,12 @@ def measurements_equivalent(
 
 
 def is_operational_eigenstate(model: OnticModel, preparation, measurements, outcome) -> bool:
-    """Whether every measurement in the class returns ``outcome`` with probability 1.
+    """Whether every measurement named in ``measurements`` returns ``outcome`` with probability 1.
 
     The caller is responsible for the class members being pairwise
     equivalent; this only checks the probability-1 condition after the
     given preparation.
     """
     dist = model.preparation(preparation)
-    for m_name in measurements:
-        measurement = model.measurement(m_name) if isinstance(m_name, str) else m_name
-        if single_shot_probability(dist, None, measurement, outcome) < 1.0 - EQUIVALENCE_TOL:
-            return False
-    return True
+    return not any(single_shot_probability(dist, None, model.measurement(m_name), outcome)
+                   < 1.0 - EQUIVALENCE_TOL for m_name in measurements)

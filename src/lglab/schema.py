@@ -11,7 +11,9 @@ indent=2)`` and a newline, at the speed of ``json``'s C encoder: that
 encoder cannot indent, but it writes each container that holds no
 container, one item to a line, when its item separator carries the
 line break and the indent. The loader builds a point mass, the most
-common row of a large model, directly.
+common row of a large model, directly, and gives the states whose
+response rows are written alike one row object, so that the response
+normalizes and keeps each distinct row once, as for a built model.
 """
 
 from __future__ import annotations
@@ -196,8 +198,10 @@ def doc_to_model(doc) -> tuple:
         response_doc = _require(mdoc, "response", dict, path)
         for s, row in response_doc.items():
             _numbers(row, f"{path}.response.{s}")
+        equal: dict = {}  # repr(row) -> the first row written so, which -0.0 keeps from 0.0
         with _at(f"{path}.response"):
-            response = ResponseFunction(space, outcomes, response_doc)
+            response = ResponseFunction(space, outcomes, {
+                s: equal.setdefault(repr(row), row) for s, row in response_doc.items()})
         update_doc = _require(mdoc, "update", dict, path)
         mode = _require(update_doc, "mode", str, f"{path}.update")
         rows_doc = _require(update_doc, "rows", dict, f"{path}.update")

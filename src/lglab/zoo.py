@@ -446,6 +446,14 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
 # engineered counterexample fixtures
 
 
+def _fixture(space, preparations, transformations, measurements, **metadata) -> OnticModel:
+    """A fixture's model: family "fixture", then ``metadata``, and its measurements, given as
+    a sequence, are the quantity class Q."""
+    labels = [m.label for m in measurements]
+    return OnticModel(space, preparations, transformations, dict(zip(labels, measurements)),
+                      {"family": "fixture", **metadata, "quantity_classes": {"Q": labels}})
+
+
 def _fixture_lgi_holds_d_nonzero() -> tuple:
     """Two-state chain with a state-kicking update.
 
@@ -466,20 +474,13 @@ def _fixture_lgi_holds_d_nonzero() -> tuple:
             ("b", MINUS): Distribution(space, {"b": 1.0 - kick, "a": kick}),
         },
     )
-    model = OnticModel(
-        space=space,
-        preparations={"start": Distribution.point_mass(space, "a")},
-        transformations={
-            "drift1": _swaps(space, [("a", "b")], drift),
-            "drift2": _swaps(space, [("a", "b")], drift),
-        },
-        measurements={"kick-read": Measurement("kick-read", response, update)},
-        metadata={
-            "family": "fixture",
-            "kick": kick,
-            "drift": drift,
-            "quantity_classes": {"Q": ["kick-read"]},
-        },
+    model = _fixture(
+        space,
+        {"start": Distribution.point_mass(space, "a")},
+        {name: _swaps(space, [("a", "b")], drift) for name in ("drift1", "drift2")},
+        [Measurement("kick-read", response, update)],
+        kick=kick,
+        drift=drift,
     )
     arrangement = _repeated(model, "start", ("drift1", "drift2"), "kick-read")
     report = disturbance_report(arrangement)
@@ -530,18 +531,14 @@ def _fixture_null_result_pair() -> tuple:
         ),
     )
     stir = _swaps(space, [("l1", "l2"), ("l3", "l4")], 0.2)
-    model = OnticModel(
-        space=space,
-        preparations={
+    model = _fixture(
+        space,
+        {
             "spread": Distribution(space, {"l1": 0.3, "l2": 0.2, "l3": 0.25, "l4": 0.25}),
             "tilted": Distribution(space, {"l1": 0.5, "l3": 0.5}),
         },
-        transformations={"stir": stir},
-        measurements={"null-plus": null_plus, "null-minus": null_minus},
-        metadata={
-            "family": "fixture",
-            "quantity_classes": {"Q": ["null-plus", "null-minus"]},
-        },
+        {"stir": stir},
+        [null_plus, null_minus],
     )
     result = post_select_noninvasive(model, ("null-plus", PLUS), ("null-minus", MINUS))
     if not (result.matches_input and result.max_deviation_from_input <= BOUND_TOL):
@@ -559,18 +556,17 @@ def _fixture_support_mr_minimal() -> tuple:
     update = MeasurementUpdate(
         space, OUTCOMES, outcome_rows={PLUS: plus_prep, MINUS: minus_prep}
     )
-    model = OnticModel(
-        space=space,
-        preparations={
+    model = _fixture(
+        space,
+        {
             "plus-prep": plus_prep,
             "minus-prep": minus_prep,
             # straddles both values, so it is not an eigenstate preparation
             # itself, and its x/y split rules out any mixture of the two
             "lopsided": Distribution(space, {"x": 0.8, "y": 0.1, "z": 0.1}),
         },
-        transformations={},
-        measurements={"look": Measurement("look", response, update)},
-        metadata={"family": "fixture", "quantity_classes": {"Q": ["look"]}},
+        {},
+        [Measurement("look", response, update)],
     )
     verdict = classify(model, QuantityClass.verified(model, "Q", ["look"])).verdict
     if verdict != "MR2":
@@ -592,15 +588,12 @@ def _fixture_drifting_update() -> tuple:
             ("v", MINUS): Distribution.point_mass(space, "u"),
         },
     )
-    model = OnticModel(
-        space=space,
-        preparations={
-            "u-prep": Distribution.point_mass(space, "u"),
-            "v-prep": Distribution.point_mass(space, "v"),
-        },
-        transformations={},
-        measurements={"swapper": Measurement("swapper", response, update)},
-        metadata={"family": "fixture", "quantity_classes": {"Q": ["swapper"]}},
+    model = _fixture(
+        space,
+        {"u-prep": Distribution.point_mass(space, "u"),
+         "v-prep": Distribution.point_mass(space, "v")},
+        {},
+        [Measurement("swapper", response, update)],
     )
     equilibrium = check_equilibrium_property(
         model, QuantityClass.verified(model, "Q", ["swapper"]), "swapper"

@@ -23,7 +23,8 @@ from lglab import (
     post_measurement_distribution,
     single_shot_probability,
 )
-from lglab import core
+from lglab import core, zoo
+from random_models import identity_with_shared_rows, random_arrangement, with_update
 
 PLUS, MINUS = "+1", "-1"
 OUTCOMES = (PLUS, MINUS)
@@ -264,6 +265,60 @@ class TestOnticNoninvasiveness:
         ok_all, dev_all = is_ontically_noninvasive(m)
         assert ok_minus and dev_minus == 0.0
         assert not ok_all and dev_all == 1.0
+
+    def test_a_missing_update_row_of_a_checked_outcome_raises(self):
+        space = two_state_space()
+        update = MeasurementUpdate(space, OUTCOMES,
+                                   rows={("l1", PLUS): Distribution.point_mass(space, "l1")})
+        m = deterministic_measurement(space, update)
+        with pytest.raises(ModelError) as raised:
+            is_ontically_noninvasive(m)
+        assert str(raised.value) == "measurement update undefined for state 'l2', outcome '-1'"
+        with pytest.raises(ModelError):
+            is_ontically_noninvasive(m, for_outcome=MINUS)
+        # the row a check of PLUS alone reads is declared
+        assert is_ontically_noninvasive(m, for_outcome=PLUS) == (True, 0.0)
+
+    def test_the_check_stops_at_the_first_state_moved_in_full(self, lines_run):
+        # ks-sphere's update re-samples onto the base grid, so the first state of a
+        # later stage that reads +1 moves in full; no state is read past it
+        measurement = zoo.build("ks-sphere", n_points=100).model.measurement("Mz")
+        measurement.form  # compiled here, so that only the check's lines are counted
+        assert is_ontically_noninvasive(measurement) == (False, 1.0)
+        assert lines_run(is_ontically_noninvasive, measurement) < len(measurement.space)
+
+
+def label_level_deviation(measurement, for_outcome=None) -> float:
+    """max 1 - tau(s | q, s) over states s and checked outcomes q of xi(q | s) > SUPPORT_TOL."""
+    checked = measurement.outcomes if for_outcome is None else (for_outcome,)
+    return max((1.0 - measurement.update.row(s, q).weight(s)
+                for s, row in measurement.response.table.items()
+                for q in checked if row[q] > core.SUPPORT_TOL), default=0.0)
+
+
+def assert_noninvasiveness_matches_the_reference(model):
+    for measurement in model.measurements.values():
+        for for_outcome in (None, *measurement.outcomes):
+            worst = label_level_deviation(measurement, for_outcome)
+            assert is_ontically_noninvasive(measurement, for_outcome) == (
+                worst <= core.SUPPORT_TOL, worst)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+def test_noninvasiveness_of_zoo_measurements_equals_the_label_level_reference(name):
+    assert_noninvasiveness_matches_the_reference(zoo.build(name).model)
+
+
+def test_noninvasiveness_of_random_measurements_equals_the_label_level_reference():
+    for seed in range(6):
+        arrangement = random_arrangement(np.random.default_rng(seed), noninvasive_early=seed % 2)
+        assert_noninvasiveness_matches_the_reference(arrangement.model)
+    # a collapse onto one state or another moves every other state in full
+    space = arrangement.model.space
+    collapse = {PLUS: Distribution.point_mass(space, space.states[0]),
+                MINUS: Distribution.point_mass(space, space.states[-1])}
+    assert_noninvasiveness_matches_the_reference(with_update(arrangement.model, "M1", collapse))
+    assert_noninvasiveness_matches_the_reference(identity_with_shared_rows().model)
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,6 +22,7 @@ from lglab import (
     lg_value_pairwise,
 )
 from lglab import cli, core, schema, zoo
+from lglab.classify import QuantityClass, classify
 from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
@@ -262,6 +263,27 @@ class TestCli:
         assert run_cli(["classify", "--model", str(path)]) == 2
         assert capsys.readouterr().err == "error: model declares no quantity class\n"
 
+    @pytest.mark.parametrize("declared, argv, message", [  # none declared: the two tests above
+        ({"arrangements": {"lg": "lg", "lg-2": "lg"}}, ["lg"],
+         "model file declares ['lg', 'lg-2']; pick one with --arrangement"),
+        ({}, ["lg", "--arrangement", "nope"], "unknown arrangement 'nope'; model file has ['lg']"),
+        ({"quantity_classes": {"Q": "Q", "R": "Q"}}, ["classify"],
+         "model declares ['Q', 'R']; pick one with --class"),
+        ({}, ["classify", "--class", "nope"], "unknown quantity class 'nope'; model has ['Q']"),
+        ({}, ["run", "--protocol", "nope"],
+         "unknown protocol 'nope'; model file has ['lg-all']"),
+    ], ids=["several-arrangements", "unknown-arrangement", "several-classes", "unknown-class",
+            "unknown-protocol"])
+    def test_a_declared_name_is_picked_or_refused(self, declared, argv, message, tmp_path,
+                                                  capsys):
+        _, doc = export_doc("superselected")
+        for section, names in declared.items():  # each new name copies the named entry
+            doc[section] = {name: doc[section][source] for name, source in names.items()}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([*argv, "--model", str(path), "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": 1,')
@@ -379,6 +401,21 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["verdict"] == "MR1"
         assert out["results"]["eigenstate_fixed_point"]["read"] is True
+
+    def test_classify_reports_the_images_it_skipped(self, capsys):
+        # the two-path model's rotations declare rows where at most two of them
+        # compose, so some images three transformations deep leave their domain
+        argv = ["classify", "--zoo", "bohm-two-path", "--image-depth", "3", "--no-timestamp"]
+        assert run_cli(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        skipped = results["skipped_images"]
+        assert len(skipped) == 24 and skipped[0] == "up>rot1>rot1>rot1"
+        classified = [entry["preparation"] for entry in results["evidence"]]
+        assert not set(skipped) & set(classified)
+        model = zoo.build("bohm-two-path").model
+        result = classify(model, QuantityClass.verified(model, "Q", ["path"]), image_depth=3)
+        assert list(result.skipped_images) == skipped
+        assert not set(skipped) & set(result.classified_preparations)
 
     def test_classify_not_mr_includes_witnesses(self, capsys):
         run_cli(["classify", "--zoo", "qubit", "--no-timestamp"])

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from lglab import Distribution, SchemaError, cli, schema
+from lglab import Distribution, SchemaError, cli, schema, zoo
 from perfbench.workloads import CLI_GRID, ZOO
 
 
@@ -224,3 +224,42 @@ def test_a_row_not_holding_the_float_one_is_validated_and_loads_as_it(point_row,
     model = load_with_row(point_row, {label: weight})
     assert direct.count(label) == on_direct_path - 1
     assert json.dumps(schema.model_to_doc(model)) == json.dumps(schema.model_to_doc(reference))
+
+
+def sphere_document() -> dict:
+    """A ks-sphere export of 300 states, whose Mz declares two distinct response rows."""
+    return json.loads(json.dumps(schema.model_to_doc(zoo.build("ks-sphere", n_points=100).model)))
+
+
+def response_rows(model) -> int:
+    """The distinct response row objects of the model's Mz."""
+    return len({id(row) for row in model.measurements["Mz"].response.table.values()})
+
+
+def test_a_loaded_model_shares_equal_response_rows():
+    doc = sphere_document()
+    text = json_dump_text(doc)
+    model, _, _ = schema.doc_to_model(doc)
+    assert response_rows(model) == 2  # as built; one per state before the rows were shared
+    assert json_dump_text(doc) == text  # the document is left as it was
+
+
+def test_rows_written_with_a_negative_zero_stay_apart():
+    doc = sphere_document()
+    response = doc["measurements"]["Mz"]["response"]
+    first = next(s for s, row in response.items() if row == {"+1": 1.0, "-1": 0.0})
+    response[first] = {"+1": 1.0, "-1": -0.0}  # equal to its neighbours under ==
+    model, _, _ = schema.doc_to_model(doc)
+    assert response_rows(model) == 3
+    assert_same_text(written(schema.model_to_doc(model)), written(doc))
+
+
+def test_a_bad_row_written_for_several_states_is_reported_at_the_first():
+    doc = sphere_document()
+    response = doc["measurements"]["Mz"]["response"]
+    for state in ("r0:7", "r0:3", "r1:0"):
+        response[state] = {"+1": 0.7, "-1": 0.7}
+    with pytest.raises(SchemaError) as raised:
+        schema.doc_to_model(doc)
+    assert str(raised.value) == ("measurements.Mz.response: "
+                                 "response row for 'r0:3' sums to 1.4, expected 1")

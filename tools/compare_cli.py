@@ -12,8 +12,10 @@ names, each exported, classified and run through ``lg`` at its default
 parameters: ks-sphere at its default grid of 30 000 ontic states as well
 as at ``--grid 300``. ``lg`` of an entry without an arrangement is
 compared as the refusal it is. Every command runs in one scratch directory, so that
-relative paths in messages match; ``run --model`` reads a superselected
-model file that the parent tree exports there first.
+relative paths in messages match; the ``--model`` commands read a
+superselected model file that the parent tree exports there first: ``run``
+of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
+quantity class it declares, and a refusal of an undeclared name for each.
 
 Only the standard library is used, so any interpreter that runs lglab
 runs this.
@@ -58,6 +60,8 @@ def commands(zoo: list) -> list:
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40", "--format", "csv"],
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40"],
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
+        ["lg", "--model", MODEL_FILE],
+        ["classify", "--model", MODEL_FILE],
         ["zoo", "list"],
         # inputs refused with exit 2
         ["lg", "--zoo", "no-such-model"],
@@ -65,6 +69,9 @@ def commands(zoo: list) -> list:
         ["classify", "--zoo", "qubit", "--p1", "0.1"],
         ["twoslit", "--mod-steps", "3"],
         ["run", "--model", "no-such-file.json", "--protocol", "lg-all"],
+        ["lg", "--model", MODEL_FILE, "--arrangement", "nope"],
+        ["classify", "--model", MODEL_FILE, "--class", "nope"],
+        ["run", "--model", MODEL_FILE, "--protocol", "nope"],
     ]
     return [argv + ["--no-timestamp"] for argv in out]
 
