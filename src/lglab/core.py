@@ -373,9 +373,12 @@ class OnticModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        names = list(self.preparations) + list(self.transformations) + list(self.measurements)
-        if len(set(names)) != len(names):
-            raise ValidationError("component names must be unique across the model")
+        declared: dict = {}  # component name -> the section declaring it first
+        for section in ("preparations", "transformations", "measurements"):
+            for name in getattr(self, section):
+                if (first := declared.setdefault(name, section)) != section:
+                    raise ValidationError(f"component name {name!r} is declared twice: "
+                                          f"{first}.{name} and {section}.{name}")
         for name, dist in self.preparations.items():
             _check_same_space(self.space, dist.space, f"preparation {name!r}")
         for name, kernel in self.transformations.items():
@@ -557,19 +560,13 @@ class Form:
 
         Returns sum_s w(s) * xi(q | s) * tau(. | q, s), whose total mass is
         the outcome's probability; through a kernel (q = None), the branch
-        pushed through it. An update that leaves every state in place only
-        scales the branch. An outcome in ``shared`` (``outcome_rows``, a
+        pushed through it. An outcome in ``shared`` (``outcome_rows``, a
         reset) moves <w, xi(q | .)> onto its row, the dual of a rank-one
         pull, when no row is missing. Otherwise rows are read for nonzero
         flows in state order, except that the flows into a row several
         states draw are summed and the row expanded once.
         """
         xi, to = self.responses[outcome], self.to[outcome]
-        if self.in_place:
-            scaled = [(i, mass) for i, w in zip(*branch) if (mass := w * xi[i]) != 0.0]
-            if any(mass != mass for _, mass in scaled):
-                raise self._undefined(next(i for i, mass in scaled if mass != mass))
-            return [i for i, _ in scaled], [mass for _, mass in scaled]
         end, t = len(self.states), self.shared.get(outcome)
         if t is not None and not self.missing:  # every state producing q draws row t
             [flow] = dots(branch, [xi])

@@ -118,51 +118,27 @@ def _pair_value_table(joint: JointDistribution, i: int, j: int, vi: dict, vj: di
     return out
 
 
-def _all_three_value(joint: JointDistribution, asg: ObservableAssignment) -> float:
-    """The three pair correlators of an all-performed table, summed and bound-checked."""
-    value = (
-        expectation(joint, asg, axes=[0, 1])
-        + expectation(joint, asg, axes=[0, 2])
-        + expectation(joint, asg, axes=[1, 2])
-    )
-    if not (-1.0 - BOUND_TOL <= value <= 3.0 + BOUND_TOL):
-        raise EngineDefectError(
-            f"all-performed correlation sum {value!r} escaped the [-1, 3] bound"
-        )
-    return value
-
-
-def _pairwise_value(pair_joints, asg: ObservableAssignment) -> float:
-    """The correlators of the three pair runs (12, 13, 23), summed in that order."""
-    j_12, j_13, j_23 = pair_joints
-    return (
-        expectation(j_12, asg, axes=[0, 1])
-        + expectation(j_13, asg, axes=[0, 1])
-        + expectation(j_23, asg, axes=[0, 1])
-    )
-
-
-def _mask_runs(arrangement: LgArrangement, *runs) -> list:
-    """The joint tables of the named runs of ``MASKS``, in order."""
-    return [run_protocol(arrangement.model, arrangement.protocol(MASKS[r])) for r in runs]
-
-
 def lg_value_all_three(arrangement: LgArrangement) -> float:
     """Sum of the three pair correlators from the single all-performed run.
 
-    A well-defined joint table forces this into [-1, 3]; exceeding the
-    bound by more than float noise indicates a propagation defect.
+    The value is the ``lg_all_three`` field of ``disturbance_report``, so
+    it runs all four protocols and needs each of them defined; it raises
+    where a run is undefined or a report gate fails. A well-defined joint
+    table forces it into [-1, 3], a gate of the report.
     """
-    return _all_three_value(_mask_runs(arrangement, "all")[0], arrangement.assignment)
+    return disturbance_report(arrangement).lg_all_three
 
 
 def lg_value_pairwise(arrangement: LgArrangement) -> float:
     """Sum of the three pair correlators across the two-measurement sub-experiments.
 
     Each sub-experiment skips one measurement; preparation and
-    transformations are identical in all three. No bound is imposed.
+    transformations are identical in all three. The value is the
+    ``lg_pairwise`` field of ``disturbance_report``, so it runs all four
+    protocols and needs each of them defined; it raises where a run is
+    undefined or a report gate fails.
     """
-    return _pairwise_value(_mask_runs(arrangement, "12", "13", "23"), arrangement.assignment)
+    return disturbance_report(arrangement).lg_pairwise
 
 
 @dataclass(frozen=True)
@@ -199,17 +175,16 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
     above ``cli.RESIDUAL_GATE``).
     """
     asg = arrangement.assignment
-    v1, v2, v3 = (arrangement.value_map(i) for i in range(3))
-
-    j_all, j_12, j_13, j_23 = _mask_runs(arrangement, *MASKS)
+    v1, v2, v3 = values = [arrangement.value_map(i) for i in range(3)]
+    j_all, j_12, j_13, j_23 = (run_protocol(arrangement.model, arrangement.protocol(mask))
+                               for mask in MASKS.values())
 
     pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    t23_all = _pair_value_table(j_all, 1, 2, v2, v3)
-    t13_all = _pair_value_table(j_all, 0, 2, v1, v3)
-    t12_all = _pair_value_table(j_all, 0, 1, v1, v2)
-    d1 = {k: _pair_value_table(j_23, 0, 1, v2, v3)[k] - t23_all[k] for k in pairs}
-    d2 = {k: _pair_value_table(j_13, 0, 1, v1, v3)[k] - t13_all[k] for k in pairs}
-    d3 = {k: _pair_value_table(j_12, 0, 1, v1, v2)[k] - t12_all[k] for k in pairs}
+    tables = [(_pair_value_table(j_skipped, 0, 1, values[a], values[b]),
+               _pair_value_table(j_all, a, b, values[a], values[b]))
+              for j_skipped, a, b in ((j_23, 1, 2), (j_13, 0, 2), (j_12, 0, 1))]
+    # d_k: the table of the run skipping measurement k minus the all-performed table
+    d1, d2, d3 = ({k: skipped[k] - performed[k] for k in pairs} for skipped, performed in tables)
 
     for name, table in (("d1", d1), ("d2", d2)):
         balance = sum(table.values())
@@ -221,8 +196,14 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
             f"performing the final measurement shifted earlier statistics by {worst_d3!r}"
         )
 
-    lg_all = _all_three_value(j_all, asg)
-    lg_pair = _pairwise_value((j_12, j_13, j_23), asg)
+    lg_all = (expectation(j_all, asg, axes=[0, 1]) + expectation(j_all, asg, axes=[0, 2])
+              + expectation(j_all, asg, axes=[1, 2]))
+    if not (-1.0 - BOUND_TOL <= lg_all <= 3.0 + BOUND_TOL):
+        raise EngineDefectError(
+            f"all-performed correlation sum {lg_all!r} escaped the [-1, 3] bound"
+        )
+    lg_pair = (expectation(j_12, asg, axes=[0, 1]) + expectation(j_13, asg, axes=[0, 1])
+               + expectation(j_23, asg, axes=[0, 1]))
     p_same = sum(
         p
         for combo, p in j_all.table.items()

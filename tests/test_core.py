@@ -12,6 +12,7 @@ from lglab import (
     Measurement,
     MeasurementUpdate,
     ModelError,
+    OnticModel,
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
@@ -24,6 +25,7 @@ from lglab import (
     single_shot_probability,
 )
 from lglab import core, zoo
+import reference_walk
 from random_models import identity_with_shared_rows, random_arrangement, with_update
 
 PLUS, MINUS = "+1", "-1"
@@ -355,6 +357,26 @@ def test_measurement_requires_matching_outcomes():
         Measurement("M", response, update)
 
 
+@pytest.mark.parametrize("first, second", [("preparations", "measurements"),
+                                           ("preparations", "transformations"),
+                                           ("transformations", "measurements")])
+def test_a_component_name_declared_twice_names_both_places(first, second):
+    space = two_state_space()
+    components = {
+        "preparations": Distribution.point_mass(space, "l1"),
+        "transformations": swap_kernel(space),
+        "measurements": Measurement(
+            "read", ResponseFunction(space, OUTCOMES, {s: {PLUS: 1.0} for s in space.states}),
+            MeasurementUpdate.noninvasive(space, OUTCOMES, space.states)),
+    }
+    sections = {section: {"read": components[section]} if section in (first, second) else {}
+                for section in components}
+    with pytest.raises(ValidationError) as error:
+        OnticModel(space, **sections)
+    assert str(error.value) == (
+        f"component name 'read' is declared twice: {first}.read and {second}.read")
+
+
 def test_response_rejects_nan_probability():
     space = two_state_space()
     with pytest.raises(ValidationError):
@@ -502,3 +524,34 @@ def test_compiling_reads_each_shared_row_once():
     assert forms[2].to[None] == array("i", [0]) * len(space)
     branch = space.pack(dict.fromkeys(space.states, 1.0 / 40))
     assert space.unpack(forms[1].measure(branch, None)) == pytest.approx(spread)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_an_identity_update_of_many_states_measures_as_the_reference_walk(n):
+    # random models reach 8 states; identity updates here leave every state in place, with a
+    # certain outcome on the first two states, and the last state without a response row
+    rng = np.random.default_rng(n)
+    space = OnticStateSpace(tuple(f"s{i}" for i in range(n)))
+    probabilities = [0.0, 1.0, *map(float, rng.random(n - 2))]
+    table = {s: {PLUS: p, MINUS: 1.0 - p} for s, p in zip(space.states, probabilities)}
+    update = MeasurementUpdate.noninvasive(space, OUTCOMES, space.states)
+    raw = rng.random(n) + 1e-3
+    weights = dict(zip(space.states, map(float, raw / raw.sum())))
+    measurement = Measurement("M", ResponseFunction(space, OUTCOMES, table), update)
+    assert measurement.form.in_place
+    for q in OUTCOMES:
+        pushed = space.unpack(measurement.form.measure(space.pack(weights), q))
+        expected = reference_walk.measure(weights, measurement, (q,))
+        assert list(pushed) == sorted(expected, key=space.position.__getitem__)
+        assert max(abs(w - expected[s]) for s, w in pushed.items()) <= 1e-15
+    last = space.states[-1]
+    partial = Measurement("M", ResponseFunction(
+        space, OUTCOMES, {s: row for s, row in table.items() if s != last}), update)
+    assert partial.form.in_place
+    for q in OUTCOMES:
+        with pytest.raises(ModelError) as engine_error:
+            partial.form.measure(space.pack(weights), q)
+        with pytest.raises(ModelError) as error:
+            reference_walk.measure(weights, partial, (q,))
+        assert str(engine_error.value) == str(error.value) == (
+            f"response undefined for state {last!r}")

@@ -132,6 +132,26 @@ class TestDisturbanceReport:
                 assert report.max_disturbance() > 0.0
         assert seen_violation
 
+    def test_lg_values_are_the_report_fields(self):
+        # every zoo arrangement at its defaults, and seeded identity and invasive random ones
+        builds = (zoo.build(name) for name, _ in zoo.list_models())
+        arrangements = [build.arrangement for build in builds if build.arrangement is not None]
+        rng = np.random.default_rng(43)
+        arrangements += [random_arrangement(rng, noninvasive_early=k % 2 == 0) for k in range(20)]
+        for arr in arrangements:
+            report = disturbance_report(arr)
+            assert lg_value_all_three(arr) == report.lg_all_three
+            assert lg_value_pairwise(arr) == report.lg_pairwise
+
+    def test_a_report_builds_each_pair_value_table_once(self, monkeypatch):
+        built = []
+        real = lg._pair_value_table
+        monkeypatch.setattr(lg, "_pair_value_table",
+                            lambda joint, i, j, *values: built.append((id(joint), i, j))
+                            or real(joint, i, j, *values))
+        disturbance_report(build_qubit_arrangement(TWO_THIRDS_PI, TWO_THIRDS_PI))
+        assert len(built) == len(set(built)) == 6
+
 
 class TestOpnd:
     def test_noninvasive_measurement_never_disturbs(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lglab import core
+from lglab import core, lg
 from lglab import (
     Distribution,
     JointDistribution,
@@ -84,6 +84,16 @@ class TestRunProtocol:
         joint = run_protocol(spin_model, Protocol("plus", steps))
         assert len(joint.axes) == 4
         assert sum(joint.table.values()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mask", lg.MASKS.values(), ids=lg.MASKS.keys())
+    def test_a_fresh_mask_gives_the_arrangements_protocol(self, mask):
+        arr = build_qubit_arrangement(0.3, 2.0)
+        assert arr.protocol().with_mask(mask) == arr.protocol(mask)
+
+    def test_a_mask_of_another_length_is_refused(self):
+        protocol = build_qubit_arrangement(0.3, 2.0).protocol()
+        with pytest.raises(ModelError, match="^perform mask length does not match step count$"):
+            protocol.with_mask((True, False))
 
 
 HAND_TABLE = {

@@ -700,3 +700,86 @@ def test_mutated_model_file_exits_0_or_2_without_traceback(data, exported_supers
             code = exit_code([*argv, "--model", str(path), "--no-timestamp"])
         assert code in (0, 2), (argv, err.getvalue())
         assert code == 0 or err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+#: (zoo entry, key path, new value, the refusal's message) for an exported model file: the
+#: node at the key path takes the value (DELETE removes it), or the whole document at ().
+REFUSED_MUTANTS = {
+    "unknown-update-mode": ("superselected", ("measurements", "read", "update", "mode"), "weird",
+                            "measurements.read.update: unknown update mode 'weird'"),
+    "unknown-step-transformation": (
+        "superselected", ("protocols", "lg-all", "steps", 1, "transformation"), "nope",
+        "protocols.lg-all.steps[1]: unknown transformation 'nope'"),
+    "document-not-an-object": ("superselected", (), [], "model document must be a JSON object"),
+    "unknown-response-outcome": (
+        "superselected", ("measurements", "read", "response", "up", "+2"), 0.0,
+        "measurements.read.response: unknown outcome '+2' in row for 'up'"),
+    "unknown-response-state": (
+        "superselected", ("measurements", "read", "response", "zz"), {"+1": 1.0},
+        "measurements.read.response: unknown state label 'zz' in response table"),
+    "unknown-kernel-state": ("superselected", ("transformations", "flip1", "zz"), {"up": 1.0},
+                             "transformations.flip1: unknown state label 'zz' in kernel"),
+    "unknown-update-state": (
+        "superselected", ("measurements", "read", "update", "rows", "zz"), {"+1": {"up": 1.0}},
+        "measurements.read.update: unknown state label 'zz' in update"),
+    "unknown-per-state-update-outcome": (
+        "superselected", ("measurements", "read", "update", "rows", "up", "+2"), {"up": 1.0},
+        "measurements.read.update: unknown outcome '+2' in update row"),
+    "unknown-per-outcome-update-outcome": (
+        "qubit", ("measurements", "Mz", "update", "rows", "+2"), {"q(1,0)": 1.0},
+        "measurements.Mz.update: unknown outcome '+2' in update row"),
+    "non-finite-value": ("superselected", ("arrangements", "lg", "values", "read", "+1"),
+                         math.nan, "arrangements.lg: non-finite value assigned to '+1'"),
+    "missing-value": ("superselected", ("arrangements", "lg", "values", "read", "+1"), DELETE,
+                      "arrangements.lg: no value assigned to outcome '+1' of 'read'"),
+    "no-values": ("superselected", ("arrangements", "lg", "values"), {},
+                  "arrangements.lg: no value assignment for measurement 'read'"),
+    "component-name-declared-twice": (
+        "superselected", ("preparations", "read"), {"up": 1.0},
+        "component name 'read' is declared twice: preparations.read and measurements.read"),
+}
+
+
+@pytest.mark.parametrize("entry, keys, value, message", REFUSED_MUTANTS.values(),
+                         ids=REFUSED_MUTANTS.keys())
+def test_a_mutated_model_file_is_refused_with_its_key_path(entry, keys, value, message,
+                                                            tmp_path, capsys):
+    path = tmp_path / "model.json"
+    assert run_cli(["zoo", "export", entry, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if keys:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    else:
+        doc = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert exit_code(["lg", "--model", str(path), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "7"],
+     "axis index 7 out of range"),
+    (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "nope"],
+     "no axis labelled 'nope'"),
+    (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "read"],
+     "axis label 'read' is ambiguous; use an index"),
+    (["twoslit", "--mod1-sq", "1.5", "--phi", "1"], "mod1_sq 1.5 outside [0, 1.0]"),
+], ids=["marginal-index-out-of-range", "marginal-unknown-label", "marginal-ambiguous-label",
+        "twoslit-mod1-sq-above-1"])
+def test_an_option_value_is_refused_with_its_message(argv, message, tmp_path, capsys):
+    path = tmp_path / "superselected.json"
+    assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0
+    argv = [str(path) if arg == "MODEL" else arg for arg in argv]
+    assert exit_code([*argv, "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert "Traceback" not in err

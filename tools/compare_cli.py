@@ -16,6 +16,8 @@ relative paths in messages match; the ``--model`` commands read a
 superselected model file that the parent tree exports there first: ``run``
 of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
 quantity class it declares, and a refusal of an undeclared name for each.
+Further refusals compare ``run --marginal`` with an ambiguous axis label
+and an axis index out of range, and ``twoslit`` with ``--mod1-sq`` above 1.
 
 Only the standard library is used, so any interpreter that runs lglab
 runs this.
@@ -72,6 +74,9 @@ def commands(zoo: list) -> list:
         ["lg", "--model", MODEL_FILE, "--arrangement", "nope"],
         ["classify", "--model", MODEL_FILE, "--class", "nope"],
         ["run", "--model", MODEL_FILE, "--protocol", "nope"],
+        ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "read"],
+        ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "7"],
+        ["twoslit", "--mod1-sq", "1.5", "--phi", "1"],
     ]
     return [argv + ["--no-timestamp"] for argv in out]
 
