@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     Distribution,
@@ -84,7 +84,6 @@ def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> Mac
             if outcome is None:
                 row = meas.response.row(state)
                 witnesses.append((state, meas.label, f"stochastic response {dict(row)!r}"))
-                determined = None
                 break
             if determined is None:
                 determined = outcome
@@ -92,9 +91,8 @@ def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> Mac
                 witnesses.append(
                     (state, meas.label, f"responds {outcome!r} where {determined!r} expected")
                 )
-                determined = None
                 break
-        if determined is not None:
+        else:
             value_of[state] = determined
     return MacrodefiniteResult(holds=not witnesses, witnesses=tuple(witnesses), value_of=value_of)
 
@@ -137,11 +135,11 @@ class Classification:
     quantity_class: str
     verdict: str  # "MR1", "MR2", "MR3" or "not-MR"
     macrodefinite: bool
-    macrodefinite_witnesses: tuple
-    eigenstate_preparations: dict  # outcome -> tuple of names
-    values_without_eigenstate: tuple
-    evidence: tuple  # PreparationEvidence per classified preparation
-    classified_preparations: tuple
+    macrodefinite_witnesses: tuple = ()
+    eigenstate_preparations: dict = field(default_factory=dict)  # outcome -> tuple of names
+    values_without_eigenstate: tuple = ()
+    evidence: tuple = ()  # PreparationEvidence per classified preparation
+    classified_preparations: tuple = ()
     skipped_images: tuple = ()
 
 
@@ -252,10 +250,6 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
             verdict="not-MR",
             macrodefinite=False,
             macrodefinite_witnesses=md.witnesses,
-            eigenstate_preparations={},
-            values_without_eigenstate=(),
-            evidence=(),
-            classified_preparations=(),
         )
 
     outcomes = model.measurement(quantity_class.measurements[0]).outcomes
@@ -298,8 +292,6 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
     columns = [[weights.get(label, 0.0) for label in rows] for weights in basis]
 
     evidence = []
-    all_mixture = True
-    all_contained = True
     for name, dist in targets:
         target = [dist.weights.get(label, 0.0) for label in rows]
         weights = _nnls(columns, target)
@@ -329,12 +321,10 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
                 value_components=components,
             )
         )
-        all_mixture = all_mixture and mixture
-        all_contained = all_contained and contained
 
-    if all_mixture:
+    if all(e.mixture_member for e in evidence):
         verdict = "MR1"
-    elif all_contained:
+    elif all(e.support_contained for e in evidence):
         verdict = "MR2"
     else:
         verdict = "MR3"
@@ -342,7 +332,6 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
         quantity_class=quantity_class.label,
         verdict=verdict,
         macrodefinite=True,
-        macrodefinite_witnesses=(),
         eigenstate_preparations=eigen_names,
         values_without_eigenstate=missing,
         evidence=tuple(evidence),

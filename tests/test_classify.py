@@ -119,6 +119,19 @@ class TestClassify:
         result = classify(build.model, model_class(build))
         assert result.verdict == "not-MR"
 
+    def test_not_mr_fills_only_its_witnesses(self):
+        build = zoo.build("qubit")
+        result = classify(build.model, model_class(build))
+        assert not result.macrodefinite
+        assert result.macrodefinite_witnesses
+        assert result.macrodefinite_witnesses == check_macrodefinite(
+            build.model, model_class(build)).witnesses
+        assert result.eigenstate_preparations == {}
+        assert result.values_without_eigenstate == ()
+        assert result.evidence == ()
+        assert result.classified_preparations == ()
+        assert result.skipped_images == ()
+
     def test_no_eigenstate_preparation_is_an_error(self):
         space = OnticStateSpace(("a", "b"))
         response = ResponseFunction(

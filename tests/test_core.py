@@ -77,6 +77,12 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             OnticStateSpace(("a", "a"))
 
+    def test_total_variation_across_spaces_rejected(self):
+        space = two_state_space()
+        other = OnticStateSpace(("a", "b"))
+        with pytest.raises(ModelError, match="mismatched state spaces in total_variation"):
+            Distribution.point_mass(space, "l1").total_variation(Distribution.point_mass(other, "a"))
+
 
 def swap_kernel(space):
     return TransformationKernel(

@@ -332,3 +332,24 @@ class TestFixtures:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ModelError):
             zoo.build("qubit", n_points=10)
+
+
+#: A non-default value of every builder parameter (ks-sphere at a small grid).
+OFF_DEFAULTS = {"theta1": 1.0, "theta2": 0.5, "p1": 0.1, "p2": 0.7, "n_points": 300}
+
+
+class TestDeclaredMetadata:
+    @pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+    @pytest.mark.parametrize("off_default", [False, True])
+    def test_family_then_parameters_then_the_class(self, name, off_default):
+        params = zoo.parameters(name)
+        given = {p: OFF_DEFAULTS[p] for p in params} if off_default else {}
+        model = zoo.build(name, **given).model
+        keys = list(model.metadata)
+        assert keys[0] == "family"
+        assert tuple(keys[1:1 + len(params)]) == params
+        for p, value in given.items():
+            assert model.metadata[p] == value
+        assert keys[-1] == "quantity_classes"
+        assert model.metadata["quantity_classes"] == {"Q": list(model.measurements)}
+        assert list(schema.model_to_doc(model)["metadata"]) == keys[:-1]

@@ -11,7 +11,10 @@ results differ, and the streams that differ, and exits 1 if any does,
 names, each exported, classified and run through ``lg`` at its default
 parameters: ks-sphere at its default grid of 30 000 ontic states as well
 as at ``--grid 300``. ``lg`` of an entry without an arrangement is
-compared as the refusal it is. Every command runs in one scratch directory, so that
+compared as the refusal it is. Every parametrized entry is also exported
+away from its defaults: qubit, bohm-two-path and ks-sphere at ``--grid
+300`` at each ``ANGLES`` pair, and superselected at ``--p1 0.1 --p2
+0.7``, so that each builder's metadata is compared as written. Every command runs in one scratch directory, so that
 relative paths in messages match; the ``--model`` commands read a
 superselected model file that the parent tree exports there first: ``run``
 of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
@@ -55,9 +58,12 @@ def commands(zoo: list) -> list:
         out += [["lg", "--zoo", "qubit", *angles],
                 ["lg", "--zoo", "bohm-two-path", *angles],
                 ["lg", "--zoo", "ks-sphere", "--grid", "300", *angles],
+                ["zoo", "export", "qubit", *angles],
+                ["zoo", "export", "ks-sphere", "--grid", "300", *angles],
                 ["zoo", "export", "bohm-two-path", *angles]]
     out += [
         ["lg", "--zoo", "superselected", "--p1", "0.1", "--p2", "0.7", "--depth", "4"],
+        ["zoo", "export", "superselected", "--p1", "0.1", "--p2", "0.7"],
         ["twoslit", "--mod1-sq", "0.3", "--phi", "2.5"],
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40", "--format", "csv"],
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40"],
