@@ -1,5 +1,9 @@
 """Batch front door: load models, run analyses, emit reports and sweeps.
 
+``_report`` is the one writer of reports: every command's report gets the
+same header (tool, version, command, timestamp, tolerances, inputs) before
+its results. ``zoo export`` writes a model file, and a CSV sweep its rows.
+
 Exit codes: 0 on success, 2 on input or validation errors, 3 when an
 exact internal identity is violated (an engine-defect signal, never a
 property of a valid input).
@@ -16,7 +20,7 @@ from functools import partial
 from . import __version__
 from .classify import HULL_TOL, QuantityClass, check_equilibrium_property, classify
 from .core import NORMALIZATION_TOL, SUPPORT_TOL, check_size
-from .errors import EngineDefectError, LglabError, SchemaError
+from .errors import EngineDefectError, LglabError, ModelError, SchemaError
 from .lg import MASKS, RESIDUAL_TOL, check_implication_chain, disturbance_report
 from .operational import EQUIVALENCE_TOL, marginalize, run_protocol
 from . import schema, twoslit, zoo
@@ -26,30 +30,30 @@ from . import schema, twoslit, zoo
 RESIDUAL_GATE = 1e-10
 
 
-def _timestamp():
-    return datetime.now(timezone.utc).isoformat()
+def _report(args, command, inputs, results, **tolerances):
+    """Write the header, then ``results``; ``tolerances`` override or add to the defaults.
 
-
-def _report_skeleton(command, args, inputs, **tolerances):
-    """The report's header: the tolerances that applied, ``tolerances`` overriding or adding."""
+    The timestamp is left out under --no-timestamp, so that reruns are byte-identical.
+    """
+    timestamp = {} if args.no_timestamp else {"timestamp": datetime.now(timezone.utc).isoformat()}
     report = {
         "tool": "lglab",
         "version": __version__,
         "command": command,
+        **timestamp,
+        "tolerances": {
+            "normalization": NORMALIZATION_TOL,
+            "support": SUPPORT_TOL,
+            "equivalence": EQUIVALENCE_TOL,
+            "hull": HULL_TOL,
+            "decomposition_residual": RESIDUAL_TOL,
+            "residual_gate": RESIDUAL_GATE,
+            **tolerances,
+        },
+        "inputs": inputs,
+        "results": results,
     }
-    if not args.no_timestamp:
-        report["timestamp"] = _timestamp()
-    report["tolerances"] = {
-        "normalization": NORMALIZATION_TOL,
-        "support": SUPPORT_TOL,
-        "equivalence": EQUIVALENCE_TOL,
-        "hull": HULL_TOL,
-        "decomposition_residual": RESIDUAL_TOL,
-        "residual_gate": RESIDUAL_GATE,
-        **tolerances,
-    }
-    report["inputs"] = inputs
-    return report
+    _emit(args, partial(schema.write_document, report))
 
 
 def _emit(args, write):
@@ -59,10 +63,6 @@ def _emit(args, write):
             write(handle)
     else:
         write(sys.stdout)
-
-
-def _emit_report(args, doc):
-    _emit(args, partial(schema.write_document, doc))
 
 
 def _zoo_params(args, name):
@@ -118,8 +118,8 @@ def _pick(declared, name, kind, option, owner):
     return name
 
 
-def _pair_key(pair):
-    return f"{pair[0]},{pair[1]}"
+def _table_doc(joint):
+    return [{"outcomes": list(combo), "p": p} for combo, p in joint.table.items()]
 
 
 def cmd_run(args) -> int:
@@ -128,19 +128,13 @@ def cmd_run(args) -> int:
     joint = run_protocol(model, protocols[name])
     results = {
         "axes": [{"measurement": m, "outcomes": list(o)} for m, o in joint.axes],
-        "joint": [
-            {"outcomes": list(combo), "p": p} for combo, p in joint.table.items()
-        ],
+        "joint": _table_doc(joint),
     }
     for keep in args.marginal or []:
         axes = [a.strip() for a in keep.split(",") if a.strip()]
         marg = marginalize(joint, [int(a) if a.isdigit() else a for a in axes])
-        results.setdefault("marginals", {})[keep] = [
-            {"outcomes": list(combo), "p": p} for combo, p in marg.table.items()
-        ]
-    report = _report_skeleton("run", args, {"model": args.model, "protocol": args.protocol})
-    report["results"] = results
-    _emit_report(args, report)
+        results.setdefault("marginals", {})[keep] = _table_doc(marg)
+    _report(args, "run", {"model": args.model, "protocol": args.protocol}, results)
     return 0
 
 
@@ -176,15 +170,15 @@ def cmd_lg(args) -> int:
     early = zip(arrangement.measurements[:2], chain.details["oni_deviations"],
                 chain.details["complete"])
     d1, d2 = chain.details["specific"]
+    disturbance = {
+        table: {f"{a},{b}": v for (a, b), v in getattr(report_obj, table).items()}
+        for table in ("d1", "d2", "d3")
+    }
+    disturbance["max_abs_d1_d2"] = report_obj.max_disturbance()
     results = {
         "lg_all_three": report_obj.lg_all_three,
         "lg_pairwise": report_obj.lg_pairwise,
-        "disturbance": {
-            "d1": {_pair_key(k): v for k, v in report_obj.d1.items()},
-            "d2": {_pair_key(k): v for k, v in report_obj.d2.items()},
-            "d3": {_pair_key(k): v for k, v in report_obj.d3.items()},
-            "max_abs_d1_d2": report_obj.max_disturbance(),
-        },
+        "disturbance": disturbance,
         "decomposition_residual": report_obj.decomposition_residual,
         "chain": {
             "ontically_noninvasive": chain.ontically_noninvasive,
@@ -199,9 +193,7 @@ def cmd_lg(args) -> int:
             "specific_deviations": {"d1": d1, "d2": d2},
         },
     }
-    report = _report_skeleton("lg", args, inputs, equivalence=args.tol)
-    report["results"] = results
-    _emit_report(args, report)
+    _report(args, "lg", inputs, results, equivalence=args.tol)
     if not (abs(report_obj.decomposition_residual) <= RESIDUAL_GATE):
         print(
             f"error: decomposition residual {report_obj.decomposition_residual!r} "
@@ -264,7 +256,10 @@ def cmd_classify(args) -> int:
     model, _, inputs = _resolve(args)
     declared = model.metadata.get("quantity_classes", {})
     label = _pick(declared, args.quantity_class, "quantity class", "--class", "model")
-    cls = QuantityClass.verified(model, label, declared[label], tol=args.tol)
+    try:
+        cls = QuantityClass.verified(model, label, declared[label], tol=args.tol)
+    except ModelError as exc:
+        raise SchemaError(str(exc), path=f"quantity_classes.{label}") from None
     result = classify(model, cls, image_depth=args.image_depth)
     doc = _classification_doc(result)
     if result.macrodefinite:
@@ -273,9 +268,7 @@ def cmd_classify(args) -> int:
         }
         doc["eigenstate_fixed_point"] = equilibrium
     inputs["class"] = label
-    report = _report_skeleton("classify", args, inputs, class_equivalence=args.tol)
-    report["results"] = doc
-    _emit_report(args, report)
+    _report(args, "classify", inputs, doc, class_equivalence=args.tol)
     return 0
 
 
@@ -302,11 +295,8 @@ def cmd_twoslit(args) -> int:
             lines = [",".join(twoslit.CSV_COLUMNS), *(",".join(map(_fmt, r)) for r in rows)]
             _emit(args, lambda handle: handle.write("\n".join(lines) + "\n"))
             return 0
-        report = _report_skeleton(
-            "twoslit", args, {"sweep": {"mod_steps": mod_steps, "phi_steps": phi_steps}}
-        )
-        report["results"] = {"columns": list(twoslit.CSV_COLUMNS), "rows": list(map(list, rows))}
-        _emit_report(args, report)
+        _report(args, "twoslit", {"sweep": {"mod_steps": mod_steps, "phi_steps": phi_steps}},
+                {"columns": list(twoslit.CSV_COLUMNS), "rows": list(map(list, rows))})
         return 0
 
     if args.mod1_sq is None or args.phi is None:
@@ -322,8 +312,7 @@ def cmd_twoslit(args) -> int:
     engine = disturbance_report(twoslit.compile_to_arrangement(amplitudes))
     closed_lg = twoslit.lg_plus_value(amplitudes)
     closed_d2 = twoslit.disturbance_d2(amplitudes)
-    report = _report_skeleton("twoslit", args, {"mod1_sq": args.mod1_sq, "phi": phi})
-    report["results"] = {
+    _report(args, "twoslit", {"mod1_sq": args.mod1_sq, "phi": phi}, {
         "detection": {"both_open": both, "slit1_blocked": blocked1, "slit2_blocked": blocked2},
         "interference_term": twoslit.interference_term(amplitudes),
         "lg_plus": closed_lg,
@@ -338,17 +327,13 @@ def cmd_twoslit(args) -> int:
                 abs(engine.lg_pairwise - closed_lg), abs(engine.d2[(1, 1)] - closed_d2)
             ),
         },
-    }
-    _emit_report(args, report)
+    })
     return 0
 
 
 def cmd_zoo_list(args) -> int:
-    report = _report_skeleton("zoo", args, {"action": "list"})
-    report["results"] = {
-        "models": [{"name": n, "description": d} for n, d in zoo.list_models()]
-    }
-    _emit_report(args, report)
+    _report(args, "zoo", {"action": "list"},
+            {"models": [{"name": n, "description": d} for n, d in zoo.list_models()]})
     return 0
 
 
@@ -362,7 +347,7 @@ def cmd_zoo_export(args) -> int:
     doc = schema.model_to_doc(
         built.model, name=built.name, arrangements=arrangements, protocols=protocols
     )
-    _emit_report(args, doc)
+    _emit(args, partial(schema.write_document, doc))
     return 0
 
 

@@ -274,6 +274,11 @@ class TestOnticNoninvasiveness:
         assert ok_minus and dev_minus == 0.0
         assert not ok_all and dev_all == 1.0
 
+    def test_an_unknown_outcome_is_refused(self):
+        with pytest.raises(ModelError) as refusal:
+            is_ontically_noninvasive(deterministic_measurement(two_state_space()), "+2")
+        assert str(refusal.value) == "unknown outcome '+2'"
+
     def test_a_missing_update_row_of_a_checked_outcome_raises(self):
         space = two_state_space()
         update = MeasurementUpdate(space, OUTCOMES,
@@ -353,6 +358,24 @@ def test_mix_is_convex_combination():
     b = Distribution.point_mass(space, "l2")
     out = mix([(0.25, a), (0.75, b)])
     assert out.weights == {"l1": 0.25, "l2": 0.75}
+
+
+@pytest.mark.parametrize("weights, error, message", [
+    ((), ModelError, "cannot mix an empty set of distributions"),
+    ((-0.5, 1.5), ValidationError, "negative mixture weight -0.5"),
+], ids=["no-components", "negative-weight"])
+def test_mix_refuses_no_components_and_a_negative_weight(weights, error, message):
+    space = two_state_space()
+    with pytest.raises(error) as refusal:
+        mix([(w, Distribution.point_mass(space, s)) for w, s in zip(weights, space.states)])
+    assert str(refusal.value) == message
+
+
+def test_a_measurement_keyed_by_another_label_is_refused():
+    space = two_state_space()
+    with pytest.raises(ValidationError) as refusal:
+        OnticModel(space, {}, {}, {"other": deterministic_measurement(space)})
+    assert str(refusal.value) == "measurement 'other' carries label 'M'"
 
 
 def test_measurement_requires_matching_outcomes():

@@ -552,6 +552,11 @@ class TestOpndMatchesTwoRunDefinition:
                 assert abs(result.max_deviation - reference) <= 1e-15
                 assert result.non_disturbing == (reference <= 1e-9)
 
+    def test_a_context_needs_a_surrounding_measurement(self, spin_model):
+        with pytest.raises(ModelError) as refusal:
+            check_opnd(spin_model, "zero", "Mz", suffix=(), prefix=())
+        assert str(refusal.value) == "non-disturbance needs at least one surrounding measurement"
+
     @pytest.mark.parametrize("partial", [False, True])
     def test_check_opnd_complete_on_random_models(self, partial):
         rng = np.random.default_rng(11)
@@ -867,8 +872,25 @@ class TestPostSelection:
         with pytest.raises(PreconditionError):
             post_select_noninvasive(spin_model, ("Mz", PLUS), ("Mz-alt", MINUS))
 
+    def test_inequivalent_pair_fails_precondition(self, spin_model):
+        with pytest.raises(PreconditionError) as refusal:
+            post_select_noninvasive(spin_model, ("Mz", PLUS), ("Mx", PLUS))
+        assert str(refusal.value) == ("measurements 'Mz' and 'Mx' are not operationally "
+                                      "equivalent on the declared probes (deviation 0.5)")
+
 
 class TestArrangementValidation:
+    @pytest.mark.parametrize("transformations, measurements", [
+        (("id",), ("Mz", "Mz", "Mz")),
+        (("id", "id"), ("Mz", "Mz")),
+    ], ids=["one-transformation", "two-measurements"])
+    def test_slot_counts_must_be_two_and_three(self, spin_model, transformations,
+                                               measurements):
+        with pytest.raises(ValidationError) as refusal:
+            LgArrangement(spin_model, "zero", transformations, measurements,
+                          ObservableAssignment({"Mz": {PLUS: 1, MINUS: -1}}))
+        assert str(refusal.value) == "arrangement needs two transformations and three measurements"
+
     def test_assignment_must_cover_both_values(self, spin_model):
         with pytest.raises(ValidationError):
             LgArrangement(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lglab import (
     check_implication_chain,
     lg_value_pairwise,
 )
-from lglab import cli, core, schema, zoo
+from lglab import __version__, cli, core, schema, zoo
 from lglab.classify import QuantityClass, classify
 from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
@@ -649,6 +650,39 @@ def test_every_zoo_entry_through_the_cli(command, entry, capsys):
         assert ("arrangements" in doc) == (entry in LG_PINS)
 
 
+#: Each report command line, with the tolerance that its own --tol overrides or adds, if any.
+#: MODEL stands for an exported superselected model file.
+REPORT_COMMANDS = {
+    "run": (["run", "--model", "MODEL", "--protocol", "lg-all"], None),
+    "lg": (["lg", "--zoo", "superselected"], "equivalence"),
+    "classify": (["classify", "--zoo", "superselected"], "class_equivalence"),
+    "twoslit-point": (["twoslit", "--mod1-sq", "0.3", "--phi", "2.5"], None),
+    "twoslit-sweep": (["twoslit", "--sweep", "--mod-steps", "3", "--phi-steps", "4"], None),
+    "zoo-list": (["zoo", "list"], None),
+}
+
+
+@pytest.mark.parametrize("stamped", [False, True], ids=["no-timestamp", "timestamp"])
+@pytest.mark.parametrize("argv, own", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS.keys())
+def test_every_report_starts_with_the_same_header(argv, own, stamped, tmp_path, capsys):
+    path = tmp_path / "superselected.json"
+    assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0
+    argv = [str(path) if arg == "MODEL" else arg for arg in argv]
+    tol = ["--tol", "1e-7"] if own else []
+    assert run_cli([*argv, *tol, *([] if stamped else ["--no-timestamp"])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    stamp = ["timestamp"] if stamped else []
+    assert list(report) == ["tool", "version", "command", *stamp, "tolerances", "inputs",
+                            "results"]
+    assert [report["tool"], report["version"], report["command"]] == ["lglab", __version__,
+                                                                      argv[0]]
+    if stamped:
+        assert datetime.fromisoformat(report["timestamp"]).utcoffset() == timedelta(0)
+    # an override keeps its key's place; an added tolerance comes last
+    expected = {**TOLERANCES, own: 1e-7} if own else TOLERANCES
+    assert list(report["tolerances"].items()) == list(expected.items())
+
+
 def test_classify_report_states_the_tolerances_its_checks_used(capsys):
     # --tol sets only the class members' pairwise check; the eigenstate checks keep 1e-9
     assert run_cli(["classify", "--zoo", "superselected", "--tol", "0.5", "--no-timestamp"]) == 0
@@ -734,6 +768,9 @@ REFUSED_MUTANTS = {
                       "arrangements.lg: no value assigned to outcome '+1' of 'read'"),
     "no-values": ("superselected", ("arrangements", "lg", "values"), {},
                   "arrangements.lg: no value assignment for measurement 'read'"),
+    "arrangement-with-two-measurements": (
+        "superselected", ("arrangements", "lg", "measurements"), ["read", "read"],
+        "arrangements.lg: arrangement needs two transformations and three measurements"),
     "component-name-declared-twice": (
         "superselected", ("preparations", "read"), {"up": 1.0},
         "component name 'read' is declared twice: preparations.read and measurements.read"),
@@ -765,6 +802,36 @@ def test_a_mutated_model_file_is_refused_with_its_key_path(entry, keys, value, m
     assert "Traceback" not in err
 
 
+#: (the quantity classes written into an exported superselected file, the refusal's message).
+#: "flipread" is a copy of "read" whose response is flipped.
+CLASS_REFUSALS = {
+    "empty-class": (
+        {"Q": []}, "quantity_classes.Q: a quantity class needs at least one measurement"),
+    "members-not-equivalent": (
+        {"Q": ["read", "flipread"]},
+        "quantity_classes.Q: measurements 'read' and 'flipread' differ on the probe set "
+        "(deviation 1); not a valid quantity class"),
+}
+
+
+@pytest.mark.parametrize("classes, message", CLASS_REFUSALS.values(), ids=CLASS_REFUSALS.keys())
+def test_a_bad_quantity_class_is_refused_with_its_key_path(classes, message, tmp_path, capsys):
+    path = tmp_path / "superselected.json"
+    assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    flipped = copy.deepcopy(doc["measurements"]["read"])
+    flipped["response"] = {state: dict(zip(row, reversed(row.values())))
+                           for state, row in flipped["response"].items()}
+    doc["measurements"]["flipread"] = flipped
+    doc["quantity_classes"] = classes
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert exit_code(["classify", "--model", str(path), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "7"],
      "axis index 7 out of range"),
@@ -773,8 +840,9 @@ def test_a_mutated_model_file_is_refused_with_its_key_path(entry, keys, value, m
     (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "read"],
      "axis label 'read' is ambiguous; use an index"),
     (["twoslit", "--mod1-sq", "1.5", "--phi", "1"], "mod1_sq 1.5 outside [0, 1.0]"),
+    (["twoslit", "--mod1-sq", "0.2"], "point mode needs --mod1-sq and --phi (or use --sweep)"),
 ], ids=["marginal-index-out-of-range", "marginal-unknown-label", "marginal-ambiguous-label",
-        "twoslit-mod1-sq-above-1"])
+        "twoslit-mod1-sq-above-1", "twoslit-point-without-phi"])
 def test_an_option_value_is_refused_with_its_message(argv, message, tmp_path, capsys):
     path = tmp_path / "superselected.json"
     assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0

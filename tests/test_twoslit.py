@@ -42,6 +42,15 @@ class TestDetection:
         with pytest.raises(ValidationError):
             SlitAmplitudes(1.0, 1.0)
 
+    @pytest.mark.parametrize("a1, a2, message", [
+        (1.2, 0.1, "each squared modulus must be at most 1"),
+        (0.0, 0.0, "at least one amplitude must be nonzero"),
+    ], ids=["modulus-above-1", "both-zero"])
+    def test_amplitudes_out_of_range_rejected(self, a1, a2, message):
+        with pytest.raises(ValidationError) as refusal:
+            SlitAmplitudes(a1, a2)
+        assert str(refusal.value) == message
+
 
 class TestClosedForms:
     def test_equal_amplitudes_boundary(self):

@@ -20,7 +20,11 @@ superselected model file that the parent tree exports there first: ``run``
 of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
 quantity class it declares, and a refusal of an undeclared name for each.
 Further refusals compare ``run --marginal`` with an ambiguous axis label
-and an axis index out of range, and ``twoslit`` with ``--mod1-sq`` above 1.
+and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
+with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
+file, each broken in one way: ``classify`` of an empty quantity class and
+of a class whose members are not equivalent (a copy of ``read`` with its
+response flipped), and ``lg`` of an arrangement with two measurements.
 
 Only the standard library is used, so any interpreter that runs lglab
 runs this.
@@ -29,6 +33,7 @@ runs this.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -42,6 +47,23 @@ ANGLES = ((0.3, 2.0), (1.0, 1.0), (-1.2, 5.5), (2 * math.pi, -2 * math.pi),
           (3 * math.pi, -math.pi), (-math.pi, -math.pi))
 
 MODEL_FILE = "superselected.json"
+EMPTY_CLASS_FILE = "empty-class.json"
+INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
+SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
+
+
+def broken_copies(doc: dict) -> dict:
+    """Copies of the exported superselected document, each invalid in one way, by file name."""
+    empty, inequivalent, short = (copy.deepcopy(doc) for _ in range(3))
+    empty["quantity_classes"] = {"Q": []}
+    flipped = copy.deepcopy(doc["measurements"]["read"])
+    flipped["response"] = {state: dict(zip(row, reversed(row.values())))
+                           for state, row in flipped["response"].items()}
+    inequivalent["measurements"]["flipread"] = flipped
+    inequivalent["quantity_classes"] = {"Q": ["read", "flipread"]}
+    short["arrangements"]["lg"]["measurements"] = ["read", "read"]
+    return {EMPTY_CLASS_FILE: empty, INEQUIVALENT_CLASS_FILE: inequivalent,
+            SHORT_ARRANGEMENT_FILE: short}
 
 
 def commands(zoo: list) -> list:
@@ -83,6 +105,10 @@ def commands(zoo: list) -> list:
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "read"],
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "7"],
         ["twoslit", "--mod1-sq", "1.5", "--phi", "1"],
+        ["twoslit", "--mod1-sq", "0.2"],
+        ["classify", "--model", EMPTY_CLASS_FILE],
+        ["classify", "--model", INEQUIVALENT_CLASS_FILE],
+        ["lg", "--model", SHORT_ARRANGEMENT_FILE],
     ]
     return [argv + ["--no-timestamp"] for argv in out]
 
@@ -115,6 +141,11 @@ def main(argv=None) -> int:
         if code != 0:
             print(f"exporting {MODEL_FILE} with the parent exited {code}: {err.decode()}")
             return 2
+        with open(os.path.join(cwd, MODEL_FILE), encoding="utf-8") as handle:
+            doc = json.load(handle)
+        for name, broken in broken_copies(doc).items():
+            with open(os.path.join(cwd, name), "w", encoding="utf-8") as handle:
+                json.dump(broken, handle)
         parent = [run(args.parent, argv, cwd) for argv in listed]
         child = [run(args.child, argv, cwd) for argv in listed]
 
