@@ -73,16 +73,24 @@ class MacrodefiniteResult:
 
 
 def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> MacrodefiniteResult:
-    """Check non-contextual value-definiteness of the whole state space."""
+    """Check non-contextual value-definiteness of the whole state space.
+
+    Each distinct response row object is decided once, and every state
+    that draws it reuses the outcome.
+    """
     members = [model.measurement(m) for m in quantity_class.measurements]
     witnesses = []
     value_of = {}
+    decided = {}  # id(row) -> its determined outcome; the tables hold every row for the call
     for state in model.space.states:
         determined = None
         for meas in members:
-            outcome = meas.response.determined_outcome(state)
+            row = meas.response.row(state)
+            try:
+                outcome = decided[id(row)]
+            except KeyError:
+                outcome = decided[id(row)] = meas.response.determined_outcome(state)
             if outcome is None:
-                row = meas.response.row(state)
                 witnesses.append((state, meas.label, f"stochastic response {dict(row)!r}"))
                 break
             if determined is None:

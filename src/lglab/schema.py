@@ -10,10 +10,14 @@ repr, and table ordering is preserved.
 indent=2)`` and a newline, at the speed of ``json``'s C encoder: that
 encoder cannot indent, but it writes each container that holds no
 container, one item to a line, when its item separator carries the
-line break and the indent. The loader builds a point mass, the most
-common row of a large model, directly, and gives the states whose
-response rows are written alike one row object, so that the response
-normalizes and keeps each distinct row once, as for a built model.
+line break and the indent. Both directions do their per-row work once
+per distinct row. An export holds one dict per distinct kernel, response
+and update row of the model, and the writer renders a container held in
+several places once per depth; the bytes are those of an unshared
+document. The loader builds a point mass, the most common row of a
+large model, directly, and gives the states whose response rows are
+written alike one row object. It type-checks each such row once, and the
+response normalizes and keeps it once, as for a built model.
 """
 
 from __future__ import annotations
@@ -39,21 +43,30 @@ from .operational import ObservableAssignment, Protocol, ProtocolStep
 SCHEMA_VERSION = 1
 
 
-def _weights_doc(dist: Distribution) -> dict:
-    return {str(label): w for label, w in dist.weights.items()}
-
-
 def model_to_doc(model: OnticModel, name=None, arrangements=None, protocols=None) -> dict:
-    """Serialize a model (plus optional named arrangements and protocols)."""
+    """Serialize a model (plus optional named arrangements and protocols).
+
+    Each distinct kernel, response and update row is converted once, so
+    the document shares one dict wherever the model shares one row; the
+    document is read-only.
+    """
+    rows_doc: dict = {}  # id(row) -> its document; the model holds every row for the call
+
+    def row_doc(row) -> dict:
+        converted = rows_doc.get(id(row))
+        if converted is None:
+            converted = rows_doc[id(row)] = {str(label): p for label, p in row.items()}
+        return converted
+
     doc = {"schema": SCHEMA_VERSION}
     if name is not None:
         doc["name"] = name
     doc["ontic_states"] = [str(s) for s in model.space.states]
     doc["preparations"] = {
-        pname: _weights_doc(dist) for pname, dist in model.preparations.items()
+        pname: row_doc(dist.weights) for pname, dist in model.preparations.items()
     }
     doc["transformations"] = {
-        tname: {str(s): _weights_doc(row) for s, row in kernel.rows.items()}
+        tname: {str(s): row_doc(row.weights) for s, row in kernel.rows.items()}
         for tname, kernel in model.transformations.items()
     }
     measurements = {}
@@ -66,19 +79,16 @@ def model_to_doc(model: OnticModel, name=None, arrangements=None, protocols=None
         if meas.update.outcome_rows:
             update_doc = {
                 "mode": "per_outcome",
-                "rows": {str(q): _weights_doc(d) for q, d in meas.update.outcome_rows.items()},
+                "rows": {str(q): row_doc(d.weights) for q, d in meas.update.outcome_rows.items()},
             }
         else:
             rows: dict = {}
             for (s, q), dist in meas.update.rows.items():
-                rows.setdefault(str(s), {})[str(q)] = _weights_doc(dist)
+                rows.setdefault(str(s), {})[str(q)] = row_doc(dist.weights)
             update_doc = {"mode": "per_state", "rows": rows}
         measurements[mname] = {
             "outcomes": [str(q) for q in meas.outcomes],
-            "response": {
-                str(s): {str(q): p for q, p in row.items()}
-                for s, row in meas.response.table.items()
-            },
+            "response": {str(s): row_doc(row) for s, row in meas.response.table.items()},
             "update": update_doc,
         }
     doc["measurements"] = measurements
@@ -195,13 +205,13 @@ def doc_to_model(doc) -> tuple:
     for mname, mdoc in _require(doc, "measurements", dict, "measurements").items():
         path = f"measurements.{mname}"
         outcomes = _names(_require(mdoc, "outcomes", list, path), f"{path}.outcomes")
-        response_doc = _require(mdoc, "response", dict, path)
-        for s, row in response_doc.items():
+        equal: dict = {}  # repr(row) -> (the first state, its row), which -0.0 keeps from 0.0
+        table = {s: equal.setdefault(repr(row), (s, row))[1]
+                 for s, row in _require(mdoc, "response", dict, path).items()}
+        for s, row in equal.values():
             _numbers(row, f"{path}.response.{s}")
-        equal: dict = {}  # repr(row) -> the first row written so, which -0.0 keeps from 0.0
         with _at(f"{path}.response"):
-            response = ResponseFunction(space, outcomes, {
-                s: equal.setdefault(repr(row), row) for s, row in response_doc.items()})
+            response = ResponseFunction(space, outcomes, table)
         update_doc = _require(mdoc, "update", dict, path)
         mode = _require(update_doc, "mode", str, f"{path}.update")
         rows_doc = _require(update_doc, "rows", dict, f"{path}.update")
@@ -301,12 +311,14 @@ def write_document(doc, handle):
     whose values are all str, int, float, bool or None goes to one
     ``json.encoder.c_make_encoder`` call, made once per depth, whose item
     separator is a comma, a line break and the indent of its items; only
-    its brackets are then indented. Other containers are walked here,
-    and each item is written as it is reached, so a large document is
-    never held as one string.
+    its brackets are then indented. Such a container held in several
+    places is rendered once per depth, and its text written again at each
+    place. Other containers are walked here, and each item is written as
+    it is reached, so a large document is never held as one string.
     """
     write = handle.write
     encoders: dict = {}  # depth -> the C encoder of a container's items at that depth
+    written: dict = {}  # (id, depth) -> the text of a flat container; doc holds it for the call
 
     def flat(value, depth) -> str:
         encode = encoders.get(depth)
@@ -326,9 +338,12 @@ def write_document(doc, handle):
         if not value:
             return write(brackets)
         indent = "\n" + "  " * (depth + 1)
-        if _SCALARS.issuperset(map(type, values)):
-            text = flat(value, depth)
-            return write(brackets[0] + indent + text[1:-1] + indent[:-2] + brackets[1])
+        text = written.get((id(value), depth))
+        if text is None and _SCALARS.issuperset(map(type, values)):
+            items = indent + flat(value, depth)[1:-1] + indent[:-2]
+            text = written[id(value), depth] = brackets[0] + items + brackets[1]
+        if text is not None:
+            return write(text)
         heads = map(_key, value) if brackets == "{}" else itertools.repeat("")
         separator = brackets[0] + indent
         for head, item in zip(heads, values):

@@ -9,6 +9,7 @@ from lglab import (
     Distribution,
     Measurement,
     MeasurementUpdate,
+    ModelError,
     OnticModel,
     OnticStateSpace,
     ResponseFunction,
@@ -65,6 +66,55 @@ class TestMacrodefinite:
         cls = QuantityClass("Q", ("Mz", "flipped"))
         result = check_macrodefinite(model, cls)
         assert not result.holds
+
+    @staticmethod
+    def partial_model(*rows_of_b):
+        """Members M0, M1, ... all certain of +1 at 'a'; member i's row at 'b' is rows_of_b[i],
+        and a None leaves 'b' out of that member's response."""
+        space = OnticStateSpace(("a", "b"))
+        measurements = {}
+        for i, row in enumerate(rows_of_b):
+            table = {"a": {PLUS: 1.0, MINUS: 0.0}}
+            if row is not None:
+                table["b"] = row
+            measurements[f"M{i}"] = Measurement(
+                f"M{i}", ResponseFunction(space, (PLUS, MINUS), table),
+                MeasurementUpdate.noninvasive(space, (PLUS, MINUS), space.states))
+        model = OnticModel(space=space, preparations={"up": Distribution.point_mass(space, "a")},
+                           transformations={}, measurements=measurements)
+        return model, QuantityClass("Q", tuple(measurements))
+
+    def test_a_state_without_a_response_row_is_refused(self):
+        model, cls = self.partial_model(None)
+        for check in (check_macrodefinite, classify):
+            with pytest.raises(ModelError, match=r"^response undefined for state 'b'$"):
+                check(model, cls)
+
+    def test_a_stochastic_row_stops_its_state_before_a_later_member_is_read(self):
+        # M0 is stochastic at 'b', so M1, which has no row there, is not asked about 'b'
+        model, cls = self.partial_model({PLUS: 0.5, MINUS: 0.5}, None)
+        result = check_macrodefinite(model, cls)
+        assert result.witnesses == (("b", "M0", "stochastic response {'+1': 0.5, '-1': 0.5}"),)
+        assert result.value_of == {"a": PLUS}
+        assert classify(model, cls).verdict == "not-MR"
+        with pytest.raises(ModelError, match=r"^response undefined for state 'b'$"):
+            check_macrodefinite(model, QuantityClass("Q", ("M1", "M0")))
+
+    def test_each_distinct_response_row_is_decided_once(self, monkeypatch):
+        build = zoo.build("ks-sphere", n_points=100)
+        table = build.model.measurement("Mz").response.table
+        assert (len(table), len({id(row) for row in table.values()})) == (300, 2)
+        decided = []
+        determined_outcome = ResponseFunction.determined_outcome
+
+        def counted(response, label):
+            decided.append(label)
+            return determined_outcome(response, label)
+
+        monkeypatch.setattr(ResponseFunction, "determined_outcome", counted)
+        result = check_macrodefinite(build.model, model_class(build))
+        assert result.holds and len(result.value_of) == 300
+        assert len(decided) == 2
 
 
 class TestEigenstateSupports:

@@ -96,9 +96,23 @@ def test_every_report_is_written_as_json_dump_writes_it(argv, writes, tmp_path, 
     assert_same_text(out, text)
 
 
+def shared_documents() -> list:
+    """Documents that hold one flat container several times at one depth and at others."""
+    row, items, empty, nothing = {"+1": 1.0, "-1": 0.0}, [1, "two", None, 2.5], {}, []
+    return [
+        {"a": row, "b": row, "c": {"d": row, "e": [row, row]}, "f": [[row]]},
+        [items, items, {"x": items, "y": [items, {"z": items}]}, items],
+        {"e": empty, "f": empty, "g": [empty, nothing, {"h": empty}], "i": nothing, "j": nothing},
+        [row, items, empty, [row, items, empty, nothing], {"k": row, "l": items, "m": nothing}],
+    ]
+
+
+SHARED = shared_documents()
+
 #: Documents that reach every branch: scalars at the top, empty containers at
 #: several depths, lists of lists, tuples, non-finite floats, non-ASCII text,
-#: keys of every allowed type, and values of subclasses of the JSON types.
+#: keys of every allowed type, values of subclasses of the JSON types, and
+#: containers held in several places.
 SYNTHETIC = [
     0, -1.5, "text", None, True, [], {}, (),
     [[]], [{}], {"a": {}}, {"a": []}, {"a": {"b": {"c": {}, "d": []}}},
@@ -113,12 +127,36 @@ SYNTHETIC = [
     {"numpy": np.float64(0.1), "row": {"s": np.float64(1 / 3), "t": 1}, "flags": [True, False]},
     [np.float64("nan"), np.float64(-0.0), 1e308, 5e-324, -0.0],
     {"deep": [[[[[{"k": [1, [2, [3, {}]]]}]]]]]},
+    *SHARED,
 ]
 
 
 @pytest.mark.parametrize("doc", SYNTHETIC)
 def test_synthetic_documents_are_written_as_json_dump_writes_them(doc):
     assert_same_text(written(doc), json_dump_text(doc))
+
+
+@pytest.mark.parametrize("doc", SHARED)
+def test_a_shared_container_is_written_in_the_writes_of_an_unshared_copy(doc):
+    shared, unshared = Pieces(), Pieces()
+    schema.write_document(doc, shared)
+    schema.write_document(copy.deepcopy(doc), unshared)
+    assert shared == unshared  # the same text, in the same writes
+
+
+def test_an_export_shares_a_dict_wherever_the_model_shares_a_row():
+    model = zoo.build("ks-sphere", n_points=100).model
+    doc = schema.model_to_doc(model)
+    assert len({id(row) for row in doc["measurements"]["Mz"]["response"].values()}) == 2
+    kernels = model.transformations.values()
+    kernel_rows = [row for rows in doc["transformations"].values() for row in rows.values()]
+    distinct = {id(dist) for kernel in kernels for dist in kernel.rows.values()}
+    assert (len(kernel_rows), len(set(map(id, kernel_rows))), len(distinct)) == (400, 200, 200)
+    # the update re-samples onto the eigenstate preparations, which the model shares
+    assert doc["measurements"]["Mz"]["update"]["rows"]["+1"] is doc["preparations"]["up"]
+    text = written(doc)
+    assert_same_text(text, json_dump_text(doc))
+    assert_same_text(text, written(copy.deepcopy(doc)))
 
 
 @pytest.mark.parametrize("doc", [
@@ -263,3 +301,14 @@ def test_a_bad_row_written_for_several_states_is_reported_at_the_first():
         schema.doc_to_model(doc)
     assert str(raised.value) == ("measurements.Mz.response: "
                                  "response row for 'r0:3' sums to 1.4, expected 1")
+
+
+def test_a_mistyped_row_written_for_several_states_is_reported_at_the_first():
+    doc = sphere_document()
+    response = doc["measurements"]["Mz"]["response"]
+    for state in ("r0:7", "r0:3", "r1:0"):
+        response[state] = {"+1": "1", "-1": 0.0}
+    with pytest.raises(SchemaError) as raised:
+        schema.doc_to_model(doc)
+    assert raised.value.path == "measurements.Mz.response.r0:3.+1"
+    assert str(raised.value) == "measurements.Mz.response.r0:3.+1: value must be number, got str"

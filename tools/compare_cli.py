@@ -14,11 +14,15 @@ as at ``--grid 300``. ``lg`` of an entry without an arrangement is
 compared as the refusal it is. Every parametrized entry is also exported
 away from its defaults: qubit, bohm-two-path and ks-sphere at ``--grid
 300`` at each ``ANGLES`` pair, and superselected at ``--p1 0.1 --p2
-0.7``, so that each builder's metadata is compared as written. Every command runs in one scratch directory, so that
-relative paths in messages match; the ``--model`` commands read a
-superselected model file that the parent tree exports there first: ``run``
+0.7``, so that each builder's metadata is compared as written. Every
+command runs in one scratch directory, so that relative paths in
+messages match; the ``--model`` commands read model files that the
+parent tree exports there first. Of a superselected file they run ``run``
 of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
 quantity class it declares, and a refusal of an undeclared name for each.
+Of a ks-sphere file at ``--grid 300`` they run ``lg`` and ``classify``, so
+that the loader's shared response rows and the value check that decides
+each distinct row once are compared through the CLI.
 Further refusals compare ``run --marginal`` with an ambiguous axis label
 and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
 with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
@@ -47,6 +51,8 @@ ANGLES = ((0.3, 2.0), (1.0, 1.0), (-1.2, 5.5), (2 * math.pi, -2 * math.pi),
           (3 * math.pi, -math.pi), (-math.pi, -math.pi))
 
 MODEL_FILE = "superselected.json"
+SPHERE = ["ks-sphere", "--grid", "300"]
+SPHERE_FILE = "ks-sphere-300.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
@@ -79,9 +85,9 @@ def commands(zoo: list) -> list:
         angles = [f"--theta1={theta1!r}", f"--theta2={theta2!r}"]
         out += [["lg", "--zoo", "qubit", *angles],
                 ["lg", "--zoo", "bohm-two-path", *angles],
-                ["lg", "--zoo", "ks-sphere", "--grid", "300", *angles],
+                ["lg", "--zoo", *SPHERE, *angles],
                 ["zoo", "export", "qubit", *angles],
-                ["zoo", "export", "ks-sphere", "--grid", "300", *angles],
+                ["zoo", "export", *SPHERE, *angles],
                 ["zoo", "export", "bohm-two-path", *angles]]
     out += [
         ["lg", "--zoo", "superselected", "--p1", "0.1", "--p2", "0.7", "--depth", "4"],
@@ -92,6 +98,8 @@ def commands(zoo: list) -> list:
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
         ["lg", "--model", MODEL_FILE],
         ["classify", "--model", MODEL_FILE],
+        ["lg", "--model", SPHERE_FILE],
+        ["classify", "--model", SPHERE_FILE],
         ["zoo", "list"],
         # inputs refused with exit 2
         ["lg", "--zoo", "no-such-model"],
@@ -136,11 +144,12 @@ def main(argv=None) -> int:
             print(f"zoo list with the parent exited {code}: {err.decode()}")
             return 2
         listed = commands([entry["name"] for entry in json.loads(out)["results"]["models"]])
-        code, _, err = run(args.parent, ["zoo", "export", "superselected", "--out", MODEL_FILE,
-                                         "--no-timestamp"], cwd)
-        if code != 0:
-            print(f"exporting {MODEL_FILE} with the parent exited {code}: {err.decode()}")
-            return 2
+        for path, entry in ((MODEL_FILE, ["superselected"]), (SPHERE_FILE, SPHERE)):
+            code, _, err = run(args.parent, ["zoo", "export", *entry, "--out", path,
+                                             "--no-timestamp"], cwd)
+            if code != 0:
+                print(f"exporting {path} with the parent exited {code}: {err.decode()}")
+                return 2
         with open(os.path.join(cwd, MODEL_FILE), encoding="utf-8") as handle:
             doc = json.load(handle)
         for name, broken in broken_copies(doc).items():
