@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .core import (
     Distribution,
     OnticModel,
     SUPPORT_TOL,
+    _Record,
     check_size,
     compose_preparation,
 )
@@ -37,12 +37,14 @@ HULL_TOL = 1e-8
 RANK_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class QuantityClass:
+class QuantityClass(_Record):
     """A named class of pairwise operationally equivalent measurements."""
 
     label: str
     measurements: tuple
+
+    def __init__(self, label, measurements):
+        vars(self).update(label=label, measurements=measurements)
 
     @classmethod
     def verified(cls, model: OnticModel, label: str, measurements,
@@ -63,13 +65,15 @@ class QuantityClass:
         return cls(label=label, measurements=measurements)
 
 
-@dataclass(frozen=True)
-class MacrodefiniteResult:
+class MacrodefiniteResult(_Record):
     """Whether every ontic state answers the class deterministically and uniformly."""
 
     holds: bool
     witnesses: tuple  # (state, measurement, detail) triples
     value_of: dict  # state -> outcome, only meaningful when holds
+
+    def __init__(self, holds, witnesses, value_of):
+        vars(self).update(holds=holds, witnesses=witnesses, value_of=value_of)
 
 
 def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> MacrodefiniteResult:
@@ -122,8 +126,7 @@ def operational_eigenstate_supports(model: OnticModel, quantity_class: QuantityC
     return frozenset(support), tuple(names)
 
 
-@dataclass(frozen=True)
-class PreparationEvidence:
+class PreparationEvidence(_Record):
     """Mixture and support evidence for one classified preparation."""
 
     name: str
@@ -135,20 +138,43 @@ class PreparationEvidence:
     value_weights: dict  # outcome -> total weight on states with that value
     value_components: dict  # outcome -> Distribution (normalized per-value component)
 
+    def __init__(self, name, hull_residual, hull_weights, mixture_member, support_contained,
+                 novel_states, value_weights, value_components):
+        vars(self).update(name=name, hull_residual=hull_residual, hull_weights=hull_weights,
+                          mixture_member=mixture_member, support_contained=support_contained,
+                          novel_states=novel_states, value_weights=value_weights,
+                          value_components=value_components)
 
-@dataclass(frozen=True)
-class Classification:
-    """Taxonomy verdict with re-checkable witnesses."""
+
+class Classification(_Record):
+    """Taxonomy verdict with re-checkable witnesses.
+
+    The fields after ``macrodefinite`` default to empty, and
+    ``eigenstate_preparations`` to a new empty dict.
+    """
 
     quantity_class: str
     verdict: str  # "MR1", "MR2", "MR3" or "not-MR"
     macrodefinite: bool
-    macrodefinite_witnesses: tuple = ()
-    eigenstate_preparations: dict = field(default_factory=dict)  # outcome -> tuple of names
-    values_without_eigenstate: tuple = ()
-    evidence: tuple = ()  # PreparationEvidence per classified preparation
-    classified_preparations: tuple = ()
-    skipped_images: tuple = ()
+    macrodefinite_witnesses: tuple
+    eigenstate_preparations: dict  # outcome -> tuple of names
+    values_without_eigenstate: tuple
+    evidence: tuple  # PreparationEvidence per classified preparation
+    classified_preparations: tuple
+    skipped_images: tuple
+
+    def __init__(self, quantity_class, verdict, macrodefinite, macrodefinite_witnesses=(),
+                 eigenstate_preparations=None, values_without_eigenstate=(), evidence=(),
+                 classified_preparations=(), skipped_images=()):
+        if eigenstate_preparations is None:
+            eigenstate_preparations = {}
+        vars(self).update(quantity_class=quantity_class, verdict=verdict,
+                          macrodefinite=macrodefinite,
+                          macrodefinite_witnesses=macrodefinite_witnesses,
+                          eigenstate_preparations=eigenstate_preparations,
+                          values_without_eigenstate=values_without_eigenstate, evidence=evidence,
+                          classified_preparations=classified_preparations,
+                          skipped_images=skipped_images)
 
 
 def _dot(u, v) -> float:
@@ -348,13 +374,16 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
     )
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(_Record):
     """Fixed-point check of eigenstate preparations under the conditioned update."""
 
     holds: bool
     worst_deviation: float
     per_preparation: dict  # name -> total-variation deviation
+
+    def __init__(self, holds, worst_deviation, per_preparation):
+        vars(self).update(holds=holds, worst_deviation=worst_deviation,
+                          per_preparation=per_preparation)
 
 
 def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from datetime import datetime, timezone
 from functools import partial
 
 from . import __version__
@@ -33,9 +32,14 @@ RESIDUAL_GATE = 1e-10
 def _report(args, command, inputs, results, **tolerances):
     """Write the header, then ``results``; ``tolerances`` override or add to the defaults.
 
-    The timestamp is left out under --no-timestamp, so that reruns are byte-identical.
+    The timestamp is left out under --no-timestamp, so that reruns are byte-identical,
+    and ``datetime`` is imported only to make one.
     """
-    timestamp = {} if args.no_timestamp else {"timestamp": datetime.now(timezone.utc).isoformat()}
+    timestamp = {}
+    if not args.no_timestamp:
+        from datetime import datetime, timezone
+
+        timestamp["timestamp"] = datetime.now(timezone.utc).isoformat()
     report = {
         "tool": "lglab",
         "version": __version__,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter, mul
@@ -62,8 +61,55 @@ MINUS = "-1"
 OUTCOMES = (PLUS, MINUS)
 
 
-@dataclass(frozen=True)
-class OnticStateSpace:
+class FrozenRecordError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of a record."""
+
+
+class _Record:
+    """An immutable record of named fields: the base of the model and result types.
+
+    A subclass annotates its fields in order, and its ``__init__`` takes
+    them in that order, validates them and sets them, with any attribute
+    derived from them, in one ``vars(self).update`` call. The base reads
+    the annotations once per class. It gives every record equality and a
+    hash over its fields, except those the class keyword ``uncompared``
+    names; a ``Name(field=value, ...)`` repr; and refusal of assignment and
+    deletion. ``replace`` copies a record with some fields changed.
+    """
+
+    def __init_subclass__(cls, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(name for name in cls._fields if name not in uncompared)
+
+    def _values(self, names) -> tuple:
+        return tuple(map(vars(self).__getitem__, names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compared) == other._values(self._compared)
+
+    def __hash__(self):
+        return hash(self._values(self._compared))
+
+    def __repr__(self):
+        fields = zip(self._fields, self._values(self._fields))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def replace(record: _Record, /, **changes) -> _Record:
+    """A new record of ``record``'s class with ``changes`` to its fields, validated again."""
+    return type(record)(**{**dict(zip(record._fields, record._values(record._fields))), **changes})
+
+
+class OnticStateSpace(_Record):
     """An ordered finite set of opaque ontic-state labels.
 
     The ordering is fixed at construction and is what makes every
@@ -74,14 +120,13 @@ class OnticStateSpace:
 
     states: tuple
 
-    def __post_init__(self):
-        if len(self.states) < 1:
+    def __init__(self, states):
+        if len(states) < 1:
             raise ValidationError("state space must contain at least one state")
-        position = {label: i for i, label in enumerate(self.states)}
-        if len(position) != len(self.states):
+        position = {label: i for i, label in enumerate(states)}
+        if len(position) != len(states):
             raise ValidationError("state labels must be unique")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "points", {})
+        vars(self).update(states=states, position=position, points={})
 
     def __contains__(self, label) -> bool:
         return label in self.position
@@ -329,20 +374,18 @@ class MeasurementUpdate:
         return dist
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(_Record):
     """A response function bundled with its state-update kernel."""
 
     label: str
     response: ResponseFunction
     update: MeasurementUpdate
 
-    def __post_init__(self):
-        _check_same_space(self.response.space, self.update.space, f"measurement {self.label!r}")
-        if self.response.outcomes != self.update.outcomes:
-            raise ValidationError(
-                f"measurement {self.label!r}: response and update outcome sets differ"
-            )
+    def __init__(self, label, response, update):
+        _check_same_space(response.space, update.space, f"measurement {label!r}")
+        if response.outcomes != update.outcomes:
+            raise ValidationError(f"measurement {label!r}: response and update outcome sets differ")
+        vars(self).update(label=label, response=response, update=update)
 
     @property
     def outcomes(self):
@@ -358,36 +401,39 @@ class Measurement:
         return Form(self.space, self.outcomes, self.response.table.items(), self.update.row)
 
 
-@dataclass(frozen=True)
-class OnticModel:
+class OnticModel(_Record):
     """A finite ontic model: named preparations, transformations, measurements.
 
     All components live on one shared state space. ``metadata`` is a
     free-form record of modelling choices (grid sizes, surrogate update
-    rules, ...) that travels with exports.
+    rules, ...) that travels with exports; it defaults to a new empty dict.
     """
 
     space: OnticStateSpace
     preparations: dict
     transformations: dict
     measurements: dict
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
-    def __post_init__(self):
+    def __init__(self, space, preparations, transformations, measurements, metadata=None):
         declared: dict = {}  # component name -> the section declaring it first
-        for section in ("preparations", "transformations", "measurements"):
-            for name in getattr(self, section):
+        sections = {"preparations": preparations, "transformations": transformations,
+                    "measurements": measurements}
+        for section, components in sections.items():
+            for name in components:
                 if (first := declared.setdefault(name, section)) != section:
                     raise ValidationError(f"component name {name!r} is declared twice: "
                                           f"{first}.{name} and {section}.{name}")
-        for name, dist in self.preparations.items():
-            _check_same_space(self.space, dist.space, f"preparation {name!r}")
-        for name, kernel in self.transformations.items():
-            _check_same_space(self.space, kernel.space, f"transformation {name!r}")
-        for name, meas in self.measurements.items():
-            _check_same_space(self.space, meas.space, f"measurement {name!r}")
+        for name, dist in preparations.items():
+            _check_same_space(space, dist.space, f"preparation {name!r}")
+        for name, kernel in transformations.items():
+            _check_same_space(space, kernel.space, f"transformation {name!r}")
+        for name, meas in measurements.items():
+            _check_same_space(space, meas.space, f"measurement {name!r}")
             if meas.label != name:
                 raise ValidationError(f"measurement {name!r} carries label {meas.label!r}")
+        vars(self).update(space=space, preparations=preparations, transformations=transformations,
+                          measurements=measurements, metadata={} if metadata is None else metadata)
 
     def preparation(self, name) -> Distribution:
         if isinstance(name, Distribution):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import add, mul
 from typing import Optional
@@ -22,6 +21,7 @@ from .core import (
     NORMALIZATION_TOL,
     Distribution,
     OnticModel,
+    _Record,
     check_size,
     dots,
     is_ontically_noninvasive,
@@ -59,8 +59,7 @@ MASKS = {
 }
 
 
-@dataclass(frozen=True)
-class LgArrangement:
+class LgArrangement(_Record):
     """A preparation, two interleaved evolutions and three binary measurements.
 
     The three two-measurement sub-experiments reuse the same
@@ -74,24 +73,24 @@ class LgArrangement:
     measurements: tuple  # (m1, m2, m3) names
     assignment: ObservableAssignment
 
-    def __post_init__(self):
-        if len(self.transformations) != 2 or len(self.measurements) != 3:
+    def __init__(self, model, preparation, transformations, measurements, assignment):
+        if len(transformations) != 2 or len(measurements) != 3:
             raise ValidationError("arrangement needs two transformations and three measurements")
-        self.model.preparation(self.preparation)
-        for t in self.transformations:
+        model.preparation(preparation)
+        for t in transformations:
             if t is not None:
-                self.model.transformation(t)
-        for m_name in self.measurements:
-            measurement = self.model.measurement(m_name)
+                model.transformation(t)
+        for m_name in measurements:
+            measurement = model.measurement(m_name)
             if len(measurement.outcomes) != 2:
                 raise ValidationError(f"measurement {m_name!r} is not binary")
-            values = sorted(
-                self.assignment.value(m_name, q) for q in measurement.outcomes
-            )
+            values = sorted(assignment.value(m_name, q) for q in measurement.outcomes)
             if values != [-1, 1]:
                 raise ValidationError(
                     f"assignment for {m_name!r} must map its outcomes onto -1 and +1"
                 )
+        vars(self).update(model=model, preparation=preparation, transformations=transformations,
+                          measurements=measurements, assignment=assignment)
 
     def protocol(self, mask=MASKS["all"]) -> Protocol:
         t1, t2 = self.transformations
@@ -141,8 +140,7 @@ def lg_value_pairwise(arrangement: LgArrangement) -> float:
     return disturbance_report(arrangement).lg_pairwise
 
 
-@dataclass(frozen=True)
-class DisturbanceReport:
+class DisturbanceReport(_Record):
     """Marginal-statistics shifts caused by performing the earlier measurements.
 
     ``d1`` tabulates the change in the (second, third) pair statistics
@@ -158,6 +156,10 @@ class DisturbanceReport:
     lg_all_three: float
     lg_pairwise: float
     decomposition_residual: float
+
+    def __init__(self, d1, d2, d3, lg_all_three, lg_pairwise, decomposition_residual):
+        vars(self).update(d1=d1, d2=d2, d3=d3, lg_all_three=lg_all_three, lg_pairwise=lg_pairwise,
+                          decomposition_residual=decomposition_residual)
 
     def max_disturbance(self) -> float:
         return max(
@@ -222,12 +224,14 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
     )
 
 
-@dataclass(frozen=True)
-class OpndResult:
+class OpndResult(_Record):
     """Outcome of one operational non-disturbance comparison."""
 
     non_disturbing: bool
     max_deviation: float
+
+    def __init__(self, non_disturbing, max_deviation):
+        vars(self).update(non_disturbing=non_disturbing, max_deviation=max_deviation)
 
 
 def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation) -> list:
@@ -346,8 +350,7 @@ def check_opnd(
     return OpndResult(worst <= EQUIVALENCE_TOL, worst)
 
 
-@dataclass(frozen=True)
-class OpndCompleteResult:
+class OpndCompleteResult(_Record):
     """Bounded check of non-disturbance over every declared context.
 
     The quantifier is a decidable surrogate for "any preparation, any
@@ -373,8 +376,14 @@ class OpndCompleteResult:
     witness: Optional[tuple]
     depth: int
     preparations: tuple
-    undefined_contexts: int = 0
-    settled: bool = False
+    undefined_contexts: int
+    settled: bool
+
+    def __init__(self, non_disturbing, max_deviation, witness, depth, preparations,
+                 undefined_contexts=0, settled=False):
+        vars(self).update(non_disturbing=non_disturbing, max_deviation=max_deviation,
+                          witness=witness, depth=depth, preparations=preparations,
+                          undefined_contexts=undefined_contexts, settled=settled)
 
 
 def check_opnd_complete(model: OnticModel, measurement: str, depth: int = 2) -> OpndCompleteResult:
@@ -445,8 +454,7 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
                                   undefined[m], m not in left) for m in checked}
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(_Record, uncompared=("report", "details")):
     """Truth values along the noninvasiveness -> inequality chain.
 
     The four stages are: both early measurements ontically noninvasive;
@@ -455,7 +463,8 @@ class ChainRecord:
     both non-disturbing in the specific arrangement contexts; and the
     pairwise inequality satisfied. Every forward implication is asserted
     when the record is built. ``report`` is the disturbance report the
-    last two stages read.
+    last two stages read. Neither it nor ``details`` (by default a new
+    empty dict) takes part in equality.
     """
 
     ontically_noninvasive: bool
@@ -463,8 +472,15 @@ class ChainRecord:
     opnd_specific: bool
     lgi_satisfied: bool
     lg_pairwise: float
-    report: DisturbanceReport = field(compare=False)
-    details: dict = field(default_factory=dict, compare=False)
+    report: DisturbanceReport
+    details: dict
+
+    def __init__(self, ontically_noninvasive, opnd_complete, opnd_specific, lgi_satisfied,
+                 lg_pairwise, report, details=None):
+        vars(self).update(ontically_noninvasive=ontically_noninvasive, opnd_complete=opnd_complete,
+                          opnd_specific=opnd_specific, lgi_satisfied=lgi_satisfied,
+                          lg_pairwise=lg_pairwise, report=report,
+                          details={} if details is None else details)
 
     def as_tuple(self):
         return (
@@ -536,8 +552,7 @@ def check_implication_chain(
     return record
 
 
-@dataclass(frozen=True)
-class PostSelectionRecord:
+class PostSelectionRecord(_Record):
     """Per-preparation outcome of the keep/discard construction."""
 
     preparation: str
@@ -546,9 +561,14 @@ class PostSelectionRecord:
     deviation_from_input: float
     update_consistency: float
 
+    def __init__(self, preparation, keep_probability, conditioned, deviation_from_input,
+                 update_consistency):
+        vars(self).update(preparation=preparation, keep_probability=keep_probability,
+                          conditioned=conditioned, deviation_from_input=deviation_from_input,
+                          update_consistency=update_consistency)
 
-@dataclass(frozen=True)
-class PostSelectionResult:
+
+class PostSelectionResult(_Record):
     """The composed coin-flip + keep/discard process and its verification.
 
     ``matches_input`` holds when the kept-branch ontic distribution
@@ -564,6 +584,12 @@ class PostSelectionResult:
     consistent: bool
     max_deviation_from_input: float
     max_update_inconsistency: float
+
+    def __init__(self, records, matches_input, consistent, max_deviation_from_input,
+                 max_update_inconsistency):
+        vars(self).update(records=records, matches_input=matches_input, consistent=consistent,
+                          max_deviation_from_input=max_deviation_from_input,
+                          max_update_inconsistency=max_update_inconsistency)
 
 
 def post_select_noninvasive(model: OnticModel, keep_first, keep_second) -> PostSelectionResult:

@@ -21,18 +21,22 @@ with the branches ``walk`` gives them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import NORMALIZATION_TOL, OnticModel, outcome_probabilities, single_shot_probability
+from .core import (
+    NORMALIZATION_TOL,
+    OnticModel,
+    _Record,
+    outcome_probabilities,
+    single_shot_probability,
+)
 from .errors import ModelError, ValidationError
 
 #: Tolerance for declaring two sets of operational statistics equal.
 EQUIVALENCE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ProtocolStep:
+class ProtocolStep(_Record):
     """One (transformation, measurement, perform) slot of a protocol.
 
     ``transformation`` may be None when nothing evolves the system before
@@ -41,11 +45,13 @@ class ProtocolStep:
 
     transformation: Optional[str]
     measurement: str
-    perform: bool = True
+    perform: bool
+
+    def __init__(self, transformation, measurement, perform=True):
+        vars(self).update(transformation=transformation, measurement=measurement, perform=perform)
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(_Record):
     """A preparation followed by an ordered list of protocol steps.
 
     ``preparation`` is a declared name, or an inline Distribution for
@@ -55,11 +61,11 @@ class Protocol:
     preparation: object
     steps: tuple
 
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, preparation, steps):
+        steps = tuple(steps)
         if not any(s.perform for s in steps):
             raise ValidationError("protocol must perform at least one measurement")
+        vars(self).update(preparation=preparation, steps=steps)
 
     def with_mask(self, mask: Sequence[bool]) -> "Protocol":
         """The same protocol with a fresh perform mask."""
@@ -72,8 +78,7 @@ class Protocol:
         return Protocol(self.preparation, steps)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Record):
     """Dense probability table over the outcome tuples of performed measurements.
 
     ``axes`` is an ordered tuple of (measurement label, outcome tuple);
@@ -83,9 +88,9 @@ class JointDistribution:
     axes: tuple
     table: dict
 
-    def __post_init__(self):
+    def __init__(self, axes, table):
         total = 0.0
-        for combo, p in self.table.items():
+        for combo, p in table.items():
             if not (p >= -1e-15):  # kept local: the rounding a computed joint probability shows
                 raise ValidationError(
                     f"probability {p!r} for {combo!r} is not a nonnegative number"
@@ -93,6 +98,7 @@ class JointDistribution:
             total += p
         if not (abs(total - 1.0) <= NORMALIZATION_TOL):
             raise ValidationError(f"joint table sums to {total!r}, expected 1")
+        vars(self).update(axes=axes, table=table)
 
     def axis_index(self, which) -> int:
         if isinstance(which, int):
@@ -178,11 +184,13 @@ def marginalize(joint: JointDistribution, keep) -> JointDistribution:
     return _dense(tuple(joint.axes[i] for i in indices), out)
 
 
-@dataclass(frozen=True)
-class ObservableAssignment:
+class ObservableAssignment(_Record):
     """Real values assigned to measurement outcomes, per measurement label."""
 
     values: dict
+
+    def __init__(self, values):
+        vars(self).update(values=values)
 
     def value(self, measurement_label, outcome) -> float:
         try:

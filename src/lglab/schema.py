@@ -143,7 +143,11 @@ def _require(doc, key, kind, path):
 
 
 def _names(items, path) -> tuple:
-    return tuple(_typed(x, str, f"{path}[{i}]", "name") for i, x in enumerate(items))
+    """A list of names as a tuple; the exact-type test first keeps valid lists fast."""
+    if not {str}.issuperset(map(type, items)):
+        for i, x in enumerate(items):
+            _typed(x, str, f"{path}[{i}]", "name")
+    return tuple(items)
 
 
 def _numbers(doc, path) -> dict:
@@ -163,14 +167,29 @@ def _at(path):
         raise SchemaError(str(exc), path=path) from None
 
 
+def _rows(space, rows_doc, path) -> dict:
+    """The distribution each row of ``rows_doc`` describes, under the row's key.
+
+    A point mass, one known label holding the float 1.0, passes every check
+    of the others, so it is read straight from the space's interned point
+    mass (``Distribution.point_mass``). Every other row goes through
+    ``_distribution`` with its key path.
+    """
+    position, point_mass = space.position, Distribution.point_mass
+    out = {}
+    for key, row in rows_doc.items():
+        if type(row) is dict and len(row) == 1:
+            [(label, weight)] = row.items()
+            if type(weight) is float and weight == 1.0 and label in position:
+                out[key] = point_mass(space, label)
+                continue
+        out[key] = _distribution(space, row, f"{path}.{key}")
+    return out
+
+
 def _distribution(space, weights_doc, path) -> Distribution:
-    """The distribution a row describes; a point mass, one known label holding the float 1.0,
-    is built directly, as it passes every check of the others."""
+    """The distribution a row that ``_rows`` does not read as a point mass describes."""
     try:  # not _at: a model file holds one distribution per kernel and update row
-        if isinstance(weights_doc, dict) and len(weights_doc) == 1:
-            [(label, weight)] = weights_doc.items()
-            if type(weight) is float and weight == 1.0:
-                return Distribution.point_mass(space, label)
         return Distribution(space, _numbers(weights_doc, path))
     except (ValidationError, OverflowError) as exc:
         raise SchemaError(str(exc), path=path) from None
@@ -187,17 +206,13 @@ def doc_to_model(doc) -> tuple:
     with _at("ontic_states"):
         space = OnticStateSpace(states)
 
-    preparations = {}
-    for pname, weights in _require(doc, "preparations", dict, "preparations").items():
-        preparations[pname] = _distribution(space, weights, f"preparations.{pname}")
+    preparations = _rows(space, _require(doc, "preparations", dict, "preparations"),
+                         "preparations")
 
     transformations = {}
     for tname, rows in _require(doc, "transformations", dict, "transformations").items():
         path = f"transformations.{tname}"
-        kernel_rows = {
-            s: _distribution(space, row, f"{path}.{s}")
-            for s, row in _typed(rows, dict, path).items()
-        }
+        kernel_rows = _rows(space, _typed(rows, dict, path), path)
         with _at(path):
             transformations[tname] = TransformationKernel(space, kernel_rows)
 
@@ -217,19 +232,14 @@ def doc_to_model(doc) -> tuple:
         rows_doc = _require(update_doc, "rows", dict, f"{path}.update")
         with _at(f"{path}.update"):
             if mode == "per_outcome":
-                update = MeasurementUpdate(
-                    space,
-                    outcomes,
-                    outcome_rows={
-                        q: _distribution(space, d, f"{path}.update.rows.{q}")
-                        for q, d in rows_doc.items()
-                    },
-                )
+                outcome_rows = _rows(space, rows_doc, f"{path}.update.rows")
+                update = MeasurementUpdate(space, outcomes, outcome_rows=outcome_rows)
             elif mode == "per_state":
                 rows = {}
                 for s, per_outcome in rows_doc.items():
-                    for q, d in _typed(per_outcome, dict, f"{path}.update.rows.{s}").items():
-                        rows[(s, q)] = _distribution(space, d, f"{path}.update.rows.{s}.{q}")
+                    spath = f"{path}.update.rows.{s}"
+                    for q, dist in _rows(space, _typed(per_outcome, dict, spath), spath).items():
+                        rows[(s, q)] = dist
                 update = MeasurementUpdate(space, outcomes, rows=rows)
             else:
                 raise SchemaError(f"unknown update mode {mode!r}", path=f"{path}.update")

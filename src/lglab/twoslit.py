@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
+    _Record,
 )
 from .errors import ValidationError
 from .lg import LgArrangement
@@ -38,8 +38,7 @@ TWO_PI = 2.0 * math.pi
 MODULUS_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SlitAmplitudes:
+class SlitAmplitudes(_Record):
     """Complex per-bin amplitudes behind the two slits.
 
     Each squared modulus must be a probability, and the both-open bin
@@ -49,14 +48,15 @@ class SlitAmplitudes:
     a1: complex
     a2: complex
 
-    def __post_init__(self):
-        m1, m2 = abs(self.a1), abs(self.a2)
+    def __init__(self, a1, a2):
+        m1, m2 = abs(a1), abs(a2)
         if m1 * m1 > 1.0 + MODULUS_SLACK or m2 * m2 > 1.0 + MODULUS_SLACK:
             raise ValidationError("each squared modulus must be at most 1")
         if m1 == 0.0 and m2 == 0.0:
             raise ValidationError("at least one amplitude must be nonzero")
-        if 0.5 * abs(self.a1 + self.a2) ** 2 > 1.0 + MODULUS_SLACK:
+        if 0.5 * abs(a1 + a2) ** 2 > 1.0 + MODULUS_SLACK:
             raise ValidationError("bin probability (|a1+a2|^2)/2 exceeds 1")
+        vars(self).update(a1=a1, a2=a2)
 
     @classmethod
     def from_intensity_phase(cls, mod1_sq: float, phi: float) -> "SlitAmplitudes":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional
 
 from .classify import QuantityClass, check_equilibrium_property, classify
@@ -27,6 +26,7 @@ from .core import (
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
+    _Record,
     check_size,
 )
 from .errors import EngineDefectError, ModelError
@@ -603,13 +603,15 @@ def _fixture_drifting_update() -> tuple:
 # registry
 
 
-@dataclass(frozen=True)
-class ZooBuild:
+class ZooBuild(_Record):
     """A zoo model plus the analysis objects it ships with."""
 
     name: str
     model: OnticModel
     arrangement: Optional[LgArrangement]
+
+    def __init__(self, name, model, arrangement):
+        vars(self).update(name=name, model=model, arrangement=arrangement)
 
 
 #: Default rotation angles of the entries that take two.

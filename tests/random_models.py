@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from lglab.core import (
@@ -17,6 +15,7 @@ from lglab.core import (
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
+    replace,
 )
 from lglab.lg import LgArrangement
 from lglab.operational import ObservableAssignment
@@ -93,7 +92,7 @@ def without_last_row(model, transformation):
     partial = TransformationKernel(
         model.space, {s: row for s, row in kernel.rows.items() if s != last}
     )
-    return dataclasses.replace(
+    return replace(
         model, transformations={**model.transformations, transformation: partial}
     )
 
@@ -103,7 +102,7 @@ def with_update(model, measurement, outcome_rows, rows=None, response=None):
     meas = model.measurements[measurement]
     table = {**meas.response.table, **(response or {})}
     update = MeasurementUpdate(model.space, meas.outcomes, rows, outcome_rows)
-    return dataclasses.replace(model, measurements={
+    return replace(model, measurements={
         **model.measurements,
         measurement: Measurement(measurement, ResponseFunction(model.space, meas.outcomes, table),
                                  update)})
@@ -116,4 +115,4 @@ def identity_with_shared_rows():
     model = with_update(without_last_row(arr.model, "T1"), "M1",
                         {PLUS: arr.model.preparations["E"],
                          MINUS: Distribution.point_mass(space, space.states[0])})
-    return dataclasses.replace(arr, model=model)
+    return replace(arr, model=model)

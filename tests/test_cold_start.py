@@ -1,13 +1,19 @@
-"""No command loads numpy or scipy: lglab depends on the standard library only.
+"""What a command loads: no numpy or scipy, and no stdlib module that lglab has no use for.
 
-The check runs in a fresh interpreter, because the test session itself
-has long since imported both.
+lglab depends on the standard library only. Its records are plain
+classes, so importing it generates no code and loads neither
+``dataclasses`` nor the ``inspect`` that ``dataclasses`` pulls in, and
+``datetime`` is imported only to stamp a report. The checks run in a
+fresh interpreter, because the test session itself has long since
+imported all of these.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import lglab
 
@@ -33,15 +39,27 @@ for command in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main([*command, "--no-timestamp"]))
 loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "scipy"))
-print(json.dumps({"exit": codes, "loaded": loaded}))
+unused = sorted(name for name in ("dataclasses", "inspect", "datetime") if name in sys.modules)
+print(json.dumps({"exit": codes, "loaded": loaded, "unused_stdlib": unused}))
 """
 
 
-def test_no_command_loads_numpy_or_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def after(tmp_path_factory):
+    """What the probe's seven --no-timestamp commands leave in ``sys.modules``."""
     path = [SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path / "chain.json")], env=env,
+    model = tmp_path_factory.mktemp("cold") / "chain.json"
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(model)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after = json.loads(proc.stdout)
-    assert after == {"exit": [0] * 7, "loaded": []}
+    return json.loads(proc.stdout)
+
+
+def test_no_command_loads_numpy_or_scipy(after):
+    assert {"exit": after["exit"], "loaded": after["loaded"]} == {"exit": [0] * 7, "loaded": []}
+
+
+def test_no_command_loads_dataclasses_inspect_or_datetime(after):
+    assert after["exit"] == [0] * 7
+    assert after["unused_stdlib"] == []

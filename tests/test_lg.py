@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from array import array
@@ -308,7 +307,7 @@ def without_response_row(model, measurement):
     response = ResponseFunction(
         model.space, meas.outcomes, {s: row for s, row in meas.response.table.items() if s != last}
     )
-    return dataclasses.replace(
+    return core.replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, response, meas.update)}
     )
@@ -324,7 +323,7 @@ def kicked_toward_uniform(model, measurement, eps):
         for key, row in meas.update.rows.items()
     }
     update = MeasurementUpdate(model.space, meas.outcomes, rows)
-    return dataclasses.replace(
+    return core.replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, meas.response, update)}
     )
@@ -346,7 +345,7 @@ def without_update_row(model, measurement, impossible=False):
         {key: row for key, row in meas.update.rows.items() if key != (last, MINUS)},
     )
     response = ResponseFunction(model.space, meas.outcomes, table)
-    return dataclasses.replace(
+    return core.replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, response, update)}
     )
@@ -365,7 +364,7 @@ def shared_row_outside_the_domain(model):
                          MINUS: Distribution.point_mass(space, s0)},
                         response={s0: {PLUS: 0.0, MINUS: 1.0}})
     model = without_last_row(model, "T1")
-    return dataclasses.replace(
+    return core.replace(
         model, preparations={**model.preparations, "at-s0": Distribution.point_mass(space, s0)})
 
 
@@ -389,7 +388,7 @@ def shared_row_of_an_impossible_outcome(model):
 def reset(model, kernel, row):
     """The model with one kernel sending every state to the same row object."""
     rows = dict.fromkeys(model.space.states, row)
-    return dataclasses.replace(model, transformations={
+    return core.replace(model, transformations={
         **model.transformations, kernel: TransformationKernel(model.space, rows)})
 
 
@@ -588,7 +587,7 @@ class TestOpndMatchesTwoRunDefinition:
     def test_undefined_contexts_beyond_kernel_rows(self, missing, undefined_expected, depth):
         model = random_arrangement(np.random.default_rng(17), max_states=3).model
         # M1 and M2 alone keep the depth-3 reference enumeration small
-        model = missing(dataclasses.replace(
+        model = missing(core.replace(
             model, measurements={m: model.measurements[m] for m in ("M1", "M2")}))
         deviations, undefined = two_run_contexts(model, "M1", depth=depth)
         worst = max(deviations.values())
@@ -607,7 +606,7 @@ class TestOpndMatchesTwoRunDefinition:
         # T1's pulls are rank one, on a row inside or outside the domain. A reset forgets
         # what came before it, so contexts tie, and rounding picks the witness among them.
         model = random_arrangement(np.random.default_rng(17), max_states=3).model
-        model = mutate(dataclasses.replace(
+        model = mutate(core.replace(
             model, measurements={m: model.measurements[m] for m in ("M1", "M2")}))
         deviations, undefined = two_run_contexts(model, "M1", depth=depth)
         worst = max(deviations.values())
@@ -715,7 +714,7 @@ class TestImplicationChain:
             for key, row in model.measurements["path"].update.rows.items():
                 [target] = row.weights
                 rows[key] = point(target)
-            rebuilt = dataclasses.replace(arr, model=with_update(model, "path", None, rows))
+            rebuilt = core.replace(arr, model=with_update(model, "path", None, rows))
             details.append(check_implication_chain(rebuilt).details)
         assert details[1] == details[0]
         assert details[2] == details[0]
@@ -754,7 +753,7 @@ class TestImplicationChain:
 
     def test_repeated_measurement_is_enumerated_once(self, monkeypatch):
         arr = random_arrangement(np.random.default_rng(8))
-        repeated = dataclasses.replace(arr, measurements=("M1", "M1", "M3"))
+        repeated = core.replace(arr, measurements=("M1", "M1", "M3"))
         calls = []
         original = lg._complete
 
@@ -807,7 +806,7 @@ class TestImplicationChain:
         reset = TransformationKernel(
             space, {s: Distribution.point_mass(space, "u") for s in space.states}
         )
-        model = dataclasses.replace(drifting, transformations={"reset": reset})
+        model = core.replace(drifting, transformations={"reset": reset})
         arr = LgArrangement(model, "u-prep", slots, ("swapper",) * 3,
                             ObservableAssignment({"swapper": {PLUS: 1, MINUS: -1}}))
         record = check_implication_chain(arr)

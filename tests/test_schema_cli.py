@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 import json
 import math
@@ -187,10 +186,10 @@ class TestCli:
         partial = TransformationKernel(
             model.space, {s: row for s, row in model.transformations["T1"].rows.items() if s != last}
         )
-        model = dataclasses.replace(model, transformations={**model.transformations, "T3": partial})
+        model = core.replace(model, transformations={**model.transformations, "T3": partial})
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(schema.model_to_doc(
-            model, arrangements={"lg": dataclasses.replace(arr, model=model)})))
+            model, arrangements={"lg": core.replace(arr, model=model)})))
         args = ["lg", "--model", str(path), "--no-timestamp"]
         assert run_cli(args) == 0
         first = capsys.readouterr().out
@@ -480,8 +479,8 @@ class TestCli:
         # arrangement carry ~1e-17 of rounding noise: such a --tol made the chain's
         # implication assertions fail (exit 3) on a valid model
         arr = identity_with_shared_rows()
-        arr = dataclasses.replace(arr, transformations=("T2", "T2"),
-                                  measurements=("M2", "M2", "M3"))
+        arr = core.replace(arr, transformations=("T2", "T2"),
+                           measurements=("M2", "M2", "M3"))
         path = tmp_path / "identity.json"
         path.write_text(json.dumps(schema.model_to_doc(arr.model, arrangements={"lg": arr})))
         assert exit_code(["lg", "--model", str(path), "--tol", tol, "--no-timestamp"]) == 2
