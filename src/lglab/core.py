@@ -13,7 +13,7 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import ModelError, ValidationError
@@ -252,8 +252,9 @@ class ResponseFunction:
             raise ValidationError("outcomes must be a non-empty set of unique labels")
         normalized = {}
         memo = {}  # id(row) -> (row, normalized): held, so that no other row takes the id
+        known = space.position.keys() >= table.keys()  # else the loop names the first unknown
         for label, row in table.items():
-            if label not in space:
+            if not known and label not in space:
                 raise ValidationError(f"unknown state label {label!r} in response table")
             entry = memo.get(id(row))
             if entry is None:
@@ -307,10 +308,12 @@ class TransformationKernel:
     __slots__ = ("space", "rows", "__dict__")  # __dict__ keeps the compiled form
 
     def __init__(self, space: OnticStateSpace, rows: Mapping[Label, Distribution]):
-        for label, dist in rows.items():
-            if label not in space:
-                raise ValidationError(f"unknown state label {label!r} in kernel")
-            _check_same_space(space, dist.space, "transformation kernel row")
+        if not (space.position.keys() >= rows.keys()
+                and all(dist.space is space for dist in rows.values())):
+            for label, dist in rows.items():  # name the first offender
+                if label not in space:
+                    raise ValidationError(f"unknown state label {label!r} in kernel")
+                _check_same_space(space, dist.space, "transformation kernel row")
         self.space = space
         self.rows = dict(rows)
 
@@ -468,7 +471,10 @@ def _declared(components: dict, kind: str, name):
 # total mass as given and check nothing beyond the rows they read. Its
 # pull reads the same rows backwards, carrying effects (functions on
 # ontic states, such as xi(q | .)) so that <measure(w, q), f> =
-# <w, pull(f)[q]>.
+# <w, pull(f)[q]>. Through an outcome whose rows are point masses in
+# state order (Form.ordered), measure reads each flow's target by
+# position; a flow that meets no row falls through to the general loop,
+# the one place that raises for a missing row.
 #
 # An effect is a term (c, base): a coefficient times an array over the
 # states' positions (lg sums such terms). It is NaN outside its domain,
@@ -488,11 +494,24 @@ def _gather(positions):
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-def dots(branch, effects) -> list:
-    """<w, f> = sum_s w(s) * f(s) for each effect f, over the branch's positions in order."""
+def dots(branch, effects, memo=None) -> list:
+    """<w, f> = sum_s w(s) * f(s) for each effect f, over the branch's positions in order.
+
+    ``memo``, kept by the caller for one list of effects, holds their
+    values at each distinct support read, so that branches sharing their
+    positions read the effects once; at a support of every state they
+    are the effects themselves.
+    """
     positions, weights = branch
-    gather = _gather(positions)
-    return [sum(map(mul, weights, gather(f))) for f in effects]
+    if memo is None:
+        values = map(_gather(positions), effects)
+    else:
+        key = tuple(positions)
+        values = memo.get(key)
+        if values is None:
+            whole = effects and len(positions) == len(effects[0])
+            values = memo[key] = effects if whole else list(map(_gather(positions), effects))
+    return [sum(map(mul, weights, at)) for at in values]
 
 
 def _row(space: OnticStateSpace, weights: Mapping) -> tuple:
@@ -538,15 +557,20 @@ class Form:
     all the states producing it and missing no row send to one ``to``
     value to that value: a point mass counts as one row by its state,
     whichever objects carry it, so how a model was built does not decide
-    which sums run. ``pooled[q]`` holds, in number order, the rows that
-    several states draw for q. ``complete`` holds when every state has a
-    response row and none is ``missing``: no walk misses a row here.
-    ``in_place`` holds when no row is missing and each state draws every
-    outcome from the point mass at itself: the update moves no state.
+    which sums run. ``ordered`` holds each outcome whose drawn rows are
+    all point masses at positions that strictly increase with the
+    drawing state's position, as a rotation's or an identity update's
+    are: ``measure`` moves a branch through it by reading its ``to`` and
+    ``xi`` values at the branch's positions, already in ascending order.
+    ``pooled[q]`` holds, in number order, the rows that several states
+    draw for q. ``complete`` holds when every state has a response row
+    and none is ``missing``: no walk misses a row here. ``in_place``
+    holds when no row is missing and each state draws every outcome from
+    the point mass at itself: the update moves no state.
     """
 
     __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "xi", "shared",
-                 "pooled", "complete", "in_place")
+                 "ordered", "pooled", "complete", "in_place")
 
     def __init__(self, space: OnticStateSpace, outcomes: tuple, table: Iterable, row):
         """Compile (label, {outcome: probability}) response rows and ``row(label, outcome)``,
@@ -586,6 +610,7 @@ class Form:
         undefined = {i for i, _ in self.missing}
         self.xi = _blanked(self.responses, undefined) if undefined else self.responses
         self.shared = {q: t for q, drawn in sources.items() if len(drawn) == 1 for t in drawn}
+        self.ordered = frozenset(q for q, to in self.to.items() if _increasing(to, end))
         self.pooled = {q: dict.fromkeys(sorted(t for t, k in Counter(to).items()
                                                if k > 1 and t > end))
                        for q, to in self.to.items()}
@@ -609,9 +634,12 @@ class Form:
         the outcome's probability; through a kernel (q = None), the branch
         pushed through it. An outcome in ``shared`` (``outcome_rows``, a
         reset) moves <w, xi(q | .)> onto its row, the dual of a rank-one
-        pull, when no row is missing. Otherwise rows are read for nonzero
-        flows in state order, except that the flows into a row several
-        states draw are summed and the row expanded once.
+        pull, when no row is missing. An outcome in ``ordered`` sends each
+        nonzero flow to its target, read with the flows at the branch's
+        positions, unless a flow meets no row. Otherwise rows are read for
+        nonzero flows in state order, except that the flows into a row
+        several states draw are summed and the row expanded once; only
+        this loop raises for a missing row.
         """
         xi, to = self.responses[outcome], self.to[outcome]
         end, t = len(self.states), self.shared.get(outcome)
@@ -621,6 +649,12 @@ class Form:
                 raise self._undefined(next(i for i in branch[0] if xi[i] != xi[i]))
             positions, weights = self.rows[t][:2] if t > end else ((t,), (1.0,))
             return (list(positions), [flow * p for p in weights]) if flow else ([], [])
+        if outcome in self.ordered:  # the loop's 0.0 + flow at each target, ascending already
+            gather = _gather(branch[0])
+            flows = list(map(mul, branch[1], gather(xi)))
+            targets = list(compress(gather(to), flows))
+            if end not in targets:
+                return targets, list(filter(None, flows))
         pooled = self.pooled[outcome]
         out: dict = {}
         for i, w in zip(*branch):
@@ -692,6 +726,12 @@ def _once(memo: dict, form, base, compute):
     if entry is None:
         entry = memo[key] = (base, compute(base))
     return entry[1]
+
+
+def _increasing(to, end: int) -> bool:
+    """Whether the ``to`` values other than ``end`` are positions that strictly increase."""
+    drawn = list(filter(end.__ne__, to))
+    return not drawn or drawn[-1] < end and all(map(lt, drawn, drawn[1:]))
 
 
 def _blanked(xi: dict, states) -> dict:

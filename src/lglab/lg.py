@@ -234,12 +234,6 @@ class OpndResult(_Record):
         vars(self).update(non_disturbing=non_disturbing, max_deviation=max_deviation)
 
 
-def _reaching(model: OnticModel, dist: Distribution, prefix, pre_transformation) -> list:
-    """The branches after the performed ``prefix`` and the pre-transformation, for any check."""
-    steps = [*prefix, (pre_transformation, None)]
-    return [w for w, _ in walk(model, [(model.space.pack(dist.weights), ())], steps)]
-
-
 def _settled(model: OnticModel, measurement) -> bool:
     """Whether ``measurement`` leaves every state exactly in place and no walk can miss a row:
     every kernel's and measurement's form is ``complete`` (see ``core.Form``)."""
@@ -341,12 +335,13 @@ def check_opnd(
     if not prefix and not suffix:
         raise ModelError("non-disturbance needs at least one surrounding measurement")
     meas = model.measurement(measurement)
-    branches = _reaching(model, model.preparation(preparation), prefix, pre_transformation)
+    packed = model.space.pack(model.preparation(preparation).weights)
+    branches = walk(model, [(packed, ())], [*prefix, (pre_transformation, None)])
     memo: dict = {}
     bases: dict = {}
     shifts = _disturbances(memo, meas, _suffix_effects(model, memo, [suffix])[suffix], bases)
     numbered = [base for _, base in bases.values()]
-    worst = _deviation([dots(w, numbered) for w in branches], shifts)
+    worst = _deviation([dots(w, numbered) for w, _ in branches], shifts)
     return OpndResult(worst <= EQUIVALENCE_TOL, worst)
 
 
@@ -391,9 +386,11 @@ def check_opnd_complete(model: OnticModel, measurement: str, depth: int = 2) -> 
 
     The measurement is settled, with no context walked, when the model
     declares every row a walk may look up and the measurement's update
-    leaves every state exactly in place. Otherwise the branches are
-    walked forward to it once per head (preparation, prefix,
-    pre-transformation), and a context's deviation is the largest
+    leaves every state exactly in place. Otherwise each preparation's
+    prefixes are each walked forward once, and the branches a prefix
+    leaves are pushed through each pre-transformation to the measurement.
+    The effects are read once at each distinct support those branches
+    reach, and a context's deviation is the largest
     |<w_b, D_r>| over branches b and outcome sequences r, where D_r is
     the suffix's effect E_r (a response function pulled back through
     the suffix) pulled back through the measurement performed with its
@@ -406,7 +403,14 @@ def check_opnd_complete(model: OnticModel, measurement: str, depth: int = 2) -> 
 
 
 def _complete(model: OnticModel, measurements, depth, tol) -> dict:
-    """``check_opnd_complete`` of each measurement, walking each head once for all of them."""
+    """``check_opnd_complete`` of each measurement, with the forward work shared by all of them.
+
+    Each preparation is packed once and each of its prefixes walked once;
+    a prefix the model leaves undefined counts every context of every
+    head that shares it. The numbered bases are read once at each
+    distinct support of the branches reaching the measurement, and each
+    branch dots them once.
+    """
     if depth < 1:
         raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")
     # the suffixes of length L carry (|T| * sum over m of |outcomes(m)|)^L effects D_r
@@ -424,32 +428,38 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     witness = dict.fromkeys(checked)
     undefined = dict.fromkeys(checked, 0)
     left = [m for m, meas in checked.items() if not _settled(model, meas)]
-    heads = list(itertools.product(prefixes, pre_ts)) if left else []
     memo: dict = {}  # of the pulls, per base and form (see core)
     effects = _suffix_effects(model, memo, suffixes) if left else {}
     bases: dict = {}  # of every D_r's terms, dotted once per branch and head
     shifts = {m: {s: _disturbances(memo, checked[m], effects[s], bases) for s in suffixes}
               for m in left}
     numbered = [base for _, base in bases.values()]
-    for prep_name in preparations:
-        dist = model.preparation(prep_name)
-        for prefix, pre_t in heads:
+    gathered: dict = {}  # the numbered bases at each distinct branch support (see core.dots)
+    for prep_name in preparations if left else ():
+        packed = [(model.space.pack(model.preparation(prep_name).weights), ())]
+        for prefix in prefixes:
             try:
-                branches = _reaching(model, dist, prefix, pre_t)
+                walked = walk(model, packed, prefix)
             except ModelError:  # so no measurement is settled: that needs every row declared
-                undefined = {m: n + len(suffixes) for m, n in undefined.items()}
+                undefined = {m: n + len(suffixes) * len(pre_ts) for m, n in undefined.items()}
                 continue
-            by_base = [dots(w, numbered) for w in branches]
-            for m in left:
-                for suffix in suffixes:
-                    try:
-                        deviation = _deviation(by_base, shifts[m][suffix])
-                    except ModelError:
-                        undefined[m] += 1
-                        continue
-                    if deviation > worst[m]:
-                        worst[m] = deviation
-                        witness[m] = (prep_name, prefix, pre_t, suffix)
+            for pre_t in pre_ts:
+                try:
+                    branches = walk(model, walked, [(pre_t, None)])
+                except ModelError:
+                    undefined = {m: n + len(suffixes) for m, n in undefined.items()}
+                    continue
+                by_base = [dots(w, numbered, gathered) for w, _ in branches]
+                for m in left:
+                    for suffix in suffixes:
+                        try:
+                            deviation = _deviation(by_base, shifts[m][suffix])
+                        except ModelError:
+                            undefined[m] += 1
+                            continue
+                        if deviation > worst[m]:
+                            worst[m] = deviation
+                            witness[m] = (prep_name, prefix, pre_t, suffix)
     return {m: OpndCompleteResult(worst[m] <= tol, worst[m], witness[m], depth, preparations,
                                   undefined[m], m not in left) for m in checked}
 

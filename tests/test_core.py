@@ -26,7 +26,8 @@ from lglab import (
 )
 from lglab import core, zoo
 import reference_walk
-from random_models import identity_with_shared_rows, random_arrangement, with_update
+from random_models import (identity_with_shared_rows, random_arrangement, with_update,
+                           without_last_row)
 
 PLUS, MINUS = "+1", "-1"
 OUTCOMES = (PLUS, MINUS)
@@ -584,3 +585,129 @@ def test_an_identity_update_of_many_states_measures_as_the_reference_walk(n):
             reference_walk.measure(weights, partial, (q,))
         assert str(engine_error.value) == str(error.value) == (
             f"response undefined for state {last!r}")
+
+
+def zoo_model(name):
+    """A zoo entry's model at its defaults, ks-sphere on its smallest grid."""
+    return zoo.build(name, **({"n_points": 100} if name == "ks-sphere" else {})).model
+
+
+def test_ordered_outcomes_draw_point_masses_in_state_order():
+    models = {name: zoo_model(name) for name in ("qubit", "ks-sphere", "superselected",
+                                                 "bohm-two-path")}
+    for name in ("qubit", "ks-sphere"):
+        assert [k.form.ordered for k in models[name].transformations.values()] == [{None}] * 2
+    superselected = models["superselected"]
+    assert superselected.measurement("read").form.ordered == set(OUTCOMES)
+    assert not any(k.form.ordered for k in superselected.transformations.values())
+    assert not any(k.form.ordered for k in models["bohm-two-path"].transformations.values())
+    # a kernel sending a later state to an earlier position is not ordered
+    space = OnticStateSpace(("a", "b", "c"))
+    point = {s: Distribution.point_mass(space, s) for s in space.states}
+    assert TransformationKernel(space, {"a": point["b"], "c": point["c"]}).form.ordered == {None}
+    assert TransformationKernel(space, {"a": point["c"], "c": point["b"]}).form.ordered == set()
+
+
+def assert_measures_as_the_reference_walk(model):
+    """Every kernel and measurement outcome of the model, from a point mass at each state,
+    each preparation and the uniform weights, against the label-level walk: the same
+    weights, or the same ModelError."""
+    space = model.space
+    branches = [{s: 1.0} for s in space.states]
+    branches += [dict(dist.weights) for dist in model.preparations.values()]
+    branches.append(dict.fromkeys(space.states, 1.0 / len(space)))
+    parts = [(k.form, None, lambda w, k=k: reference_walk.push(w, k))
+             for k in model.transformations.values()]
+    parts += [(m.form, q, lambda w, m=m, q=q: reference_walk.measure(w, m, (q,)))
+              for m in model.measurements.values() for q in m.outcomes]
+    for form, outcome, reference in parts:
+        for weights in branches:
+            try:
+                expected = reference(weights)
+            except ModelError as error:
+                with pytest.raises(ModelError) as engine_error:
+                    form.measure(space.pack(weights), outcome)
+                assert str(engine_error.value) == str(error)
+                continue
+            pushed = space.unpack(form.measure(space.pack(weights), outcome))
+            assert list(pushed) == sorted(expected, key=space.position.__getitem__)
+            if outcome in form.ordered:  # each weight is one flow: the same float
+                assert pushed == expected
+            else:
+                assert pushed == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+def test_every_zoo_form_measures_as_the_reference_walk(name):
+    assert_measures_as_the_reference_walk(zoo_model(name))
+
+
+def test_row_mutations_measure_as_the_reference_walk():
+    arrangement = random_arrangement(np.random.default_rng(10), max_states=5,
+                                     noninvasive_early=True)
+    model = arrangement.model
+    space = model.space
+    last = space.states[-1]
+    points = {s: Distribution.point_mass(space, s) for s in space.states if s != last}
+    model = core.replace(model, transformations={**model.transformations,
+                                                 "I": TransformationKernel(space, points)})
+    mutations = [
+        model,
+        without_last_row(model, "T1"),
+        identity_with_shared_rows().model,
+        # M2's identity update without the last state's rows
+        with_update(model, "M2", {}, {(s, q): points[s] for s in points for q in OUTCOMES}),
+    ]
+    for mutated in mutations:
+        assert_measures_as_the_reference_walk(mutated)
+
+
+def test_a_missing_row_reached_through_an_ordered_form_names_it():
+    space = OnticStateSpace(("a", "b", "c"))
+    point = {s: Distribution.point_mass(space, s) for s in space.states}
+    kernel = TransformationKernel(space, {"a": point["b"], "c": point["c"]}).form
+    update = MeasurementUpdate(space, OUTCOMES, {("a", PLUS): point["a"], ("b", MINUS): point["b"],
+                                                 ("c", PLUS): point["c"], ("c", MINUS): point["c"]})
+    table = {"a": {PLUS: 1.0}, "b": {PLUS: 0.5, MINUS: 0.5}}
+    measurement = Measurement("M", ResponseFunction(space, OUTCOMES, table), update).form
+    assert kernel.ordered == {None} and measurement.ordered == set(OUTCOMES)
+    uniform = space.pack(dict.fromkeys(space.states, 1.0 / 3))
+    # weight only where rows are declared passes through the ordered reads
+    assert kernel.measure(space.pack({"a": 0.25, "c": 0.75}), None) == ([1, 2], [0.25, 0.75])
+    assert measurement.measure(space.pack({"a": 0.5, "b": 0.5}), MINUS) == ([1], [0.25])
+    failures = {
+        (kernel, None): "kernel row undefined for state 'b'",
+        (measurement, PLUS): "measurement update undefined for state 'b', outcome '+1'",
+        (measurement, MINUS): "response undefined for state 'c'",
+    }
+    for (form, outcome), message in failures.items():
+        with pytest.raises(ModelError) as error:
+            form.measure(uniform, outcome)
+        assert str(error.value) == message
+
+
+def test_kernel_and_response_name_their_first_offending_row():
+    space = OnticStateSpace(("a", "b"))
+    twin, other = OnticStateSpace(("a", "b")), OnticStateSpace(("a", "c"))
+    a = Distribution.point_mass(space, "a")
+    # a row on an equal space is accepted; rows are checked in order, label before space
+    assert TransformationKernel(space, {"a": Distribution.point_mass(twin, "b")}).rows
+    refusals = [
+        ({"a": a, "z": a}, ValidationError, "unknown state label 'z' in kernel"),
+        ({"a": a, "z": a, "b": Distribution.point_mass(other, "a")}, ValidationError,
+         "unknown state label 'z' in kernel"),
+        ({"b": a, "a": Distribution.point_mass(other, "a")}, ModelError,
+         "mismatched state spaces in transformation kernel row"),
+    ]
+    for rows, error, message in refusals:
+        with pytest.raises(error) as refusal:
+            TransformationKernel(space, rows)
+        assert str(refusal.value) == message
+    responses = [
+        ({"a": {PLUS: 1.0}, "z": {PLUS: 1.0}}, "unknown state label 'z' in response table"),
+        ({"a": {PLUS: 2.0}, "z": {PLUS: 1.0}}, "response row for 'a' sums to 2.0, expected 1"),
+    ]
+    for table, message in responses:
+        with pytest.raises(ValidationError) as refusal:
+            ResponseFunction(space, OUTCOMES, table)
+        assert str(refusal.value) == message

@@ -5,7 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
-from lglab import core, lg, zoo
+from lglab import core, lg, operational, zoo
 from lglab import (
     EQUIVALENCE_TOL,
     Distribution,
@@ -260,6 +260,57 @@ class TestOpnd:
         check_opnd(arr.model, "E", "M1", suffix)
         check_implication_chain(arr)
         assert compiled == []
+
+    def test_the_chain_walks_each_prefix_once_and_reads_each_support_once(self, monkeypatch):
+        # ks-sphere checks Mz after 3 preparations, 2 prefixes and 3 pre-transformations:
+        # each (preparation, prefix) is walked once and its branches pushed through each
+        # pre-transformation, and the bases are read once at each support the branches reach
+        arr = zoo.build("ks-sphere", n_points=100).arrangement
+        model = arr.model
+        check_implication_chain(arr)  # compile the forms, so that only the checks' work counts
+        prefixes = [(), ((None, "Mz"),)]
+        walked = {(prep, prefix): operational.walk(
+                      model, [(model.space.pack(dist.weights), ())], prefix)
+                  for prep, dist in model.preparations.items() for prefix in prefixes}
+        supports = {tuple(w[0]) for branches in walked.values()
+                    for t in (None, *model.transformations)
+                    for w, _ in operational.walk(model, branches, [(t, None)])}
+        running, measured, read = [], [], []  # the calls in progress; measures and reads counted
+        complete, measure, gather = lg._complete, core.Form.measure, core._gather
+
+        def counted_complete(*args):
+            running.append(complete)
+            try:
+                return complete(*args)
+            finally:
+                running.pop()
+
+        def counted_measure(form, branch, outcome):
+            if running:
+                measured.append((form, outcome))
+            running.append(measure)
+            try:
+                return measure(form, branch, outcome)
+            finally:
+                running.pop()
+
+        def counted_gather(positions):
+            if running == [complete]:  # within _complete and outside a measure: a dot product's
+                read.append(tuple(positions))
+            return gather(positions)
+
+        monkeypatch.setattr(lg, "_complete", counted_complete)
+        monkeypatch.setattr(core.Form, "measure", counted_measure)
+        monkeypatch.setattr(core, "_gather", counted_gather)
+        check_implication_chain(arr)
+        mz = model.measurement("Mz").form
+        # one walk of the prefix (None, Mz) per preparation measures each outcome once
+        assert sum(form is mz for form, _ in measured) == len(model.preparations) * 2
+        for kernel in model.transformations.values():
+            pushes = sum(form is kernel.form for form, _ in measured)
+            assert pushes == sum(map(len, walked.values()))
+        assert sorted(read) == sorted(supports)
+        assert len(supports) < sum(map(len, walked.values())) * (1 + len(model.transformations))
 
 
 def two_run_opnd(model, preparation, measurement, suffix, prefix=(), pre_transformation=None):

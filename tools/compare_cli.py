@@ -12,9 +12,14 @@ names, each exported, classified and run through ``lg`` at its default
 parameters: ks-sphere at its default grid of 30 000 ontic states as well
 as at ``--grid 300``. ``lg`` of an entry without an arrangement is
 compared as the refusal it is. Every parametrized entry is also exported
-away from its defaults: qubit, bohm-two-path and ks-sphere at ``--grid
-300`` at each ``ANGLES`` pair, and superselected at ``--p1 0.1 --p2
-0.7``, so that each builder's metadata is compared as written. Every
+and run through ``lg`` away from its defaults: qubit, bohm-two-path and
+ks-sphere at ``--grid 300`` at each ``ANGLES`` pair, and superselected at
+``--p1 0.1 --p2 0.7``, so that each builder's metadata is compared as
+written. At each pair, qubit and ks-sphere also run ``lg --depth 3``:
+their rotations push by position where their targets keep the states'
+order, and fall back to the general loop where they do not (ks-sphere at
+(2π, −2π), qubit at (3π, −π) and (−π, −π)), so both paths are compared
+through deeper suffixes. Every
 command runs in one scratch directory, so that relative paths in
 messages match; the ``--model`` commands read model files that the
 parent tree exports there first. Of a superselected file they run ``run``
@@ -84,8 +89,10 @@ def commands(zoo: list) -> list:
     for theta1, theta2 in ANGLES:
         angles = [f"--theta1={theta1!r}", f"--theta2={theta2!r}"]
         out += [["lg", "--zoo", "qubit", *angles],
+                ["lg", "--zoo", "qubit", *angles, "--depth", "3"],
                 ["lg", "--zoo", "bohm-two-path", *angles],
                 ["lg", "--zoo", *SPHERE, *angles],
+                ["lg", "--zoo", *SPHERE, *angles, "--depth", "3"],
                 ["zoo", "export", "qubit", *angles],
                 ["zoo", "export", *SPHERE, *angles],
                 ["zoo", "export", "bohm-two-path", *angles]]
