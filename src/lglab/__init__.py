@@ -21,10 +21,8 @@ from .core import (
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
-    compose_kernels,
     compose_preparation,
     is_ontically_noninvasive,
-    mix,
     post_measurement_distribution,
     single_shot_probability,
 )
@@ -47,7 +45,6 @@ from .operational import (
     is_operational_eigenstate,
     marginalize,
     measurements_equivalent,
-    preparations_equivalent,
     run_protocol,
 )
 from .lg import (
@@ -63,7 +60,6 @@ from .lg import (
     check_opnd,
     check_opnd_complete,
     disturbance_report,
-    lg_value_all_three,
     lg_value_pairwise,
     post_select_noninvasive,
 )
@@ -88,7 +84,6 @@ from .twoslit import (
 )
 from .zoo import (
     build_bohm_arrangement,
-    build_fixtures,
     build_ks_arrangement,
     build_qubit_arrangement,
     build_superselected_arrangement,

@@ -218,22 +218,6 @@ class Distribution:
         return f"Distribution({{{items}}})"
 
 
-def mix(components: Iterable[tuple[float, Distribution]]) -> Distribution:
-    """Convex mixture of distributions over a shared state space."""
-    components = list(components)
-    if not components:
-        raise ModelError("cannot mix an empty set of distributions")
-    space = components[0][1].space
-    out: dict = {}
-    for w, dist in components:
-        _check_same_space(space, dist.space, "mix")
-        if w < 0.0:
-            raise ValidationError(f"negative mixture weight {w!r}")
-        for label, p in dist.weights.items():
-            out[label] = out.get(label, 0.0) + w * p
-    return Distribution(space, out)
-
-
 class ResponseFunction:
     """Outcome probabilities of a measuring device per ontic state.
 
@@ -323,10 +307,6 @@ class TransformationKernel:
         with one certain outcome (see ``Form``)."""
         return Form(self.space, (None,), ((s, _CERTAIN) for s in self.rows),
                     lambda label, _: self.rows[label])
-
-    @classmethod
-    def identity(cls, space: OnticStateSpace) -> "TransformationKernel":
-        return cls(space, {s: Distribution.point_mass(space, s) for s in space.states})
 
 
 class MeasurementUpdate:
@@ -752,13 +732,6 @@ def compose_preparation(preparation: Distribution, kernel: TransformationKernel)
     space = preparation.space
     pushed = kernel.form.measure(space.pack(preparation.weights), None)
     return Distribution(space, space.unpack(pushed))
-
-
-def compose_kernels(first: TransformationKernel, second: TransformationKernel) -> TransformationKernel:
-    """The kernel equivalent to applying ``first`` then ``second``."""
-    _check_same_space(first.space, second.space, "compose_kernels")
-    rows = {s: compose_preparation(dist, second) for s, dist in first.rows.items()}
-    return TransformationKernel(first.space, rows)
 
 
 def outcome_probabilities(preparation: Distribution, kernel: Optional[TransformationKernel],

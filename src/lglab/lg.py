@@ -117,17 +117,6 @@ def _pair_value_table(joint: JointDistribution, i: int, j: int, vi: dict, vj: di
     return out
 
 
-def lg_value_all_three(arrangement: LgArrangement) -> float:
-    """Sum of the three pair correlators from the single all-performed run.
-
-    The value is the ``lg_all_three`` field of ``disturbance_report``, so
-    it runs all four protocols and needs each of them defined; it raises
-    where a run is undefined or a report gate fails. A well-defined joint
-    table forces it into [-1, 3], a gate of the report.
-    """
-    return disturbance_report(arrangement).lg_all_three
-
-
 def lg_value_pairwise(arrangement: LgArrangement) -> float:
     """Sum of the three pair correlators across the two-measurement sub-experiments.
 

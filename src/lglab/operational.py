@@ -54,8 +54,8 @@ class ProtocolStep(_Record):
 class Protocol(_Record):
     """A preparation followed by an ordered list of protocol steps.
 
-    ``preparation`` is a declared name, or an inline Distribution for
-    engine-internal use.
+    ``preparation`` is what ``OnticModel.preparation`` accepts: a declared
+    name, or a Distribution over the model's state space.
     """
 
     preparation: object
@@ -226,25 +226,6 @@ def expectation(joint: JointDistribution, assignment: ObservableAssignment, axes
             prod *= lookup[combo[i]]
         total += prod
     return total
-
-
-def preparations_equivalent(model: OnticModel, first, second, probes) -> tuple[bool, float]:
-    """Whether two preparations agree on every declared probe.
-
-    ``probes`` is a finite list of (transformation-or-None, measurement)
-    name pairs; equivalence is certified only relative to it. Returns
-    (verdict, max absolute probability deviation).
-    """
-    dist_a = model.preparation(first)
-    dist_b = model.preparation(second)
-    worst = 0.0
-    for t_name, m_name in probes:
-        kernel = None if t_name is None else model.transformation(t_name)
-        measurement = model.measurement(m_name)
-        pa = outcome_probabilities(dist_a, kernel, measurement)
-        pb = outcome_probabilities(dist_b, kernel, measurement)
-        worst = max(worst, *(abs(pa[q] - pb[q]) for q in measurement.outcomes))
-    return worst <= EQUIVALENCE_TOL, worst
 
 
 def measurements_equivalent(

@@ -114,10 +114,6 @@ def lg_plus_mirrored(s: SlitAmplitudes) -> float:
     return 2.0 * (s.mod2 ** 2 + s.cross_term()) - 1.0
 
 
-def violates(s: SlitAmplitudes) -> bool:
-    return lg_plus_value(s) < -1.0
-
-
 def violation_condition(s: SlitAmplitudes) -> bool:
     """cos(phi) < -|a1|/|a2|; equivalent to violation whenever |a1| > 0."""
     if s.mod1 == 0.0 or s.mod2 == 0.0:

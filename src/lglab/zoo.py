@@ -338,20 +338,6 @@ def build_ks_arrangement(n_points: int, theta1: float, theta2: float) -> LgArran
     return _repeated(model, "up", ("rot1", "rot2"), "Mz")
 
 
-def ks_direction_measurement(model: OnticModel, direction) -> Measurement:
-    """A deterministic reading ``probe`` along an arbitrary direction, on the base grid.
-
-    Intended for single-shot probing of the sphere model (the update is
-    empty; the measurement is not meant to be inserted mid-protocol).
-    """
-    meta = model.metadata
-    if meta.get("family") != "ks-sphere":
-        raise ModelError("direction probes are only defined for the sphere model")
-    dots = _dots(_fibonacci_sphere(meta["n_points"]), direction)
-    response = _reading(model.space, {f"r0:{k}": d >= 0.0 for k, d in enumerate(dots)})
-    return Measurement("probe", response, MeasurementUpdate(model.space, OUTCOMES))
-
-
 # ---------------------------------------------------------------------------
 # two-path model with value-definite path bit
 
@@ -668,8 +654,3 @@ def build(name: str, **params) -> ZooBuild:
     merged.update({k: v for k, v in params.items() if v is not None})
     arrangement = builder(**merged)
     return ZooBuild(name=name, model=arrangement.model, arrangement=arrangement)
-
-
-def build_fixtures() -> dict:
-    """All engineered fixtures, re-verified on every build."""
-    return {name: build(name) for name, entry in _ZOO.items() if entry[2] is None}

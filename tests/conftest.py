@@ -9,8 +9,8 @@ from lglab import (
     OnticModel,
     OnticStateSpace,
     ResponseFunction,
-    TransformationKernel,
 )
+from builders import identity
 
 PLUS = "+1"
 MINUS = "-1"
@@ -65,7 +65,7 @@ def spin_model():
     return OnticModel(
         space=space,
         preparations={"zero": point["z0"], "one": point["z1"], "plus": point["x0"]},
-        transformations={"id": TransformationKernel.identity(space)},
+        transformations={"id": identity(space)},
         measurements={"Mz": mz, "Mx": mx, "Mz-alt": mz_alt},
     )
 

@@ -5,7 +5,6 @@ here, none deferred. The random-model populations are seeded and shared
 across criteria through module-scoped fixtures.
 """
 
-import json
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from lglab import (
     single_shot_probability,
 )
 from lglab.classify import QuantityClass
+from builders import sphere_probe
 from random_models import random_arrangement
 from lglab import cli, schema, twoslit, zoo
 
@@ -164,7 +164,8 @@ def test_criterion_6_two_slit_closed_forms():
                 abs(report.d2[(1, 1)] - twoslit.disturbance_d2(s)),
             )
             on_boundary = abs(math.cos(s.phase_difference) + s.mod1 / s.mod2) <= 1e-9
-            if not on_boundary and twoslit.violates(s) != twoslit.violation_condition(s):
+            violates = twoslit.lg_plus_value(s) < -1.0
+            if not on_boundary and violates != twoslit.violation_condition(s):
                 flag_mismatch += 1
     point = twoslit.lg_plus_value(twoslit.SlitAmplitudes.from_intensity_phase(0.2, math.pi))
     ok = worst <= 1e-12 and flag_mismatch == 0 and abs(point + 1.4) <= 1e-12
@@ -195,7 +196,7 @@ def test_criterion_7_taxonomy():
     for _ in range(50):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        probe = zoo.ks_direction_measurement(sphere.model, direction)
+        probe = sphere_probe(sphere.model, direction)
         p = single_shot_probability(
             sphere.model.preparations["up"], None, probe, "+1"
         )
@@ -229,7 +230,7 @@ def test_criterion_7_taxonomy():
 
 
 def test_criterion_8_counterexample_fixture():
-    fixture = zoo.build_fixtures()["lgi-holds-d-nonzero"]
+    fixture = zoo.build("lgi-holds-d-nonzero")
     report = disturbance_report(fixture.arrangement)
     ok = report.max_disturbance() > 0.1 and report.lg_pairwise >= -1.0
     verdict(
@@ -240,7 +241,7 @@ def test_criterion_8_counterexample_fixture():
 
 
 def test_criterion_9_post_selection_composite():
-    model = zoo.build_fixtures()["null-result-pair"].model
+    model = zoo.build("null-result-pair").model
     result = post_select_noninvasive(model, ("null-plus", "+1"), ("null-minus", "-1"))
     worst = max(r.deviation_from_input for r in result.records)
     ok = worst <= 1e-12 and len(result.records) == len(model.preparations)
@@ -288,7 +289,7 @@ def test_criterion_10_round_trip_and_determinism(tmp_path, capsys):
         problems.append("two-path verdict drifted")
 
     # criterion 8 numbers
-    fixture = zoo.build_fixtures()["lgi-holds-d-nonzero"]
+    fixture = zoo.build("lgi-holds-d-nonzero")
     before = disturbance_report(fixture.arrangement)
     _, model, arr = round_trip("lgi-holds-d-nonzero")
     after = disturbance_report(arr)

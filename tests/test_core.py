@@ -17,15 +17,14 @@ from lglab import (
     ResponseFunction,
     TransformationKernel,
     ValidationError,
-    compose_kernels,
     compose_preparation,
     is_ontically_noninvasive,
-    mix,
     post_measurement_distribution,
     single_shot_probability,
 )
 from lglab import core, zoo
 import reference_walk
+from builders import identity
 from random_models import (identity_with_shared_rows, random_arrangement, with_update,
                            without_last_row)
 
@@ -99,7 +98,7 @@ class TestComposePreparation:
     def test_identity_kernel_fixes_everything(self):
         space = two_state_space()
         mu = Distribution(space, {"l1": 0.3, "l2": 0.7})
-        out = compose_preparation(mu, TransformationKernel.identity(space))
+        out = compose_preparation(mu, identity(space))
         assert out.weights == mu.weights
 
     def test_point_mass_through_splitting_row(self):
@@ -128,7 +127,7 @@ class TestComposePreparation:
         other = OnticStateSpace(("a", "b"))
         with pytest.raises(ModelError):
             compose_preparation(
-                Distribution.point_mass(space, "l1"), TransformationKernel.identity(other)
+                Distribution.point_mass(space, "l1"), identity(other)
             )
 
 
@@ -165,8 +164,10 @@ def test_composition_preserves_normalization(mu, kernel):
 @given(distributions(SPACE4), kernels(SPACE4), kernels(SPACE4))
 def test_composition_is_associative(mu, k1, k2):
     stepwise = compose_preparation(compose_preparation(mu, k1), k2)
-    fused = compose_preparation(mu, compose_kernels(k1, k2))
-    assert stepwise.total_variation(fused) <= 1e-12
+    # k1 then k2 as one kernel: each row of k1 pushed through k2
+    fused = TransformationKernel(SPACE4,
+                                 {s: compose_preparation(row, k2) for s, row in k1.rows.items()})
+    assert stepwise.total_variation(compose_preparation(mu, fused)) <= 1e-12
 
 
 def deterministic_measurement(space, update=None):
@@ -185,9 +186,9 @@ class TestSingleShot:
         space = two_state_space()
         m = deterministic_measurement(space)
         mu = Distribution.point_mass(space, "l1")
-        identity = TransformationKernel.identity(space)
-        assert single_shot_probability(mu, identity, m, PLUS) == 1.0
-        assert single_shot_probability(mu, identity, m, MINUS) == 0.0
+        kernel = identity(space)
+        assert single_shot_probability(mu, kernel, m, PLUS) == 1.0
+        assert single_shot_probability(mu, kernel, m, MINUS) == 0.0
 
     def test_uniform_preparation_splits_evenly(self):
         space = two_state_space()
@@ -353,25 +354,6 @@ def test_noninvasive_measurement_preserves_unconditioned_state(mu):
     assert post.total_variation(mu) <= 1e-12
 
 
-def test_mix_is_convex_combination():
-    space = two_state_space()
-    a = Distribution.point_mass(space, "l1")
-    b = Distribution.point_mass(space, "l2")
-    out = mix([(0.25, a), (0.75, b)])
-    assert out.weights == {"l1": 0.25, "l2": 0.75}
-
-
-@pytest.mark.parametrize("weights, error, message", [
-    ((), ModelError, "cannot mix an empty set of distributions"),
-    ((-0.5, 1.5), ValidationError, "negative mixture weight -0.5"),
-], ids=["no-components", "negative-weight"])
-def test_mix_refuses_no_components_and_a_negative_weight(weights, error, message):
-    space = two_state_space()
-    with pytest.raises(error) as refusal:
-        mix([(w, Distribution.point_mass(space, s)) for w, s in zip(weights, space.states)])
-    assert str(refusal.value) == message
-
-
 def test_a_measurement_keyed_by_another_label_is_refused():
     space = two_state_space()
     with pytest.raises(ValidationError) as refusal:
@@ -468,7 +450,7 @@ def test_point_mass_of_an_unknown_label_is_refused_and_not_kept():
 
 def test_identity_rows_are_the_space_point_masses():
     space = OnticStateSpace(("a", "b", "c"))
-    rows = TransformationKernel.identity(space).rows
+    rows = identity(space).rows
     assert all(row is Distribution.point_mass(space, s) for s, row in rows.items())
 
 

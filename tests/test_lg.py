@@ -26,7 +26,6 @@ from lglab import (
     check_opnd,
     check_opnd_complete,
     disturbance_report,
-    lg_value_all_three,
     lg_value_pairwise,
     marginalize,
     post_select_noninvasive,
@@ -40,7 +39,6 @@ from random_models import (
     without_last_row,
 )
 from lglab.zoo import (
-    build_fixtures,
     build_qubit_arrangement,
     build_superselected_arrangement,
 )
@@ -57,14 +55,17 @@ def deterministic_chain(flip1: bool, flip2: bool) -> LgArrangement:
 
 class TestAllThreeValue:
     def test_constant_history_reaches_upper_bound(self):
-        assert lg_value_all_three(deterministic_chain(False, False)) == pytest.approx(3.0)
+        report = disturbance_report(deterministic_chain(False, False))
+        assert report.lg_all_three == pytest.approx(3.0)
 
     def test_alternating_history_reaches_lower_bound(self):
         # history (+1, -1, +1): the two adjacent products are -1, the outer +1
-        assert lg_value_all_three(deterministic_chain(True, True)) == pytest.approx(-1.0)
+        report = disturbance_report(deterministic_chain(True, True))
+        assert report.lg_all_three == pytest.approx(-1.0)
 
     def test_qubit_all_three_never_violates(self):
-        value = lg_value_all_three(build_qubit_arrangement(TWO_THIRDS_PI, TWO_THIRDS_PI))
+        arr = build_qubit_arrangement(TWO_THIRDS_PI, TWO_THIRDS_PI)
+        value = disturbance_report(arr).lg_all_three
         # cos t1 + cos t2 + cos t1 cos t2 = -0.75 at 2*pi/3
         assert value == pytest.approx(-0.75, abs=1e-12)
         assert value >= -1.0 - 1e-12
@@ -72,7 +73,7 @@ class TestAllThreeValue:
     def test_bound_on_random_models(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
-            value = lg_value_all_three(random_arrangement(rng))
+            value = disturbance_report(random_arrangement(rng)).lg_all_three
             assert -1.0 - 1e-12 <= value <= 3.0 + 1e-12
 
 
@@ -91,7 +92,7 @@ class TestPairwiseValue:
         for _ in range(20):
             arr = random_arrangement(rng, noninvasive_early=True)
             assert lg_value_pairwise(arr) == pytest.approx(
-                lg_value_all_three(arr), abs=1e-12
+                disturbance_report(arr).lg_all_three, abs=1e-12
             )
 
 
@@ -139,7 +140,6 @@ class TestDisturbanceReport:
         arrangements += [random_arrangement(rng, noninvasive_early=k % 2 == 0) for k in range(20)]
         for arr in arrangements:
             report = disturbance_report(arr)
-            assert lg_value_all_three(arr) == report.lg_all_three
             assert lg_value_pairwise(arr) == report.lg_pairwise
 
     def test_a_report_builds_each_pair_value_table_once(self, monkeypatch):
@@ -737,7 +737,7 @@ class TestImplicationChain:
         assert record.as_tuple() == (False, False, False, False)
 
     def test_disturbing_but_satisfying_fixture(self):
-        fixture = build_fixtures()["lgi-holds-d-nonzero"]
+        fixture = zoo.build("lgi-holds-d-nonzero")
         record = check_implication_chain(fixture.arrangement)
         assert record.as_tuple() == (False, False, False, True)
 
@@ -908,7 +908,7 @@ class TestPostSelection:
         )
 
     def test_null_result_fixture_composite(self):
-        model = build_fixtures()["null-result-pair"].model
+        model = zoo.build("null-result-pair").model
         result = post_select_noninvasive(model, ("null-plus", PLUS), ("null-minus", MINUS))
         assert result.matches_input
         assert result.max_deviation_from_input <= 1e-12

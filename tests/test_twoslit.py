@@ -55,18 +55,18 @@ class TestDetection:
 class TestClosedForms:
     def test_equal_amplitudes_boundary(self):
         assert twoslit.lg_plus_value(equal_amplitudes(PI)) == pytest.approx(-1.0, abs=1e-12)
-        assert not twoslit.violates(equal_amplitudes(PI))
+        assert not twoslit.lg_plus_value(equal_amplitudes(PI)) < -1.0
 
     def test_unbalanced_destructive_violation(self):
         s = SlitAmplitudes.from_intensity_phase(0.2, PI)
         assert twoslit.lg_plus_value(s) == pytest.approx(-1.4, abs=1e-12)
-        assert twoslit.violates(s)
+        assert twoslit.lg_plus_value(s) < -1.0
 
     def test_quadrature_phase_cannot_violate(self):
         for m1 in (0.1, 0.4, 0.9):
             s = SlitAmplitudes.from_intensity_phase(m1, PI / 2.0)
             assert twoslit.lg_plus_value(s) == pytest.approx(2.0 * m1 - 1.0, abs=1e-12)
-            assert not twoslit.violates(s)
+            assert not twoslit.lg_plus_value(s) < -1.0
 
     def test_violation_iff_phase_condition(self):
         for i in range(1, 20):
@@ -74,7 +74,7 @@ class TestClosedForms:
                 s = SlitAmplitudes.from_intensity_phase(i / 20.0, 2.0 * PI * j / 36.0)
                 boundary = abs(math.cos(s.phase_difference) + s.mod1 / s.mod2)
                 if boundary > 1e-9:
-                    assert twoslit.violates(s) == twoslit.violation_condition(s)
+                    assert (twoslit.lg_plus_value(s) < -1.0) == twoslit.violation_condition(s)
 
 
 class TestCompiledArrangement:

@@ -14,7 +14,8 @@ from lglab import (
     single_shot_probability,
 )
 from lglab.classify import QuantityClass
-from lglab import schema, zoo
+from lglab import core, schema, zoo
+from builders import sphere_probe
 
 PLUS, MINUS = "+1", "-1"
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -88,9 +89,16 @@ class TestKsSphere:
 
     def test_orthogonal_reading_splits(self):
         arr = zoo.build_ks_arrangement(self.N, 1.0, 1.0)
-        probe = zoo.ks_direction_measurement(arr.model, (1.0, 0.0, 0.0))
+        probe = sphere_probe(arr.model, (1.0, 0.0, 0.0))
         p = single_shot_probability(arr.model.preparations["up"], None, probe, PLUS)
         assert p == pytest.approx(0.5, abs=5e-3)
+
+    def test_sphere_probe_along_z_reads_as_mz(self):
+        model = zoo.build_ks_arrangement(self.N, 1.0, 1.0).model
+        probe = sphere_probe(model, (0.0, 0.0, 1.0))
+        for prep in model.preparations.values():
+            assert core.outcome_probabilities(prep, None, probe) == core.outcome_probabilities(
+                prep, None, model.measurements["Mz"])
 
     def test_born_rule_converges_with_grid(self):
         direction = np.array([math.sin(1.0), 0.0, math.cos(1.0)])
@@ -98,7 +106,7 @@ class TestKsSphere:
         errors = []
         for n in (500, 4000):
             arr = zoo.build_ks_arrangement(n, 1.0, 1.0)
-            probe = zoo.ks_direction_measurement(arr.model, direction)
+            probe = sphere_probe(arr.model, direction)
             p = single_shot_probability(arr.model.preparations["up"], None, probe, PLUS)
             errors.append(abs(p - exact))
         assert errors[1] < errors[0]
@@ -282,30 +290,17 @@ class TestFixtures:
         ]
 
     def test_fixtures_reverify_on_build(self):
-        fixtures = zoo.build_fixtures()
-        assert set(fixtures) >= {
-            "lgi-holds-d-nonzero",
-            "null-result-pair",
-            "support-mr-minimal",
-        }
+        for name in ("lgi-holds-d-nonzero", "null-result-pair", "support-mr-minimal"):
+            built = zoo.build(name)
+            assert isinstance(built, zoo.ZooBuild) and built.name == name
 
-    def test_build_by_name_matches_build_fixtures(self):
-        fixtures = zoo.build_fixtures()
-        assert list(fixtures) == list(FIXTURES)
-        for name in FIXTURES:
-            alone = zoo.build(name)
-            assert schema.model_to_doc(alone.model) == schema.model_to_doc(fixtures[name].model)
-
-    def test_build_fixtures_gives_the_zoo_builds_of_build(self):
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_each_fixture_builds_the_same_document_every_time(self, name):
         def doc(built):
             arrangements = {"lg": built.arrangement} if built.arrangement else {}
             return schema.model_to_doc(built.model, name=built.name, arrangements=arrangements)
 
-        for name, built in zoo.build_fixtures().items():
-            alone = zoo.build(name)
-            assert isinstance(built, zoo.ZooBuild)
-            assert built.name == alone.name == name
-            assert doc(built) == doc(alone)
+        assert doc(zoo.build(name)) == doc(zoo.build(name))
 
     def test_build_by_name_builds_only_that_fixture(self, monkeypatch):
         def refuse(*args, **kwargs):
