@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter, lt, mul
@@ -74,7 +73,7 @@ class _Record:
     the annotations once per class. It gives every record equality and a
     hash over its fields, except those the class keyword ``uncompared``
     names; a ``Name(field=value, ...)`` repr; and refusal of assignment and
-    deletion. ``replace`` copies a record with some fields changed.
+    deletion.
     """
 
     def __init_subclass__(cls, uncompared=(), **kwargs):
@@ -102,11 +101,6 @@ class _Record:
 
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
-
-
-def replace(record: _Record, /, **changes) -> _Record:
-    """A new record of ``record``'s class with ``changes`` to its fields, validated again."""
-    return type(record)(**{**dict(zip(record._fields, record._values(record._fields))), **changes})
 
 
 class OnticStateSpace(_Record):
@@ -174,16 +168,10 @@ class Distribution:
                 raise ValidationError(
                     f"weight {w!r} for state {label!r} is not a nonnegative number"
                 )
-        total = math.fsum(weights.values())
-        if not (abs(total - 1.0) <= NORMALIZATION_TOL):
-            raise ValidationError(
-                f"weights sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
+        divisor = _divisor(math.fsum(weights.values()), lambda total:
+                           f"weights sum to {total!r}, expected 1 within {NORMALIZATION_TOL}")
         self.space = space
-        if abs(total - 1.0) <= _RENORM_SKIP:
-            self.weights = {k: float(v) for k, v in weights.items() if v != 0.0}
-        else:
-            self.weights = {k: float(v / total) for k, v in weights.items() if v != 0.0}
+        self.weights = {k: float(v) / divisor for k, v in weights.items() if v != 0.0}
 
     @classmethod
     def point_mass(cls, space: OnticStateSpace, label: Label) -> "Distribution":
@@ -273,12 +261,19 @@ def _normalized(label: Label, row: Mapping, outcomes: tuple) -> dict:
             raise ValidationError(
                 f"response probability {p!r} for {label!r} is not a nonnegative number"
             )
-    total = math.fsum(p for _, p in items)
+    divisor = _divisor(math.fsum(p for _, p in items), lambda total:
+                       f"response row for {label!r} sums to {total!r}, expected 1")
+    return {q: float(row.get(q, 0.0)) / divisor for q in outcomes}
+
+
+def _divisor(total: float, message) -> float:
+    """What a table whose entries sum to ``total`` is divided by to renormalize it: 1.0
+    within _RENORM_SKIP of 1, so that renormalizing is a fixed point, else ``total``.
+    A total further than NORMALIZATION_TOL from 1, or NaN, raises ValidationError with
+    ``message(total)``."""
     if not (abs(total - 1.0) <= NORMALIZATION_TOL):
-        raise ValidationError(f"response row for {label!r} sums to {total!r}, expected 1")
-    if abs(total - 1.0) <= _RENORM_SKIP:
-        return {q: float(row.get(q, 0.0)) for q in outcomes}
-    return {q: float(row.get(q, 0.0) / total) for q in outcomes}
+        raise ValidationError(message(total))
+    return 1.0 if abs(total - 1.0) <= _RENORM_SKIP else total
 
 
 class TransformationKernel:
@@ -454,7 +449,9 @@ def _declared(components: dict, kind: str, name):
 # <w, pull(f)[q]>. Through an outcome whose rows are point masses in
 # state order (Form.ordered), measure reads each flow's target by
 # position; a flow that meets no row falls through to the general loop,
-# the one place that raises for a missing row.
+# which names the missing row. Through an outcome whose states with a
+# row all draw one row (Form.shared), measure moves the branch in one dot
+# product and names a missing row as the loop would.
 #
 # An effect is a term (c, base): a coefficient times an array over the
 # states' positions (lg sums such terms). It is NaN outside its domain,
@@ -531,26 +528,27 @@ class Form:
     is missing; above ``end``, a row numbered by identity, which ``rows``
     maps to that row (see ``_row``). ``missing`` lists the (position,
     outcome) pairs of nonzero probability without an update row, in
-    response-table order. A walk branches on every outcome, so a state in
-    ``missing`` is outside the domain of every pull: ``xi`` is
-    ``responses`` with NaN there too. ``shared`` maps each outcome that
-    all the states producing it and missing no row send to one ``to``
-    value to that value: a point mass counts as one row by its state,
-    whichever objects carry it, so how a model was built does not decide
-    which sums run. ``ordered`` holds each outcome whose drawn rows are
-    all point masses at positions that strictly increase with the
-    drawing state's position, as a rotation's or an identity update's
+    response-table order. ``flows`` is ``responses`` with NaN at those
+    pairs, so ``flows[q]`` is NaN wherever a state lacks its response row
+    or its own update row for q. A walk branches on every outcome, so a
+    state in ``missing`` is outside the domain of every pull: ``xi`` is
+    ``responses`` with NaN there for every outcome. ``shared`` maps an
+    outcome to the one ``to`` value that every state with a row for it
+    draws, where there is one: a point mass counts as one row by its
+    state, whichever objects carry it, so how a model was built does not
+    decide which sums run. ``ordered`` holds each outcome whose drawn
+    rows are all point masses at positions that strictly increase with
+    the drawing state's position, as a rotation's or an identity update's
     are: ``measure`` moves a branch through it by reading its ``to`` and
     ``xi`` values at the branch's positions, already in ascending order.
-    ``pooled[q]`` holds, in number order, the rows that several states
-    draw for q. ``complete`` holds when every state has a response row
-    and none is ``missing``: no walk misses a row here. ``in_place``
+    ``complete`` holds when every state has a response row and none is
+    ``missing``: no walk misses a row here. ``in_place``
     holds when no row is missing and each state draws every outcome from
     the point mass at itself: the update moves no state.
     """
 
-    __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "xi", "shared",
-                 "ordered", "pooled", "complete", "in_place")
+    __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "flows", "xi",
+                 "shared", "ordered", "complete", "in_place")
 
     def __init__(self, space: OnticStateSpace, outcomes: tuple, table: Iterable, row):
         """Compile (label, {outcome: probability}) response rows and ``row(label, outcome)``,
@@ -561,10 +559,8 @@ class Form:
         self.to = {q: array("i", [end]) * end for q in outcomes}
         self.rows, self.missing = {}, []
         numbering, declared = {}, 0  # id(update row) -> its to value; response rows so far
-        sources = {q: set() for q in outcomes}  # to values drawn from states a walk can leave
         for declared, (label, probabilities) in enumerate(table, 1):
             i = space.position[label]
-            draws, missed = [], len(self.missing)
             for q, p in probabilities.items():
                 self.responses[q][i] = p
                 if p == 0.0:
@@ -583,17 +579,15 @@ class Form:
                         self.rows[t] = _row(space, target.weights)
                     numbering[id(target)] = t
                 self.to[q][i] = t
-                draws.append((q, t))
-            if len(self.missing) == missed:
-                for q, t in draws:
-                    sources[q].add(t)
-        undefined = {i for i, _ in self.missing}
-        self.xi = _blanked(self.responses, undefined) if undefined else self.responses
-        self.shared = {q: t for q, drawn in sources.items() if len(drawn) == 1 for t in drawn}
+        self.flows = _blanked(self.responses, self.missing)
+        self.xi = _blanked(self.responses, [(i, q) for i, _ in self.missing for q in outcomes])
+        self.shared = {}
+        for q, to in self.to.items():  # the only value besides end, if any: counted, not collected
+            lowest = min(to)
+            t = lowest if lowest != end else max(to)
+            if t != end and to.count(t) + to.count(end) == end:
+                self.shared[q] = t
         self.ordered = frozenset(q for q, to in self.to.items() if _increasing(to, end))
-        self.pooled = {q: dict.fromkeys(sorted(t for t, k in Counter(to).items()
-                                               if k > 1 and t > end))
-                       for q, to in self.to.items()}
         self.complete = declared == end and not self.missing
         self.in_place = not self.missing and all(
             t in (i, end) for to in self.to.values() for i, t in enumerate(to)
@@ -613,36 +607,40 @@ class Form:
         Returns sum_s w(s) * xi(q | s) * tau(. | q, s), whose total mass is
         the outcome's probability; through a kernel (q = None), the branch
         pushed through it. An outcome in ``shared`` (``outcome_rows``, a
-        reset) moves <w, xi(q | .)> onto its row, the dual of a rank-one
-        pull, when no row is missing. An outcome in ``ordered`` sends each
-        nonzero flow to its target, read with the flows at the branch's
-        positions, unless a flow meets no row. Otherwise rows are read for
-        nonzero flows in state order, except that the flows into a row
-        several states draw are summed and the row expanded once; only
-        this loop raises for a missing row.
+        reset) moves <w, flows(q | .)> onto its row in one step, the dual of
+        a rank-one pull, also where another outcome's row is missing; where
+        weight meets a missing row it names the state the loop would. An
+        outcome in ``ordered`` sends each nonzero flow to its target, read
+        with the flows at the branch's positions, unless a flow meets no
+        row. Otherwise the state loop sends each nonzero flow to its point
+        mass or expands its row for its state, in state order, and raises
+        for the first missing row.
         """
         xi, to = self.responses[outcome], self.to[outcome]
         end, t = len(self.states), self.shared.get(outcome)
-        if t is not None and not self.missing:  # every state producing q draws row t
-            [flow] = dots(branch, [xi])
-            if flow != flow:
-                raise self._undefined(next(i for i in branch[0] if xi[i] != xi[i]))
-            positions, weights = self.rows[t][:2] if t > end else ((t,), (1.0,))
-            return (list(positions), [flow * p for p in weights]) if flow else ([], [])
+        if t is not None:  # every state with a row for q draws row t
+            [flow] = dots(branch, [self.flows[outcome]])
+            if flow == flow:
+                positions, weights = self.rows[t][:2] if t > end else ((t,), (1.0,))
+                return (list(positions), [flow * p for p in weights]) if flow else ([], [])
+            # a state lacks its response or q's row: the loop would first expand t for every
+            # state before it, so name the state here; zero weight there leaves it to the loop
+            i = next((i for i, w in zip(*branch) if to[i] == end and w * xi[i] != 0.0), None)
+            if i is not None:
+                raise self._undefined(i, None if xi[i] != xi[i] else outcome)
         if outcome in self.ordered:  # the loop's 0.0 + flow at each target, ascending already
             gather = _gather(branch[0])
             flows = list(map(mul, branch[1], gather(xi)))
             targets = list(compress(gather(to), flows))
             if end not in targets:
                 return targets, list(filter(None, flows))
-        pooled = self.pooled[outcome]
         out: dict = {}
         for i, w in zip(*branch):
             mass = w * xi[i]
             if mass == 0.0:
                 continue
             t = to[i]
-            if t < end or t in pooled:  # a point mass, or a row whose flows are summed first
+            if t < end:  # a point mass
                 out[t] = out.get(t, 0.0) + mass
             elif t > end:
                 positions, weights, _ = self.rows[t]
@@ -650,12 +648,6 @@ class Form:
                     out[s] = out.get(s, 0.0) + mass * p
             else:
                 raise self._undefined(i, None if mass != mass else outcome)
-        for t in pooled:
-            if t in out:
-                mass = out.pop(t)
-                positions, weights, _ = self.rows[t]
-                for s, p in zip(positions, weights):
-                    out[s] = out.get(s, 0.0) + mass * p
         return _ascending(out)
 
     def pull(self, effects: list, memo: dict) -> list:
@@ -714,12 +706,14 @@ def _increasing(to, end: int) -> bool:
     return not drawn or drawn[-1] < end and all(map(lt, drawn, drawn[1:]))
 
 
-def _blanked(xi: dict, states) -> dict:
-    """Copies of the xi(q | .) arrays, NaN at the given state positions."""
+def _blanked(xi: dict, pairs) -> dict:
+    """Copies of the xi(q | .) arrays, NaN at the given (position, outcome) pairs; xi itself
+    when there are none."""
+    if not pairs:
+        return xi
     xi = {q: array("d", by_state) for q, by_state in xi.items()}
-    for i in states:
-        for by_state in xi.values():
-            by_state[i] = math.nan
+    for i, q in pairs:
+        xi[q][i] = math.nan
     return xi
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .core import (
     MINUS,
@@ -212,17 +211,9 @@ def compile_to_arrangement(s: SlitAmplitudes) -> LgArrangement:
     )
 
 
-class SweepPoint(NamedTuple):
-    """One violation-map entry (angles in radians): a row of the sweep's CSV and JSON tables."""
-
-    mod1_sq: float
-    phi: float
-    lg_plus: float
-    lg_plus_mirrored: float
-    violated: bool
-
-
-CSV_COLUMNS = SweepPoint._fields
+#: The fields of a violation-map row (angles in radians), in order: the columns of the
+#: sweep's CSV and JSON tables.
+CSV_COLUMNS = ("mod1_sq", "phi", "lg_plus", "lg_plus_mirrored", "violated")
 
 
 def violation_map(mod1_sq_grid, phi_grid) -> list:
@@ -230,7 +221,8 @@ def violation_map(mod1_sq_grid, phi_grid) -> list:
 
     Both value assignments are emitted, so the mirrored inequality
     (violable for |a1| > |a2|) is visible alongside the primary one. The
-    violation boundary is the curve cos(phi) = -|a1|/|a2|.
+    violation boundary is the curve cos(phi) = -|a1|/|a2|. Each row is a
+    tuple of the ``CSV_COLUMNS`` fields.
     """
     mod1_sq_grid = list(mod1_sq_grid)
     phi_grid = list(phi_grid)
@@ -241,5 +233,5 @@ def violation_map(mod1_sq_grid, phi_grid) -> list:
         for phi in phi_grid:
             s = SlitAmplitudes.from_intensity_phase(m1, phi)
             value = lg_plus_value(s)
-            rows.append(SweepPoint(m1, phi % TWO_PI, value, lg_plus_mirrored(s), value < -1.0))
+            rows.append((m1, phi % TWO_PI, value, lg_plus_mirrored(s), value < -1.0))
     return rows

@@ -1,4 +1,5 @@
-"""Parts that tests build models and probes from, which no command or zoo entry needs."""
+"""Parts that tests build models, probes and record copies from, which no command or zoo
+entry needs."""
 
 from __future__ import annotations
 
@@ -21,3 +22,8 @@ def sphere_probe(model: OnticModel, direction) -> Measurement:
     dots = zoo._dots(zoo._fibonacci_sphere(model.metadata["n_points"]), direction)
     response = zoo._reading(model.space, {f"r0:{k}": d >= 0.0 for k, d in enumerate(dots)})
     return Measurement("probe", response, MeasurementUpdate(model.space, OUTCOMES))
+
+
+def replace(record, /, **changes):
+    """A new record of ``record``'s class with ``changes`` to its fields, validated again."""
+    return type(record)(**{**dict(zip(record._fields, record._values(record._fields))), **changes})

@@ -15,10 +15,11 @@ from lglab.core import (
     OnticStateSpace,
     ResponseFunction,
     TransformationKernel,
-    replace,
 )
 from lglab.lg import LgArrangement
 from lglab.operational import ObservableAssignment
+
+from builders import replace
 
 
 def _random_distribution(rng, space) -> Distribution:

@@ -5,7 +5,8 @@ classes, so importing it generates no code and loads neither
 ``dataclasses`` nor the ``inspect`` that ``dataclasses`` pulls in, and
 ``datetime`` is imported only to stamp a report. The checks run in a
 fresh interpreter, because the test session itself has long since
-imported all of these.
+imported all of these; there ``eval`` and ``exec`` count the source
+texts they are given while lglab is imported.
 """
 
 import json
@@ -20,9 +21,23 @@ import lglab
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(lglab.__file__)))
 
 PROBE = """
-import contextlib, io, json, sys
+import builtins, contextlib, io, json, sys
 
+real = {name: getattr(builtins, name) for name in ("eval", "exec")}
+generated = []  # the source texts run while lglab is imported, as a namedtuple's __new__ is
+
+
+def counted(name):
+    def run(source, *args):
+        if isinstance(source, str):
+            generated.append(name)
+        return real[name](source, *args)
+    return run
+
+
+builtins.eval, builtins.exec = counted("eval"), counted("exec")
 from lglab import cli
+builtins.eval, builtins.exec = real["eval"], real["exec"]
 
 model = sys.argv[1]
 commands = (
@@ -40,7 +55,8 @@ for command in commands:
         codes.append(cli.main([*command, "--no-timestamp"]))
 loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "scipy"))
 unused = sorted(name for name in ("dataclasses", "inspect", "datetime") if name in sys.modules)
-print(json.dumps({"exit": codes, "loaded": loaded, "unused_stdlib": unused}))
+print(json.dumps({"exit": codes, "loaded": loaded, "unused_stdlib": unused,
+                  "generated": generated}))
 """
 
 
@@ -63,3 +79,7 @@ def test_no_command_loads_numpy_or_scipy(after):
 def test_no_command_loads_dataclasses_inspect_or_datetime(after):
     assert after["exit"] == [0] * 7
     assert after["unused_stdlib"] == []
+
+
+def test_importing_lglab_generates_no_code(after):
+    assert after["generated"] == []

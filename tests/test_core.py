@@ -1,6 +1,8 @@
 import math
 from array import array
 from collections.abc import Mapping
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from lglab import (
 )
 from lglab import core, zoo
 import reference_walk
-from builders import identity
+from builders import identity, replace
 from random_models import (identity_with_shared_rows, random_arrangement, with_update,
                            without_last_row)
 
@@ -67,6 +69,20 @@ class TestDistribution:
         space = two_state_space()
         d = Distribution(space, {"l1": 0.5 + 2e-10, "l2": 0.5})
         assert sum(d.weights.values()) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("number", [float, Fraction, Decimal])
+    @pytest.mark.parametrize("second, divided", [("0.49999999999998", False),
+                                                 ("0.5000000002", True)])
+    def test_renormalization_is_a_fixed_point_within_its_skip(self, second, divided, number):
+        # a total within 1e-13 of 1 keeps each weight and response probability as given,
+        # as a float, whatever number type gave it
+        space = two_state_space()
+        half, second = number("0.5"), number(second)
+        total = math.fsum([0.5, float(second)]) if divided else 1.0
+        expected = [0.5 / total, float(second) / total]
+        assert list(Distribution(space, {"l1": half, "l2": second}).weights.values()) == expected
+        response = ResponseFunction(space, OUTCOMES, {"l1": {PLUS: half, MINUS: second}})
+        assert list(response.table["l1"].values()) == expected
 
     def test_support_threshold(self):
         space = two_state_space()
@@ -631,7 +647,7 @@ def test_row_mutations_measure_as_the_reference_walk():
     space = model.space
     last = space.states[-1]
     points = {s: Distribution.point_mass(space, s) for s in space.states if s != last}
-    model = core.replace(model, transformations={**model.transformations,
+    model = replace(model, transformations={**model.transformations,
                                                  "I": TransformationKernel(space, points)})
     mutations = [
         model,
@@ -639,6 +655,11 @@ def test_row_mutations_measure_as_the_reference_walk():
         identity_with_shared_rows().model,
         # M2's identity update without the last state's rows
         with_update(model, "M2", {}, {(s, q): points[s] for s in points for q in OUTCOMES}),
+        # M1 draws PLUS from one row but at the last state, which has its own PLUS row and
+        # no MINUS row: PLUS has no shared row, though the states missing none share one
+        with_update(model, "M1", {}, {**{(s, PLUS): model.preparations["E"] for s in points},
+                                      **{(s, MINUS): points[s] for s in points},
+                                      (last, PLUS): points[space.states[0]]}),
     ]
     for mutated in mutations:
         assert_measures_as_the_reference_walk(mutated)

@@ -32,6 +32,7 @@ from lglab import (
     run_protocol,
 )
 import reference_walk
+from builders import replace
 from random_models import (
     identity_with_shared_rows,
     random_arrangement,
@@ -358,7 +359,7 @@ def without_response_row(model, measurement):
     response = ResponseFunction(
         model.space, meas.outcomes, {s: row for s, row in meas.response.table.items() if s != last}
     )
-    return core.replace(
+    return replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, response, meas.update)}
     )
@@ -374,7 +375,7 @@ def kicked_toward_uniform(model, measurement, eps):
         for key, row in meas.update.rows.items()
     }
     update = MeasurementUpdate(model.space, meas.outcomes, rows)
-    return core.replace(
+    return replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, meas.response, update)}
     )
@@ -396,7 +397,7 @@ def without_update_row(model, measurement, impossible=False):
         {key: row for key, row in meas.update.rows.items() if key != (last, MINUS)},
     )
     response = ResponseFunction(model.space, meas.outcomes, table)
-    return core.replace(
+    return replace(
         model, measurements={**model.measurements,
                              measurement: Measurement(measurement, response, update)}
     )
@@ -415,7 +416,7 @@ def shared_row_outside_the_domain(model):
                          MINUS: Distribution.point_mass(space, s0)},
                         response={s0: {PLUS: 0.0, MINUS: 1.0}})
     model = without_last_row(model, "T1")
-    return core.replace(
+    return replace(
         model, preparations={**model.preparations, "at-s0": Distribution.point_mass(space, s0)})
 
 
@@ -436,10 +437,20 @@ def shared_row_of_an_impossible_outcome(model):
                        response={s0: {PLUS: 1.0, MINUS: 0.0}, s1: {PLUS: 0.0, MINUS: 1.0}})
 
 
+def a_row_some_states_share(model):
+    """T1 and M1's PLUS update send every state but the last to one row object, E."""
+    space, row = model.space, model.preparations["E"]
+    shared = dict.fromkeys(space.states[:-1], row)
+    kernel = TransformationKernel(space, {**model.transformations["T1"].rows, **shared})
+    rows = {**model.measurements["M1"].update.rows, **{(s, PLUS): row for s in shared}}
+    model = with_update(model, "M1", {}, rows)
+    return replace(model, transformations={**model.transformations, "T1": kernel})
+
+
 def reset(model, kernel, row):
     """The model with one kernel sending every state to the same row object."""
     rows = dict.fromkeys(model.space.states, row)
-    return core.replace(model, transformations={
+    return replace(model, transformations={
         **model.transformations, kernel: TransformationKernel(model.space, rows)})
 
 
@@ -534,11 +545,12 @@ class TestRunProtocolMatchesReferenceWalk:
         (shared_row_of_an_impossible_outcome, False),
         (reset_inside_the_domain, False),
         (reset_outside_the_domain, True),
+        (a_row_some_states_share, False),
     ], ids=["none", "kernel-row-T1", "kernel-row-T2", "response-row-M1", "response-row-M2",
             "update-row-M1", "update-row-M2", "update-row-of-impossible-outcome",
             "shared-row-outside-the-domain", "shared-and-per-state-rows",
             "shared-row-of-an-impossible-outcome", "reset-inside-the-domain",
-            "reset-outside-the-domain"])
+            "reset-outside-the-domain", "a-row-some-states-share"])
     def test_tables_equal_the_reference_walks(self, mutate, raises):
         # a walk that reaches a missing kernel, response or update row names it as the reference
         rng = np.random.default_rng(61)
@@ -564,9 +576,9 @@ class TestRunProtocolMatchesReferenceWalk:
 
     @pytest.mark.parametrize("component", ["Mz", "Mz-without-its-minus-row", "reset"])
     def test_a_row_several_states_draw_is_expanded_once(self, component):
-        # the flows into ks-sphere's shared Mz row, also when a missing row leaves them to the
-        # state loop, or into a reset kernel's one row, are summed first and the row is
-        # expanded once: each weight is the summed flow times p
+        # the flows into ks-sphere's shared Mz row, also while Mz's MINUS row is missing, or
+        # into a reset kernel's one row, are summed first and the row is expanded once: each
+        # weight is the summed flow times p
         model = zoo.build("ks-sphere", n_points=200).model
         mz = model.measurements["Mz"]
         row, outcome, form = mz.update.outcome_rows[PLUS], PLUS, mz.form
@@ -581,6 +593,56 @@ class TestRunProtocolMatchesReferenceWalk:
         flow = sum(mass for i, w in zip(*branch) if (mass := w * form.responses[outcome][i]))
         expected = {model.space.position[s]: flow * p for s, p in row.weights.items()}
         assert dict(zip(*form.measure(branch, outcome))) == expected
+
+    def test_a_shared_row_moves_in_one_step_while_another_row_is_missing(self, lines_run):
+        # ks-sphere's Mz without its MINUS row, as a per-outcome file may declare it: the
+        # PLUS flow reaches the shared row in one dot product, not one loop pass per state
+        # (the result's one pass per entry of that row aside)
+        model = zoo.build("ks-sphere", n_points=200).model
+        mz = model.measurements["Mz"]
+        row = mz.update.outcome_rows[PLUS]
+        update = MeasurementUpdate(model.space, mz.outcomes, outcome_rows={PLUS: row})
+        form = Measurement("Mz", mz.response, update).form
+        assert form.missing
+        whole = model.space.pack(model.preparations["up"].weights)
+        small = (whole[0][:2], whole[1][:2])
+        side = model.space.pack(model.preparations["side"].weights)  # MINUS states too
+        assert len(whole[0]) > 50 and form.missing[0][0] in side[0]
+        runs = [lines_run(form.measure, branch, PLUS) for branch in (small, whole, side)]
+        assert runs[0] == runs[1] == runs[2] <= 20 + len(row.weights)
+
+    @pytest.mark.parametrize("missing", ["response", "update"])
+    def test_a_missing_row_is_named_before_the_shared_row_is_expanded(self, missing):
+        # the last state reading PLUS lacks its response row, or its PLUS row while every
+        # other state draws the one shared PLUS row: weight on every state names it as the
+        # reference does, without expanding the shared row for the states before it
+        model = zoo.build("ks-sphere", n_points=200).model
+        mz = model.measurements["Mz"]
+        last = [s for s, row in mz.response.table.items() if row[PLUS] == 1.0][-1]
+        response, update = mz.response, mz.update
+        if missing == "response":
+            table = {s: row for s, row in response.table.items() if s != last}
+            response = ResponseFunction(model.space, mz.outcomes, table)
+        else:
+            rows = {(s, PLUS): update.outcome_rows[PLUS] for s in model.space.states if s != last}
+            update = MeasurementUpdate(model.space, mz.outcomes, rows,
+                                       {MINUS: update.outcome_rows[MINUS]})
+        measurement = Measurement("Mz", response, update)
+        form, read = measurement.form, []
+
+        class Reads(dict):
+            def __getitem__(self, t):
+                read.append(t)
+                return dict.__getitem__(self, t)
+
+        form.rows = Reads(form.rows)
+        weights = dict.fromkeys(model.space.states, 1.0 / len(model.space))
+        with pytest.raises(ModelError) as reference:
+            reference_walk.measure(weights, measurement, (PLUS,))
+        with pytest.raises(ModelError) as engine:
+            form.measure(model.space.pack(weights), PLUS)
+        assert str(engine.value) == str(reference.value) and repr(last) in str(engine.value)
+        assert read == []
 
 
 class TestOpndMatchesTwoRunDefinition:
@@ -638,7 +700,7 @@ class TestOpndMatchesTwoRunDefinition:
     def test_undefined_contexts_beyond_kernel_rows(self, missing, undefined_expected, depth):
         model = random_arrangement(np.random.default_rng(17), max_states=3).model
         # M1 and M2 alone keep the depth-3 reference enumeration small
-        model = missing(core.replace(
+        model = missing(replace(
             model, measurements={m: model.measurements[m] for m in ("M1", "M2")}))
         deviations, undefined = two_run_contexts(model, "M1", depth=depth)
         worst = max(deviations.values())
@@ -657,7 +719,7 @@ class TestOpndMatchesTwoRunDefinition:
         # T1's pulls are rank one, on a row inside or outside the domain. A reset forgets
         # what came before it, so contexts tie, and rounding picks the witness among them.
         model = random_arrangement(np.random.default_rng(17), max_states=3).model
-        model = mutate(core.replace(
+        model = mutate(replace(
             model, measurements={m: model.measurements[m] for m in ("M1", "M2")}))
         deviations, undefined = two_run_contexts(model, "M1", depth=depth)
         worst = max(deviations.values())
@@ -765,7 +827,7 @@ class TestImplicationChain:
             for key, row in model.measurements["path"].update.rows.items():
                 [target] = row.weights
                 rows[key] = point(target)
-            rebuilt = core.replace(arr, model=with_update(model, "path", None, rows))
+            rebuilt = replace(arr, model=with_update(model, "path", None, rows))
             details.append(check_implication_chain(rebuilt).details)
         assert details[1] == details[0]
         assert details[2] == details[0]
@@ -804,7 +866,7 @@ class TestImplicationChain:
 
     def test_repeated_measurement_is_enumerated_once(self, monkeypatch):
         arr = random_arrangement(np.random.default_rng(8))
-        repeated = core.replace(arr, measurements=("M1", "M1", "M3"))
+        repeated = replace(arr, measurements=("M1", "M1", "M3"))
         calls = []
         original = lg._complete
 
@@ -857,7 +919,7 @@ class TestImplicationChain:
         reset = TransformationKernel(
             space, {s: Distribution.point_mass(space, "u") for s in space.states}
         )
-        model = core.replace(drifting, transformations={"reset": reset})
+        model = replace(drifting, transformations={"reset": reset})
         arr = LgArrangement(model, "u-prep", slots, ("swapper",) * 3,
                             ObservableAssignment({"swapper": {PLUS: 1, MINUS: -1}}))
         record = check_implication_chain(arr)

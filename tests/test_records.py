@@ -7,10 +7,12 @@ import pytest
 
 from lglab import ValidationError
 from lglab.classify import Classification
-from lglab.core import FrozenRecordError, OnticModel, OnticStateSpace, _Record, replace
+from lglab.core import FrozenRecordError, OnticModel, OnticStateSpace, _Record
 from lglab.lg import ChainRecord, check_implication_chain
 from lglab.operational import Protocol, ProtocolStep
 from lglab.zoo import build_superselected_arrangement
+
+from builders import replace
 
 MODULES = ("core", "operational", "lg", "classify", "twoslit", "zoo")
 

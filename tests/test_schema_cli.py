@@ -23,6 +23,7 @@ from lglab import (
 )
 from lglab import __version__, cli, core, schema, zoo
 from lglab.classify import QuantityClass, classify
+from builders import replace
 from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
@@ -186,10 +187,10 @@ class TestCli:
         partial = TransformationKernel(
             model.space, {s: row for s, row in model.transformations["T1"].rows.items() if s != last}
         )
-        model = core.replace(model, transformations={**model.transformations, "T3": partial})
+        model = replace(model, transformations={**model.transformations, "T3": partial})
         path = tmp_path / "partial.json"
         path.write_text(json.dumps(schema.model_to_doc(
-            model, arrangements={"lg": core.replace(arr, model=model)})))
+            model, arrangements={"lg": replace(arr, model=model)})))
         args = ["lg", "--model", str(path), "--no-timestamp"]
         assert run_cli(args) == 0
         first = capsys.readouterr().out
@@ -479,7 +480,7 @@ class TestCli:
         # arrangement carry ~1e-17 of rounding noise: such a --tol made the chain's
         # implication assertions fail (exit 3) on a valid model
         arr = identity_with_shared_rows()
-        arr = core.replace(arr, transformations=("T2", "T2"),
+        arr = replace(arr, transformations=("T2", "T2"),
                            measurements=("M2", "M2", "M3"))
         path = tmp_path / "identity.json"
         path.write_text(json.dumps(schema.model_to_doc(arr.model, arrangements={"lg": arr})))

@@ -1,14 +1,15 @@
 """Every definition in ``src/lglab`` is reached from inside the package.
 
-A module-level function or class, or a class's non-dunder method, counts
-as reached when an ``ast.Name`` or ``ast.Attribute`` somewhere in
-``src/lglab`` names it outside its own definition. Names are matched
-bare, so a definition that shares its name with another one in use
-counts as reached. ``__init__.py`` only re-exports, so it neither
-defines nor reaches anything here. A
-definition that nothing in the package names is library surface that no
-command or zoo entry uses; only the benchmark's own entry points are
-allowed to be such.
+A definition counts as reached when a use somewhere in ``src/lglab``
+names it outside its own definition. A module-level function or class is
+used by an ``ast.Name``, or by an attribute of its own module's name, such
+as ``schema.write_document``; an attribute of anything else, such as a
+string's ``replace``, does not name it. A class's non-dunder method is
+used by an ``ast.Name`` or by any ``ast.Attribute`` of that name, since the
+object it is read from is not known here. ``__init__.py`` only re-exports,
+so it neither defines nor reaches anything here. A definition that
+nothing in the package names is library surface that no command or zoo
+entry uses; only the benchmark's own entry points are allowed to be such.
 """
 
 from __future__ import annotations
@@ -41,31 +42,40 @@ def _modules():
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name, node) of each module-level definition and non-dunder method."""
+    """(qualified name, the uses that name it, node) of each module-level definition and
+    non-dunder method; the uses are keys of ``_uses``."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
-        yield f"{module}.{node.name}", node.name, node
+        yield f"{module}.{node.name}", (node.name, (module, node.name)), node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, kinds) and not re.fullmatch(r"__\w+__", item.name):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    yield f"{module}.{node.name}.{item.name}", (item.name, (None, item.name)), item
 
 
-def _names(node: ast.AST) -> Counter:
-    """How often an ``ast.Name`` or ``ast.Attribute`` under ``node`` uses each name."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def _uses(node: ast.AST) -> Counter:
+    """How often each name is used under ``node``: an ``ast.Name`` by its id, and an
+    ``ast.Attribute`` as ``(None, attr)`` and, when read from a plain name, as ``(name, attr)``."""
+    uses = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            uses[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            uses[None, n.attr] += 1
+            if isinstance(n.value, ast.Name):
+                uses[n.value.id, n.attr] += 1
+    return uses
 
 
 def unreached() -> set:
-    """The qualified names of the definitions that nothing else in the package names."""
+    """The qualified names of the definitions that nothing else in the package uses."""
     trees = dict(_modules())
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    everywhere = sum((_uses(tree) for tree in trees.values()), Counter())
     return {qualified for module, tree in trees.items()
-            for qualified, name, node in _definitions(module, tree)
-            if everywhere[name] == _names(node)[name]}
+            for qualified, keys, node in _definitions(module, tree)
+            if sum(map(everywhere.__getitem__, keys)) == sum(map(_uses(node).__getitem__, keys))}
 
 
 def test_every_definition_but_the_benchmark_entry_points_is_reached_from_the_package():

@@ -27,7 +27,11 @@ of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
 quantity class it declares, and a refusal of an undeclared name for each.
 Of a ks-sphere file at ``--grid 300`` they run ``lg`` and ``classify``, so
 that the loader's shared response rows and the value check that decides
-each distinct row once are compared through the CLI.
+each distinct row once are compared through the CLI. A copy of that file
+without ``Mz``'s ``-1`` update row, as a file that declares its rows per
+outcome may lack one, runs ``run --protocol lg-12``, whose ``+1`` flows
+reach the shared row while the other row is missing, and ``lg``, which
+is refused with exit 2 and names state ``r1:0``'s missing ``-1`` row.
 Further refusals compare ``run --marginal`` with an ambiguous axis label
 and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
 with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
@@ -58,6 +62,7 @@ ANGLES = ((0.3, 2.0), (1.0, 1.0), (-1.2, 5.5), (2 * math.pi, -2 * math.pi),
 MODEL_FILE = "superselected.json"
 SPHERE = ["ks-sphere", "--grid", "300"]
 SPHERE_FILE = "ks-sphere-300.json"
+SPHERE_MINUS_FILE = "ks-sphere-300-without-minus-row.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
@@ -107,6 +112,7 @@ def commands(zoo: list) -> list:
         ["classify", "--model", MODEL_FILE],
         ["lg", "--model", SPHERE_FILE],
         ["classify", "--model", SPHERE_FILE],
+        ["run", "--model", SPHERE_MINUS_FILE, "--protocol", "lg-12"],
         ["zoo", "list"],
         # inputs refused with exit 2
         ["lg", "--zoo", "no-such-model"],
@@ -124,6 +130,7 @@ def commands(zoo: list) -> list:
         ["classify", "--model", EMPTY_CLASS_FILE],
         ["classify", "--model", INEQUIVALENT_CLASS_FILE],
         ["lg", "--model", SHORT_ARRANGEMENT_FILE],
+        ["lg", "--model", SPHERE_MINUS_FILE],
     ]
     return [argv + ["--no-timestamp"] for argv in out]
 
@@ -159,7 +166,10 @@ def main(argv=None) -> int:
                 return 2
         with open(os.path.join(cwd, MODEL_FILE), encoding="utf-8") as handle:
             doc = json.load(handle)
-        for name, broken in broken_copies(doc).items():
+        with open(os.path.join(cwd, SPHERE_FILE), encoding="utf-8") as handle:
+            sphere = json.load(handle)
+        del sphere["measurements"]["Mz"]["update"]["rows"]["-1"]
+        for name, broken in {**broken_copies(doc), SPHERE_MINUS_FILE: sphere}.items():
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as handle:
                 json.dump(broken, handle)
         parent = [run(args.parent, argv, cwd) for argv in listed]
