@@ -6,18 +6,24 @@ Export followed by import reproduces the model exactly: state and
 outcome labels are strings, floats round-trip through their shortest
 repr, and table ordering is preserved.
 
+A certain row may be written as its one label: a preparation, kernel or
+update row as the state holding weight 1, a response row as the outcome
+given with probability 1. An export writes every row that way whose
+label loads back as exactly the row (see ``_label``); on a large model,
+whose rotations and readouts are mostly certain, that is most rows, and
+the file shrinks by nearly half.
+
 ``write_document`` writes the bytes of ``json.dump(doc, handle,
 indent=2)`` and a newline, at the speed of ``json``'s C encoder: that
 encoder cannot indent, but it writes each container that holds no
 container, one item to a line, when its item separator carries the
 line break and the indent. Both directions do their per-row work once
-per distinct row. An export holds one dict per distinct kernel, response
-and update row of the model, and the writer renders a container held in
-several places once per depth; the bytes are those of an unshared
-document. The loader builds a point mass, the most common row of a
-large model, directly, and gives the states whose response rows are
-written alike one row object. It type-checks each such row once, and the
-response normalizes and keeps it once, as for a built model.
+per distinct row. An export holds one label or dict per distinct kernel,
+response and update row of the model. The loader reads a label row as
+the space's point mass, and a one-entry dict holding 1.0 as well, the
+most common rows of a large model, and gives the states whose response
+rows are written alike one row object. It type-checks each such row
+once, and the response normalizes and keeps it once, as for a built model.
 """
 
 from __future__ import annotations
@@ -46,16 +52,20 @@ SCHEMA_VERSION = 1
 def model_to_doc(model: OnticModel, name=None, arrangements=None, protocols=None) -> dict:
     """Serialize a model (plus optional named arrangements and protocols).
 
-    Each distinct kernel, response and update row is converted once, so
-    the document shares one dict wherever the model shares one row; the
-    document is read-only.
+    Each distinct kernel, response and update row is converted once, to
+    its label where it is certain (``_label``) and to a dict otherwise, so
+    the document shares one dict wherever the model shares a row that is
+    not certain; the document is read-only.
     """
     rows_doc: dict = {}  # id(row) -> its document; the model holds every row for the call
 
-    def row_doc(row) -> dict:
+    def row_doc(row):
         converted = rows_doc.get(id(row))
         if converted is None:
-            converted = rows_doc[id(row)] = {str(label): p for label, p in row.items()}
+            converted = _label(row)
+            if converted is None:
+                converted = {str(label): p for label, p in row.items()}
+            rows_doc[id(row)] = converted
         return converted
 
     doc = {"schema": SCHEMA_VERSION}
@@ -128,6 +138,21 @@ def model_to_doc(model: OnticModel, name=None, arrangements=None, protocols=None
     return doc
 
 
+def _label(row):
+    """The label a certain row is written as, or None: its one key holding 1.0, where
+    every other key holds +0.0. That label loads back as the same row; a row holding
+    -0.0 stays a dict, so that it keeps its bytes."""
+    if len(row) == 1:  # a point mass: a distribution keeps no zero weight
+        [(label, p)] = row.items()
+        return str(label) if p == 1.0 else None
+    values = list(row.values())
+    if values.count(1.0) != 1 or values.count(0.0) != len(values) - 1:
+        return None  # counted first: a large preparation is no candidate, and no repr is made
+    if not {"0.0", "1.0"}.issuperset(map(repr, values)):
+        return None  # a -0.0, or a number of another type that equals 0 or 1
+    return str(list(row)[values.index(1.0)])
+
+
 def _typed(value, kind, path, what="value"):
     """``value`` if it has the JSON type ``kind``; true and false are not numbers."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
@@ -170,15 +195,22 @@ def _at(path):
 def _rows(space, rows_doc, path) -> dict:
     """The distribution each row of ``rows_doc`` describes, under the row's key.
 
-    A point mass, one known label holding the float 1.0, passes every check
-    of the others, so it is read straight from the space's interned point
-    mass (``Distribution.point_mass``). Every other row goes through
-    ``_distribution`` with its key path.
+    A point mass of a known state, written as the state's label or as that
+    label holding the float 1.0, passes every check of the others, so it is
+    read straight from the space's interned point mass
+    (``Distribution.point_mass``). Every other row goes through
+    ``_distribution`` with its key path, an unknown label as the row
+    ``{label: 1.0}``, so that both forms are refused alike.
     """
-    position, point_mass = space.position, Distribution.point_mass
+    position, points, point_mass = space.position, space.points, Distribution.point_mass
     out = {}
     for key, row in rows_doc.items():
-        if type(row) is dict and len(row) == 1:
+        if type(row) is str:
+            if row in position:
+                out[key] = points.get(row) or point_mass(space, row)
+                continue
+            row = {row: 1.0}
+        elif type(row) is dict and len(row) == 1:
             [(label, weight)] = row.items()
             if type(weight) is float and weight == 1.0 and label in position:
                 out[key] = point_mass(space, label)
@@ -223,8 +255,14 @@ def doc_to_model(doc) -> tuple:
         equal: dict = {}  # repr(row) -> (the first state, its row), which -0.0 keeps from 0.0
         table = {s: equal.setdefault(repr(row), (s, row))[1]
                  for s, row in _require(mdoc, "response", dict, path).items()}
+        labels = {}  # id of a label row -> the row {label: 1.0} it stands for
         for s, row in equal.values():
-            _numbers(row, f"{path}.response.{s}")
+            if type(row) is str:
+                labels[id(row)] = {row: 1.0}
+            else:
+                _numbers(row, f"{path}.response.{s}")
+        if labels:
+            table = {s: labels.get(id(row), row) for s, row in table.items()}
         with _at(f"{path}.response"):
             response = ResponseFunction(space, outcomes, table)
         update_doc = _require(mdoc, "update", dict, path)
@@ -321,14 +359,12 @@ def write_document(doc, handle):
     whose values are all str, int, float, bool or None goes to one
     ``json.encoder.c_make_encoder`` call, made once per depth, whose item
     separator is a comma, a line break and the indent of its items; only
-    its brackets are then indented. Such a container held in several
-    places is rendered once per depth, and its text written again at each
-    place. Other containers are walked here, and each item is written as
-    it is reached, so a large document is never held as one string.
+    its brackets are then indented. Other containers are walked here, and
+    each item is written as it is reached, so a large document is never
+    held as one string.
     """
     write = handle.write
     encoders: dict = {}  # depth -> the C encoder of a container's items at that depth
-    written: dict = {}  # (id, depth) -> the text of a flat container; doc holds it for the call
 
     def flat(value, depth) -> str:
         encode = encoders.get(depth)
@@ -348,12 +384,9 @@ def write_document(doc, handle):
         if not value:
             return write(brackets)
         indent = "\n" + "  " * (depth + 1)
-        text = written.get((id(value), depth))
-        if text is None and _SCALARS.issuperset(map(type, values)):
-            items = indent + flat(value, depth)[1:-1] + indent[:-2]
-            text = written[id(value), depth] = brackets[0] + items + brackets[1]
-        if text is not None:
-            return write(text)
+        if _SCALARS.issuperset(map(type, values)):
+            items = flat(value, depth)[1:-1]
+            return write(brackets[0] + indent + items + indent[:-2] + brackets[1])
         heads = map(_key, value) if brackets == "{}" else itertools.repeat("")
         separator = brackets[0] + indent
         for head, item in zip(heads, values):

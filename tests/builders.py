@@ -3,6 +3,8 @@ entry needs."""
 
 from __future__ import annotations
 
+import copy
+
 from lglab import zoo
 from lglab.core import (OUTCOMES, Distribution, Measurement, MeasurementUpdate, OnticModel,
                         OnticStateSpace, TransformationKernel)
@@ -27,3 +29,30 @@ def sphere_probe(model: OnticModel, direction) -> Measurement:
 def replace(record, /, **changes):
     """A new record of ``record``'s class with ``changes`` to its fields, validated again."""
     return type(record)(**{**dict(zip(record._fields, record._values(record._fields))), **changes})
+
+
+def expanded(doc: dict) -> dict:
+    """A copy of a model document whose label rows are written out as dicts.
+
+    A model file may write a certain row as its one label: a state for a
+    preparation, kernel or update row, an outcome for a response row. Here
+    each becomes the dict it stands for, ``{state: 1.0}`` or the response
+    row over every outcome in order, as files without label rows write them.
+    """
+    def rows(table: dict) -> dict:
+        return {key: {row: 1.0} if isinstance(row, str) else row for key, row in table.items()}
+
+    doc = copy.deepcopy(doc)
+    doc["preparations"] = rows(doc["preparations"])
+    doc["transformations"] = {t: rows(kernel) for t, kernel in doc["transformations"].items()}
+    for meas in doc["measurements"].values():
+        meas["response"] = {
+            state: {q: 1.0 if q == row else 0.0 for q in meas["outcomes"]}
+            if isinstance(row, str) else row
+            for state, row in meas["response"].items()}
+        update = meas["update"]
+        if update["mode"] == "per_outcome":
+            update["rows"] = rows(update["rows"])
+        else:
+            update["rows"] = {state: rows(table) for state, table in update["rows"].items()}
+    return doc

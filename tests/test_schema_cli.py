@@ -23,7 +23,7 @@ from lglab import (
 )
 from lglab import __version__, cli, core, schema, zoo
 from lglab.classify import QuantityClass, classify
-from builders import replace
+from builders import expanded, replace
 from random_models import identity_with_shared_rows, random_arrangement
 from perfbench.workloads import (
     CLASSIFY_PINS,
@@ -75,6 +75,17 @@ class TestRoundTrip:
             protocols=protocols,
         )
         assert json.dumps(doc2, indent=2) == text
+
+    @pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+    def test_a_file_without_label_rows_loads_to_the_model_it_wrote(self, name):
+        # every certain row written as a dict, as files without label rows write them
+        _, doc = export_doc(name, **({"n_points": 100} if name == "ks-sphere" else {}))
+        old = expanded(doc)
+        assert old != doc
+        model, protocols, arrangements = schema.doc_to_model(json.loads(json.dumps(old)))
+        again = schema.model_to_doc(model, name=name, arrangements=arrangements,
+                                    protocols=protocols)
+        assert json.dumps(again, indent=2) == json.dumps(doc, indent=2)
 
     def test_imported_arrangement_reproduces_values(self):
         build, doc = export_doc("qubit")
@@ -333,7 +344,7 @@ class TestCli:
                                                          tmp_path, capsys):
         path = tmp_path / "chain.json"
         run_cli(["zoo", "export", "superselected", "--out", str(path)])
-        doc = json.loads(path.read_text())
+        doc = expanded(json.loads(path.read_text()))
         node = doc
         for key in keys[:-1]:
             node = node[key]
@@ -771,6 +782,19 @@ REFUSED_MUTANTS = {
     "arrangement-with-two-measurements": (
         "superselected", ("arrangements", "lg", "measurements"), ["read", "read"],
         "arrangements.lg: arrangement needs two transformations and three measurements"),
+    "unknown-preparation-label": ("superselected", ("preparations", "prep-up"), "nowhere",
+                                  "preparations.prep-up: unknown state label 'nowhere'"),
+    "unknown-kernel-row-label": ("qubit", ("transformations", "rot1", "q(1,0)"), "nowhere",
+                                 "transformations.rot1.q(1,0): unknown state label 'nowhere'"),
+    "unknown-per-state-update-label": (
+        "superselected", ("measurements", "read", "update", "rows", "up", "+1"), "nowhere",
+        "measurements.read.update.rows.up.+1: unknown state label 'nowhere'"),
+    "unknown-per-outcome-update-label": (
+        "qubit", ("measurements", "Mz", "update", "rows", "+1"), "nowhere",
+        "measurements.Mz.update.rows.+1: unknown state label 'nowhere'"),
+    "unknown-response-label": (
+        "superselected", ("measurements", "read", "response", "up"), "+2",
+        "measurements.read.response: unknown outcome '+2' in row for 'up'"),
     "component-name-declared-twice": (
         "superselected", ("preparations", "read"), {"up": 1.0},
         "component name 'read' is declared twice: preparations.read and measurements.read"),
@@ -783,7 +807,7 @@ def test_a_mutated_model_file_is_refused_with_its_key_path(entry, keys, value, m
                                                             tmp_path, capsys):
     path = tmp_path / "model.json"
     assert run_cli(["zoo", "export", entry, "--out", str(path)]) == 0
-    doc = json.loads(path.read_text())
+    doc = expanded(json.loads(path.read_text()))
     if keys:
         parent = doc
         for key in keys[:-1]:
@@ -818,7 +842,7 @@ CLASS_REFUSALS = {
 def test_a_bad_quantity_class_is_refused_with_its_key_path(classes, message, tmp_path, capsys):
     path = tmp_path / "superselected.json"
     assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0
-    doc = json.loads(path.read_text())
+    doc = expanded(json.loads(path.read_text()))
     flipped = copy.deepcopy(doc["measurements"]["read"])
     flipped["response"] = {state: dict(zip(row, reversed(row.values())))
                            for state, row in flipped["response"].items()}

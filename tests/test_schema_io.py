@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from lglab import Distribution, SchemaError, cli, schema, zoo
+from builders import expanded
 from perfbench.workloads import CLI_GRID, ZOO
 
 
@@ -176,15 +177,29 @@ def test_an_unserialisable_value_raises_json_dumps_type_error(doc):
     assert str(raised.value) == str(expected.value)
 
 
+def containers(value, depth=0):
+    """(container, depth) for each place the document holds a dict or a list, itself first."""
+    if isinstance(value, (dict, list)):
+        yield value, depth
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item, depth + 1)
+
+
 def test_a_large_export_is_streamed_in_pieces():
     # the document is never held as one string: a write carries at most one
-    # container of scalars, here the largest is the list of the 600 states
+    # container of scalars, so no write is longer than the longest of them as
+    # written at its depth, and there are at least as many writes as containers
     doc = export_document("ks-sphere", "--grid", "200")
     pieces = Pieces()
     schema.write_document(doc, pieces)
     assert_same_text("".join(pieces), json_dump_text(doc))
-    assert len(pieces) > 1000
-    assert max(map(len, pieces)) < sum(map(len, pieces)) / 10
+    held = list(containers(doc))
+    flat = [json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+            for value, depth in held
+            if not any(isinstance(item, (dict, list))
+                       for item in (value.values() if isinstance(value, dict) else value))]
+    assert len(pieces) >= len(held)
+    assert max(map(len, pieces)) <= max(map(len, flat))
 
 
 class Pieces(list):
@@ -216,7 +231,7 @@ def row_parent(doc, path):
 @pytest.fixture(params=POINT_MASS_ROWS, ids=lambda p: ".".join(p[1]))
 def point_row(request):
     entry, path = request.param
-    doc = export_document(entry)
+    doc = expanded(export_document(entry))
     [(label, weight)] = row_parent(doc, path)[path[-1]].items()
     assert weight == 1.0 and type(weight) is float
     return doc, path, label
@@ -264,6 +279,49 @@ def test_a_row_not_holding_the_float_one_is_validated_and_loads_as_it(point_row,
     assert json.dumps(schema.model_to_doc(model)) == json.dumps(schema.model_to_doc(reference))
 
 
+def loaded_row(model, path):
+    """The distribution a model loaded from a POINT_MASS_ROWS entry holds at its key path."""
+    kind, *keys = path
+    if kind == "preparations":
+        return model.preparations[keys[0]]
+    if kind == "transformations":
+        return model.transformations[keys[0]].rows[keys[1]]
+    return model.measurements[keys[0]].update.rows[keys[3], keys[4]]
+
+
+def test_a_label_row_loads_as_the_point_mass_on_the_direct_path(point_row, monkeypatch):
+    _, path, label = point_row
+    reference = load_with_row(point_row, {label: 1.0})
+    validated = []  # the key paths of the rows loaded on the validated path
+    distribution = schema._distribution
+    monkeypatch.setattr(schema, "_distribution", lambda space, row, at:
+                        validated.append(at) or distribution(space, row, at))
+    model = load_with_row(point_row, label)
+    assert loaded_row(model, path) is model.space.points[label]
+    assert ".".join(path) not in validated
+    assert json.dumps(schema.model_to_doc(model)) == json.dumps(schema.model_to_doc(reference))
+
+
+@pytest.mark.parametrize("row,message", [
+    ("nowhere", "unknown state label 'nowhere'"),
+    (["nowhere"], "value must be dict, got list"),
+    (1.0, "value must be dict, got float"),
+], ids=["unknown-label", "list", "number"])
+def test_a_row_neither_a_known_label_nor_a_dict_is_refused_at_its_key_path(point_row, row,
+                                                                           message):
+    # an unknown label is refused as the row {label: 1.0} is
+    path = ".".join(point_row[1])
+    with pytest.raises(SchemaError) as raised:
+        load_with_row(point_row, row)
+    assert raised.value.path == path
+    assert str(raised.value) == f"{path}: {message}"
+
+
+#: A document as exported, with its certain rows as labels, and as a file without label
+#: rows writes it.
+FORMS = {"labels": lambda doc: doc, "dicts": expanded}
+
+
 def sphere_document() -> dict:
     """A ks-sphere export of 300 states, whose Mz declares two distinct response rows."""
     return json.loads(json.dumps(schema.model_to_doc(zoo.build("ks-sphere", n_points=100).model)))
@@ -274,22 +332,27 @@ def response_rows(model) -> int:
     return len({id(row) for row in model.measurements["Mz"].response.table.values()})
 
 
-def test_a_loaded_model_shares_equal_response_rows():
-    doc = sphere_document()
+@pytest.mark.parametrize("form", FORMS.values(), ids=FORMS.keys())
+def test_a_loaded_model_shares_equal_response_rows(form):
+    doc = form(sphere_document())
     text = json_dump_text(doc)
     model, _, _ = schema.doc_to_model(doc)
     assert response_rows(model) == 2  # as built; one per state before the rows were shared
     assert json_dump_text(doc) == text  # the document is left as it was
 
 
-def test_rows_written_with_a_negative_zero_stay_apart():
-    doc = sphere_document()
+@pytest.mark.parametrize("form", FORMS.values(), ids=FORMS.keys())
+def test_rows_written_with_a_negative_zero_stay_apart(form):
+    # a certain row holding -0.0 is written as a dict, beside neighbours
+    # written as their label (or, in files without label rows, as dicts)
+    doc = form(sphere_document())
     response = doc["measurements"]["Mz"]["response"]
-    first = next(s for s, row in response.items() if row == {"+1": 1.0, "-1": 0.0})
+    first = next(s for s, row in expanded(doc)["measurements"]["Mz"]["response"].items()
+                 if row == {"+1": 1.0, "-1": 0.0})
     response[first] = {"+1": 1.0, "-1": -0.0}  # equal to its neighbours under ==
     model, _, _ = schema.doc_to_model(doc)
     assert response_rows(model) == 3
-    assert_same_text(written(schema.model_to_doc(model)), written(doc))
+    assert_same_text(written(form(schema.model_to_doc(model))), written(doc))
 
 
 def test_a_bad_row_written_for_several_states_is_reported_at_the_first():
@@ -312,3 +375,14 @@ def test_a_mistyped_row_written_for_several_states_is_reported_at_the_first():
         schema.doc_to_model(doc)
     assert raised.value.path == "measurements.Mz.response.r0:3.+1"
     assert str(raised.value) == "measurements.Mz.response.r0:3.+1: value must be number, got str"
+
+
+def test_a_bad_label_written_for_several_states_is_reported_at_the_first():
+    doc = sphere_document()
+    response = doc["measurements"]["Mz"]["response"]
+    for state in ("r0:7", "r0:3", "r1:0"):
+        response[state] = "+2"
+    with pytest.raises(SchemaError) as raised:
+        schema.doc_to_model(doc)
+    assert str(raised.value) == ("measurements.Mz.response: "
+                                 "unknown outcome '+2' in row for 'r0:3'")

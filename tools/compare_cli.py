@@ -37,7 +37,8 @@ and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
 with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
 file, each broken in one way: ``classify`` of an empty quantity class and
 of a class whose members are not equivalent (a copy of ``read`` with its
-response flipped), and ``lg`` of an arrangement with two measurements.
+response flipped, whether the parent writes its certain rows as labels or
+as dicts), and ``lg`` of an arrangement with two measurements.
 
 Only the standard library is used, so any interpreter that runs lglab
 runs this.
@@ -68,12 +69,20 @@ INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
 
 
+def response_row(row, outcomes) -> list:
+    """A response row's probabilities in outcome order; a row written as a label is certain."""
+    if isinstance(row, str):
+        return [float(q == row) for q in outcomes]
+    return [row.get(q, 0.0) for q in outcomes]
+
+
 def broken_copies(doc: dict) -> dict:
     """Copies of the exported superselected document, each invalid in one way, by file name."""
     empty, inequivalent, short = (copy.deepcopy(doc) for _ in range(3))
     empty["quantity_classes"] = {"Q": []}
     flipped = copy.deepcopy(doc["measurements"]["read"])
-    flipped["response"] = {state: dict(zip(row, reversed(row.values())))
+    outcomes = flipped["outcomes"]
+    flipped["response"] = {state: dict(zip(outcomes, reversed(response_row(row, outcomes))))
                            for state, row in flipped["response"].items()}
     inequivalent["measurements"]["flipread"] = flipped
     inequivalent["quantity_classes"] = {"Q": ["read", "flipread"]}
