@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter, lt, mul
+from operator import itemgetter, mul
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import ModelError, ValidationError
@@ -189,9 +190,6 @@ class Distribution:
             dist.space, dist.weights = space, {label: 1.0}
         return dist
 
-    def weight(self, label: Label) -> float:
-        return self.weights.get(label, 0.0)
-
     def support(self) -> frozenset:
         return frozenset(k for k, v in self.weights.items() if v > SUPPORT_TOL)
 
@@ -199,7 +197,8 @@ class Distribution:
         """Half the L1 distance, summed in state order so that every process adds alike."""
         _check_same_space(self.space, other.space, "total_variation")
         keys = sorted(self.weights.keys() | other.weights.keys(), key=self.space.position.get)
-        return 0.5 * sum(abs(self.weight(k) - other.weight(k)) for k in keys)
+        mine, theirs = self.weights.get, other.weights.get
+        return 0.5 * sum(abs(mine(k, 0.0) - theirs(k, 0.0)) for k in keys)
 
     def __repr__(self):
         items = ", ".join(f"{k!r}: {v:.6g}" for k, v in self.weights.items())
@@ -446,12 +445,15 @@ def _declared(components: dict, kind: str, name):
 # total mass as given and check nothing beyond the rows they read. Its
 # pull reads the same rows backwards, carrying effects (functions on
 # ontic states, such as xi(q | .)) so that <measure(w, q), f> =
-# <w, pull(f)[q]>. Through an outcome whose rows are point masses in
-# state order (Form.ordered), measure reads each flow's target by
-# position; a flow that meets no row falls through to the general loop,
-# which names the missing row. Through an outcome whose states with a
-# row all draw one row (Form.shared), measure moves the branch in one dot
-# product and names a missing row as the loop would.
+# <w, pull(f)[q]>. An outcome whose rows are point masses in state order
+# is compiled into runs (Form.runs), stretches of states that each draw
+# the point mass a fixed shift on: pull copies one slice of the base per
+# run, reading no state alone, and measure reads each flow's target by
+# position. A kernel's outcome is certain (Form.certain), so neither
+# multiplies by its 1.0. A flow that meets no row falls through to the
+# general loop, which names the missing row. Through an outcome whose
+# states with a row all draw one row (Form.shared), measure moves the
+# branch in one dot product and names a missing row as the loop would.
 #
 # An effect is a term (c, base): a coefficient times an array over the
 # states' positions (lg sums such terms). It is NaN outside its domain,
@@ -536,19 +538,25 @@ class Form:
     outcome to the one ``to`` value that every state with a row for it
     draws, where there is one: a point mass counts as one row by its
     state, whichever objects carry it, so how a model was built does not
-    decide which sums run. ``ordered`` holds each outcome whose drawn
-    rows are all point masses at positions that strictly increase with
-    the drawing state's position, as a rotation's or an identity update's
-    are: ``measure`` moves a branch through it by reading its ``to`` and
-    ``xi`` values at the branch's positions, already in ascending order.
+    decide which sums run. ``runs`` maps each outcome whose drawn rows
+    are all point masses at positions that strictly increase with the
+    drawing state's position, as a rotation's or an identity update's
+    are, to its runs: (start, stop, shift) for each maximal stretch of
+    states start <= i < stop that draw the point masses at i + shift, in
+    state order. Between runs no state draws a row. ``pull`` moves an
+    effect through such an outcome by one slice per run, and ``measure``
+    moves a branch by reading its ``to`` values at the branch's positions,
+    already in ascending order. ``certain`` holds for a kernel: its one
+    outcome has probability 1.0 wherever a row is declared, and no row is
+    missing, so neither multiplies by it.
     ``complete`` holds when every state has a response row and none is
-    ``missing``: no walk misses a row here. ``in_place``
-    holds when no row is missing and each state draws every outcome from
-    the point mass at itself: the update moves no state.
+    ``missing``: no walk misses a row here. ``in_place`` holds when no
+    row is missing and every outcome has runs, all of shift 0: the update
+    moves no state.
     """
 
     __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "flows", "xi",
-                 "shared", "ordered", "complete", "in_place")
+                 "shared", "runs", "certain", "complete", "in_place")
 
     def __init__(self, space: OnticStateSpace, outcomes: tuple, table: Iterable, row):
         """Compile (label, {outcome: probability}) response rows and ``row(label, outcome)``,
@@ -581,17 +589,21 @@ class Form:
                 self.to[q][i] = t
         self.flows = _blanked(self.responses, self.missing)
         self.xi = _blanked(self.responses, [(i, q) for i, _ in self.missing for q in outcomes])
-        self.shared = {}
-        for q, to in self.to.items():  # the only value besides end, if any: counted, not collected
-            lowest = min(to)
+        self.shared, self.runs = {}, {}
+        for q, to in self.to.items():
+            if (runs := _runs(to, end)) is not None:
+                self.runs[q] = runs
+                if [b - a for a, b, _ in runs] == [1]:  # one state draws
+                    self.shared[q] = runs[0][0] + runs[0][2]
+                continue
+            lowest = min(to)  # the only value besides end, if any: counted, not collected
             t = lowest if lowest != end else max(to)
             if t != end and to.count(t) + to.count(end) == end:
                 self.shared[q] = t
-        self.ordered = frozenset(q for q, to in self.to.items() if _increasing(to, end))
+        self.certain = outcomes == (None,)
         self.complete = declared == end and not self.missing
-        self.in_place = not self.missing and all(
-            t in (i, end) for to in self.to.values() for i, t in enumerate(to)
-        )
+        self.in_place = not self.missing and len(self.runs) == len(outcomes) and not any(
+            s for runs in self.runs.values() for _, _, s in runs)
 
     def masses(self, branch) -> dict:
         """Weight the measurement sends to each outcome q: sum_s w(s) * xi(q | s)."""
@@ -610,11 +622,12 @@ class Form:
         reset) moves <w, flows(q | .)> onto its row in one step, the dual of
         a rank-one pull, also where another outcome's row is missing; where
         weight meets a missing row it names the state the loop would. An
-        outcome in ``ordered`` sends each nonzero flow to its target, read
-        with the flows at the branch's positions, unless a flow meets no
-        row. Otherwise the state loop sends each nonzero flow to its point
-        mass or expands its row for its state, in state order, and raises
-        for the first missing row.
+        outcome in ``runs`` sends each nonzero flow to its target, read with
+        the flows at the branch's positions, unless a flow meets no row;
+        through a certain outcome each flow is the weight itself. Otherwise
+        the state loop sends each nonzero flow to its point mass or expands
+        its row for its state, in state order, and raises for the first
+        missing row.
         """
         xi, to = self.responses[outcome], self.to[outcome]
         end, t = len(self.states), self.shared.get(outcome)
@@ -628,12 +641,14 @@ class Form:
             i = next((i for i, w in zip(*branch) if to[i] == end and w * xi[i] != 0.0), None)
             if i is not None:
                 raise self._undefined(i, None if xi[i] != xi[i] else outcome)
-        if outcome in self.ordered:  # the loop's 0.0 + flow at each target, ascending already
+        if outcome in self.runs:  # the loop's 0.0 + flow at each target, ascending already
             gather = _gather(branch[0])
-            flows = list(map(mul, branch[1], gather(xi)))
-            targets = list(compress(gather(to), flows))
+            flows = branch[1] if self.certain else list(map(mul, branch[1], gather(xi)))
+            # a kernel's xi is NaN off its rows, so any weight there, even 0, meets no row
+            targets = gather(to) if self.certain else list(compress(gather(to), flows))
             if end not in targets:
-                return targets, list(filter(None, flows))
+                return (list(compress(targets, flows)) if self.certain else targets,
+                        list(filter(None, flows)))
         out: dict = {}
         for i, w in zip(*branch):
             mass = w * xi[i]
@@ -661,19 +676,31 @@ class Form:
         by a 0, which the states drawing no row read, and by its dots with
         the numbered rows; each state then reads its ``to`` value there,
         and an outcome in ``shared`` gives that value times xi(q | .)
-        while it is a number.
+        while it is a number. Through an outcome in ``runs`` the reads are
+        slices of the extended base, one per run (see ``_sliced``).
         """
         def pulled(base):
             ext = base + array("d", [0.0] + [sum(map(mul, weights, take(base)))
                                              for _, weights, take in self.rows.values()])
             xi, shared = self.xi, self.shared
             return [(ext[shared[q]], xi[q]) if q in shared and not math.isnan(ext[shared[q]])
-                    else (1.0, array("d", map(mul, xi[q], map(ext.__getitem__, to))))
-                    for q, to in self.to.items()]
+                    else (1.0, self._sliced(ext, q) if q in self.runs
+                          else array("d", map(mul, xi[q], map(ext.__getitem__, self.to[q]))))
+                    for q in self.to]
 
         terms = [_once(memo, self, base, pulled) for _, base in effects]
         return [(c * b, e)
                 for by_effect in zip(*terms) for (c, _), (b, e) in zip(effects, by_effect)]
+
+    def _sliced(self, ext, q) -> array:
+        """xi(q | s) * ext[to[q][s]] for each state s, through q's runs: one slice of ``ext``
+        per run."""
+        xi, out, i = self.xi[q], array("d"), 0
+        for a, b, s in self.runs[q]:  # between runs xi(q | .) * ext[end] is xi(q | .): 0 or NaN
+            pulled = ext[a + s:b + s]
+            out += xi[i:a] + (pulled if self.certain else array("d", map(mul, xi[a:b], pulled)))
+            i = b
+        return out + xi[i:]
 
     def _undefined(self, i: int, outcome=None) -> ModelError:
         """The error of reaching a state without a kernel, response or outcome's update row."""
@@ -700,10 +727,30 @@ def _once(memo: dict, form, base, compute):
     return entry[1]
 
 
-def _increasing(to, end: int) -> bool:
-    """Whether the ``to`` values other than ``end`` are positions that strictly increase."""
-    drawn = list(filter(end.__ne__, to))
-    return not drawn or drawn[-1] < end and all(map(lt, drawn, drawn[1:]))
+def _runs(to, end: int):
+    """The runs of an outcome's ``to`` values (see ``Form``), or None where a drawn row is
+    not a point mass or the drawn positions do not strictly increase.
+
+    From the state i that a run, or a stretch of states drawing no row, starts at, the
+    stretch is the longest slice of ``to`` equal to the slice of ``like`` from ``like[j]``,
+    its first value: ``end`` repeated (``gaps``) or every position in order (``line``, made
+    on the first run). Bisection finds its length, so no state is read one at a time."""
+    runs, i, gaps, line = [], 0, array("i", [end]) * end, None
+    while i < end:
+        # a numbered row, or a drawn position behind the last run's targets
+        if (t := to[i]) > end or runs and runs[-1][1] + runs[-1][2] > t:
+            return None
+        if t == end:
+            like, j = gaps, 0
+        else:
+            line = line or array("i", range(end))
+            like, j = line, t
+        # a slice of like cut short by its end is shorter than to's, so it differs too
+        k = bisect_left(range(1, end - i + 1), True, key=lambda k: to[i:i + k] != like[j:j + k])
+        if t < end:
+            runs.append((i, i + k, t - i))
+        i += k
+    return runs
 
 
 def _blanked(xi: dict, pairs) -> dict:

@@ -3,6 +3,7 @@ from array import array
 from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -129,8 +130,8 @@ class TestComposePreparation:
         # 2x2 kernel by hand: weights simply trade places
         space = two_state_space()
         out = compose_preparation(Distribution(space, {"l1": 0.3, "l2": 0.7}), swap_kernel(space))
-        assert out.weight("l1") == pytest.approx(0.7, abs=1e-15)
-        assert out.weight("l2") == pytest.approx(0.3, abs=1e-15)
+        assert out.weights["l1"] == pytest.approx(0.7, abs=1e-15)
+        assert out.weights["l2"] == pytest.approx(0.3, abs=1e-15)
 
     def test_missing_row_is_domain_error(self):
         space = two_state_space()
@@ -322,7 +323,7 @@ class TestOnticNoninvasiveness:
 def label_level_deviation(measurement, for_outcome=None) -> float:
     """max 1 - tau(s | q, s) over states s and checked outcomes q of xi(q | s) > SUPPORT_TOL."""
     checked = measurement.outcomes if for_outcome is None else (for_outcome,)
-    return max((1.0 - measurement.update.row(s, q).weight(s)
+    return max((1.0 - measurement.update.row(s, q).weights.get(s, 0.0)
                 for s, row in measurement.response.table.items()
                 for q in checked if row[q] > core.SUPPORT_TOL), default=0.0)
 
@@ -594,16 +595,25 @@ def test_ordered_outcomes_draw_point_masses_in_state_order():
     models = {name: zoo_model(name) for name in ("qubit", "ks-sphere", "superselected",
                                                  "bohm-two-path")}
     for name in ("qubit", "ks-sphere"):
-        assert [k.form.ordered for k in models[name].transformations.values()] == [{None}] * 2
+        assert [set(k.form.runs) for k in models[name].transformations.values()] == [{None}] * 2
+    # at the default angles each rotation sends the first two stages one stage on, in one run
+    for kernel in models["ks-sphere"].transformations.values():
+        assert kernel.form.runs == {None: [(0, 200, 100)]} and kernel.form.certain
+    turned = zoo.build("ks-sphere", n_points=100, theta1=0.3, theta2=2.0).model
+    assert len(turned.transformations["rot1"].form.runs[None]) == 2
     superselected = models["superselected"]
-    assert superselected.measurement("read").form.ordered == set(OUTCOMES)
-    assert not any(k.form.ordered for k in superselected.transformations.values())
-    assert not any(k.form.ordered for k in models["bohm-two-path"].transformations.values())
+    read = superselected.measurement("read").form
+    assert set(read.runs) == set(OUTCOMES) and not read.certain
+    assert read.shared == {PLUS: 0, MINUS: 1}  # one state draws each outcome
+    assert {s for runs in read.runs.values() for _, _, s in runs} == {0}
+    assert not any(k.form.runs for k in superselected.transformations.values())
+    assert not any(k.form.runs for k in models["bohm-two-path"].transformations.values())
     # a kernel sending a later state to an earlier position is not ordered
     space = OnticStateSpace(("a", "b", "c"))
     point = {s: Distribution.point_mass(space, s) for s in space.states}
-    assert TransformationKernel(space, {"a": point["b"], "c": point["c"]}).form.ordered == {None}
-    assert TransformationKernel(space, {"a": point["c"], "c": point["b"]}).form.ordered == set()
+    assert TransformationKernel(space, {"a": point["b"], "c": point["c"]}).form.runs == {
+        None: [(0, 1, 1), (2, 3, 0)]}
+    assert TransformationKernel(space, {"a": point["c"], "c": point["b"]}).form.runs == {}
 
 
 def assert_measures_as_the_reference_walk(model):
@@ -629,7 +639,7 @@ def assert_measures_as_the_reference_walk(model):
                 continue
             pushed = space.unpack(form.measure(space.pack(weights), outcome))
             assert list(pushed) == sorted(expected, key=space.position.__getitem__)
-            if outcome in form.ordered:  # each weight is one flow: the same float
+            if outcome in form.runs:  # each weight is one flow: the same float
                 assert pushed == expected
             else:
                 assert pushed == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -673,7 +683,7 @@ def test_a_missing_row_reached_through_an_ordered_form_names_it():
                                                  ("c", PLUS): point["c"], ("c", MINUS): point["c"]})
     table = {"a": {PLUS: 1.0}, "b": {PLUS: 0.5, MINUS: 0.5}}
     measurement = Measurement("M", ResponseFunction(space, OUTCOMES, table), update).form
-    assert kernel.ordered == {None} and measurement.ordered == set(OUTCOMES)
+    assert set(kernel.runs) == {None} and set(measurement.runs) == set(OUTCOMES)
     uniform = space.pack(dict.fromkeys(space.states, 1.0 / 3))
     # weight only where rows are declared passes through the ordered reads
     assert kernel.measure(space.pack({"a": 0.25, "c": 0.75}), None) == ([1, 2], [0.25, 0.75])
@@ -687,6 +697,91 @@ def test_a_missing_row_reached_through_an_ordered_form_names_it():
         with pytest.raises(ModelError) as error:
             form.measure(uniform, outcome)
         assert str(error.value) == message
+
+
+def ordered_point_masses(rng, n: int) -> dict:
+    """A random map of some of n positions to targets that strictly increase with them, in runs:
+    a state draws no row at times, and at times its target jumps ahead of the last one + 1."""
+    to, target = {}, int(rng.integers(0, n // 2))
+    for i in range(n):
+        if rng.random() < 0.25:
+            continue
+        target += int(rng.random() < 0.3) * int(rng.integers(1, 4))
+        if target >= n:
+            break
+        to[i] = target
+        target += 1
+    return to
+
+
+def runs_model(rng, n: int) -> OnticModel:
+    """A kernel and a measurement whose rows are all point masses in state order: some states
+    lack a kernel row, a response row or an update row, and some responses are 0, -0.0 or 1."""
+    space = OnticStateSpace(tuple(f"s{i}" for i in range(n)))
+    point = [Distribution.point_mass(space, s) for s in space.states]
+    kernel = TransformationKernel(space, {space.states[i]: point[t] for i, t in
+                                          ordered_point_masses(rng, n).items()})
+    table = {}
+    for s in space.states:
+        if rng.random() < 0.85:
+            p = [0.0, -0.0, 1.0, 0.5, float(rng.random())][int(rng.integers(0, 5))]
+            table[s] = {PLUS: p, MINUS: 1.0 - p}
+    rows = {(space.states[i], q): point[t]
+            for q in OUTCOMES for i, t in ordered_point_masses(rng, n).items()}
+    measurement = Measurement("M", ResponseFunction(space, OUTCOMES, table),
+                              MeasurementUpdate(space, OUTCOMES, rows))
+    straddling = (kernel.form.runs[None][:2] if len(kernel.form.runs[None]) > 1
+                  else [(0, n, 0)])
+    states = [space.states[i] for a, b, _ in straddling for i in range(a, b)]
+    spread = Distribution(space, dict.fromkeys(states, 1.0 / len(states)))
+    return OnticModel(space, {"spread": spread}, {"T": kernel}, {"M": measurement})
+
+
+def test_runs_move_weight_and_effects_as_the_state_loop_does():
+    # random point-mass rows in state order, with negative shifts, gaps and missing rows: the
+    # sliced push and pull give the loop's and the per-state gather's floats, bit for bit
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(40):
+        model = runs_model(rng, 12)
+        space, end = model.space, 12
+        assert_measures_as_the_reference_walk(model)
+        forms = [(model.transformation("T").form, None)]
+        forms += [(model.measurement("M").form, q) for q in OUTCOMES]
+        base = array("d", rng.random(end))
+        base[int(rng.integers(0, end))] = math.nan
+        base[int(rng.integers(0, end))] = -0.0
+        for form, q in forms:
+            runs = form.runs.get(q)
+            if runs is None:
+                continue
+            seen |= {"negative" if s < 0 else "positive" if s else "zero" for _, _, s in runs}
+            seen |= {"two runs"} if len(runs) > 1 else set()
+            seen |= {"gap"} if sum(b - a for a, b, _ in runs) < end else set()
+            # zero weights and zero flows are dropped as the loop drops them, over every state
+            # and over the states that draw a row
+            drawing = [space.states[i] for a, b, _ in runs for i in range(a, b)]
+            for states in (space.states, drawing):
+                weights = {s: float(rng.integers(0, 2)) / 4 for s in states}
+                try:
+                    expected = (reference_walk.push(weights, model.transformation("T"))
+                                if q is None else
+                                reference_walk.measure(weights, model.measurement("M"), (q,)))
+                except ModelError as error:
+                    with pytest.raises(ModelError) as engine_error:
+                        form.measure(space.pack(weights), q)
+                    assert str(engine_error.value) == str(error)
+                    seen.add("no row")
+                    continue
+                pushed = space.unpack(form.measure(space.pack(weights), q))
+                assert pushed == {s: w for s, w in expected.items() if w != 0.0}
+            if q in form.shared:  # pulled rank one, not through the runs
+                continue
+            ext = base + array("d", [0.0])
+            gathered = array("d", map(mul, form.xi[q], map(ext.__getitem__, form.to[q])))
+            c, pulled = form.pull([(1.0, base)], {})[form.outcomes.index(q)]
+            assert c == 1.0 and pulled.tobytes() == gathered.tobytes()
+    assert seen == {"negative", "positive", "zero", "two runs", "gap", "no row"}
 
 
 def test_kernel_and_response_name_their_first_offending_row():

@@ -370,7 +370,7 @@ def kicked_toward_uniform(model, measurement, eps):
     meas = model.measurements[measurement]
     states = model.space.states
     rows = {
-        key: Distribution(model.space, {s: (1.0 - eps) * row.weight(s) + eps / len(states)
+        key: Distribution(model.space, {s: (1.0 - eps) * row.weights.get(s, 0.0) + eps / len(states)
                                         for s in states})
         for key, row in meas.update.rows.items()
     }

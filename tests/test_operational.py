@@ -268,5 +268,5 @@ class TestOperationalEigenstate:
         space = spin_model.space
         zero, partial = spin_model.preparations["zero"], Distribution(space, {"z0": 1.0})
         # their 0.3 : 0.7 mixture, written out
-        blend = Distribution(space, {"z0": 0.3 * zero.weight("z0") + 0.7 * partial.weight("z0")})
+        blend = Distribution(space, {"z0": 0.3 * zero.weights["z0"] + 0.7 * partial.weights["z0"]})
         assert is_operational_eigenstate(spin_model, blend, ["Mz"], PLUS)

@@ -16,10 +16,16 @@ and run through ``lg`` away from its defaults: qubit, bohm-two-path and
 ks-sphere at ``--grid 300`` at each ``ANGLES`` pair, and superselected at
 ``--p1 0.1 --p2 0.7``, so that each builder's metadata is compared as
 written. At each pair, qubit and ks-sphere also run ``lg --depth 3``:
-their rotations push by position where their targets keep the states'
-order, and fall back to the general loop where they do not (ks-sphere at
-(2π, −2π), qubit at (3π, −π) and (−π, −π)), so both paths are compared
-through deeper suffixes. Every
+their rotations push by position and pull by slicing at the bounds of
+their runs (stretches of states sent to the states a fixed offset on)
+where their targets keep the states' order, and fall back to the general
+loop where they do not (ks-sphere at (2π, −2π), qubit at (3π, −π) and (−π, −π)), so
+both paths are compared through deeper suffixes. Two more ks-sphere
+files at ``--grid 300`` run ``lg --depth 3`` with one more preparation,
+``spread``, of equal weight over two rotation stages: exported at (0.3,
+2.0), where ``rot1`` has two runs, over stages 0 and 1, so that its push
+straddles them; and at the defaults over stages 0 and 2, so that its push
+through ``rot1`` meets stage 2, which has no row there. Every
 command runs in one scratch directory, so that relative paths in
 messages match; the ``--model`` commands read model files that the
 parent tree exports there first. Of a superselected file they run ``run``
@@ -64,6 +70,10 @@ MODEL_FILE = "superselected.json"
 SPHERE = ["ks-sphere", "--grid", "300"]
 SPHERE_FILE = "ks-sphere-300.json"
 SPHERE_MINUS_FILE = "ks-sphere-300-without-minus-row.json"
+SPHERE_TURNED = [*SPHERE, "--theta1=0.3", "--theta2=2.0"]
+SPHERE_TURNED_FILE = "ks-sphere-300-turned.json"
+SPHERE_STRADDLING_FILE = "ks-sphere-300-straddling.json"
+SPHERE_GAP_FILE = "ks-sphere-300-gap.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
@@ -89,6 +99,15 @@ def broken_copies(doc: dict) -> dict:
     short["arrangements"]["lg"]["measurements"] = ["read", "read"]
     return {EMPTY_CLASS_FILE: empty, INEQUIVALENT_CLASS_FILE: inequivalent,
             SHORT_ARRANGEMENT_FILE: short}
+
+
+def spread(doc: dict, stages) -> dict:
+    """A copy of a ks-sphere document with one more preparation, ``spread``: equal weight
+    on every state of the given rotation stages (the states labelled ``r<stage>:...``)."""
+    states = [s for s in doc["ontic_states"] if s.split(":")[0] in {f"r{k}" for k in stages}]
+    spread = copy.deepcopy(doc)
+    spread["preparations"]["spread"] = dict.fromkeys(states, 1.0 / len(states))
+    return spread
 
 
 def commands(zoo: list) -> list:
@@ -122,6 +141,8 @@ def commands(zoo: list) -> list:
         ["lg", "--model", SPHERE_FILE],
         ["classify", "--model", SPHERE_FILE],
         ["run", "--model", SPHERE_MINUS_FILE, "--protocol", "lg-12"],
+        ["lg", "--model", SPHERE_STRADDLING_FILE, "--depth", "3"],
+        ["lg", "--model", SPHERE_GAP_FILE, "--depth", "3"],
         ["zoo", "list"],
         # inputs refused with exit 2
         ["lg", "--zoo", "no-such-model"],
@@ -167,7 +188,8 @@ def main(argv=None) -> int:
             print(f"zoo list with the parent exited {code}: {err.decode()}")
             return 2
         listed = commands([entry["name"] for entry in json.loads(out)["results"]["models"]])
-        for path, entry in ((MODEL_FILE, ["superselected"]), (SPHERE_FILE, SPHERE)):
+        for path, entry in ((MODEL_FILE, ["superselected"]), (SPHERE_FILE, SPHERE),
+                            (SPHERE_TURNED_FILE, SPHERE_TURNED)):
             code, _, err = run(args.parent, ["zoo", "export", *entry, "--out", path,
                                              "--no-timestamp"], cwd)
             if code != 0:
@@ -177,8 +199,12 @@ def main(argv=None) -> int:
             doc = json.load(handle)
         with open(os.path.join(cwd, SPHERE_FILE), encoding="utf-8") as handle:
             sphere = json.load(handle)
+        with open(os.path.join(cwd, SPHERE_TURNED_FILE), encoding="utf-8") as handle:
+            turned = json.load(handle)
+        copies = {**broken_copies(doc), SPHERE_STRADDLING_FILE: spread(turned, (0, 1)),
+                  SPHERE_GAP_FILE: spread(sphere, (0, 2))}
         del sphere["measurements"]["Mz"]["update"]["rows"]["-1"]
-        for name, broken in {**broken_copies(doc), SPHERE_MINUS_FILE: sphere}.items():
+        for name, broken in {**copies, SPHERE_MINUS_FILE: sphere}.items():
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as handle:
                 json.dump(broken, handle)
         parent = [run(args.parent, argv, cwd) for argv in listed]
