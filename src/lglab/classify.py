@@ -43,9 +43,6 @@ class QuantityClass(_Record):
     label: str
     measurements: tuple
 
-    def __init__(self, label, measurements):
-        vars(self).update(label=label, measurements=measurements)
-
     @classmethod
     def verified(cls, model: OnticModel, label: str, measurements,
                  tol: float = EQUIVALENCE_TOL) -> "QuantityClass":
@@ -71,9 +68,6 @@ class MacrodefiniteResult(_Record):
     holds: bool
     witnesses: tuple  # (state, measurement, detail) triples
     value_of: dict  # state -> outcome, only meaningful when holds
-
-    def __init__(self, holds, witnesses, value_of):
-        vars(self).update(holds=holds, witnesses=witnesses, value_of=value_of)
 
 
 def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> MacrodefiniteResult:
@@ -137,13 +131,6 @@ class PreparationEvidence(_Record):
     novel_states: tuple
     value_weights: dict  # outcome -> total weight on states with that value
     value_components: dict  # outcome -> Distribution (normalized per-value component)
-
-    def __init__(self, name, hull_residual, hull_weights, mixture_member, support_contained,
-                 novel_states, value_weights, value_components):
-        vars(self).update(name=name, hull_residual=hull_residual, hull_weights=hull_weights,
-                          mixture_member=mixture_member, support_contained=support_contained,
-                          novel_states=novel_states, value_weights=value_weights,
-                          value_components=value_components)
 
 
 class Classification(_Record):
@@ -380,10 +367,6 @@ class EquilibriumResult(_Record):
     holds: bool
     worst_deviation: float
     per_preparation: dict  # name -> total-variation deviation
-
-    def __init__(self, holds, worst_deviation, per_preparation):
-        vars(self).update(holds=holds, worst_deviation=worst_deviation,
-                          per_preparation=per_preparation)
 
 
 def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,

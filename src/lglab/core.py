@@ -68,10 +68,13 @@ class FrozenRecordError(AttributeError):
 class _Record:
     """An immutable record of named fields: the base of the model and result types.
 
-    A subclass annotates its fields in order, and its ``__init__`` takes
-    them in that order, validates them and sets them, with any attribute
-    derived from them, in one ``vars(self).update`` call. The base reads
-    the annotations once per class. It gives every record equality and a
+    A subclass annotates its fields in order. The base's ``__init__``
+    binds them, by position in that order or by name, and refuses a
+    missing, unknown, repeated or surplus field. A subclass that checks,
+    converts or defaults a field defines its own ``__init__``, taking the
+    fields in the same order, and sets them, with any attribute derived
+    from them, in one ``vars(self).update`` call. The base reads the
+    annotations once per class. It gives every record equality and a
     hash over its fields, except those the class keyword ``uncompared``
     names; a ``Name(field=value, ...)`` repr; and refusal of assignment and
     deletion.
@@ -81,6 +84,14 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._compared = tuple(name for name in cls._fields if name not in uncompared)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields ({', '.join(fields)}), "
+                            f"by position or name; got {len(values)} by position and "
+                            f"({', '.join(named)}) by name")
+        vars(self).update(zip(fields, values), **named)
 
     def _values(self, names) -> tuple:
         return tuple(map(vars(self).__getitem__, names))
@@ -709,7 +720,7 @@ class Form:
             return ModelError(
                 f"measurement update undefined for state {state!r}, outcome {outcome!r}"
             )
-        if self.outcomes == (None,):
+        if self.certain:
             return ModelError(f"kernel row undefined for state {state!r}")
         return ModelError(f"response undefined for state {state!r}")
 

@@ -146,10 +146,6 @@ class DisturbanceReport(_Record):
     lg_pairwise: float
     decomposition_residual: float
 
-    def __init__(self, d1, d2, d3, lg_all_three, lg_pairwise, decomposition_residual):
-        vars(self).update(d1=d1, d2=d2, d3=d3, lg_all_three=lg_all_three, lg_pairwise=lg_pairwise,
-                          decomposition_residual=decomposition_residual)
-
     def max_disturbance(self) -> float:
         return max(
             abs(v) for v in itertools.chain(self.d1.values(), self.d2.values())
@@ -218,9 +214,6 @@ class OpndResult(_Record):
 
     non_disturbing: bool
     max_deviation: float
-
-    def __init__(self, non_disturbing, max_deviation):
-        vars(self).update(non_disturbing=non_disturbing, max_deviation=max_deviation)
 
 
 def _settled(model: OnticModel, measurement) -> bool:
@@ -363,12 +356,6 @@ class OpndCompleteResult(_Record):
     undefined_contexts: int
     settled: bool
 
-    def __init__(self, non_disturbing, max_deviation, witness, depth, preparations,
-                 undefined_contexts=0, settled=False):
-        vars(self).update(non_disturbing=non_disturbing, max_deviation=max_deviation,
-                          witness=witness, depth=depth, preparations=preparations,
-                          undefined_contexts=undefined_contexts, settled=settled)
-
 
 def check_opnd_complete(model: OnticModel, measurement: str, depth: int = 2) -> OpndCompleteResult:
     """Check non-disturbance over every bounded declared context.
@@ -462,8 +449,8 @@ class ChainRecord(_Record, uncompared=("report", "details")):
     both non-disturbing in the specific arrangement contexts; and the
     pairwise inequality satisfied. Every forward implication is asserted
     when the record is built. ``report`` is the disturbance report the
-    last two stages read. Neither it nor ``details`` (by default a new
-    empty dict) takes part in equality.
+    last two stages read. Neither it nor ``details`` takes part in
+    equality.
     """
 
     ontically_noninvasive: bool
@@ -473,13 +460,6 @@ class ChainRecord(_Record, uncompared=("report", "details")):
     lg_pairwise: float
     report: DisturbanceReport
     details: dict
-
-    def __init__(self, ontically_noninvasive, opnd_complete, opnd_specific, lgi_satisfied,
-                 lg_pairwise, report, details=None):
-        vars(self).update(ontically_noninvasive=ontically_noninvasive, opnd_complete=opnd_complete,
-                          opnd_specific=opnd_specific, lgi_satisfied=lgi_satisfied,
-                          lg_pairwise=lg_pairwise, report=report,
-                          details={} if details is None else details)
 
     def as_tuple(self):
         return (
@@ -560,12 +540,6 @@ class PostSelectionRecord(_Record):
     deviation_from_input: float
     update_consistency: float
 
-    def __init__(self, preparation, keep_probability, conditioned, deviation_from_input,
-                 update_consistency):
-        vars(self).update(preparation=preparation, keep_probability=keep_probability,
-                          conditioned=conditioned, deviation_from_input=deviation_from_input,
-                          update_consistency=update_consistency)
-
 
 class PostSelectionResult(_Record):
     """The composed coin-flip + keep/discard process and its verification.
@@ -583,12 +557,6 @@ class PostSelectionResult(_Record):
     consistent: bool
     max_deviation_from_input: float
     max_update_inconsistency: float
-
-    def __init__(self, records, matches_input, consistent, max_deviation_from_input,
-                 max_update_inconsistency):
-        vars(self).update(records=records, matches_input=matches_input, consistent=consistent,
-                          max_deviation_from_input=max_deviation_from_input,
-                          max_update_inconsistency=max_update_inconsistency)
 
 
 def post_select_noninvasive(model: OnticModel, keep_first, keep_second) -> PostSelectionResult:

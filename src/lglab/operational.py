@@ -27,7 +27,7 @@ from .core import (
     NORMALIZATION_TOL,
     OnticModel,
     _Record,
-    outcome_probabilities,
+    compose_preparation,
     single_shot_probability,
 )
 from .errors import ModelError, ValidationError
@@ -189,9 +189,6 @@ class ObservableAssignment(_Record):
 
     values: dict
 
-    def __init__(self, values):
-        vars(self).update(values=values)
-
     def value(self, measurement_label, outcome) -> float:
         try:
             per_outcome = self.values[measurement_label]
@@ -236,7 +233,8 @@ def measurements_equivalent(
     ``probes`` is a list of (preparation, transformation-or-None) name
     pairs, by default every declared pair. The two outcome sets must
     coincide. Updates are deliberately ignored: equivalence classes are
-    about response statistics only.
+    about response statistics only. Each probe is pushed through its
+    transformation once, and both measurements read that one branch.
     """
     meas_a = model.measurement(first)
     meas_b = model.measurement(second)
@@ -247,9 +245,10 @@ def measurements_equivalent(
     worst = 0.0
     for e_name, t_name in probes:
         dist = model.preparation(e_name)
-        kernel = None if t_name is None else model.transformation(t_name)
-        pa = outcome_probabilities(dist, kernel, meas_a)
-        pb = outcome_probabilities(dist, kernel, meas_b)
+        if t_name is not None:
+            dist = compose_preparation(dist, model.transformation(t_name))
+        branch = dist.space.pack(dist.weights)
+        pa, pb = meas_a.form.masses(branch), meas_b.form.masses(branch)
         worst = max(worst, *(abs(pa[q] - pb[q]) for q in meas_a.outcomes))
     return worst <= tol, worst
 

@@ -596,9 +596,6 @@ class ZooBuild(_Record):
     model: OnticModel
     arrangement: Optional[LgArrangement]
 
-    def __init__(self, name, model, arrangement):
-        vars(self).update(name=name, model=model, arrangement=arrangement)
-
 
 #: Default rotation angles of the entries that take two.
 _ANGLES = {"theta1": 2.0 * math.pi / 3.0, "theta2": 2.0 * math.pi / 3.0}
