@@ -24,7 +24,6 @@ from .core import (
     compose_preparation,
     is_ontically_noninvasive,
     post_measurement_distribution,
-    single_shot_probability,
 )
 from .errors import (
     ClassificationError,
@@ -42,7 +41,6 @@ from .operational import (
     Protocol,
     ProtocolStep,
     expectation,
-    is_operational_eigenstate,
     marginalize,
     measurements_equivalent,
     run_protocol,
@@ -70,7 +68,6 @@ from .classify import (
     check_equilibrium_property,
     check_macrodefinite,
     classify,
-    operational_eigenstate_supports,
 )
 from .twoslit import (
     SlitAmplitudes,

@@ -6,6 +6,9 @@ state (else not-MR); every declared preparation a convex mixture of
 operational-eigenstate preparations (MR1); failing that, every
 preparation supported inside the union of eigenstate supports (MR2);
 otherwise value-definite states outside every eigenstate support (MR3).
+The eigenstate preparations of each value are decided once per class, by
+one read of each preparation's outcome probabilities per member; the
+verdict and the eigenstate fixed-point check both start from them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ from .core import (
     _Record,
     check_size,
     compose_preparation,
+    outcome_probabilities,
 )
 from .errors import ClassificationError, EngineDefectError, ModelError
-from .operational import (
-    EQUIVALENCE_TOL,
-    is_operational_eigenstate,
-    measurements_equivalent,
-)
+from .operational import EQUIVALENCE_TOL, measurements_equivalent
 
 #: Total-variation residual below which a mixture decomposition counts as exact.
 HULL_TOL = 1e-8
@@ -103,21 +103,26 @@ def check_macrodefinite(model: OnticModel, quantity_class: QuantityClass) -> Mac
     return MacrodefiniteResult(holds=not witnesses, witnesses=tuple(witnesses), value_of=value_of)
 
 
-def operational_eigenstate_supports(model: OnticModel, quantity_class: QuantityClass,
-                                    outcome) -> tuple:
-    """Union of supports of the declared eigenstate preparations for one value.
+def _eigenstates(model: OnticModel, quantity_class: QuantityClass) -> dict:
+    """The operational-eigenstate preparations of each value: outcome -> tuple of names.
 
-    Returns (support frozenset, tuple of contributing preparation names);
-    an empty name tuple means no eigenstate preparation is declared for
-    this value.
+    A declared preparation is one for value q when no member of the class
+    gives q with probability below 1 - EQUIVALENCE_TOL. Each preparation's
+    outcome probabilities are read once per member. Outcomes come in the
+    first member's order and names in declaration order; an empty tuple
+    means no eigenstate preparation is declared for that value.
     """
-    names = []
-    support = set()
+    members = [model.measurement(m) for m in quantity_class.measurements]
+    outcomes = members[0].outcomes
+    if any(set(meas.outcomes) != set(outcomes) for meas in members):
+        raise ModelError(f"the members of {quantity_class.label!r} have different outcome sets")
+    names: dict = {q: [] for q in outcomes}
     for name, dist in model.preparations.items():
-        if is_operational_eigenstate(model, dist, quantity_class.measurements, outcome):
-            names.append(name)
-            support |= dist.support()
-    return frozenset(support), tuple(names)
+        read = [outcome_probabilities(dist, None, meas) for meas in members]
+        for q in outcomes:
+            if not any(p[q] < 1.0 - EQUIVALENCE_TOL for p in read):
+                names[q].append(name)
+    return {q: tuple(found) for q, found in names.items()}
 
 
 class PreparationEvidence(_Record):
@@ -134,11 +139,7 @@ class PreparationEvidence(_Record):
 
 
 class Classification(_Record):
-    """Taxonomy verdict with re-checkable witnesses.
-
-    The fields after ``macrodefinite`` default to empty, and
-    ``eigenstate_preparations`` to a new empty dict.
-    """
+    """Taxonomy verdict with re-checkable witnesses."""
 
     quantity_class: str
     verdict: str  # "MR1", "MR2", "MR3" or "not-MR"
@@ -149,19 +150,6 @@ class Classification(_Record):
     evidence: tuple  # PreparationEvidence per classified preparation
     classified_preparations: tuple
     skipped_images: tuple
-
-    def __init__(self, quantity_class, verdict, macrodefinite, macrodefinite_witnesses=(),
-                 eigenstate_preparations=None, values_without_eigenstate=(), evidence=(),
-                 classified_preparations=(), skipped_images=()):
-        if eigenstate_preparations is None:
-            eigenstate_preparations = {}
-        vars(self).update(quantity_class=quantity_class, verdict=verdict,
-                          macrodefinite=macrodefinite,
-                          macrodefinite_witnesses=macrodefinite_witnesses,
-                          eigenstate_preparations=eigenstate_preparations,
-                          values_without_eigenstate=values_without_eigenstate, evidence=evidence,
-                          classified_preparations=classified_preparations,
-                          skipped_images=skipped_images)
 
 
 def _dot(u, v) -> float:
@@ -271,22 +259,22 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
             verdict="not-MR",
             macrodefinite=False,
             macrodefinite_witnesses=md.witnesses,
+            eigenstate_preparations={},
+            values_without_eigenstate=(),
+            evidence=(),
+            classified_preparations=(),
+            skipped_images=(),
         )
 
-    outcomes = model.measurement(quantity_class.measurements[0]).outcomes
-    eigen_names: dict = {}
-    union_support: set = set()
-    for q in outcomes:
-        support, names = operational_eigenstate_supports(model, quantity_class, q)
-        eigen_names[q] = names
-        union_support |= support
-    missing = tuple(q for q in outcomes if not eigen_names[q])
-    all_eigen = [name for q in outcomes for name in eigen_names[q]]
+    eigen_names = _eigenstates(model, quantity_class)
+    missing = tuple(q for q, names in eigen_names.items() if not names)
+    all_eigen = [name for names in eigen_names.values() for name in names]
     if not all_eigen:
         raise ClassificationError(
             "no declared preparation is an operational eigenstate of "
             f"{quantity_class.label!r}; classification impossible"
         )
+    union_support = set().union(*(model.preparation(name).support() for name in all_eigen))
 
     branching = len(model.transformations)
     check_size(f"--image-depth {image_depth}", "preparation images",
@@ -353,6 +341,7 @@ def classify(model: OnticModel, quantity_class: QuantityClass,
         quantity_class=quantity_class.label,
         verdict=verdict,
         macrodefinite=True,
+        macrodefinite_witnesses=(),
         eigenstate_preparations=eigen_names,
         values_without_eigenstate=missing,
         evidence=tuple(evidence),
@@ -380,10 +369,13 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
     EQUIVALENCE_TOL.
     """
     meas = model.measurement(measurement)
+    eigen_names = _eigenstates(model, quantity_class)
+    if set(meas.outcomes) != set(eigen_names):
+        raise ModelError(f"measurement {measurement!r} and the members of "
+                         f"{quantity_class.label!r} have different outcome sets")
     deviations = {}
     for q in meas.outcomes:
-        _, names = operational_eigenstate_supports(model, quantity_class, q)
-        for name in names:
+        for name in eigen_names[q]:
             dist = model.preparation(name)
             branch = model.space.pack({label: w for label, w in dist.weights.items()
                                        if meas.response.row(label)[q] > SUPPORT_TOL})

@@ -140,6 +140,11 @@ class OnticStateSpace(_Record):
     def __len__(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def line(self) -> array:
+        """Every position in order, made on first use and kept; the runs of a form read it."""
+        return array("i", range(len(self.states)))
+
     def pack(self, weights: Mapping) -> tuple:
         """Weights keyed by label as a branch: their positions, ascending, and weights."""
         positions = list(map(self.position.__getitem__, weights))
@@ -602,7 +607,7 @@ class Form:
         self.xi = _blanked(self.responses, [(i, q) for i, _ in self.missing for q in outcomes])
         self.shared, self.runs = {}, {}
         for q, to in self.to.items():
-            if (runs := _runs(to, end)) is not None:
+            if (runs := _runs(to, end, space.line)) is not None:
                 self.runs[q] = runs
                 if [b - a for a, b, _ in runs] == [1]:  # one state draws
                     self.shared[q] = runs[0][0] + runs[0][2]
@@ -738,15 +743,15 @@ def _once(memo: dict, form, base, compute):
     return entry[1]
 
 
-def _runs(to, end: int):
+def _runs(to, end: int, line: array):
     """The runs of an outcome's ``to`` values (see ``Form``), or None where a drawn row is
     not a point mass or the drawn positions do not strictly increase.
 
     From the state i that a run, or a stretch of states drawing no row, starts at, the
     stretch is the longest slice of ``to`` equal to the slice of ``like`` from ``like[j]``,
-    its first value: ``end`` repeated (``gaps``) or every position in order (``line``, made
-    on the first run). Bisection finds its length, so no state is read one at a time."""
-    runs, i, gaps, line = [], 0, array("i", [end]) * end, None
+    its first value: ``end`` repeated (``gaps``) or every position in order (``line``, the
+    space's). Bisection finds its length, so no state is read one at a time."""
+    runs, i, gaps = [], 0, array("i", [end]) * end
     while i < end:
         # a numbered row, or a drawn position behind the last run's targets
         if (t := to[i]) > end or runs and runs[-1][1] + runs[-1][2] > t:
@@ -754,7 +759,6 @@ def _runs(to, end: int):
         if t == end:
             like, j = gaps, 0
         else:
-            line = line or array("i", range(end))
             like, j = line, t
         # a slice of like cut short by its end is shorter than to's, so it differs too
         k = bisect_left(range(1, end - i + 1), True, key=lambda k: to[i:i + k] != like[j:j + k])
@@ -793,14 +797,6 @@ def outcome_probabilities(preparation: Distribution, kernel: Optional[Transforma
     _check_same_space(preparation.space, measurement.space, "outcome_probabilities")
     dist = preparation if kernel is None else compose_preparation(preparation, kernel)
     return measurement.form.masses(dist.space.pack(dist.weights))
-
-
-def single_shot_probability(preparation: Distribution, kernel: Optional[TransformationKernel],
-                            measurement: Measurement, outcome: Outcome) -> float:
-    """The probability of one outcome: its entry of ``outcome_probabilities``."""
-    if outcome not in measurement.outcomes:
-        raise ModelError(f"unknown outcome {outcome!r} for measurement {measurement.label!r}")
-    return outcome_probabilities(preparation, kernel, measurement)[outcome]
 
 
 def is_ontically_noninvasive(

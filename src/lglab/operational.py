@@ -28,7 +28,6 @@ from .core import (
     OnticModel,
     _Record,
     compose_preparation,
-    single_shot_probability,
 )
 from .errors import ModelError, ValidationError
 
@@ -251,15 +250,3 @@ def measurements_equivalent(
         pa, pb = meas_a.form.masses(branch), meas_b.form.masses(branch)
         worst = max(worst, *(abs(pa[q] - pb[q]) for q in meas_a.outcomes))
     return worst <= tol, worst
-
-
-def is_operational_eigenstate(model: OnticModel, preparation, measurements, outcome) -> bool:
-    """Whether every measurement named in ``measurements`` returns ``outcome`` with probability 1.
-
-    The caller is responsible for the class members being pairwise
-    equivalent; this only checks the probability-1 condition after the
-    given preparation.
-    """
-    dist = model.preparation(preparation)
-    return not any(single_shot_probability(dist, None, model.measurement(m_name), outcome)
-                   < 1.0 - EQUIVALENCE_TOL for m_name in measurements)

@@ -15,10 +15,13 @@ from lglab import (
     check_equilibrium_property,
     check_macrodefinite,
     classify,
-    operational_eigenstate_supports,
 )
-from lglab.classify import HULL_TOL, QuantityClass, _nnls
-from lglab import zoo
+from lglab.classify import HULL_TOL, QuantityClass, _eigenstates, _nnls
+from lglab.operational import EQUIVALENCE_TOL
+from lglab import core, zoo
+import reference_walk
+from builders import replace
+from random_models import random_arrangement
 
 PLUS, MINUS = "+1", "-1"
 
@@ -26,6 +29,12 @@ PLUS, MINUS = "+1", "-1"
 def model_class(build):
     label, members = next(iter(build.model.metadata["quantity_classes"].items()))
     return QuantityClass.verified(build.model, label, members)
+
+
+def eigenstate_support(model, quantity_class, value):
+    """The eigenstate preparations of one value, and the union of their supports."""
+    names = _eigenstates(model, quantity_class)[value]
+    return frozenset().union(*(model.preparations[name].support() for name in names)), names
 
 
 class TestMacrodefinite:
@@ -119,7 +128,7 @@ class TestMacrodefinite:
 class TestEigenstateSupports:
     def test_point_preparation_support(self, spin_model):
         cls = QuantityClass("Q", ("Mz",))
-        support, names = operational_eigenstate_supports(spin_model, cls, PLUS)
+        support, names = eigenstate_support(spin_model, cls, PLUS)
         assert support == frozenset({"z0"})
         assert names == ("zero",)
 
@@ -127,15 +136,90 @@ class TestEigenstateSupports:
         build = zoo.build("superselected")
         cls = model_class(build)
         for value, state in ((PLUS, "up"), (MINUS, "down")):
-            support, _ = operational_eigenstate_supports(build.model, cls, value)
+            support, _ = eigenstate_support(build.model, cls, value)
             assert support == frozenset({state})
 
     def test_sphere_supports_are_hemispheres(self):
         arr = zoo.build_ks_arrangement(500, 1.0, 1.0)
         cls = QuantityClass.verified(arr.model, "Q", ["Mz"])
-        support, names = operational_eigenstate_supports(arr.model, cls, PLUS)
+        support, names = eigenstate_support(arr.model, cls, PLUS)
         assert "up" in names
         assert support == arr.model.preparations["up"].support()
+
+
+def brute_eigenstates(model, members) -> dict:
+    """Each value's eigenstate preparations, with every probability read by label."""
+    measurements = [model.measurements[m] for m in members]
+    return {q: tuple(name for name, dist in model.preparations.items()
+                     if all(reference_walk.outcome_mass(dist.weights, meas, q)
+                            >= 1.0 - EQUIVALENCE_TOL for meas in measurements))
+            for q in measurements[0].outcomes}
+
+
+def with_copy(model, measurement, label):
+    """The model with one more measurement: a copy of ``measurement`` under ``label``."""
+    meas = model.measurements[measurement]
+    return replace(model, measurements={**model.measurements,
+                                        label: Measurement(label, meas.response, meas.update)})
+
+
+def certain_on_two_thirds(seed):
+    """A seeded random model whose M1 answers +1 on every third state, -1 on the next and
+    stays random on the rest, with a copy ``M1-copy``, a point-mass preparation of each
+    state, a spread over the +1 states and a blend of a +1 and a -1 state."""
+    model = random_arrangement(np.random.default_rng(seed)).model
+    space, m1 = model.space, model.measurements["M1"]
+    certain = ({PLUS: 1.0, MINUS: 0.0}, {PLUS: 0.0, MINUS: 1.0})
+    table = {s: certain[i % 3] if i % 3 < 2 else dict(m1.response.table[s])
+             for i, s in enumerate(space.states)}
+    ups = space.states[::3]
+    preparations = {**model.preparations,
+                    **{s: Distribution.point_mass(space, s) for s in space.states},
+                    "spread": Distribution(space, dict.fromkeys(ups, 1.0 / len(ups))),
+                    "blend": Distribution(space, {space.states[0]: 0.3, space.states[1]: 0.7})}
+    m1 = Measurement("M1", ResponseFunction(space, m1.outcomes, table), m1.update)
+    model = replace(model, preparations=preparations,
+                    measurements={**model.measurements, "M1": m1})
+    return with_copy(model, "M1", "M1-copy")
+
+
+class TestEigenstates:
+    @pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+    def test_zoo_classes_match_a_walk_by_label(self, name):
+        model = zoo.build(name).model
+        for label, members in model.metadata["quantity_classes"].items():
+            eigen = _eigenstates(model, QuantityClass(label, tuple(members)))
+            assert eigen == brute_eigenstates(model, members)
+            assert list(eigen) == list(model.measurements[members[0]].outcomes)
+
+    @pytest.mark.parametrize("seed", range(6000, 6012))
+    def test_two_member_classes_of_random_models_match_a_walk_by_label(self, seed):
+        model = certain_on_two_thirds(seed)
+        members = ("M1", "M1-copy")
+        eigen = _eigenstates(model, QuantityClass.verified(model, "Q", members))
+        assert eigen == brute_eigenstates(model, members)
+        assert model.space.states[0] in eigen[PLUS] and "spread" in eigen[PLUS]
+        assert "blend" not in eigen[PLUS] + eigen[MINUS]
+
+    @pytest.mark.parametrize("members", [("read",), ("read", "read-copy")])
+    def test_classify_reads_each_preparation_once_per_member(self, monkeypatch, members):
+        model = with_copy(zoo.build("superselected").model, "read", "read-copy")
+        cls = QuantityClass.verified(model, "Q", members)
+        reads = []
+        masses = core.Form.masses
+
+        def counted(form, branch):
+            reads.append((form, tuple(branch[0])))
+            return masses(form, branch)
+
+        monkeypatch.setattr(core.Form, "masses", counted)
+        result = classify(model, cls)
+        assert result.eigenstate_preparations == {PLUS: ("prep-up",), MINUS: ("prep-down",)}
+        packed = [tuple(model.space.pack(dist.weights)[0]) for dist in model.preparations.values()]
+        forms = [model.measurements[m].form for m in members]
+        assert len(reads) == len(packed) * len(members)
+        assert sorted((id(form), positions) for form, positions in reads) == sorted(
+            (id(form), positions) for form in forms for positions in packed)
 
 
 class TestClassify:
@@ -350,6 +434,28 @@ class TestEquilibrium:
         build = zoo.build("drifting-update")
         result = check_equilibrium_property(build.model, model_class(build), "swapper")
         assert not result.holds
+
+    def test_a_measurement_of_another_outcome_set_is_refused(self, spin_model):
+        space = spin_model.space
+        odd = Measurement("odd", ResponseFunction(space, ("u", "d"), {
+            s: {"u": 1.0, "d": 0.0} for s in space.states}), MeasurementUpdate(space, ("u", "d")))
+        model = replace(spin_model, measurements={**spin_model.measurements, "odd": odd})
+        with pytest.raises(ModelError, match="'odd' and the members of 'Q' have different "
+                                             "outcome sets"):
+            check_equilibrium_property(model, QuantityClass("Q", ("Mz",)), "odd")
+        with pytest.raises(ModelError, match="the members of 'Q' have different outcome sets"):
+            check_equilibrium_property(model, QuantityClass("Q", ("Mz", "odd")), "Mz")
+
+    def test_an_unverified_member_without_a_row_on_a_preparation_is_refused(self, spin_model):
+        # Mz answers "plus" (state x0) at random, so it alone rules "plus" out; the class's
+        # second member is still read on it, and has no response row there
+        mz = spin_model.measurements["Mz"]
+        table = {s: mz.response.table[s] for s in ("z0", "z1")}
+        partial = Measurement("partial", ResponseFunction(spin_model.space, mz.outcomes, table),
+                              mz.update)
+        model = replace(spin_model, measurements={**spin_model.measurements, "partial": partial})
+        with pytest.raises(ModelError, match="response undefined for state 'x0'"):
+            check_equilibrium_property(model, QuantityClass("Q", ("Mz", "partial")), "Mz")
 
 
 def test_images_stop_at_the_first_depth_that_adds_none(lines_run):

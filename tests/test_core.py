@@ -23,7 +23,6 @@ from lglab import (
     compose_preparation,
     is_ontically_noninvasive,
     post_measurement_distribution,
-    single_shot_probability,
 )
 from lglab import core, zoo
 import reference_walk
@@ -204,14 +203,14 @@ class TestSingleShot:
         m = deterministic_measurement(space)
         mu = Distribution.point_mass(space, "l1")
         kernel = identity(space)
-        assert single_shot_probability(mu, kernel, m, PLUS) == 1.0
-        assert single_shot_probability(mu, kernel, m, MINUS) == 0.0
+        assert core.outcome_probabilities(mu, kernel, m)[PLUS] == 1.0
+        assert core.outcome_probabilities(mu, kernel, m)[MINUS] == 0.0
 
     def test_uniform_preparation_splits_evenly(self):
         space = two_state_space()
         m = deterministic_measurement(space)
         mu = Distribution(space, {"l1": 0.5, "l2": 0.5})
-        assert single_shot_probability(mu, None, m, PLUS) == pytest.approx(0.5, abs=1e-15)
+        assert core.outcome_probabilities(mu, None, m)[PLUS] == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_sum_with_swap_kernel(self):
         # swap sends 0.7 onto l1 and 0.3 onto l2: 0.7*0.9 + 0.3*0.1 = 0.66
@@ -225,7 +224,7 @@ class TestSingleShot:
             "M", response, MeasurementUpdate.noninvasive(space, OUTCOMES, space.states)
         )
         mu = Distribution(space, {"l1": 0.3, "l2": 0.7})
-        p = single_shot_probability(mu, swap_kernel(space), m, PLUS)
+        p = core.outcome_probabilities(mu, swap_kernel(space), m)[PLUS]
         assert p == pytest.approx(0.66, abs=1e-15)
 
     def test_sums_to_one_over_outcomes(self):
@@ -242,14 +241,8 @@ class TestSingleShot:
             ResponseFunction(space, OUTCOMES, table),
             MeasurementUpdate.noninvasive(space, OUTCOMES, space.states),
         )
-        total = sum(single_shot_probability(mu, None, m, q) for q in OUTCOMES)
+        total = sum(core.outcome_probabilities(mu, None, m)[q] for q in OUTCOMES)
         assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_unknown_outcome_rejected(self):
-        space = two_state_space()
-        m = deterministic_measurement(space)
-        with pytest.raises(ModelError):
-            single_shot_probability(Distribution.point_mass(space, "l1"), None, m, "weird")
 
 
 class TestOnticNoninvasiveness:
@@ -735,6 +728,21 @@ def runs_model(rng, n: int) -> OnticModel:
     states = [space.states[i] for a, b, _ in straddling for i in range(a, b)]
     spread = Distribution(space, dict.fromkeys(states, 1.0 / len(states)))
     return OnticModel(space, {"spread": spread}, {"T": kernel}, {"M": measurement})
+
+
+def test_every_form_on_a_space_reads_its_one_positions_array(monkeypatch):
+    read = []
+    runs = core._runs
+    monkeypatch.setattr(core, "_runs", lambda to, end, line: read.append(line) or runs(to, end, line))
+    model = zoo.build_ks_arrangement(100, 1.0, 1.0).model
+    space = model.space
+    assert [model.transformation(t).form.runs for t in ("rot1", "rot2")] != [{}, {}]
+    assert len(read) == 2 and all(line is space.line for line in read)
+    assert space.line == array("i", range(len(space)))
+    # kept outside the fields: equality, hash and repr see the states alone
+    fresh = OnticStateSpace(space.states)
+    assert OnticStateSpace._fields == ("states",)
+    assert (fresh, hash(fresh), repr(fresh)) == (space, hash(space), repr(space))
 
 
 def test_runs_move_weight_and_effects_as_the_state_loop_does():

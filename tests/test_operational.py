@@ -13,7 +13,6 @@ from lglab import (
     ProtocolStep,
     ValidationError,
     expectation,
-    is_operational_eigenstate,
     marginalize,
     measurements_equivalent,
     run_protocol,
@@ -25,7 +24,8 @@ from lglab import (
     OnticStateSpace,
     ResponseFunction,
 )
-from builders import identity
+from lglab.classify import QuantityClass, _eigenstates
+from builders import identity, replace
 from random_models import random_arrangement
 from lglab.zoo import build_qubit_arrangement
 
@@ -259,14 +259,15 @@ class TestEquivalences:
 
 class TestOperationalEigenstate:
     def test_point_mass_on_deterministic_state(self, spin_model):
-        assert is_operational_eigenstate(spin_model, "zero", ["Mz", "Mz-alt"], PLUS)
+        assert "zero" in _eigenstates(spin_model, QuantityClass("Q", ("Mz", "Mz-alt")))[PLUS]
 
     def test_superposed_state_is_not(self, spin_model):
-        assert not is_operational_eigenstate(spin_model, "plus", ["Mz"], PLUS)
+        assert "plus" not in _eigenstates(spin_model, QuantityClass("Q", ("Mz",)))[PLUS]
 
     def test_closed_under_mixtures(self, spin_model):
         space = spin_model.space
         zero, partial = spin_model.preparations["zero"], Distribution(space, {"z0": 1.0})
         # their 0.3 : 0.7 mixture, written out
         blend = Distribution(space, {"z0": 0.3 * zero.weights["z0"] + 0.7 * partial.weights["z0"]})
-        assert is_operational_eigenstate(spin_model, blend, ["Mz"], PLUS)
+        model = replace(spin_model, preparations={**spin_model.preparations, "blend": blend})
+        assert "blend" in _eigenstates(model, QuantityClass("Q", ("Mz",)))[PLUS]

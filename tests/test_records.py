@@ -10,7 +10,6 @@ import pytest
 
 import lglab
 from lglab import ValidationError
-from lglab.classify import Classification
 from lglab.core import FrozenRecordError, OnticModel, OnticStateSpace, _Record
 from lglab.lg import ChainRecord, check_implication_chain
 from lglab.operational import Protocol, ProtocolStep
@@ -32,7 +31,7 @@ RECORDS = [
 
 #: The records that check, convert or default a field, and so define their own ``__init__``.
 OWN_INIT = {"OnticStateSpace", "Measurement", "OnticModel", "LgArrangement", "Protocol",
-            "JointDistribution", "SlitAmplitudes", "ProtocolStep", "Classification"}
+            "JointDistribution", "SlitAmplitudes", "ProtocolStep"}
 
 
 def blank(cls, values):
@@ -213,6 +212,3 @@ def test_a_dict_field_left_out_defaults_to_a_new_empty_dict():
     space = OnticStateSpace(("a",))
     first, second = OnticModel(space, {}, {}, {}), OnticModel(space, {}, {}, {})
     assert first.metadata == {} and first.metadata is not second.metadata
-    verdicts = [Classification("Q", "not-MR", False) for _ in range(2)]
-    assert verdicts[0].eigenstate_preparations == {}
-    assert verdicts[0].eigenstate_preparations is not verdicts[1].eigenstate_preparations

@@ -11,7 +11,6 @@ from lglab import (
     check_macrodefinite,
     lg_value_pairwise,
     run_protocol,
-    single_shot_probability,
 )
 from lglab.classify import QuantityClass
 from lglab import core, schema, zoo
@@ -53,10 +52,9 @@ class TestQubit:
     def test_single_shot_born_rule(self):
         arr = zoo.build_qubit_arrangement(1.1, 0.4)
         model = arr.model
-        p = single_shot_probability(
-            model.preparations["up"], model.transformations["rot1"],
-            model.measurements["Mz"], PLUS,
-        )
+        p = core.outcome_probabilities(
+            model.preparations["up"], model.transformations["rot1"], model.measurements["Mz"],
+        )[PLUS]
         assert p == pytest.approx(math.cos(1.1 / 2.0) ** 2, abs=1e-12)
 
 
@@ -82,15 +80,15 @@ class TestKsSphere:
 
     def test_aligned_reading_is_certain(self):
         arr = zoo.build_ks_arrangement(self.N, 1.0, 1.0)
-        p = single_shot_probability(
-            arr.model.preparations["up"], None, arr.model.measurements["Mz"], PLUS
-        )
+        p = core.outcome_probabilities(
+            arr.model.preparations["up"], None, arr.model.measurements["Mz"]
+        )[PLUS]
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_reading_splits(self):
         arr = zoo.build_ks_arrangement(self.N, 1.0, 1.0)
         probe = sphere_probe(arr.model, (1.0, 0.0, 0.0))
-        p = single_shot_probability(arr.model.preparations["up"], None, probe, PLUS)
+        p = core.outcome_probabilities(arr.model.preparations["up"], None, probe)[PLUS]
         assert p == pytest.approx(0.5, abs=5e-3)
 
     def test_sphere_probe_along_z_reads_as_mz(self):
@@ -107,7 +105,7 @@ class TestKsSphere:
         for n in (500, 4000):
             arr = zoo.build_ks_arrangement(n, 1.0, 1.0)
             probe = sphere_probe(arr.model, direction)
-            p = single_shot_probability(arr.model.preparations["up"], None, probe, PLUS)
+            p = core.outcome_probabilities(arr.model.preparations["up"], None, probe)[PLUS]
             errors.append(abs(p - exact))
         assert errors[1] < errors[0]
         assert errors[1] < 2e-3

@@ -31,6 +31,9 @@ messages match; the ``--model`` commands read model files that the
 parent tree exports there first. Of a superselected file they run ``run``
 of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
 quantity class it declares, and a refusal of an undeclared name for each.
+A copy of that file with ``readcopy``, a copy of ``read``, and the class
+``Q = [read, readcopy]`` runs ``classify``, so that a class of two members
+with eigenstate preparations is compared through every step of it.
 Of a ks-sphere file at ``--grid 300`` they run ``lg`` and ``classify``, so
 that the loader's shared response rows and the value check that decides
 each distinct row once are compared through the CLI. A copy of that file
@@ -74,6 +77,7 @@ SPHERE_TURNED = [*SPHERE, "--theta1=0.3", "--theta2=2.0"]
 SPHERE_TURNED_FILE = "ks-sphere-300-turned.json"
 SPHERE_STRADDLING_FILE = "ks-sphere-300-straddling.json"
 SPHERE_GAP_FILE = "ks-sphere-300-gap.json"
+TWO_MEMBER_CLASS_FILE = "two-member-class.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
@@ -99,6 +103,15 @@ def broken_copies(doc: dict) -> dict:
     short["arrangements"]["lg"]["measurements"] = ["read", "read"]
     return {EMPTY_CLASS_FILE: empty, INEQUIVALENT_CLASS_FILE: inequivalent,
             SHORT_ARRANGEMENT_FILE: short}
+
+
+def two_member_class(doc: dict) -> dict:
+    """A copy of the exported superselected document with ``readcopy``, a copy of ``read``,
+    and the quantity class ``Q`` of the two."""
+    pair = copy.deepcopy(doc)
+    pair["measurements"]["readcopy"] = copy.deepcopy(doc["measurements"]["read"])
+    pair["quantity_classes"] = {"Q": ["read", "readcopy"]}
+    return pair
 
 
 def spread(doc: dict, stages) -> dict:
@@ -138,6 +151,7 @@ def commands(zoo: list) -> list:
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
         ["lg", "--model", MODEL_FILE],
         ["classify", "--model", MODEL_FILE],
+        ["classify", "--model", TWO_MEMBER_CLASS_FILE],
         ["lg", "--model", SPHERE_FILE],
         ["classify", "--model", SPHERE_FILE],
         ["run", "--model", SPHERE_MINUS_FILE, "--protocol", "lg-12"],
@@ -201,7 +215,8 @@ def main(argv=None) -> int:
             sphere = json.load(handle)
         with open(os.path.join(cwd, SPHERE_TURNED_FILE), encoding="utf-8") as handle:
             turned = json.load(handle)
-        copies = {**broken_copies(doc), SPHERE_STRADDLING_FILE: spread(turned, (0, 1)),
+        copies = {**broken_copies(doc), TWO_MEMBER_CLASS_FILE: two_member_class(doc),
+                  SPHERE_STRADDLING_FILE: spread(turned, (0, 1)),
                   SPHERE_GAP_FILE: spread(sphere, (0, 2))}
         del sphere["measurements"]["Mz"]["update"]["rows"]["-1"]
         for name, broken in {**copies, SPHERE_MINUS_FILE: sphere}.items():
