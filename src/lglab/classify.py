@@ -118,7 +118,7 @@ def _eigenstates(model: OnticModel, quantity_class: QuantityClass) -> dict:
         raise ModelError(f"the members of {quantity_class.label!r} have different outcome sets")
     names: dict = {q: [] for q in outcomes}
     for name, dist in model.preparations.items():
-        read = [outcome_probabilities(dist, None, meas) for meas in members]
+        read = [outcome_probabilities(dist, meas) for meas in members]
         for q in outcomes:
             if not any(p[q] < 1.0 - EQUIVALENCE_TOL for p in read):
                 names[q].append(name)

@@ -429,9 +429,6 @@ class OnticModel(_Record):
                           measurements=measurements, metadata={} if metadata is None else metadata)
 
     def preparation(self, name) -> Distribution:
-        if isinstance(name, Distribution):
-            _check_same_space(self.space, name.space, "inline preparation")
-            return name
         return _declared(self.preparations, "preparation", name)
 
     def transformation(self, name) -> TransformationKernel:
@@ -790,13 +787,10 @@ def compose_preparation(preparation: Distribution, kernel: TransformationKernel)
     return Distribution(space, space.unpack(pushed))
 
 
-def outcome_probabilities(preparation: Distribution, kernel: Optional[TransformationKernel],
-                          measurement: Measurement) -> dict:
-    """Each outcome's probability after preparation -> transformation -> measurement;
-    ``kernel`` may be None for an immediate measurement."""
+def outcome_probabilities(preparation: Distribution, measurement: Measurement) -> dict:
+    """Each outcome's probability when the measurement reads the preparation."""
     _check_same_space(preparation.space, measurement.space, "outcome_probabilities")
-    dist = preparation if kernel is None else compose_preparation(preparation, kernel)
-    return measurement.form.masses(dist.space.pack(dist.weights))
+    return measurement.form.masses(preparation.space.pack(preparation.weights))
 
 
 def is_ontically_noninvasive(

@@ -62,13 +62,15 @@ MASKS = {
 class LgArrangement(_Record):
     """A preparation, two interleaved evolutions and three binary measurements.
 
+    Each is named by its declaration in ``model``; an evolution may be None.
+
     The three two-measurement sub-experiments reuse the same
     preparation and transformation objects by construction: every run is
     derived from one protocol template with a different perform mask.
     """
 
     model: OnticModel
-    preparation: object
+    preparation: str
     transformations: tuple  # (t1, t2), names or None
     measurements: tuple  # (m1, m2, m3) names
     assignment: ObservableAssignment
@@ -292,7 +294,7 @@ def _deviation(by_base, layers) -> float:
 
 def check_opnd(
     model: OnticModel,
-    preparation,
+    preparation: str,
     measurement: str,
     suffix,
     prefix=(),
@@ -300,7 +302,7 @@ def check_opnd(
 ) -> OpndResult:
     """Compare surrounding statistics with a measurement performed vs skipped.
 
-    The protocol is: preparation, the ``prefix`` (transformation,
+    The protocol is: the declared preparation, the ``prefix`` (transformation,
     measurement) pairs all performed, then ``pre_transformation``
     followed by the checked measurement, then the ``suffix`` pairs all
     performed. The performed run applies the checked measurement's

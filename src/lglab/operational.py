@@ -46,18 +46,14 @@ class ProtocolStep(_Record):
     measurement: str
     perform: bool
 
-    def __init__(self, transformation, measurement, perform=True):
-        vars(self).update(transformation=transformation, measurement=measurement, perform=perform)
-
 
 class Protocol(_Record):
     """A preparation followed by an ordered list of protocol steps.
 
-    ``preparation`` is what ``OnticModel.preparation`` accepts: a declared
-    name, or a Distribution over the model's state space.
+    ``preparation`` is the name of one of the model's declared preparations.
     """
 
-    preparation: object
+    preparation: str
     steps: tuple
 
     def __init__(self, preparation, steps):
@@ -204,12 +200,9 @@ class ObservableAssignment(_Record):
         return v
 
 
-def expectation(joint: JointDistribution, assignment: ObservableAssignment, axes=None) -> float:
-    """Expected product of the assigned values on the chosen axes."""
-    if axes is None:
-        indices = list(range(len(joint.axes)))
-    else:
-        indices = [joint.axis_index(a) for a in axes]
+def expectation(joint: JointDistribution, assignment: ObservableAssignment, axes) -> float:
+    """Expected product of the assigned values on the given axes (labels or indices)."""
+    indices = [joint.axis_index(a) for a in axes]
     lookups = [
         {q: assignment.value(joint.axes[i][0], q) for q in joint.axes[i][1]} for i in indices
     ]
@@ -225,27 +218,25 @@ def expectation(joint: JointDistribution, assignment: ObservableAssignment, axes
 
 
 def measurements_equivalent(
-    model: OnticModel, first: str, second: str, probes=None, tol: float = EQUIVALENCE_TOL
+    model: OnticModel, first: str, second: str, tol: float = EQUIVALENCE_TOL
 ) -> tuple[bool, float]:
-    """Whether two measurements have the same response statistics on every probe.
+    """Whether two measurements have the same response statistics on every declared probe.
 
-    ``probes`` is a list of (preparation, transformation-or-None) name
-    pairs, by default every declared pair. The two outcome sets must
-    coincide. Updates are deliberately ignored: equivalence classes are
-    about response statistics only. Each probe is pushed through its
-    transformation once, and both measurements read that one branch.
+    A probe is a declared preparation, alone or followed by one declared
+    transformation. The two outcome sets must coincide. Updates are
+    deliberately ignored: equivalence classes are about response
+    statistics only. Each probe is pushed through its transformation
+    once, and both measurements read that one branch.
     """
     meas_a = model.measurement(first)
     meas_b = model.measurement(second)
     if set(meas_a.outcomes) != set(meas_b.outcomes):
         raise ModelError(f"measurements {first!r} and {second!r} have different outcome sets")
-    if probes is None:
-        probes = [(e, t) for e in model.preparations for t in [None, *model.transformations]]
     worst = 0.0
-    for e_name, t_name in probes:
-        dist = model.preparation(e_name)
-        if t_name is not None:
-            dist = compose_preparation(dist, model.transformation(t_name))
+    for dist, kernel in itertools.product(model.preparations.values(),
+                                          [None, *model.transformations.values()]):
+        if kernel is not None:
+            dist = compose_preparation(dist, kernel)
         branch = dist.space.pack(dist.weights)
         pa, pb = meas_a.form.masses(branch), meas_b.form.masses(branch)
         worst = max(worst, *(abs(pa[q] - pb[q]) for q in meas_a.outcomes))

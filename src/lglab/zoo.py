@@ -636,7 +636,7 @@ def parameters(name: str) -> tuple:
 
 
 def build(name: str, **params) -> ZooBuild:
-    """Build one zoo model by name; unset parameters take the entry's defaults.
+    """Build one zoo model by name; parameters not given take the entry's defaults.
 
     Only the named entry is built, so a fixture pays for its own
     build-time verification alone.
@@ -647,7 +647,5 @@ def build(name: str, **params) -> ZooBuild:
     _, builder, defaults = _ZOO[name]
     if defaults is None:
         return ZooBuild(name, *builder())
-    merged = dict(defaults)
-    merged.update({k: v for k, v in params.items() if v is not None})
-    arrangement = builder(**merged)
+    arrangement = builder(**{**defaults, **params})
     return ZooBuild(name=name, model=arrangement.model, arrangement=arrangement)

@@ -197,7 +197,7 @@ def test_criterion_7_taxonomy():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         probe = sphere_probe(sphere.model, direction)
-        p = outcome_probabilities(sphere.model.preparations["up"], None, probe)["+1"]
+        p = outcome_probabilities(sphere.model.preparations["up"], probe)["+1"]
         beta = math.acos(max(-1.0, min(1.0, float(direction[2]))))
         born_error = max(born_error, abs(p - math.cos(beta / 2.0) ** 2))
     sphere_cls = QuantityClass.verified(sphere.model, "Q", ["Mz"])

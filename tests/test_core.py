@@ -203,14 +203,15 @@ class TestSingleShot:
         m = deterministic_measurement(space)
         mu = Distribution.point_mass(space, "l1")
         kernel = identity(space)
-        assert core.outcome_probabilities(mu, kernel, m)[PLUS] == 1.0
-        assert core.outcome_probabilities(mu, kernel, m)[MINUS] == 0.0
+        pushed = core.compose_preparation(mu, kernel)
+        assert core.outcome_probabilities(pushed, m)[PLUS] == 1.0
+        assert core.outcome_probabilities(pushed, m)[MINUS] == 0.0
 
     def test_uniform_preparation_splits_evenly(self):
         space = two_state_space()
         m = deterministic_measurement(space)
         mu = Distribution(space, {"l1": 0.5, "l2": 0.5})
-        assert core.outcome_probabilities(mu, None, m)[PLUS] == pytest.approx(0.5, abs=1e-15)
+        assert core.outcome_probabilities(mu, m)[PLUS] == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_sum_with_swap_kernel(self):
         # swap sends 0.7 onto l1 and 0.3 onto l2: 0.7*0.9 + 0.3*0.1 = 0.66
@@ -224,7 +225,7 @@ class TestSingleShot:
             "M", response, MeasurementUpdate.noninvasive(space, OUTCOMES, space.states)
         )
         mu = Distribution(space, {"l1": 0.3, "l2": 0.7})
-        p = core.outcome_probabilities(mu, swap_kernel(space), m)[PLUS]
+        p = core.outcome_probabilities(core.compose_preparation(mu, swap_kernel(space)), m)[PLUS]
         assert p == pytest.approx(0.66, abs=1e-15)
 
     def test_sums_to_one_over_outcomes(self):
@@ -241,7 +242,7 @@ class TestSingleShot:
             ResponseFunction(space, OUTCOMES, table),
             MeasurementUpdate.noninvasive(space, OUTCOMES, space.states),
         )
-        total = sum(core.outcome_probabilities(mu, None, m)[q] for q in OUTCOMES)
+        total = sum(core.outcome_probabilities(mu, m)[q] for q in OUTCOMES)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -369,6 +370,15 @@ def test_a_measurement_keyed_by_another_label_is_refused():
     with pytest.raises(ValidationError) as refusal:
         OnticModel(space, {}, {}, {"other": deterministic_measurement(space)})
     assert str(refusal.value) == "measurement 'other' carries label 'M'"
+
+
+def test_a_preparation_is_read_by_its_declared_name_only():
+    space = two_state_space()
+    mu = Distribution.point_mass(space, "l1")
+    model = OnticModel(space, {"up": mu}, {}, {})
+    assert model.preparation("up") is mu
+    with pytest.raises(ModelError, match="unknown preparation"):
+        model.preparation(mu)
 
 
 def test_measurement_requires_matching_outcomes():

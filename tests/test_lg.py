@@ -317,8 +317,8 @@ class TestOpnd:
 def two_run_opnd(model, preparation, measurement, suffix, prefix=(), pre_transformation=None):
     """Reference definition: the performed run with the checked outcome summed out,
     against the run that skips the checked measurement, both walked by label."""
-    outer = [ProtocolStep(t, m) for t, m in prefix]
-    tail = [ProtocolStep(t, m) for t, m in suffix]
+    outer = [ProtocolStep(t, m, True) for t, m in prefix]
+    tail = [ProtocolStep(t, m, True) for t, m in suffix]
 
     def run(perform):
         steps = outer + [ProtocolStep(pre_transformation, measurement, perform)] + tail
@@ -1002,6 +1002,14 @@ class TestArrangementValidation:
             LgArrangement(spin_model, "zero", transformations, measurements,
                           ObservableAssignment({"Mz": {PLUS: 1, MINUS: -1}}))
         assert str(refusal.value) == "arrangement needs two transformations and three measurements"
+
+    def test_a_distribution_in_place_of_the_preparation_name_is_refused(self, spin_model):
+        dist = spin_model.preparations["zero"]
+        with pytest.raises(ModelError, match="unknown preparation"):
+            LgArrangement(spin_model, dist, ("id", "id"), ("Mz", "Mx", "Mz"),
+                          ObservableAssignment({m: {PLUS: 1, MINUS: -1} for m in ("Mz", "Mx")}))
+        with pytest.raises(ModelError, match="unknown preparation"):
+            lg.check_opnd(spin_model, dist, "Mz", [(None, "Mx")])
 
     def test_assignment_must_cover_both_values(self, spin_model):
         with pytest.raises(ValidationError):

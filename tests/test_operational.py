@@ -57,6 +57,11 @@ class TestRunProtocol:
         with pytest.raises(ModelError):
             run_protocol(spin_model, protocol)
 
+    def test_a_distribution_in_place_of_the_preparation_name_is_refused(self, spin_model):
+        protocol = Protocol(spin_model.preparations["zero"], (ProtocolStep(None, "Mz", True),))
+        with pytest.raises(ModelError, match="unknown preparation"):
+            run_protocol(spin_model, protocol)
+
     def test_needs_a_performed_measurement(self):
         with pytest.raises(ValidationError):
             Protocol("zero", (ProtocolStep(None, "Mz", False),))
@@ -144,7 +149,7 @@ class TestExpectation:
     def test_constant_plus_one(self):
         joint = JointDistribution(HAND_AXES, dict(HAND_TABLE))
         ones = ObservableAssignment({m: {PLUS: 1, MINUS: 1} for m, _ in HAND_AXES})
-        assert expectation(joint, ones) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(joint, ones, axes=[0, 1, 2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_pair_correlator_matches_cosine(self):
         for theta, want in ((math.pi / 2.0, 0.0), (2.0 * math.pi / 3.0, -0.5)):
@@ -170,10 +175,12 @@ def probe_deviation(model, first, second, probes) -> float:
     (transformation-or-None, measurement) name probes."""
     worst = 0.0
     for t_name, m_name in probes:
-        kernel = None if t_name is None else model.transformations[t_name]
         m = model.measurements[m_name]
-        pa = core.outcome_probabilities(model.preparations[first], kernel, m)
-        pb = core.outcome_probabilities(model.preparations[second], kernel, m)
+        pa, pb = model.preparations[first], model.preparations[second]
+        if t_name is not None:
+            kernel = model.transformations[t_name]
+            pa, pb = core.compose_preparation(pa, kernel), core.compose_preparation(pb, kernel)
+        pa, pb = core.outcome_probabilities(pa, m), core.outcome_probabilities(pb, m)
         worst = max(worst, *(abs(pa[q] - pb[q]) for q in m.outcomes))
     return worst
 
@@ -214,18 +221,19 @@ class TestEquivalences:
         assert probe_deviation(spin_model, "zero", "one", [(None, "Mz")]) == pytest.approx(1.0)
 
     def test_equal_measurements(self, spin_model):
-        probes = [("zero", None), ("plus", None), ("zero", "id")]
-        ok, _ = measurements_equivalent(spin_model, "Mz", "Mz", probes)
+        ok, _ = measurements_equivalent(spin_model, "Mz", "Mz")
         assert ok
 
     def test_same_response_different_update_still_equivalent(self, spin_model):
         # class membership is about response statistics only
-        probes = [(e, t) for e in ("zero", "one", "plus") for t in (None, "id")]
-        ok, dev = measurements_equivalent(spin_model, "Mz", "Mz-alt", probes)
+        ok, dev = measurements_equivalent(spin_model, "Mz", "Mz-alt")
         assert ok and dev <= 1e-15
 
     def test_differing_response_detected(self, spin_model):
-        ok, dev = measurements_equivalent(spin_model, "Mz", "Mx", [("zero", None)])
+        # each declared preparation is a point mass that "id" leaves in place: z0 and z1
+        # read Mz with certainty and Mx evenly, x0 the other way round, so every probe
+        # differs by |1 - 0.5| = 0.5 on both outcomes
+        ok, dev = measurements_equivalent(spin_model, "Mz", "Mx")
         assert not ok and dev == pytest.approx(0.5)
 
     def test_each_cell_is_computed_once_per_side(self, spin_model, monkeypatch):
@@ -236,9 +244,8 @@ class TestEquivalences:
         monkeypatch.setattr(core.Form, "masses",
                             lambda form, branch: passes.append(form) or masses(form, branch))
         mz, alt = (spin_model.measurements[m].form for m in ("Mz", "Mz-alt"))
-        probes = [(e, t) for e in ("zero", "one", "plus") for t in (None, "id")]
-        measurements_equivalent(spin_model, "Mz", "Mz-alt", probes)
-        assert passes == [mz, alt] * len(probes)
+        measurements_equivalent(spin_model, "Mz", "Mz-alt")
+        assert passes == [mz, alt] * 6  # 3 declared preparations x (no transformation, "id")
 
     def test_missing_outcome_correspondence_rejected(self, spin_model):
         space = spin_model.space

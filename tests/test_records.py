@@ -31,7 +31,7 @@ RECORDS = [
 
 #: The records that check, convert or default a field, and so define their own ``__init__``.
 OWN_INIT = {"OnticStateSpace", "Measurement", "OnticModel", "LgArrangement", "Protocol",
-            "JointDistribution", "SlitAmplitudes", "ProtocolStep"}
+            "JointDistribution", "SlitAmplitudes"}
 
 
 def blank(cls, values):
@@ -179,7 +179,7 @@ def test_assignment_and_deletion_are_refused(cls):
 
 
 def test_repr_names_every_field():
-    assert repr(ProtocolStep(None, "Mz")) == (
+    assert repr(ProtocolStep(None, "Mz", True)) == (
         "ProtocolStep(transformation=None, measurement='Mz', perform=True)")
     space = OnticStateSpace(("a", "b"))
     assert repr(space) == "OnticStateSpace(states=('a', 'b'))"
@@ -198,10 +198,11 @@ def test_chain_record_equality_ignores_report_and_details():
 
 
 def test_replace_changes_the_given_fields_and_validates_again():
-    protocol = Protocol("zero", [ProtocolStep(None, "Mz"), ProtocolStep("T", "Mx", False)])
+    protocol = Protocol("zero", [ProtocolStep(None, "Mz", True), ProtocolStep("T", "Mx", False)])
     moved = replace(protocol, preparation="one")
     assert (moved.preparation, moved.steps) == ("one", protocol.steps)
-    assert replace(protocol, steps=[ProtocolStep(None, "Mx")]).steps == (ProtocolStep(None, "Mx"),)
+    step = ProtocolStep(None, "Mx", True)
+    assert replace(protocol, steps=[step]).steps == (ProtocolStep(None, "Mx", True),)
     with pytest.raises(ValidationError, match="protocol must perform at least one measurement"):
         replace(protocol, steps=(ProtocolStep(None, "Mz", False),))
     with pytest.raises(TypeError):

@@ -24,7 +24,7 @@ from lglab import (
 from lglab import __version__, cli, core, schema, zoo
 from lglab.classify import QuantityClass, classify
 from builders import expanded, replace
-from random_models import identity_with_shared_rows, random_arrangement
+from random_models import identity_with_shared_rows, random_arrangement, with_update
 from perfbench.workloads import (
     CLASSIFY_PINS,
     CLASSIFY_REFUSALS,
@@ -123,6 +123,19 @@ class TestSchemaValidation:
             schema.doc_to_model(doc)
         assert "preparations.E" in str(err.value)
 
+    def test_mixed_update_rows_are_refused_at_export(self):
+        # M1 draws +1 from one shared row and keeps its per-state -1 rows, which a file,
+        # declaring an update per state or per outcome, cannot hold
+        model = random_arrangement(np.random.default_rng(7)).model
+        rows = model.measurements["M1"].update.rows
+        mixed = with_update(model, "M1", {core.PLUS: model.preparations["E"]},
+                            rows={key: row for key, row in rows.items() if key[1] == core.MINUS})
+        with pytest.raises(SchemaError) as refusal:
+            schema.model_to_doc(mixed)
+        assert refusal.value.path == "measurements.M1.update"
+        assert str(refusal.value) == ("measurements.M1.update: mixed per-state and per-outcome "
+                                      "update rows cannot be serialized")
+
     def test_unknown_measurement_in_class(self):
         doc = {
             "schema": 1,
@@ -180,6 +193,33 @@ class TestCli:
         rows = {tuple(r["outcomes"]): r["p"] for r in out["results"]["joint"]}
         assert sum(rows.values()) == pytest.approx(1.0, abs=1e-12)
         assert "0,2" in out["results"]["marginals"]
+
+    def test_a_step_without_perform_or_transformation_takes_their_defaults(self, tmp_path,
+                                                                           capsys):
+        # a step is performed unless it says otherwise, and has no transformation unless
+        # it names one
+        path = tmp_path / "superselected.json"
+        assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0
+        original = path.read_text()
+        doc = json.loads(original)
+        dropped = 0
+        for protocol in doc["protocols"].values():
+            for step in protocol["steps"]:
+                for key, default in (("perform", True), ("transformation", None)):
+                    if step[key] is default:
+                        del step[key]
+                        dropped += 1
+        assert dropped == 13  # 4 protocols: 9 performed steps and 4 first steps without one
+        _, protocols, _ = schema.doc_to_model(doc)
+        assert protocols == schema.doc_to_model(json.loads(original))[1]
+        argv = ["run", "--model", str(path), "--protocol", "lg-all", "--marginal", "0,2",
+                "--no-timestamp"]
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr()
+        path.write_text(json.dumps(doc))
+        assert run_cli(argv) == 0
+        assert capsys.readouterr() == expected
 
     def test_lg_on_model_file_matches_zoo(self, tmp_path, capsys):
         path = tmp_path / "qubit.json"

@@ -53,7 +53,8 @@ class TestQubit:
         arr = zoo.build_qubit_arrangement(1.1, 0.4)
         model = arr.model
         p = core.outcome_probabilities(
-            model.preparations["up"], model.transformations["rot1"], model.measurements["Mz"],
+            core.compose_preparation(model.preparations["up"], model.transformations["rot1"]),
+            model.measurements["Mz"],
         )[PLUS]
         assert p == pytest.approx(math.cos(1.1 / 2.0) ** 2, abs=1e-12)
 
@@ -81,22 +82,22 @@ class TestKsSphere:
     def test_aligned_reading_is_certain(self):
         arr = zoo.build_ks_arrangement(self.N, 1.0, 1.0)
         p = core.outcome_probabilities(
-            arr.model.preparations["up"], None, arr.model.measurements["Mz"]
+            arr.model.preparations["up"], arr.model.measurements["Mz"]
         )[PLUS]
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_reading_splits(self):
         arr = zoo.build_ks_arrangement(self.N, 1.0, 1.0)
         probe = sphere_probe(arr.model, (1.0, 0.0, 0.0))
-        p = core.outcome_probabilities(arr.model.preparations["up"], None, probe)[PLUS]
+        p = core.outcome_probabilities(arr.model.preparations["up"], probe)[PLUS]
         assert p == pytest.approx(0.5, abs=5e-3)
 
     def test_sphere_probe_along_z_reads_as_mz(self):
         model = zoo.build_ks_arrangement(self.N, 1.0, 1.0).model
         probe = sphere_probe(model, (0.0, 0.0, 1.0))
         for prep in model.preparations.values():
-            assert core.outcome_probabilities(prep, None, probe) == core.outcome_probabilities(
-                prep, None, model.measurements["Mz"])
+            assert core.outcome_probabilities(prep, probe) == core.outcome_probabilities(
+                prep, model.measurements["Mz"])
 
     def test_born_rule_converges_with_grid(self):
         direction = np.array([math.sin(1.0), 0.0, math.cos(1.0)])
@@ -105,7 +106,7 @@ class TestKsSphere:
         for n in (500, 4000):
             arr = zoo.build_ks_arrangement(n, 1.0, 1.0)
             probe = sphere_probe(arr.model, direction)
-            p = core.outcome_probabilities(arr.model.preparations["up"], None, probe)[PLUS]
+            p = core.outcome_probabilities(arr.model.preparations["up"], probe)[PLUS]
             errors.append(abs(p - exact))
         assert errors[1] < errors[0]
         assert errors[1] < 2e-3

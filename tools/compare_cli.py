@@ -33,7 +33,10 @@ of one of its protocols, ``lg`` and ``classify`` of the one arrangement and
 quantity class it declares, and a refusal of an undeclared name for each.
 A copy of that file with ``readcopy``, a copy of ``read``, and the class
 ``Q = [read, readcopy]`` runs ``classify``, so that a class of two members
-with eigenstate preparations is compared through every step of it.
+with eigenstate preparations is compared through every step of it. A
+copy whose protocol steps leave out each ``"perform": true`` and
+``"transformation": null``, the values a step without them takes, runs
+``run`` of the same protocol.
 Of a ks-sphere file at ``--grid 300`` they run ``lg`` and ``classify``, so
 that the loader's shared response rows and the value check that decides
 each distinct row once are compared through the CLI. A copy of that file
@@ -78,6 +81,7 @@ SPHERE_TURNED_FILE = "ks-sphere-300-turned.json"
 SPHERE_STRADDLING_FILE = "ks-sphere-300-straddling.json"
 SPHERE_GAP_FILE = "ks-sphere-300-gap.json"
 TWO_MEMBER_CLASS_FILE = "two-member-class.json"
+DEFAULT_STEPS_FILE = "superselected-default-steps.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
@@ -112,6 +116,18 @@ def two_member_class(doc: dict) -> dict:
     pair["measurements"]["readcopy"] = copy.deepcopy(doc["measurements"]["read"])
     pair["quantity_classes"] = {"Q": ["read", "readcopy"]}
     return pair
+
+
+def default_steps(doc: dict) -> dict:
+    """A copy of the exported superselected document whose protocol steps leave out each key
+    that holds the value a step without it takes: ``perform`` true, ``transformation`` null."""
+    short = copy.deepcopy(doc)
+    for protocol in short["protocols"].values():
+        for step in protocol["steps"]:
+            for key, default in (("perform", True), ("transformation", None)):
+                if step[key] is default:
+                    del step[key]
+    return short
 
 
 def spread(doc: dict, stages) -> dict:
@@ -149,6 +165,7 @@ def commands(zoo: list) -> list:
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40", "--format", "csv"],
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40"],
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
+        ["run", "--model", DEFAULT_STEPS_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
         ["lg", "--model", MODEL_FILE],
         ["classify", "--model", MODEL_FILE],
         ["classify", "--model", TWO_MEMBER_CLASS_FILE],
@@ -216,6 +233,7 @@ def main(argv=None) -> int:
         with open(os.path.join(cwd, SPHERE_TURNED_FILE), encoding="utf-8") as handle:
             turned = json.load(handle)
         copies = {**broken_copies(doc), TWO_MEMBER_CLASS_FILE: two_member_class(doc),
+                  DEFAULT_STEPS_FILE: default_steps(doc),
                   SPHERE_STRADDLING_FILE: spread(turned, (0, 1)),
                   SPHERE_GAP_FILE: spread(sphere, (0, 2))}
         del sphere["measurements"]["Mz"]["update"]["rows"]["-1"]
