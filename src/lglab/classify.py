@@ -24,6 +24,7 @@ from .core import (
     _Record,
     check_size,
     compose_preparation,
+    distance,
     outcome_probabilities,
 )
 from .errors import ClassificationError, EngineDefectError, ModelError
@@ -373,16 +374,17 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
     if set(meas.outcomes) != set(eigen_names):
         raise ModelError(f"measurement {measurement!r} and the members of "
                          f"{quantity_class.label!r} have different outcome sets")
-    deviations = {}
+    form, deviations = meas.form, {}
     for q in meas.outcomes:
+        xi = form.responses[q]
         for name in eigen_names[q]:
-            dist = model.preparation(name)
-            branch = model.space.pack({label: w for label, w in dist.weights.items()
-                                       if meas.response.row(label)[q] > SUPPORT_TOL})
-            p_q = meas.form.masses(branch)[q]
-            post = model.space.unpack(meas.form.measure(branch, q))
-            post = {label: w / p_q for label, w in post.items()}
-            deviations[name] = Distribution(model.space, post).total_variation(dist)
+            prepared = model.preparation(name).branch
+            # a state without a response row (NaN) stays, so that masses names it
+            kept = [not xi[i] <= SUPPORT_TOL for i in prepared[0]]
+            branch = [list(itertools.compress(part, kept)) for part in prepared]
+            p_q = form.masses(branch)[q]
+            positions, weights = form.measure(branch, q)
+            deviations[name] = distance((positions, [w / p_q for w in weights]), prepared)
     worst = max(deviations.values(), default=0.0)
     return EquilibriumResult(holds=worst <= EQUIVALENCE_TOL, worst_deviation=worst,
                              per_preparation=deviations)

@@ -136,7 +136,7 @@ def cmd_run(args) -> int:
     }
     for keep in args.marginal or []:
         axes = [a.strip() for a in keep.split(",") if a.strip()]
-        marg = marginalize(joint, [int(a) if a.isdigit() else a for a in axes])
+        marg = marginalize(joint, [int(a) if a.isdecimal() else a for a in axes])
         results.setdefault("marginals", {})[keep] = _table_doc(marg)
     _report(args, "run", {"model": args.model, "protocol": args.protocol}, results)
     return 0

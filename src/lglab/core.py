@@ -170,12 +170,14 @@ class Distribution:
     Weights are validated (nonnegative, summing to 1 within
     NORMALIZATION_TOL) and then renormalized exactly. Zero entries are
     dropped; the stored mapping is the support plus sub-threshold residue.
-    Mutating an instance, its ``weights`` included, is unsupported: point
-    masses are shared (see ``point_mass``) and compiled forms keep what
-    they read.
+    ``branch`` is the same weights packed by position (see the operations
+    below), made on first use and kept. Mutating an instance, its
+    ``weights`` included, is unsupported: point masses are shared (see
+    ``point_mass``) and compiled forms keep what they read, the branch's
+    tuples among it.
     """
 
-    __slots__ = ("space", "weights")
+    __slots__ = ("space", "weights", "_branch")  # no __dict__: point masses stay small
 
     def __init__(self, space: OnticStateSpace, weights: Mapping[Label, float]):
         for label, w in weights.items():
@@ -206,15 +208,22 @@ class Distribution:
             dist.space, dist.weights = space, {label: 1.0}
         return dist
 
+    @property
+    def branch(self) -> tuple:
+        """The weights as a branch of two tuples, positions and weights, packed once."""
+        try:
+            return self._branch
+        except AttributeError:
+            self._branch = tuple(map(tuple, self.space.pack(self.weights)))
+            return self._branch
+
     def support(self) -> frozenset:
         return frozenset(k for k, v in self.weights.items() if v > SUPPORT_TOL)
 
     def total_variation(self, other: "Distribution") -> float:
-        """Half the L1 distance, summed in state order so that every process adds alike."""
+        """Half the L1 distance (see ``distance``)."""
         _check_same_space(self.space, other.space, "total_variation")
-        keys = sorted(self.weights.keys() | other.weights.keys(), key=self.space.position.get)
-        mine, theirs = self.weights.get, other.weights.get
-        return 0.5 * sum(abs(mine(k, 0.0) - theirs(k, 0.0)) for k in keys)
+        return distance(self.branch, other.branch)
 
     def __repr__(self):
         items = ", ".join(f"{k!r}: {v:.6g}" for k, v in self.weights.items())
@@ -451,14 +460,15 @@ def _declared(components: dict, kind: str, name):
 #
 # A branch is weight on ontic states packed by position: (positions in
 # ascending order, their weights), so every sum over a branch runs in
-# one order. Each kernel and measurement is compiled once, on first use,
-# into the positional form it keeps (Form); a kernel compiles as a
-# measurement with one certain outcome. A form's measure and masses are
-# the only code that moves weight between ontic states; they keep the
-# total mass as given and check nothing beyond the rows they read. Its
-# pull reads the same rows backwards, carrying effects (functions on
-# ontic states, such as xi(q | .)) so that <measure(w, q), f> =
-# <w, pull(f)[q]>. An outcome whose rows are point masses in state order
+# one order. A distribution keeps its branch (Distribution.branch), and a
+# form's numbered rows share it. Each kernel and measurement is compiled
+# once, on first use, into the positional form it keeps (Form); a kernel
+# compiles as a measurement with one certain outcome. A form's measure
+# and masses are the only code that moves weight between ontic states;
+# they keep the total mass as given and check nothing beyond the rows
+# they read. Its pull reads the same rows backwards, carrying effects
+# (functions on ontic states, such as xi(q | .)) so that
+# <measure(w, q), f> = <w, pull(f)[q]>. An outcome whose rows are point masses in state order
 # is compiled into runs (Form.runs), stretches of states that each draw
 # the point mass a fixed shift on: pull copies one slice of the base per
 # run, reading no state alone, and measure reads each flow's target by
@@ -506,12 +516,6 @@ def dots(branch, effects, memo=None) -> list:
     return [sum(map(mul, weights, at)) for at in values]
 
 
-def _row(space: OnticStateSpace, weights: Mapping) -> tuple:
-    """A kernel or update row as a branch, with the reader the pulls dot it through."""
-    positions, values = space.pack(weights)
-    return positions, tuple(values), _gather(positions)
-
-
 def _ascending(out: dict) -> tuple:
     """Weights keyed by position as a branch."""
     positions = sorted(out)
@@ -525,6 +529,13 @@ def summed(branches) -> tuple:
         for i, w in zip(positions, weights):
             out[i] = out.get(i, 0.0) + w
     return _ascending(out)
+
+
+def distance(a, b) -> float:
+    """Half the L1 distance of two branches, summed in state order so that every process
+    adds alike."""
+    positions, weights = b
+    return 0.5 * sum(map(abs, summed([a, (positions, [-w for w in weights])])[1]))
 
 
 class Form:
@@ -541,13 +552,14 @@ class Form:
     ``pull``): below ``end``, the number of states, the position of a
     point mass of weight 1; ``end`` where q has probability 0 or the row
     is missing; above ``end``, a row numbered by identity, which ``rows``
-    maps to that row (see ``_row``). ``missing`` lists the (position,
-    outcome) pairs of nonzero probability without an update row, in
-    response-table order. ``flows`` is ``responses`` with NaN at those
-    pairs, so ``flows[q]`` is NaN wherever a state lacks its response row
-    or its own update row for q. A walk branches on every outcome, so a
-    state in ``missing`` is outside the domain of every pull: ``xi`` is
-    ``responses`` with NaN there for every outcome. ``shared`` maps an
+    maps to that row's branch and the reader the pulls dot it through.
+    ``missing`` lists the (position, outcome) pairs of nonzero probability
+    without an update row, in response-table order. ``flows`` is
+    ``responses`` with NaN at those pairs, so ``flows[q]`` is NaN wherever
+    a state lacks its response row or its own update row for q. A walk
+    branches on every outcome, so a state in ``missing`` is outside the
+    domain of every pull: ``xi`` is ``responses`` with NaN there for every
+    outcome. ``shared`` maps an
     outcome to the one ``to`` value that every state with a row for it
     draws, where there is one: a point mass counts as one row by its
     state, whichever objects carry it, so how a model was built does not
@@ -597,7 +609,7 @@ class Form:
                         [t] = map(space.position.__getitem__, target.weights)
                     else:
                         t = end + 1 + len(self.rows)
-                        self.rows[t] = _row(space, target.weights)
+                        self.rows[t] = (*target.branch, _gather(target.branch[0]))
                     numbering[id(target)] = t
                 self.to[q][i] = t
         self.flows = _blanked(self.responses, self.missing)
@@ -783,14 +795,14 @@ def compose_preparation(preparation: Distribution, kernel: TransformationKernel)
     """
     _check_same_space(preparation.space, kernel.space, "compose_preparation")
     space = preparation.space
-    pushed = kernel.form.measure(space.pack(preparation.weights), None)
+    pushed = kernel.form.measure(preparation.branch, None)
     return Distribution(space, space.unpack(pushed))
 
 
 def outcome_probabilities(preparation: Distribution, measurement: Measurement) -> dict:
     """Each outcome's probability when the measurement reads the preparation."""
     _check_same_space(preparation.space, measurement.space, "outcome_probabilities")
-    return measurement.form.masses(preparation.space.pack(preparation.weights))
+    return measurement.form.masses(preparation.branch)
 
 
 def is_ontically_noninvasive(
@@ -831,7 +843,6 @@ def post_measurement_distribution(preparation: Distribution, measurement: Measur
     operational-disturbance check.
     """
     _check_same_space(preparation.space, measurement.space, "post_measurement_distribution")
-    space = preparation.space
-    branch = space.pack(preparation.weights)
+    branch, space = preparation.branch, preparation.space
     updated = summed(measurement.form.measure(branch, q) for q in measurement.outcomes)
     return Distribution(space, space.unpack(updated))

@@ -23,6 +23,7 @@ from .core import (
     OnticModel,
     _Record,
     check_size,
+    distance,
     dots,
     is_ontically_noninvasive,
     summed,
@@ -319,8 +320,8 @@ def check_opnd(
     if not prefix and not suffix:
         raise ModelError("non-disturbance needs at least one surrounding measurement")
     meas = model.measurement(measurement)
-    packed = model.space.pack(model.preparation(preparation).weights)
-    branches = walk(model, [(packed, ())], [*prefix, (pre_transformation, None)])
+    branches = walk(model, [(model.preparation(preparation).branch, ())],
+                    [*prefix, (pre_transformation, None)])
     memo: dict = {}
     bases: dict = {}
     shifts = _disturbances(memo, meas, _suffix_effects(model, memo, [suffix])[suffix], bases)
@@ -383,11 +384,10 @@ def check_opnd_complete(model: OnticModel, measurement: str, depth: int = 2) -> 
 def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     """``check_opnd_complete`` of each measurement, with the forward work shared by all of them.
 
-    Each preparation is packed once and each of its prefixes walked once;
-    a prefix the model leaves undefined counts every context of every
-    head that shares it. The numbered bases are read once at each
-    distinct support of the branches reaching the measurement, and each
-    branch dots them once.
+    Each of a preparation's prefixes is walked once; a prefix the model
+    leaves undefined counts every context of every head that shares it.
+    The numbered bases are read once at each distinct support of the
+    branches reaching the measurement, and each branch dots them once.
     """
     if depth < 1:
         raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")
@@ -414,7 +414,7 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
     numbered = [base for _, base in bases.values()]
     gathered: dict = {}  # the numbered bases at each distinct branch support (see core.dots)
     for prep_name in preparations if left else ():
-        packed = [(model.space.pack(model.preparation(prep_name).weights), ())]
+        packed = [(model.preparation(prep_name).branch, ())]
         for prefix in prefixes:
             try:
                 walked = walk(model, packed, prefix)
@@ -589,34 +589,28 @@ def post_select_noninvasive(model: OnticModel, keep_first, keep_second) -> PostS
                 f"outcome {q!r} (deviation {deviation:.3g})"
             )
 
+    xi_a, xi_b = meas_a.form.responses[q_a], meas_b.form.responses[q_b]
     records = []
     for prep_name, dist in model.preparations.items():
-        half = {label: 0.5 * w for label, w in dist.weights.items()}
-        kept = {
-            label: w * (meas_a.response.row(label)[q_a] + meas_b.response.row(label)[q_b])
-            for label, w in half.items()
-        }
-        branch = model.space.pack(half)
-        post = model.space.unpack(summed([meas_a.form.measure(branch, q_a),
-                                          meas_b.form.measure(branch, q_b)]))
-        keep_probability = sum(kept.values())
+        positions, weights = dist.branch
+        half = positions, [0.5 * w for w in weights]
+        kept = [w * (xi_a[i] + xi_b[i]) for i, w in zip(*half)]
+        post = summed([meas_a.form.measure(half, q_a), meas_b.form.measure(half, q_b)])
+        keep_probability = sum(kept)
         if keep_probability <= 0.0:
             raise ModelError(
                 f"post-selection keeps no runs for preparation {prep_name!r}"
             )
-        conditioned = Distribution(
-            model.space, {k: v / keep_probability for k, v in post.items()}
-        )
-        reference = Distribution(
-            model.space, {k: v / keep_probability for k, v in kept.items()}
-        )
+        conditioned = Distribution(model.space, model.space.unpack(
+            (post[0], [v / keep_probability for v in post[1]])))
+        reference = positions, [v / keep_probability for v in kept]
         records.append(
             PostSelectionRecord(
                 preparation=prep_name,
                 keep_probability=keep_probability,
                 conditioned=conditioned,
                 deviation_from_input=conditioned.total_variation(dist),
-                update_consistency=conditioned.total_variation(reference),
+                update_consistency=distance(conditioned.branch, reference),
             )
         )
     worst_input = max(r.deviation_from_input for r in records)

@@ -23,12 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import (
-    NORMALIZATION_TOL,
-    OnticModel,
-    _Record,
-    compose_preparation,
-)
+from .core import NORMALIZATION_TOL, OnticModel, _Record
 from .errors import ModelError, ValidationError
 
 #: Tolerance for declaring two sets of operational statistics equal.
@@ -158,7 +153,7 @@ def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
     read.append((steps[-1].transformation, None))
     table = {
         outs + (q,): p
-        for w, outs in walk(model, [(model.space.pack(dist.weights), ())], read)
+        for w, outs in walk(model, [(dist.branch, ())], read)
         for q, p in final.form.masses(w).items()
     }
     axes = tuple(
@@ -235,9 +230,7 @@ def measurements_equivalent(
     worst = 0.0
     for dist, kernel in itertools.product(model.preparations.values(),
                                           [None, *model.transformations.values()]):
-        if kernel is not None:
-            dist = compose_preparation(dist, kernel)
-        branch = dist.space.pack(dist.weights)
+        branch = dist.branch if kernel is None else kernel.form.measure(dist.branch, None)
         pa, pb = meas_a.form.masses(branch), meas_b.form.masses(branch)
         worst = max(worst, *(abs(pa[q] - pb[q]) for q in meas_a.outcomes))
     return worst <= tol, worst

@@ -115,3 +115,10 @@ def run_protocol(model, protocol) -> JointDistribution:
         for combo in itertools.product(*(outcomes for _, outcomes in axes))
     }
     return JointDistribution(axes, full)
+
+
+def total_variation(weights: Mapping, other: Mapping, space) -> float:
+    """Half the L1 distance of two raw weight dicts, over the union of their labels sorted
+    in state order."""
+    labels = sorted(weights.keys() | other.keys(), key=space.position.get)
+    return 0.5 * sum(abs(weights.get(k, 0.0) - other.get(k, 0.0)) for k in labels)

@@ -17,6 +17,7 @@ from lglab import (
     classify,
 )
 from lglab.classify import HULL_TOL, QuantityClass, _eigenstates, _nnls
+from lglab.core import SUPPORT_TOL
 from lglab.operational import EQUIVALENCE_TOL
 from lglab import core, zoo
 import reference_walk
@@ -456,6 +457,47 @@ class TestEquilibrium:
         model = replace(spin_model, measurements={**spin_model.measurements, "partial": partial})
         with pytest.raises(ModelError, match="response undefined for state 'x0'"):
             check_equilibrium_property(model, QuantityClass("Q", ("Mz", "partial")), "Mz")
+
+
+def label_level_equilibrium(model, quantity_class, measurement) -> dict:
+    """``check_equilibrium_property``'s deviations computed by label: each eigenstate
+    preparation's states that give its value as a dict, the posterior unpacked, divided by
+    P(q) and validated as a Distribution, and its total variation from the preparation."""
+    meas, space = model.measurement(measurement), model.space
+    eigen_names = _eigenstates(model, quantity_class)
+    deviations = {}
+    for q in meas.outcomes:
+        for name in eigen_names[q]:
+            dist = model.preparation(name)
+            branch = space.pack({label: w for label, w in dist.weights.items()
+                                 if meas.response.row(label)[q] > SUPPORT_TOL})
+            p_q = meas.form.masses(branch)[q]
+            post = space.unpack(meas.form.measure(branch, q))
+            post = Distribution(space, {label: w / p_q for label, w in post.items()}).weights
+            deviations[name] = reference_walk.total_variation(post, dist.weights, space)
+    return deviations
+
+
+def assert_equilibrium_matches_the_label_level_reference(model, members):
+    quantity_class = QuantityClass("Q", tuple(members))
+    for measurement in members:
+        ours = check_equilibrium_property(model, quantity_class, measurement).per_preparation
+        theirs = label_level_equilibrium(model, quantity_class, measurement)
+        assert [(k, v.hex()) for k, v in ours.items()] == [(k, v.hex()) for k, v in theirs.items()]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+def test_equilibrium_deviations_of_zoo_classes_equal_the_label_level_reference(name):
+    model = zoo.build(name, **({"n_points": 100} if name == "ks-sphere" else {})).model
+    assert_equilibrium_matches_the_label_level_reference(
+        model, model.metadata["quantity_classes"]["Q"])
+
+
+def test_equilibrium_deviations_of_random_classes_equal_the_label_level_reference():
+    # the random M1 moves each eigenstate preparation, so the deviations are not 0 or 1
+    for seed in range(6000, 6012):
+        assert_equilibrium_matches_the_label_level_reference(certain_on_two_thirds(seed),
+                                                             ("M1", "M1-copy"))
 
 
 def test_images_stop_at_the_first_depth_that_adds_none(lines_run):

@@ -20,11 +20,16 @@ from lglab import (
     ResponseFunction,
     TransformationKernel,
     ValidationError,
+    check_equilibrium_property,
+    check_implication_chain,
+    classify,
     compose_preparation,
+    disturbance_report,
     is_ontically_noninvasive,
     post_measurement_distribution,
 )
 from lglab import core, zoo
+from lglab.classify import QuantityClass
 import reference_walk
 from builders import identity, replace
 from random_models import (identity_with_shared_rows, random_arrangement, with_update,
@@ -753,6 +758,62 @@ def test_every_form_on_a_space_reads_its_one_positions_array(monkeypatch):
     fresh = OnticStateSpace(space.states)
     assert OnticStateSpace._fields == ("states",)
     assert (fresh, hash(fresh), repr(fresh)) == (space, hash(space), repr(space))
+
+
+def test_each_distribution_is_packed_once(monkeypatch):
+    # the lg path packs each preparation it reads once, among them Mz's outcome rows (the up
+    # and down preparations); a second run, and the classify path after it, pack nothing
+    built = zoo.build("ks-sphere", n_points=100)
+    model, packed = built.model, []
+    pack = OnticStateSpace.pack
+    monkeypatch.setattr(OnticStateSpace, "pack",
+                        lambda space, weights: packed.append(weights) or pack(space, weights))
+    for run in range(2):
+        disturbance_report(built.arrangement)
+        check_implication_chain(built.arrangement)
+        if run == 0:
+            assert packed and len(set(map(id, packed))) == len(packed)
+            prepared = {id(dist.weights) for dist in model.preparations.values()}
+            assert set(map(id, packed)) <= prepared
+            packed.clear()
+    quantity_class = QuantityClass.verified(model, "Q", ["Mz"])
+    classify(model, quantity_class)
+    assert check_equilibrium_property(model, quantity_class, "Mz").holds
+    assert packed == []
+
+
+@pytest.mark.parametrize("name", [name for name, _ in zoo.list_models()])
+def test_a_distribution_keeps_its_branch_and_forms_share_its_tuples(name):
+    model = zoo_model(name)
+    space = model.space
+    # a point mass made on request, kept in space.points beside those the rows are
+    Distribution.point_mass(space, space.states[0])
+    kernels, measurements = model.transformations.values(), model.measurements.values()
+    rows = [*model.preparations.values(), *space.points.values(),
+            *(row for kernel in kernels for row in kernel.rows.values()),
+            *(row for meas in measurements
+              for row in (*meas.update.rows.values(), *meas.update.outcome_rows.values()))]
+    for dist in rows:
+        branch = dist.branch
+        positions, weights = space.pack(dist.weights)
+        assert branch == (tuple(positions), tuple(weights))
+        assert list(map(type, branch)) == [tuple, tuple]
+        assert dist.branch is branch
+        assert not hasattr(dist, "__dict__")
+    drawn = [(kernel.form, label, None, row) for kernel in kernels
+             for label, row in kernel.rows.items()]
+    drawn += [(meas.form, label, q, update.rows.get((label, q), update.outcome_rows.get(q)))
+              for meas in measurements for update in (meas.update,)
+              for label, probabilities in meas.response.table.items()
+              for q, p in probabilities.items() if p != 0.0]
+    seen = set()
+    for form, label, q, row in drawn:
+        t = form.to[q][space.position[label]]
+        if t > len(space):
+            seen.add((id(form), t))
+            assert form.rows[t][0] is row.branch[0] and form.rows[t][1] is row.branch[1]
+    # every numbered row of every form is checked
+    assert seen == {(id(form), t) for form, *_ in drawn for t in form.rows}
 
 
 def test_runs_move_weight_and_effects_as_the_state_loop_does():

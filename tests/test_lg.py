@@ -958,6 +958,32 @@ def fully_noninvasive_pair_model():
     )
 
 
+def label_level_post_selection(model, keep_first, keep_second) -> list:
+    """Each record of ``post_select_noninvasive`` computed by label, with its floats as hex:
+    the halved and kept weights as dicts read through each response row, the posterior
+    unpacked, and the conditioned and reference Distributions compared in total variation."""
+    (name_a, q_a), (name_b, q_b) = keep_first, keep_second
+    meas_a, meas_b, space = model.measurement(name_a), model.measurement(name_b), model.space
+    records = []
+    for prep_name, dist in model.preparations.items():
+        half = {label: 0.5 * w for label, w in dist.weights.items()}
+        kept = {label: w * (meas_a.response.row(label)[q_a] + meas_b.response.row(label)[q_b])
+                for label, w in half.items()}
+        branch = space.pack(half)
+        post = space.unpack(core.summed([meas_a.form.measure(branch, q_a),
+                                         meas_b.form.measure(branch, q_b)]))
+        keep_probability = sum(kept.values())
+        conditioned = Distribution(space, {k: v / keep_probability for k, v in post.items()})
+        reference = Distribution(space, {k: v / keep_probability for k, v in kept.items()})
+        records.append((prep_name, keep_probability.hex(),
+                        [(k, v.hex()) for k, v in conditioned.weights.items()],
+                        reference_walk.total_variation(conditioned.weights, dist.weights,
+                                                       space).hex(),
+                        reference_walk.total_variation(conditioned.weights, reference.weights,
+                                                       space).hex()))
+    return records
+
+
 class TestPostSelection:
     def test_fully_noninvasive_pair_keeps_input(self):
         model = fully_noninvasive_pair_model()
@@ -979,6 +1005,20 @@ class TestPostSelection:
 
         assert not is_ontically_noninvasive(model.measurements["null-plus"])[0]
         assert is_ontically_noninvasive(model.measurements["null-plus"], PLUS)[0]
+
+    @pytest.mark.parametrize("model, keep_first, keep_second", [
+        (fully_noninvasive_pair_model, ("first", PLUS), ("second", MINUS)),
+        (lambda: zoo.build("null-result-pair").model, ("null-plus", PLUS), ("null-minus", MINUS)),
+        (lambda: zoo.build("null-result-pair").model, ("null-minus", MINUS), ("null-plus", PLUS)),
+    ], ids=["fully-noninvasive-pair", "null-result-pair", "null-result-pair-swapped"])
+    def test_every_field_equals_the_label_level_reference(self, model, keep_first, keep_second):
+        model = model()
+        result = post_select_noninvasive(model, keep_first, keep_second)
+        assert [(r.preparation, r.keep_probability.hex(),
+                 [(k, v.hex()) for k, v in r.conditioned.weights.items()],
+                 r.deviation_from_input.hex(), r.update_consistency.hex())
+                for r in result.records] == label_level_post_selection(model, keep_first,
+                                                                        keep_second)
 
     def test_projective_pair_fails_precondition(self, spin_model):
         with pytest.raises(PreconditionError):

@@ -903,10 +903,12 @@ def test_a_bad_quantity_class_is_refused_with_its_key_path(classes, message, tmp
      "no axis labelled 'nope'"),
     (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "read"],
      "axis label 'read' is ambiguous; use an index"),
+    (["run", "--model", "MODEL", "--protocol", "lg-all", "--marginal", "\u00b2"],
+     "no axis labelled '\u00b2'"),
     (["twoslit", "--mod1-sq", "1.5", "--phi", "1"], "mod1_sq 1.5 outside [0, 1.0]"),
     (["twoslit", "--mod1-sq", "0.2"], "point mode needs --mod1-sq and --phi (or use --sweep)"),
 ], ids=["marginal-index-out-of-range", "marginal-unknown-label", "marginal-ambiguous-label",
-        "twoslit-mod1-sq-above-1", "twoslit-point-without-phi"])
+        "marginal-superscript-digit", "twoslit-mod1-sq-above-1", "twoslit-point-without-phi"])
 def test_an_option_value_is_refused_with_its_message(argv, message, tmp_path, capsys):
     path = tmp_path / "superselected.json"
     assert run_cli(["zoo", "export", "superselected", "--out", str(path)]) == 0

@@ -40,10 +40,13 @@ copy whose protocol steps leave out each ``"perform": true`` and
 Of a ks-sphere file at ``--grid 300`` they run ``lg`` and ``classify``, so
 that the loader's shared response rows and the value check that decides
 each distinct row once are compared through the CLI. A copy of that file
-without ``Mz``'s ``-1`` update row, as a file that declares its rows per
-outcome may lack one, runs ``run --protocol lg-12``, whose ``+1`` flows
-reach the shared row while the other row is missing, and ``lg``, which
-is refused with exit 2 and names state ``r1:0``'s missing ``-1`` row.
+with ``Mzcopy``, a copy of ``Mz``, and the class ``Q = [Mz, Mzcopy]`` runs
+``classify``, so that the equivalence check of a class of two members
+pushes every preparation through ``rot1`` and ``rot2`` on a large model.
+A copy of that file without ``Mz``'s ``-1`` update row, as a file that
+declares its rows per outcome may lack one, runs ``run --protocol
+lg-12``, whose ``+1`` flows reach the shared row while the other row is
+missing, and ``lg``, which is refused with exit 2 and names state ``r1:0``'s missing ``-1`` row.
 Further refusals compare ``run --marginal`` with an ambiguous axis label
 and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
 with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
@@ -81,6 +84,7 @@ SPHERE_TURNED_FILE = "ks-sphere-300-turned.json"
 SPHERE_STRADDLING_FILE = "ks-sphere-300-straddling.json"
 SPHERE_GAP_FILE = "ks-sphere-300-gap.json"
 TWO_MEMBER_CLASS_FILE = "two-member-class.json"
+SPHERE_TWO_MEMBER_FILE = "ks-sphere-300-two-member-class.json"
 DEFAULT_STEPS_FILE = "superselected-default-steps.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
@@ -109,12 +113,12 @@ def broken_copies(doc: dict) -> dict:
             SHORT_ARRANGEMENT_FILE: short}
 
 
-def two_member_class(doc: dict) -> dict:
-    """A copy of the exported superselected document with ``readcopy``, a copy of ``read``,
-    and the quantity class ``Q`` of the two."""
+def two_member_class(doc: dict, member: str) -> dict:
+    """A copy of an exported document with ``<member>copy``, a copy of measurement
+    ``member``, and the quantity class ``Q`` of the two."""
     pair = copy.deepcopy(doc)
-    pair["measurements"]["readcopy"] = copy.deepcopy(doc["measurements"]["read"])
-    pair["quantity_classes"] = {"Q": ["read", "readcopy"]}
+    pair["measurements"][member + "copy"] = copy.deepcopy(doc["measurements"][member])
+    pair["quantity_classes"] = {"Q": [member, member + "copy"]}
     return pair
 
 
@@ -171,6 +175,7 @@ def commands(zoo: list) -> list:
         ["classify", "--model", TWO_MEMBER_CLASS_FILE],
         ["lg", "--model", SPHERE_FILE],
         ["classify", "--model", SPHERE_FILE],
+        ["classify", "--model", SPHERE_TWO_MEMBER_FILE],
         ["run", "--model", SPHERE_MINUS_FILE, "--protocol", "lg-12"],
         ["lg", "--model", SPHERE_STRADDLING_FILE, "--depth", "3"],
         ["lg", "--model", SPHERE_GAP_FILE, "--depth", "3"],
@@ -232,7 +237,8 @@ def main(argv=None) -> int:
             sphere = json.load(handle)
         with open(os.path.join(cwd, SPHERE_TURNED_FILE), encoding="utf-8") as handle:
             turned = json.load(handle)
-        copies = {**broken_copies(doc), TWO_MEMBER_CLASS_FILE: two_member_class(doc),
+        copies = {**broken_copies(doc), TWO_MEMBER_CLASS_FILE: two_member_class(doc, "read"),
+                  SPHERE_TWO_MEMBER_FILE: two_member_class(sphere, "Mz"),
                   DEFAULT_STEPS_FILE: default_steps(doc),
                   SPHERE_STRADDLING_FILE: spread(turned, (0, 1)),
                   SPHERE_GAP_FILE: spread(sphere, (0, 2))}
