@@ -374,6 +374,12 @@ def check_equilibrium_property(model: OnticModel, quantity_class: QuantityClass,
     if set(meas.outcomes) != set(eigen_names):
         raise ModelError(f"measurement {measurement!r} and the members of "
                          f"{quantity_class.label!r} have different outcome sets")
+    return _equilibrium(model, meas, eigen_names)
+
+
+def _equilibrium(model: OnticModel, meas, eigen_names: dict) -> EquilibriumResult:
+    """``check_equilibrium_property`` of a measurement on a class's ``_eigenstates`` table,
+    whose outcomes are the measurement's."""
     form, deviations = meas.form, {}
     for q in meas.outcomes:
         xi = form.responses[q]

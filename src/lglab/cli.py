@@ -17,7 +17,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .classify import HULL_TOL, QuantityClass, check_equilibrium_property, classify
+from .classify import HULL_TOL, QuantityClass, _equilibrium, classify
 from .core import NORMALIZATION_TOL, SUPPORT_TOL, check_size
 from .errors import EngineDefectError, LglabError, ModelError, SchemaError
 from .lg import MASKS, RESIDUAL_TOL, check_implication_chain, disturbance_report
@@ -268,7 +268,8 @@ def cmd_classify(args) -> int:
     doc = _classification_doc(result)
     if result.macrodefinite:
         equilibrium = {
-            m: check_equilibrium_property(model, cls, m).holds for m in cls.measurements
+            m: _equilibrium(model, model.measurement(m), result.eigenstate_preparations).holds
+            for m in cls.measurements
         }
         doc["eigenstate_fixed_point"] = equilibrium
     inputs["class"] = label

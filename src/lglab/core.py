@@ -87,6 +87,9 @@ class _Record:
 
     def __init__(self, *values, **named):
         fields = self._fields
+        if not named and len(values) == len(fields):  # every field by position
+            vars(self).update(zip(fields, values))
+            return
         if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
             raise TypeError(f"{type(self).__qualname__}() takes the fields ({', '.join(fields)}), "
                             f"by position or name; got {len(values)} by position and "
@@ -577,11 +580,13 @@ class Form:
     ``complete`` holds when every state has a response row and none is
     ``missing``: no walk misses a row here. ``in_place`` holds when no
     row is missing and every outcome has runs, all of shift 0: the update
-    moves no state.
+    moves no state. ``nonselective`` holds each state's update with its
+    outcome ignored, made from ``to``, ``rows`` and ``xi`` on first use.
     """
 
     __slots__ = ("states", "outcomes", "responses", "to", "rows", "missing", "flows", "xi",
-                 "shared", "runs", "certain", "complete", "in_place")
+                 "shared", "runs", "certain", "complete", "in_place",
+                 "__dict__")  # __dict__ keeps the non-selective rows
 
     def __init__(self, space: OnticStateSpace, outcomes: tuple, table: Iterable, row):
         """Compile (label, {outcome: probability}) response rows and ``row(label, outcome)``,
@@ -716,6 +721,27 @@ class Form:
         terms = [_once(memo, self, base, pulled) for _, base in effects]
         return [(c * b, e)
                 for by_effect in zip(*terms) for (c, _), (b, e) in zip(effects, by_effect)]
+
+    @cached_property
+    def nonselective(self) -> list:
+        """N_s = sum_q xi(q | s) tau(. | q, s) for each state s, the update with its outcome
+        ignored, made on first use and kept: (weights, reader) of N_s's targets in position
+        order. Each state's targets are accumulated in outcome order, over the outcomes of
+        nonzero probability. Where ``xi`` is NaN the state has no row, and its one weight NaN
+        makes every dot with it NaN: the domain of ``pull``'s sum over the outcomes."""
+        end, by_state = len(self.states), []
+        for i, xi in enumerate(zip(*self.xi.values())):
+            if math.isnan(xi[0]):  # xi is NaN for every outcome or for none
+                by_state.append(((math.nan,), _gather([i])))
+                continue
+            out: dict = {}
+            for p, t in zip(xi, (to[i] for to in self.to.values())):
+                if p != 0.0:  # t is then a point mass's position or a numbered row
+                    for s, w in zip(*self.rows[t][:2]) if t > end else ((t, 1.0),):
+                        out[s] = out.get(s, 0.0) + p * w
+            positions, weights = _ascending(out)
+            by_state.append((weights, _gather(positions)))
+        return by_state
 
     def _sliced(self, ext, q) -> array:
         """xi(q | s) * ext[to[q][s]] for each state s, through q's runs: one slice of ``ext``

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from functools import partial, reduce
 from operator import add, mul
 from typing import Optional
 
@@ -256,23 +255,31 @@ def _disturbances(memo: dict, measurement, effects, bases: dict) -> tuple:
 
     The sum is E_r read after the measurement with its outcome ignored.
     Returns the D_r as sums of terms, in layers: each layer is a list of
-    (coefficient, base number) pairs with one term of every D_r. When
-    every pulled term has coefficient 1, as through per-state update rows
-    of effects that no shared row has scaled, each D_r is one array, in
-    one layer of coefficients 1.
-    Otherwise there is one layer per outcome and one of -E_r. ``bases``
+    (coefficient, base number) pairs with one term of every D_r. When no
+    outcome of the measurement is in ``shared`` and every E_r has
+    coefficient 1, each D_r(s) is <N_s, E_r> - E_r(s), read in one pass
+    through the form's ``nonselective`` rows N_s, and is one array, in
+    one layer of coefficients 1. Otherwise there is one layer per
+    outcome, pulled through its selective update, and one of -E_r. ``bases``
     maps id(base) to (number, base), numbered from 0 in order of first
     use, so that a base shared by several terms is dotted once.
     """
-    pulled = measurement.form.pull(effects, memo)  # outcome-major
-    n = len(effects)
-    layers = [pulled[k:k + n] for k in range(0, len(pulled), n)] + [[(-c, e) for c, e in effects]]
-    if all(c == 1.0 for c, _ in pulled):  # add up each D_r's terms in one array
-        layers = [[(1.0, array("d", reduce(partial(map, add),
-                                           (map(mul, itertools.repeat(c), e) for c, e in terms))))
-                   for terms in zip(*layers)]]
+    form = measurement.form
+    if not form.shared and all(c == 1.0 for c, _ in effects):
+        layers = [[(1.0, _shifted(form.nonselective, e)) for _, e in effects]]
+    else:
+        pulled = form.pull(effects, memo)  # outcome-major
+        n = len(effects)
+        layers = [pulled[k:k + n] for k in range(0, len(pulled), n)]
+        layers.append([(-c, e) for c, e in effects])
     return [[(c, bases.setdefault(id(e), (len(bases), e))[0]) for c, e in layer]
             for layer in layers]
+
+
+def _shifted(rows, effect) -> array:
+    """<N_s, E> - E(s) for each state s, through a form's ``nonselective`` rows."""
+    return array("d", [sum(map(mul, weights, take(effect))) - e
+                       for (weights, take), e in zip(rows, effect)])
 
 
 def _deviation(by_base, layers) -> float:
@@ -386,8 +393,11 @@ def _complete(model: OnticModel, measurements, depth, tol) -> dict:
 
     Each of a preparation's prefixes is walked once; a prefix the model
     leaves undefined counts every context of every head that shares it.
-    The numbered bases are read once at each distinct support of the
-    branches reaching the measurement, and each branch dots them once.
+    Each unsettled measurement's D_r are made once per suffix (see
+    ``_disturbances``), through its non-selective rows where it has no
+    shared outcome. The numbered bases are read once at each distinct
+    support of the branches reaching the measurement, and each branch
+    dots them once.
     """
     if depth < 1:
         raise ValidationError(f"suffix depth {depth!r} is below 1, so no context has a suffix")

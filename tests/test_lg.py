@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from array import array
 
 import numpy as np
@@ -787,6 +788,103 @@ class TestOpndMatchesTwoRunDefinition:
         assert abs(result.max_deviation - worst) <= 1e-15
         assert result.witness == next(c for c, d in deviations.items() if d == worst)
         assert result.non_disturbing == (worst <= 1e-9)
+
+
+#: Response rows of a binary measurement beside a random one; None declares no row.
+RESPONSE_ROWS = [(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0), (0.5, 0.5), None]
+
+
+def nonselective_case(rng, n):
+    """A binary measurement on n states whose rows mix dense per-state update rows, point
+    masses, rows missing for outcomes of nonzero and of zero probability, responses 0, -0.0,
+    0.5 and 1, and states without a response row; and what each state's rows are."""
+    space = OnticStateSpace(tuple(f"s{i}" for i in range(n)))
+    table, rows, kinds = {}, {}, set()
+    for s in space.states:
+        r = float(rng.random())
+        pick = int(rng.integers(0, 2 * len(RESPONSE_ROWS)))
+        response = RESPONSE_ROWS[pick] if pick < len(RESPONSE_ROWS) else (r, 1.0 - r)
+        if response is None:
+            kinds.add("no response row")
+        else:
+            table[s] = dict(zip((PLUS, MINUS), response))
+        for q, p in zip((PLUS, MINUS), response or (1.0, 1.0)):
+            kind = int(rng.integers(0, 5))
+            if kind == 0:
+                kinds.add("missing, nonzero" if p != 0.0 else "missing, zero")
+                continue
+            if kind == 1:
+                rows[s, q] = Distribution.point_mass(space, space.states[int(rng.integers(0, n))])
+            else:
+                weights = rng.random(n) + 1e-3
+                rows[s, q] = Distribution(space, dict(zip(space.states, weights / weights.sum())))
+                kinds.add("dense")
+    return Measurement("M", ResponseFunction(space, (PLUS, MINUS), table),
+                       MeasurementUpdate(space, (PLUS, MINUS), rows)), kinds
+
+
+class TestNonselectiveRows:
+    def test_disturbances_equal_the_sum_of_the_pulls_through_each_outcome(self):
+        # D_r(s) = <N_s, E_r> - E_r(s) against sum_q P_q E_r - E_r from Form.pull, with NaN
+        # at the same states: where xi is NaN, and where E_r is NaN at a state or a target
+        rng = np.random.default_rng(34)
+        seen, nan = set(), 0
+        for n in [*range(2, 9)] * 8:
+            meas, kinds = nonselective_case(rng, n)
+            seen |= kinds
+            form = meas.form
+            effects = [(1.0, array("d", rng.random(n))) for _ in range(3)]
+            effects[1][1][int(rng.integers(0, n))] = math.nan
+            effects[2][1][int(rng.integers(0, n))] = -0.0
+            pulled = form.pull(effects, {})  # outcome-major
+            bases: dict = {}
+            layers = lg._disturbances({}, meas, effects, bases)
+            numbered = [base for _, base in bases.values()]
+            for k, (_, e) in enumerate(effects):
+                terms = pulled[k::len(effects)]
+                expected = [sum(c * b[s] for c, b in terms) - e[s] for s in range(n)]
+                shifted = lg._shifted(form.nonselective, e)
+                assert list(map(math.isnan, shifted)) == list(map(math.isnan, expected))
+                assert all(abs(a - b) <= 1e-15 for a, b in zip(shifted, expected) if a == a)
+                nan += sum(map(math.isnan, shifted))
+                if not form.shared:  # _disturbances reads the rows: one array per D_r
+                    [layer] = layers
+                    c, number = layer[k]
+                    assert c == 1.0 and numbered[number].tobytes() == shifted.tobytes()
+        assert seen == {"dense", "missing, nonzero", "missing, zero", "no response row"}
+        assert nan
+
+    def test_checked_measurements_are_pulled_only_for_suffix_effects(self, monkeypatch):
+        # M1 and M2 draw per-state rows, so their disturbances read the nonselective rows
+        arrangement = random_arrangement(np.random.default_rng(41))
+        checked = {id(arrangement.model.measurement(m).form) for m in ("M1", "M2")}
+        callers = []
+        real = core.Form.pull
+
+        def counted(form, effects, memo):
+            if id(form) in checked:
+                callers.append(sys._getframe(1).f_code.co_name)
+            return real(form, effects, memo)
+
+        monkeypatch.setattr(core.Form, "pull", counted)
+        check_implication_chain(arrangement)
+        assert callers and set(callers) == {"_suffix_effects"}
+
+    def test_a_measurement_with_shared_outcomes_builds_no_rows(self):
+        # ks-sphere's Mz updates through one shared row per outcome: the layered path
+        build = zoo.build("ks-sphere", n_points=100)
+        check_implication_chain(build.arrangement)
+        form = build.model.measurement("Mz").form
+        assert form.shared and "nonselective" not in vars(form)
+
+    def test_an_identity_update_kept_from_being_settled_reads_exactly_zero(self):
+        # T1 lacks a row, so M2's identity update is not settled; each N_s is the point mass
+        # xi(+1 | s) + xi(-1 | s) = 1.0 at s, so every D_r is exactly 0, where the sum of the
+        # two pulls read rounding noise (4.0e-17) and named a witness for it
+        identity = random_arrangement(np.random.default_rng(6), noninvasive_early=True).model
+        result = check_opnd_complete(without_last_row(identity, "T1"), "M2")
+        assert not result.settled and result.undefined_contexts == 408
+        assert result.max_deviation == 0.0 and result.witness is None
 
 
 class TestImplicationChain:

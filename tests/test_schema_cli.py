@@ -1,4 +1,5 @@
 import copy
+import importlib
 import io
 import json
 import math
@@ -453,6 +454,18 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["verdict"] == "MR1"
         assert out["results"]["eigenstate_fixed_point"]["read"] is True
+
+    def test_classify_decides_the_eigenstate_table_once(self, monkeypatch, capsys):
+        # the fixed-point check of each member reads the table classify returns
+        classify_module = importlib.import_module("lglab.classify")  # lglab.classify is a function
+        calls = []
+        real = classify_module._eigenstates
+        monkeypatch.setattr(classify_module, "_eigenstates",
+                            lambda *args: calls.append(args) or real(*args))
+        assert run_cli(["classify", "--zoo", "superselected", "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["eigenstate_fixed_point"] == {
+            "read": True}
+        assert len(calls) == 1
 
     def test_classify_reports_the_images_it_skipped(self, capsys):
         # the two-path model's rotations declare rows where at most two of them

@@ -47,6 +47,12 @@ A copy of that file without ``Mz``'s ``-1`` update row, as a file that
 declares its rows per outcome may lack one, runs ``run --protocol
 lg-12``, whose ``+1`` flows reach the shared row while the other row is
 missing, and ``lg``, which is refused with exit 2 and names state ``r1:0``'s missing ``-1`` row.
+A hand-made model on four states, whose kernels and per-state update rows
+each put weight on every state, runs ``lg`` and ``lg --depth 3``, so that
+the complete check's one-pass reading of a measurement's update with its
+outcome ignored is compared where that update sends each state to all
+four; in the zoo it sends each state to one, or the measurement has an
+outcome drawn from one shared row and is read outcome by outcome.
 Further refusals compare ``run --marginal`` with an ambiguous axis label
 and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
 with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
@@ -89,6 +95,7 @@ DEFAULT_STEPS_FILE = "superselected-default-steps.json"
 EMPTY_CLASS_FILE = "empty-class.json"
 INEQUIVALENT_CLASS_FILE = "inequivalent-class.json"
 SHORT_ARRANGEMENT_FILE = "two-measurement-arrangement.json"
+DENSE_FILE = "dense-four-states.json"
 
 
 def response_row(row, outcomes) -> list:
@@ -143,6 +150,31 @@ def spread(doc: dict, stages) -> dict:
     return spread
 
 
+def dense_model() -> dict:
+    """A hand-made model on four states whose kernels and per-state update rows each put
+    weight on every state, with one arrangement of its three measurements."""
+    states = ["a", "b", "c", "d"]
+
+    def row(k: int, weights=(0.1, 0.2, 0.3, 0.4)) -> dict:  # the weights turned k places on
+        return dict(zip(states, weights[k % 4:] + weights[:k % 4]))
+
+    responses = {"M1": (0.7, 0.2, 0.5, 0.9), "M2": (0.4, 0.8, 0.1, 0.6), "M3": (0.3, 0.6, 0.9, 0.2)}
+    measurements = {
+        m: {"outcomes": ["+1", "-1"],
+            "response": {s: {"+1": p, "-1": round(1.0 - p, 1)} for s, p in zip(states, ps)},
+            "update": {"mode": "per_state",
+                       "rows": {s: {"+1": row(i + k), "-1": row(i + k, (0.4, 0.1, 0.3, 0.2))}
+                                for i, s in enumerate(states)}}}
+        for k, (m, ps) in enumerate(responses.items())}
+    return {"schema": 1, "ontic_states": states, "preparations": {"E": row(0)},
+            "transformations": {"T1": {s: row(i + 1) for i, s in enumerate(states)},
+                                "T2": {s: row(3 - i) for i, s in enumerate(states)}},
+            "measurements": measurements,
+            "arrangements": {"lg": {"preparation": "E", "transformations": ["T1", "T2"],
+                                    "measurements": ["M1", "M2", "M3"],
+                                    "values": {m: {"+1": 1, "-1": -1} for m in measurements}}}}
+
+
 def commands(zoo: list) -> list:
     """The compared command lines, without the leading ``lglab``, for the zoo entries named."""
     out = []
@@ -179,6 +211,8 @@ def commands(zoo: list) -> list:
         ["run", "--model", SPHERE_MINUS_FILE, "--protocol", "lg-12"],
         ["lg", "--model", SPHERE_STRADDLING_FILE, "--depth", "3"],
         ["lg", "--model", SPHERE_GAP_FILE, "--depth", "3"],
+        ["lg", "--model", DENSE_FILE],
+        ["lg", "--model", DENSE_FILE, "--depth", "3"],
         ["zoo", "list"],
         # inputs refused with exit 2
         ["lg", "--zoo", "no-such-model"],
@@ -241,7 +275,7 @@ def main(argv=None) -> int:
                   SPHERE_TWO_MEMBER_FILE: two_member_class(sphere, "Mz"),
                   DEFAULT_STEPS_FILE: default_steps(doc),
                   SPHERE_STRADDLING_FILE: spread(turned, (0, 1)),
-                  SPHERE_GAP_FILE: spread(sphere, (0, 2))}
+                  SPHERE_GAP_FILE: spread(sphere, (0, 2)), DENSE_FILE: dense_model()}
         del sphere["measurements"]["Mz"]["update"]["rows"]["-1"]
         for name, broken in {**copies, SPHERE_MINUS_FILE: sphere}.items():
             with open(os.path.join(cwd, name), "w", encoding="utf-8") as handle:
