@@ -44,6 +44,7 @@ from .operational import (
     marginalize,
     measurements_equivalent,
     run_protocol,
+    run_protocols,
 )
 from .lg import (
     BOUND_TOL,

@@ -310,7 +310,7 @@ def cmd_twoslit(args) -> int:
         raise SchemaError(f"--format {args.format} needs --sweep; a point report is JSON")
     phi = args.phi
     if not 0.0 <= phi < 2.0 * math.pi:
-        phi = phi % (2.0 * math.pi)
+        phi = twoslit._fold(phi)
         print(f"warning: phase folded into [0, 2*pi) as {phi!r}", file=sys.stderr)
     amplitudes = twoslit.SlitAmplitudes.from_intensity_phase(args.mod1_sq, phi)
     both, blocked1, blocked2 = twoslit.detection_probabilities(amplitudes)

@@ -36,7 +36,8 @@ from .operational import (
     ProtocolStep,
     expectation,
     measurements_equivalent,
-    run_protocol,
+    run_protocol,  # noqa: F401  (perfbench's instrumentation test reads lg.run_protocol)
+    run_protocols,
     walk,
 )
 
@@ -66,7 +67,9 @@ class LgArrangement(_Record):
 
     The three two-measurement sub-experiments reuse the same
     preparation and transformation objects by construction: every run is
-    derived from one protocol template with a different perform mask.
+    derived from one protocol template with a different perform mask, so
+    the runs performing the first measurement share its split and the
+    first push, which ``run_protocols`` walks once.
     """
 
     model: OnticModel
@@ -124,9 +127,9 @@ def lg_value_pairwise(arrangement: LgArrangement) -> float:
 
     Each sub-experiment skips one measurement; preparation and
     transformations are identical in all three. The value is the
-    ``lg_pairwise`` field of ``disturbance_report``, so it runs all four
-    protocols and needs each of them defined; it raises where a run is
-    undefined or a report gate fails.
+    ``lg_pairwise`` field of ``disturbance_report``, so it walks all four
+    protocol runs and needs each of them defined; it raises where a run
+    is undefined or a report gate fails.
     """
     return disturbance_report(arrangement).lg_pairwise
 
@@ -161,12 +164,13 @@ def disturbance_report(arrangement: LgArrangement) -> DisturbanceReport:
     ``4*(P(+,+,+) + P(-,-,-)) + 2*(sum of equal-value d1 and d2 entries) - 1``;
     the report records the residual of that identity, which vanishes up
     to float rounding for every finite model (the lg command refuses one
-    above ``cli.RESIDUAL_GATE``).
+    above ``cli.RESIDUAL_GATE``). The four ``MASKS`` runs come from one
+    ``run_protocols`` call, which walks their shared prefixes once.
     """
     asg = arrangement.assignment
     v1, v2, v3 = values = [arrangement.value_map(i) for i in range(3)]
-    j_all, j_12, j_13, j_23 = (run_protocol(arrangement.model, arrangement.protocol(mask))
-                               for mask in MASKS.values())
+    j_all, j_12, j_13, j_23 = run_protocols(
+        arrangement.model, [arrangement.protocol(mask) for mask in MASKS.values()])
 
     pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     tables = [(_pair_value_table(j_skipped, 0, 1, values[a], values[b]),

@@ -15,7 +15,10 @@ transformation is a measurement whose one outcome, None, is certain. The
 non-disturbance checks in ``lg`` walk forward only to the checked
 measurement; they follow it and the suffix steps backwards, pulling
 response functions back through the same forms, and take dot products
-with the branches ``walk`` gives them.
+with the branches ``walk`` gives them. ``run_protocols`` is the one
+protocol runner: it hands ``walk`` one operation at a time, so runs
+that share a prefix walk it once, and ``run_protocol`` is its
+one-protocol case.
 """
 
 from __future__ import annotations
@@ -137,29 +140,80 @@ def _dense(axes: tuple, table: dict) -> JointDistribution:
 
 
 def run_protocol(model: OnticModel, protocol: Protocol) -> JointDistribution:
-    """Exact joint outcome distribution of a protocol run.
+    """Exact joint outcome distribution of a protocol run: ``run_protocols`` of it alone."""
+    return run_protocols(model, [protocol])[0]
+
+
+def run_protocols(model: OnticModel, protocols) -> list:
+    """Exact joint outcome distribution of each protocol run, in order.
 
     The distribution over ontic states is propagated forward; every
     performed measurement branches on its outcomes with weight
     xi(q|state) and applies its update per (state, outcome). Steps after
     the last performed measurement cannot influence the table and are
     not evaluated, and that measurement is read without its update.
+
+    A run's read steps are single operations: a push through a step's
+    transformation, then a split by its measurement if performed. Runs
+    that start with the same preparation and operations walk that shared
+    prefix once: each run, in order, resumes from the longest prefix it
+    shares with an earlier run, so every joint and the first error raised
+    are those of running the protocols one by one. A prefix's branches
+    are kept only until the last run resuming from it takes them.
     """
-    dist = model.preparation(protocol.preparation)
-    last = max(i for i, s in enumerate(protocol.steps) if s.perform)
-    steps = protocol.steps[: last + 1]
-    final = model.measurement(steps[-1].measurement)
-    read = [(s.transformation, s.measurement if s.perform else None) for s in steps[:-1]]
-    read.append((steps[-1].transformation, None))
-    table = {
-        outs + (q,): p
-        for w, outs in walk(model, [(dist.branch, ())], read)
-        for q, p in final.form.masses(w).items()
-    }
-    axes = tuple(
-        (s.measurement, model.measurement(s.measurement).outcomes) for s in steps if s.perform
-    )
-    return _dense(axes, table)
+    # the trie of the runs' paths: a node is [children by operation, kept branches, the last
+    # run resuming from it]; a run resumes from the deepest node an earlier run reached
+    root = [{}, None, -1]
+    runs = []
+    for j, protocol in enumerate(protocols):
+        steps = protocol.steps
+        last = len(steps) - 1
+        while not steps[last].perform:
+            last -= 1
+        path = [protocol.preparation]
+        for s in steps[:last]:
+            if s.transformation is not None:
+                path.append((s.transformation, None))
+            if s.perform:
+                path.append((None, s.measurement))
+        if steps[last].transformation is not None:
+            path.append((steps[last].transformation, None))
+        node, depth = root, 0
+        for op in path:
+            if op not in node[0]:
+                break
+            node, depth = node[0][op], depth + 1
+        if depth > 1:  # past the preparation
+            node[2] = j
+        runs.append((protocol, steps[: last + 1], path, depth, node))
+        for op in path[depth:]:
+            node[0][op] = node = [{}, None, -1]
+    joints = []
+    for j, (protocol, steps, path, depth, node) in enumerate(runs):
+        if depth > 1:  # an earlier run found the preparation and walked this prefix
+            branches = node[1]
+            if node[2] == j:
+                node[1] = None
+        else:
+            depth, node = 1, root[0][path[0]]
+            branches = [(model.preparation(protocol.preparation).branch, ())]
+        final = model.measurement(steps[-1].measurement)
+        for op in path[depth:]:
+            branches = walk(model, branches, [op])
+            node = node[0][op]
+            if node[2] > j:
+                node[1] = branches
+        table = {
+            outs + (q,): p
+            for w, outs in branches
+            for q, p in final.form.masses(w).items()
+        }
+        del branches
+        axes = tuple(
+            (s.measurement, model.measurement(s.measurement).outcomes) for s in steps if s.perform
+        )
+        joints.append(_dense(axes, table))
+    return joints
 
 
 def marginalize(joint: JointDistribution, keep) -> JointDistribution:

@@ -37,6 +37,12 @@ TWO_PI = 2.0 * math.pi
 MODULUS_SLACK = 1e-12
 
 
+def _fold(phi: float) -> float:
+    """``phi`` folded into [0, 2*pi): a remainder that rounds up to 2*pi is 0.0."""
+    folded = phi % TWO_PI
+    return 0.0 if folded == TWO_PI else folded
+
+
 class SlitAmplitudes(_Record):
     """Complex per-bin amplitudes behind the two slits.
 
@@ -76,10 +82,10 @@ class SlitAmplitudes(_Record):
 
     @property
     def phase_difference(self) -> float:
-        """Phase of a2 relative to a1, folded into [0, 2*pi)."""
+        """Phase of a2 relative to a1, folded into [0, 2*pi) (see ``_fold``)."""
         if self.mod1 == 0.0 or self.mod2 == 0.0:
             return 0.0
-        return (cmath.phase(self.a2) - cmath.phase(self.a1)) % TWO_PI
+        return _fold(cmath.phase(self.a2) - cmath.phase(self.a1))
 
     def cross_term(self) -> float:
         """|a1| |a2| cos(phase difference), computed without trig round-trips."""
@@ -127,7 +133,9 @@ def compile_to_arrangement(s: SlitAmplitudes) -> LgArrangement:
     two collapsed slit states, and detection sinks. The first reading
     confirms the source, the second reads the slit, the third fires iff
     the system lands in the bin. Engine output on this model reproduces
-    the closed forms above.
+    the closed forms above. The both-open bin probability is clamped to
+    1.0: at the central maximum of equal slits it rounds to just above it,
+    which ``SlitAmplitudes`` allows within ``MODULUS_SLACK``.
     """
     total = abs(s.a1) ** 2 + abs(s.a2) ** 2
     space = OnticStateSpace(("src", "open", "slit1", "slit2", "hit", "miss"))
@@ -160,7 +168,7 @@ def compile_to_arrangement(s: SlitAmplitudes) -> LgArrangement:
             },
         ),
     )
-    at_bin = 0.5 * abs(s.a1 + s.a2) ** 2
+    at_bin = min(0.5 * abs(s.a1 + s.a2) ** 2, 1.0)
     per_slit = 0.5 * total
     m3 = Measurement(
         "at-bin",
@@ -222,7 +230,8 @@ def violation_map(mod1_sq_grid, phi_grid) -> list:
     Both value assignments are emitted, so the mirrored inequality
     (violable for |a1| > |a2|) is visible alongside the primary one. The
     violation boundary is the curve cos(phi) = -|a1|/|a2|. Each row is a
-    tuple of the ``CSV_COLUMNS`` fields.
+    tuple of the ``CSV_COLUMNS`` fields, its ``phi`` folded into [0, 2*pi)
+    (see ``_fold``).
     """
     mod1_sq_grid = list(mod1_sq_grid)
     phi_grid = list(phi_grid)
@@ -233,5 +242,5 @@ def violation_map(mod1_sq_grid, phi_grid) -> list:
         for phi in phi_grid:
             s = SlitAmplitudes.from_intensity_phase(m1, phi)
             value = lg_plus_value(s)
-            rows.append((m1, phi % TWO_PI, value, lg_plus_mirrored(s), value < -1.0))
+            rows.append((m1, _fold(phi), value, lg_plus_mirrored(s), value < -1.0))
     return rows

@@ -31,6 +31,7 @@ from lglab import (
     marginalize,
     post_select_noninvasive,
     run_protocol,
+    run_protocols,
 )
 import reference_walk
 from builders import replace
@@ -531,27 +532,51 @@ class TestSettledByForms:
             assert check_opnd_complete(model, name).settled == settled
 
 
+#: (mutation of a model, whether a walk of the random arrangements below meets a missing row)
+ROW_MUTATIONS = [
+    (lambda model: model, False),
+    (lambda model: without_last_row(model, "T1"), True),
+    (lambda model: without_last_row(model, "T2"), True),
+    (lambda model: without_response_row(model, "M1"), True),
+    (lambda model: without_response_row(model, "M2"), True),
+    (lambda model: without_update_row(model, "M1"), True),
+    (lambda model: without_update_row(model, "M2"), True),
+    (lambda model: without_update_row(model, "M2", impossible=True), False),
+    (shared_row_outside_the_domain, True),
+    (shared_and_per_state_rows, False),
+    (shared_row_of_an_impossible_outcome, False),
+    (reset_inside_the_domain, False),
+    (reset_outside_the_domain, True),
+    (a_row_some_states_share, False),
+]
+ROW_MUTATION_IDS = [
+    "none", "kernel-row-T1", "kernel-row-T2", "response-row-M1", "response-row-M2",
+    "update-row-M1", "update-row-M2", "update-row-of-impossible-outcome",
+    "shared-row-outside-the-domain", "shared-and-per-state-rows",
+    "shared-row-of-an-impossible-outcome", "reset-inside-the-domain",
+    "reset-outside-the-domain", "a-row-some-states-share"]
+
+
+def runs_alone_and_shared(model, protocols) -> bool:
+    """Assert that ``run_protocols`` gives each protocol's ``run_protocol`` joint bit for bit,
+    or raises the first error the protocols run one by one raise; return whether they raised."""
+    try:
+        alone = [run_protocol(model, p) for p in protocols]
+    except Exception as error:
+        with pytest.raises(type(error)) as shared_error:
+            run_protocols(model, protocols)
+        assert str(shared_error.value) == str(error)
+        return True
+    shared = run_protocols(model, protocols)
+    assert len(shared) == len(alone)
+    for a, b in zip(alone, shared):
+        assert b.axes == a.axes
+        assert repr(list(b.table.items())) == repr(list(a.table.items()))
+    return False
+
+
 class TestRunProtocolMatchesReferenceWalk:
-    @pytest.mark.parametrize("mutate, raises", [
-        (lambda model: model, False),
-        (lambda model: without_last_row(model, "T1"), True),
-        (lambda model: without_last_row(model, "T2"), True),
-        (lambda model: without_response_row(model, "M1"), True),
-        (lambda model: without_response_row(model, "M2"), True),
-        (lambda model: without_update_row(model, "M1"), True),
-        (lambda model: without_update_row(model, "M2"), True),
-        (lambda model: without_update_row(model, "M2", impossible=True), False),
-        (shared_row_outside_the_domain, True),
-        (shared_and_per_state_rows, False),
-        (shared_row_of_an_impossible_outcome, False),
-        (reset_inside_the_domain, False),
-        (reset_outside_the_domain, True),
-        (a_row_some_states_share, False),
-    ], ids=["none", "kernel-row-T1", "kernel-row-T2", "response-row-M1", "response-row-M2",
-            "update-row-M1", "update-row-M2", "update-row-of-impossible-outcome",
-            "shared-row-outside-the-domain", "shared-and-per-state-rows",
-            "shared-row-of-an-impossible-outcome", "reset-inside-the-domain",
-            "reset-outside-the-domain", "a-row-some-states-share"])
+    @pytest.mark.parametrize("mutate, raises", ROW_MUTATIONS, ids=ROW_MUTATION_IDS)
     def test_tables_equal_the_reference_walks(self, mutate, raises):
         # a walk that reaches a missing kernel, response or update row names it as the reference
         rng = np.random.default_rng(61)
@@ -574,6 +599,82 @@ class TestRunProtocolMatchesReferenceWalk:
                 assert list(joint.table) == list(expected.table)
                 assert max(abs(p - expected.table[c]) for c, p in joint.table.items()) <= 1e-15
         assert (raised > 0) == raises
+
+    @pytest.mark.parametrize("mutate, raises", ROW_MUTATIONS, ids=ROW_MUTATION_IDS)
+    def test_the_four_runs_walked_together_equal_each_run_alone(self, mutate, raises):
+        # the runs share the M1 split and the T1 push; in either order, a missing row raises
+        # the error of the first run that meets it
+        rng = np.random.default_rng(61)
+        raised = 0
+        for k in range(12):
+            arr = random_arrangement(rng, max_states=5, noninvasive_early=k % 3 == 0)
+            model = mutate(arr.model)
+            protocols = [arr.protocol(mask) for mask in lg.MASKS.values()]
+            raised += runs_alone_and_shared(model, protocols)
+            raised += runs_alone_and_shared(model, protocols[::-1])
+        assert (raised > 0) == raises
+
+    def test_each_zoo_arrangements_four_runs_walked_together_equal_each_run_alone(self):
+        arrangements = [built.arrangement for built in (
+            zoo.build(name, n_points=300) if name == "ks-sphere" else zoo.build(name)
+            for name, _ in zoo.list_models()) if built.arrangement is not None]
+        assert len(arrangements) == 5
+        for arr in arrangements:
+            protocols = [arr.protocol(mask) for mask in lg.MASKS.values()]
+            assert not runs_alone_and_shared(arr.model, protocols)
+
+    @pytest.mark.parametrize("mutate", [lambda model: model,
+                                        lambda model: without_last_row(model, "T2"),
+                                        lambda model: without_update_row(model, "M2")],
+                             ids=["none", "kernel-row-T2", "update-row-M2"])
+    def test_any_order_and_repeats_of_the_runs_equal_each_run_alone(self, mutate):
+        # each run resumes from the longest prefix it shares with an earlier one, wherever
+        # that run stands in the list; a repeated run resumes at its own end
+        arr = random_arrangement(np.random.default_rng(7), max_states=4)
+        model = mutate(arr.model)
+        masks = [*lg.MASKS.values(), (True, False, False), (False, False, True)]
+        for order in itertools.permutations(masks[:4]):
+            runs_alone_and_shared(model, [arr.protocol(mask) for mask in order])
+        for picks in itertools.product(masks, repeat=3):
+            runs_alone_and_shared(model, [arr.protocol(mask) for mask in picks])
+
+    def test_a_run_from_another_preparation_shares_no_prefix(self):
+        # the third run resumes at the first run's end, past the second's other preparation
+        arr = random_arrangement(np.random.default_rng(8), max_states=4)
+        other = Distribution.point_mass(arr.model.space, arr.model.space.states[0])
+        model = replace(arr.model, preparations={**arr.model.preparations, "F": other})
+        protocols = [arr.protocol(), Protocol("F", arr.protocol().steps), arr.protocol()]
+        assert not runs_alone_and_shared(model, protocols)
+
+    def test_an_undeclared_name_raises_as_in_the_run_alone(self):
+        arr = random_arrangement(np.random.default_rng(8), max_states=4)
+        steps = arr.protocol().steps
+        for broken in (Protocol("nope", steps),
+                       Protocol("E", (*steps[:2], ProtocolStep("T2", "nope", True))),
+                       Protocol("E", (steps[0], ProtocolStep("nope", "M2", True), steps[2]))):
+            assert runs_alone_and_shared(arr.model, [arr.protocol((True, True, False)), broken,
+                                                     arr.protocol()])
+
+    @pytest.mark.parametrize("arrangement, measures, masses", [
+        (lambda: zoo.build("superselected").arrangement, 13, 6),
+        (lambda: random_arrangement(np.random.default_rng(1)), 19, 10),
+    ], ids=["superselected", "random-two-transformations"])
+    def test_a_report_walks_the_shared_prefix_once(self, arrangement, measures, masses,
+                                                   monkeypatch):
+        # the runs skipping M2 or M3 resume after lg-all's T1 push: 13 and 19 measure calls
+        # where four walks from the preparation make 19 and 27; the final reads do not change
+        arr = arrangement()
+        calls = {"measure": 0, "masses": 0}
+        for name in calls:
+            real = getattr(core.Form, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(core.Form, name, counted)
+        disturbance_report(arr)
+        assert calls == {"measure": measures, "masses": masses}
 
     @pytest.mark.parametrize("component", ["Mz", "Mz-without-its-minus-row", "reset"])
     def test_a_row_several_states_draw_is_expanded_once(self, component):

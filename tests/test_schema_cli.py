@@ -434,20 +434,23 @@ class TestCli:
         assert run_cli(["lg", "--zoo", "superselected", "--no-timestamp"]) == 3
 
     def test_lg_runs_each_protocol_once(self, capsys, monkeypatch):
-        """The chain reads its specific stage and pairwise value from the report's four runs."""
+        """The chain reads its specific stage and pairwise value from the report's four runs,
+        made by one ``run_protocols`` call."""
         import lglab.lg as lg_module
 
-        calls = {"run_protocol": 0, "check_opnd": 0}
+        calls = {"run_protocol": [], "run_protocols": [], "check_opnd": []}
         for name in calls:
             real = getattr(lg_module, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(lg_module, name, counted)
         assert run_cli(["lg", "--zoo", "superselected", "--no-timestamp"]) == 0
-        assert calls == {"run_protocol": 4, "check_opnd": 0}
+        [(_, protocols)] = calls["run_protocols"]
+        assert len(set(protocols)) == len(protocols) == 4
+        assert calls["run_protocol"] == calls["check_opnd"] == []
 
     def test_classify_verdicts(self, capsys):
         run_cli(["classify", "--zoo", "superselected", "--no-timestamp"])
@@ -512,6 +515,20 @@ class TestCli:
         run_cli(["twoslit", "--mod1-sq", "0.5", "--phi", "7.0", "--no-timestamp"])
         captured = capsys.readouterr()
         assert "folded" in captured.err
+
+    @pytest.mark.parametrize("phi", ["0", "1e-9", "6.283185307179586"])
+    def test_twoslit_central_maximum_of_equal_slits(self, phi, capsys):
+        # half |a1 + a2|^2 rounds to just above 1 here; the compiled at-bin row is clamped
+        assert run_cli(["twoslit", "--mod1-sq", "0.5", f"--phi={phi}", "--no-timestamp"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["engine_cross_check"]["max_gap"] <= 1e-12
+
+    def test_twoslit_phase_folded_from_just_below_zero_is_zero(self, capsys):
+        # -1e-20 % (2*pi) rounds up to 2*pi, which the fold maps to 0.0
+        assert run_cli(["twoslit", "--mod1-sq", "0.3", "--phi=-1e-20", "--no-timestamp"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: phase folded into [0, 2*pi) as 0.0\n"
+        assert json.loads(captured.out)["inputs"]["phi"] == 0.0
 
     def test_twoslit_sweep_csv(self, capsys):
         run_cli(["twoslit", "--sweep", "--mod-steps", "3", "--phi-steps", "4",

@@ -130,3 +130,13 @@ class TestViolationMap:
     def test_phase_is_folded(self):
         [(_, phi, _, _, _)] = twoslit.violation_map([0.5], [2.0 * PI + 1.0])
         assert phi == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_phase_just_below_zero_folds_to_zero(self):
+        # -1e-20 % (2*pi) rounds up to 2*pi itself
+        [(_, phi, _, _, _)] = twoslit.violation_map([0.3], [-1e-20])
+        assert phi == 0.0
+
+
+def test_phase_difference_just_below_zero_folds_to_zero():
+    s = SlitAmplitudes.from_intensity_phase(0.3, -1e-20)
+    assert s.phase_difference == 0.0

@@ -53,6 +53,10 @@ the complete check's one-pass reading of a measurement's update with its
 outcome ignored is compared where that update sends each state to all
 four; in the zoo it sends each state to one, or the measurement has an
 outcome drawn from one shared row and is read outcome by outcome.
+Two-slit point mode runs at (0.3, 2.5), at the central maximum of equal
+slits (``--mod1-sq 0.5`` with ``--phi 0`` and ``--phi 1e-9``), where half
+|a1 + a2|^2 rounds to just above 1, and at ``--phi=-1e-20``, whose
+remainder modulo 2*pi rounds up to 2*pi before it is folded.
 Further refusals compare ``run --marginal`` with an ambiguous axis label
 and an axis index out of range, ``twoslit`` with ``--mod1-sq`` above 1 and
 with ``--mod1-sq`` but no ``--phi``, and three copies of the superselected
@@ -198,6 +202,9 @@ def commands(zoo: list) -> list:
         ["lg", "--zoo", "superselected", "--p1", "0.1", "--p2", "0.7", "--depth", "4"],
         ["zoo", "export", "superselected", "--p1", "0.1", "--p2", "0.7"],
         ["twoslit", "--mod1-sq", "0.3", "--phi", "2.5"],
+        ["twoslit", "--mod1-sq", "0.5", "--phi", "0"],
+        ["twoslit", "--mod1-sq", "0.5", "--phi", "1e-9"],
+        ["twoslit", "--mod1-sq", "0.3", "--phi=-1e-20"],
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40", "--format", "csv"],
         ["twoslit", "--sweep", "--mod-steps", "30", "--phi-steps", "40"],
         ["run", "--model", MODEL_FILE, "--protocol", "lg-all", "--marginal", "0,2"],
